@@ -126,9 +126,13 @@ impl TxCtx {
     }
 
     fn refresh_view(&mut self) {
+        // A flat top-level has no ancestors: the view stays empty.
+        let Some(sub) = self.top.inflated() else {
+            return;
+        };
         // Lock order everywhere: nodes, then graph.
-        let nodes = self.top.nodes.read();
-        let (stamp, g) = self.top.graph.snapshot();
+        let nodes = sub.nodes.read();
+        let (stamp, g) = sub.graph.snapshot();
         if self.view_valid && stamp == self.view_stamp {
             return;
         }
@@ -161,6 +165,16 @@ impl TxCtx {
         if let Some(v) = self.node.own_write(id) {
             return Ok(downcast(&v));
         }
+        // Flat (no sub-transaction yet, and only this thread can create
+        // one): no ancestor can hold a write and no sibling can serialize,
+        // so the read is the backend's.
+        if self.top.inflated().is_none() {
+            let (ver, v) = self.global_read(vbox.body())?;
+            self.node
+                .record_read(id, vbox.body().clone(), ReadOrigin::Global(ver));
+            self.check_doom()?;
+            return Ok(downcast(&v));
+        }
         let body = vbox.body().clone();
         let mut guard = 0u32;
         loop {
@@ -183,11 +197,14 @@ impl TxCtx {
                 }
             };
             // Race protocol with concurrent forward validation: we record
-            // the read *before* re-checking the stamp. If a future bumped
-            // the stamp after our view was built, we redo the read against
-            // the new graph; if it bumped after this check, its validation
-            // scan (which locks our read-set afterwards) sees our entry.
-            if self.top.graph.stamp() == stamp {
+            // the read *before* re-checking the stamp. `Graph::update`
+            // bumps the stamp on entry, before its closure scans any
+            // read-set. If a serializing future entered after our view was
+            // built — even if it has not published yet — the stamp differs
+            // and we redo the read against the new graph (`snapshot` waits
+            // for it). If it enters after this check, its validation scan
+            // locks our read-set after our insert and sees our entry.
+            if self.top.sub().graph.stamp() == stamp {
                 self.check_doom()?;
                 return Ok(downcast(&value));
             }
@@ -249,12 +266,12 @@ impl TxCtx {
         }
         let cur = self.node.id;
         self.node.freeze();
-        let (fnode, cnode, cont_arc) = self.top.spawn_nodes(cur);
+        let (fnode, cnode, cont_arc) = self.top.spawn_nodes(&self.tm, cur);
         let core = self
             .top
             .register_future(&self.tm, fnode, cnode, body, self.owner.as_ref());
         if self.owner.is_none() && !self.adopting {
-            self.top.top_submissions.lock().push(core.clone());
+            self.top.sub().top_submissions.lock().push(core.clone());
         }
         self.tm.stats.futures_submitted();
         self.tm
@@ -320,7 +337,8 @@ impl TxCtx {
             let top = self.top.clone();
             let cores: Vec<_> = futures.iter().map(|f| f.core.clone()).collect();
             let wait_start = self.tm.tracer.span_start();
-            self.tm.clock.wait_until(&self.top.change, move || {
+            let change = &self.top.inflate(&self.tm).change;
+            self.tm.clock.wait_until(change, move || {
                 top.is_cancelled()
                     || top.is_doomed()
                     || cores.iter().any(|c| c.state().is_settled())
@@ -357,7 +375,7 @@ impl TxCtx {
         // (before that the future's subtree must stay invisible).
         let cur = self.node.id;
         self.node.freeze();
-        let eval_arc = self.top.open_segment(cur, NodeKind::Eval);
+        let eval_arc = self.top.open_segment(&self.tm, cur, NodeKind::Eval);
         self.node = eval_arc;
         self.view_valid = false;
         // Wait for the body to settle. The wait is a join edge of the
@@ -664,7 +682,7 @@ impl TxCtx {
         // Open a fresh segment.
         let cur = self.node.id;
         self.node.freeze();
-        let seg = self.top.open_segment(cur, NodeKind::Continuation);
+        let seg = self.top.open_segment(&self.tm, cur, NodeKind::Continuation);
         self.node = seg;
         self.view_valid = false;
         let mut guard = 0u32;
@@ -700,7 +718,9 @@ impl TxCtx {
                     // closure we no longer hold.
                     let sealed_from = self.node.id;
                     self.node.freeze();
-                    let next = self.top.open_segment(sealed_from, NodeKind::Continuation);
+                    let next = self
+                        .top
+                        .open_segment(&self.tm, sealed_from, NodeKind::Continuation);
                     self.node = next;
                     self.view_valid = false;
                     return Ok(v);

@@ -148,35 +148,48 @@ impl GraphInner {
 /// The shared, stamped graph.
 pub struct Graph {
     inner: RwLock<Arc<GraphInner>>,
-    // ordering: seqcst-rmw — the bump happens under the write lock after
-    // the new graph is published; seqcst-load on the read side keeps the
-    // stamp totally ordered against graph publication, which the
-    // unlocked stamp/re-check protocol in `ctx.rs` relies on (an
-    // acquire-load would admit a stale stamp paired with a newer graph).
+    // ordering: seqcst-rmw, seqcst-load — a seqlock over graph
+    // publication: `update` bumps the stamp to odd on entry (under the
+    // write lock, before its closure scans any read-set) and back to even
+    // after publishing, so `snapshot` (under the read lock) only ever
+    // returns even stamps and the unlocked re-check in `ctx.rs::read`
+    // differs from its view's stamp whenever a writer entered since the
+    // view was built. SeqCst keeps the stamp totally ordered against the
+    // read-set mutexes and graph publication the protocol interleaves
+    // with; a weaker load could pair a stale stamp with a newer graph.
     stamp: AtomicU64,
+}
+
+impl GraphInner {
+    /// The one-node graph of a top-level with no sub-transactions.
+    pub fn root(status: NodeStatus) -> GraphInner {
+        GraphInner {
+            preds: vec![Vec::new()],
+            succs: vec![Vec::new()],
+            status: vec![status],
+            rank: vec![0],
+        }
+    }
 }
 
 impl Graph {
     /// A graph with the root sub-transaction (node 0, Active).
     pub fn with_root() -> Graph {
-        let mut g = GraphInner::default();
-        g.preds.push(Vec::new());
-        g.succs.push(Vec::new());
-        g.status.push(NodeStatus::Active);
-        g.rank.push(0);
         Graph {
-            inner: RwLock::new(Arc::new(g)),
+            inner: RwLock::new(Arc::new(GraphInner::root(NodeStatus::Active))),
             stamp: AtomicU64::new(0),
         }
     }
 
-    /// Current stamp; changes whenever the graph is mutated. `SeqCst`
-    /// pairs with the read-side re-check protocol (see `ctx.rs`).
+    /// Current stamp: odd while a writer is inside `update`, and moved
+    /// past every stamp a `snapshot` returned before that writer entered.
+    /// `SeqCst` pairs with the read-side re-check protocol (see `ctx.rs`).
     pub fn stamp(&self) -> u64 {
         self.stamp.load(Ordering::SeqCst)
     }
 
-    /// Cheap consistent snapshot: `(stamp, graph)` taken atomically.
+    /// Cheap consistent snapshot: `(stamp, graph)` taken atomically. The
+    /// stamp is even: the read lock excludes a writer mid-`update`.
     pub fn snapshot(&self) -> (u64, Arc<GraphInner>) {
         let guard = self.inner.read();
         let stamp = self.stamp.load(Ordering::SeqCst);
@@ -184,12 +197,13 @@ impl Graph {
     }
 
     /// Clone-mutate-publish under the write lock. Returns `f`'s output.
-    /// The stamp is bumped *before* `f` runs against the published graph?
-    /// No — the new graph and the stamp move together under the lock;
-    /// readers that loaded the old stamp will re-check and observe the
-    /// bump after we publish.
+    /// The stamp moves on entry as well as on exit: `f` may scan
+    /// read-sets (forward validation), and a reader that records a read
+    /// after that scan must fail its stamp re-check even though the new
+    /// graph is not published yet.
     pub fn update<R>(&self, f: impl FnOnce(&mut GraphInner) -> R) -> R {
         let mut guard = self.inner.write();
+        self.stamp.fetch_add(1, Ordering::SeqCst);
         let mut g: GraphInner = (**guard).clone();
         let out = f(&mut g);
         g.recompute_ranks();

@@ -21,10 +21,12 @@
 //! overlay order) is printed in each label.
 
 use crate::graph::{GraphInner, NodeStatus};
+use crate::node::SubTxNode;
 use crate::toplevel::TopLevel;
 use crate::TmInner;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use wtf_trace::Json;
 
 /// Consecutive cross-top conflict aborts (without a commit) that count
@@ -78,9 +80,11 @@ struct NodeAnnotations {
 }
 
 impl TopLevel {
-    fn annotations(&self) -> NodeAnnotations {
-        let nodes = self.nodes.read();
-        NodeAnnotations {
+    /// `(stamp, G, annotations)`. A flat top-level (no G yet) renders as
+    /// its single root and is *not* inflated: the caller may be a foreign
+    /// thread (watchdog, gauges).
+    fn render_view(&self) -> (u64, Arc<GraphInner>, NodeAnnotations) {
+        let annotate = |nodes: &[Arc<SubTxNode>]| NodeAnnotations {
             kinds: nodes
                 .iter()
                 .map(|n| match n.kind {
@@ -91,21 +95,35 @@ impl TopLevel {
                 })
                 .collect(),
             doomed: nodes.iter().map(|n| n.is_doomed()).collect(),
+        };
+        match self.inflated() {
+            Some(sub) => {
+                let (stamp, g) = sub.graph.snapshot();
+                let ann = annotate(&sub.nodes.read());
+                (stamp, g, ann)
+            }
+            None => {
+                let status = if self.is_sealed() {
+                    NodeStatus::ICommitted
+                } else {
+                    NodeStatus::Active
+                };
+                let g = Arc::new(GraphInner::root(status));
+                (0, g, annotate(std::slice::from_ref(&self.root)))
+            }
         }
     }
 
     /// Graphviz DOT rendering of this top-level's dependency graph.
     pub fn graph_dot(&self) -> String {
-        let (stamp, g) = self.graph.snapshot();
-        let ann = self.annotations();
+        let (stamp, g, ann) = self.render_view();
         graph_dot_impl(&g, &ann, self.id, stamp, self.is_doomed())
     }
 
     /// JSON rendering: node status/kind/rank/doom plus the edge list, in
     /// iCommit-overlay (rank, then id) order.
     pub fn graph_json(&self) -> Json {
-        let (stamp, g) = self.graph.snapshot();
-        let ann = self.annotations();
+        let (stamp, g, ann) = self.render_view();
         let mut order: Vec<usize> = (0..g.len()).collect();
         order.sort_by_key(|&n| (g.rank[n], n));
         let nodes: Vec<Json> = order

@@ -116,8 +116,9 @@ pub(crate) struct TmInner {
     // uniqueness, nothing is published through the counter.
     future_counter: AtomicU64,
     /// Weak handles to in-flight top-levels (live-graph gauges, watchdog
-    /// snapshots, auto-dumps). Dead entries are pruned opportunistically
-    /// on registration.
+    /// snapshots). Dead entries are pruned opportunistically on
+    /// registration. Empty when neither reader can exist (tracer off and
+    /// the `watchdog` feature compiled out).
     pub(crate) tops: Mutex<Vec<std::sync::Weak<TopLevel>>>,
     /// Consecutive cross-top conflict aborts since the last commit
     /// (abort-storm detection; see `inspect`).
@@ -538,11 +539,11 @@ impl FutureTm {
                     }
                 }
                 _ => {
-                    let t = TopLevel::begin(&self.inner);
+                    let t = TopLevel::begin(&self.inner, &*cm);
                     if let Some(prev) = prev_top.take() {
                         self.inner.tracer.record(EventKind::TopRetry, t.id, prev);
                     }
-                    let root = t.node_arc(0);
+                    let root = t.root.clone();
                     (t, root)
                 }
             };

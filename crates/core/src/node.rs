@@ -113,6 +113,12 @@ impl SubTxNode {
             .clone()
     }
 
+    /// Empties the write buffer into the caller (the commit of a node that
+    /// never iCommits: a flat top-level's root).
+    pub fn take_writes(&self) -> WriteMap {
+        std::mem::take(&mut *self.writes.lock())
+    }
+
     /// The frozen write-set, if iCommitted.
     pub fn frozen_writes(&self) -> Option<&FrozenWrites> {
         self.frozen.get()

@@ -805,9 +805,8 @@ fn graph_exporters_render_live_top() {
     let ((dot, json), _, _) = with_vtm(Semantics::WO_GAC, 2, |tm| {
         tm.atomic(|ctx| {
             let f = ctx.submit(|_| Ok(7u64))?;
-            let top = tm.inner.live_tops().pop().expect("one live top");
-            let dot = top.graph_dot();
-            let json = top.graph_json();
+            let dot = ctx.top.graph_dot();
+            let json = ctx.top.graph_json();
             ctx.evaluate(&f)?;
             Ok((dot, json))
         })
@@ -839,7 +838,7 @@ fn auto_dump_writes_snapshots_and_respects_budget() {
     let _ = std::fs::remove_dir_all(&dir);
     std::env::set_var("WTF_SNAPSHOT_DIR", &dir);
     let tm = FutureTm::new(Semantics::WO_GAC);
-    let top = crate::TopLevel::begin(&tm.inner);
+    let top = crate::TopLevel::begin(&tm.inner, &*tm.cm());
     crate::inspect::auto_dump(&tm.inner, &top, "doom");
     let dot = std::fs::read_to_string(dir.join("doom_top0.dot")).unwrap();
     assert!(dot.contains("digraph top0"));
@@ -877,6 +876,7 @@ fn tm_gauges_track_live_tops_and_nodes() {
         };
         assert_eq!(gauge("tm_live_tops"), 0);
         tm.atomic(|ctx| {
+            assert_eq!(gauge("tm_live_nodes"), 1, "a flat top-level is its root");
             let f = ctx.submit(|_| Ok(1u64))?;
             assert_eq!(gauge("tm_live_tops"), 1);
             // Root + future node + continuation node.
@@ -1002,4 +1002,203 @@ fn watchdog_quiet_under_progress_and_aborts_straggler() {
         tm.shutdown();
     });
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------- flat top-levels and the stamp protocol ----------------
+
+/// Regression for the lost update behind the benchmark's `bank-futures-2`:
+/// `Graph::update` ran a completing future's forward-validation scan
+/// *before* moving the stamp, so a sibling future that recorded its read
+/// after the scan still passed its stamp re-check with the stale value
+/// and was then ordered after the serialized future. Real threads only,
+/// two futures in flight: Bank in chunks of 8 operations, every one a
+/// future, whichever settles first evaluated first. Every transfer
+/// conserves the total, so every `getTotalAmount` must return it.
+#[test]
+fn bank_two_futures_in_flight_conserves_total() {
+    use std::time::{Duration, Instant};
+    const ACCOUNTS: usize = 64;
+    const TOTAL: i64 = 1_000 * ACCOUNTS as i64;
+    for semantics in [Semantics::WO_GAC, Semantics::SO] {
+        Clock::real_nospin().enter(|| {
+            let tm = FutureTm::builder().semantics(semantics).workers(4).build();
+            let accounts: Arc<Vec<_>> =
+                Arc::new((0..ACCOUNTS).map(|_| tm.new_vbox(1_000i64)).collect());
+            let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+            let mut below = move |n: usize| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                (seed >> 33) as usize % n
+            };
+            let deadline = Instant::now() + Duration::from_millis(1500);
+            let mut chunks = 0u64;
+            while Instant::now() < deadline {
+                // `None` is getTotalAmount; `Some` a transfer of 4 pairs.
+                let ops: Vec<Option<[(usize, usize); 4]>> = (0..8)
+                    .map(|_| {
+                        (below(5) > 0).then(|| [(); 4].map(|_| (below(ACCOUNTS), below(ACCOUNTS))))
+                    })
+                    .collect();
+                let totals = tm
+                    .atomic(|ctx| {
+                        let mut totals = Vec::new();
+                        let mut flying: Vec<TxFuture<i64>> = Vec::new();
+                        for op in &ops {
+                            if flying.len() == 2 {
+                                let (i, v) = ctx.evaluate_any(&flying)?;
+                                flying.remove(i);
+                                totals.push(v);
+                            }
+                            let (accounts, op) = (accounts.clone(), *op);
+                            flying.push(ctx.submit(move |c| match op {
+                                None => {
+                                    let mut total = 0;
+                                    for a in accounts.iter() {
+                                        total += c.read(a)?;
+                                    }
+                                    Ok(total)
+                                }
+                                Some(pairs) => {
+                                    for (from, to) in pairs {
+                                        let v = c.read(&accounts[from])?;
+                                        c.write(&accounts[from], v - 7)?;
+                                        let v = c.read(&accounts[to])?;
+                                        c.write(&accounts[to], v + 7)?;
+                                    }
+                                    Ok(TOTAL)
+                                }
+                            })?);
+                        }
+                        while !flying.is_empty() {
+                            let (i, v) = ctx.evaluate_any(&flying)?;
+                            flying.remove(i);
+                            totals.push(v);
+                        }
+                        Ok(totals)
+                    })
+                    .unwrap();
+                assert!(
+                    totals.iter().all(|&t| t == TOTAL),
+                    "{semantics:?}: chunk {chunks} saw a never-committed total: {totals:?}"
+                );
+                chunks += 1;
+            }
+            let total: i64 = accounts.iter().map(|a| a.read_latest()).sum();
+            assert_eq!(
+                total, TOTAL,
+                "{semantics:?}: lost update in {chunks} chunks"
+            );
+            tm.shutdown();
+        });
+    }
+}
+
+/// A top-level transaction has no graph until its first sub-transaction:
+/// reads, writes and the exporters see a single root, and the first
+/// `submit` builds G around that root.
+#[test]
+fn top_level_is_flat_until_first_submit() {
+    let (sum, stats, _) = with_vtm(Semantics::WO_GAC, 2, |tm| {
+        let x = tm.new_vbox(20i64);
+        tm.atomic(|ctx| {
+            let v = ctx.read(&x)?;
+            ctx.write(&x, v + 1)?;
+            assert!(ctx.top.inflated().is_none(), "no sub-transaction yet");
+            assert_eq!(ctx.top.node_count(), 1);
+            let dot = ctx.top.graph_dot();
+            assert!(dot.contains("n0 root active"), "{dot}");
+            assert!(!dot.contains("n1") && !dot.contains("->"), "{dot}");
+            let json = wtf_trace::Json::parse(&ctx.top.graph_json().to_string()).unwrap();
+            assert_eq!(json.get("nodes").unwrap().as_arr().unwrap().len(), 1);
+            assert!(json.get("edges").unwrap().as_arr().unwrap().is_empty());
+            assert!(ctx.top.inflated().is_none(), "rendering does not inflate");
+            let x2 = x.clone();
+            let f = ctx.submit(move |c| c.read(&x2))?;
+            assert_eq!(ctx.top.node_count(), 3, "root + future + continuation");
+            // The future sees the write the flat root buffered.
+            Ok(ctx.evaluate(&f)? + ctx.read(&x)?)
+        })
+        .unwrap()
+    });
+    assert_eq!(sum, 42);
+    assert_eq!(stats.top_commits, 1);
+}
+
+/// A doom that lands on a flat top-level (the watchdog's straggler abort
+/// is the only source) takes the replay-restart path: G is built around
+/// the abandoned root, the body re-runs from a fresh chain root on the
+/// same snapshot, and commits.
+#[test]
+fn doom_on_flat_top_level_replays_and_commits() {
+    let (attempts, stats, _) = with_vtm(Semantics::WO_GAC, 2, |tm| {
+        let x = tm.new_vbox(0i64);
+        let mut attempts = 0u32;
+        tm.atomic(|ctx| {
+            attempts += 1;
+            ctx.write(&x, 7)?;
+            if attempts == 1 {
+                assert!(ctx.top.inflated().is_none());
+                ctx.top.doom();
+            } else {
+                assert_eq!(ctx.top.node_count(), 2, "old root + replay root");
+            }
+            let v = ctx.read(&x)?; // the doomed incarnation stops here
+            ctx.write(&x, v + 1)
+        })
+        .unwrap();
+        assert_eq!(x.read_latest(), 8);
+        attempts
+    });
+    assert_eq!(attempts, 2);
+    assert_eq!(stats.top_internal_restarts, 1);
+    assert_eq!((stats.top_commits, stats.top_aborts), (1, 0));
+}
+
+/// GAC adoption by a future-free transaction. A valid escape record is
+/// merged into the flat root (no G needed); a stale one re-executes the
+/// body inline on the adopter's context, and a body that submits inflates
+/// the adopter at that point.
+#[test]
+fn escaping_future_adopted_by_flat_top_level() {
+    for stale in [false, true] {
+        let ((v, inflated), stats, _) = with_vtm(Semantics::WO_GAC, 3, |tm| {
+            let data = tm.new_vbox(5i64);
+            let handle = tm.new_vbox::<Option<TxFuture<i64>>>(None);
+            let probe = tm.new_vbox(0i64);
+            tm.atomic(|ctx| {
+                let (d, p) = (data.clone(), probe.clone());
+                let f = ctx.submit(move |c| {
+                    c.write(&p, 1)?;
+                    let d2 = d.clone();
+                    let nested = c.submit(move |n| n.read(&d2))?;
+                    Ok(c.evaluate(&nested)? * 2)
+                })?;
+                ctx.write(&handle, Some(f))?;
+                // Reading the probe blocks serialization at submission, so
+                // the future escapes unserialized.
+                ctx.read(&probe)?;
+                ctx.work(100);
+                Ok(())
+            })
+            .unwrap();
+            if stale {
+                tm.atomic(|ctx| ctx.write(&data, 100)).unwrap();
+            }
+            tm.atomic(|ctx| {
+                let f = ctx.read(&handle)?.expect("handle published");
+                assert!(ctx.top.inflated().is_none());
+                let v = ctx.evaluate(&f)?;
+                Ok((v, ctx.top.inflated().is_some()))
+            })
+            .unwrap()
+        });
+        assert_eq!(v, if stale { 200 } else { 10 });
+        assert_eq!(
+            inflated, stale,
+            "only the re-executed body's submit builds G"
+        );
+        assert_eq!(stats.adopted_escaping, 1);
+        assert_eq!(stats.reexecutions, u64::from(stale));
+    }
 }

@@ -9,7 +9,7 @@ use crate::{AtomicitySemantics, OrderingSemantics, TmInner};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use wtf_backend::{BackendBox, BackendSnapshot};
 use wtf_mvstm::{BoxId, FxHashMap, StmError, Value};
 use wtf_trace::EventKind;
@@ -51,12 +51,36 @@ pub(crate) struct CommitInfo {
     pub winners: FxHashMap<BoxId, NodeId>,
 }
 
+/// The graph **G** and what exists only to order a top-level's
+/// *sub*-transactions (§4.1). A transaction that never submits a future
+/// has none, so `TopLevel` builds this on the first operation that adds
+/// a second node (`submit`, `step`, an evaluation segment, a replay
+/// restart) and runs as a plain backend transaction until then.
+pub(crate) struct Inflated {
+    pub(crate) graph: Graph,
+    pub(crate) nodes: RwLock<Vec<Arc<SubTxNode>>>,
+    /// Every future (transitively) spawned under this top-level.
+    pub(crate) futures: Mutex<Vec<Arc<FutureCore>>>,
+    /// Futures submitted by the top-level thread itself, in submission
+    /// order — the replay-restart reuse queue.
+    pub(crate) top_submissions: Mutex<Vec<Arc<FutureCore>>>,
+    /// Notified on future completion and other settlement-relevant events.
+    pub(crate) change: Event,
+    pub(crate) committed: Mutex<Option<CommitInfo>>,
+}
+
 /// One incarnation of a top-level transaction.
 pub struct TopLevel {
     pub id: u64,
     pub(crate) snapshot: BackendSnapshot,
-    pub(crate) graph: Graph,
-    pub(crate) nodes: RwLock<Vec<Arc<SubTxNode>>>,
+    /// The first segment: node 0 of G, and the whole transaction while
+    /// it is flat.
+    pub(crate) root: Arc<SubTxNode>,
+    /// Unset while the transaction is *flat* (no sub-transaction yet).
+    /// Set once, by the owning thread only ([`TopLevel::inflate`]); other
+    /// threads reach a top-level through a future or the `tops` list and
+    /// only ever observe it.
+    sub: OnceLock<Inflated>,
     /// Internal doom that cannot be contained to one segment: forces a
     /// whole-top-level restart.
     // ordering: release-store dooms (or, on restart, re-arms) the
@@ -89,42 +113,65 @@ pub struct TopLevel {
     // biases the contention manager — a stale read picks a slightly
     // wrong victim, never breaks safety.
     pub(crate) conflict_box: AtomicU64,
-    /// Every future (transitively) spawned under this top-level.
-    pub(crate) futures: Mutex<Vec<Arc<FutureCore>>>,
-    /// Futures submitted by the top-level thread itself, in submission
-    /// order — the replay-restart reuse queue.
-    pub(crate) top_submissions: Mutex<Vec<Arc<FutureCore>>>,
-    /// Notified on future completion and other settlement-relevant events.
-    pub(crate) change: Event,
-    pub(crate) committed: Mutex<Option<CommitInfo>>,
 }
 
 impl TopLevel {
-    pub(crate) fn begin(tm: &Arc<TmInner>) -> Arc<TopLevel> {
+    /// Begins a flat incarnation. `cm` is the handle `FutureTm::atomic`
+    /// already holds (fetching it costs a lock and an `Arc` bump).
+    pub(crate) fn begin(tm: &Arc<TmInner>, cm: &dyn wtf_cm::ContentionManager) -> Arc<TopLevel> {
         let id = tm.next_top_id();
-        let strong = tm.cfg.semantics.ordering == OrderingSemantics::Strong
-            || tm.stm.cm().serialize_at_submission();
+        let strong =
+            tm.cfg.semantics.ordering == OrderingSemantics::Strong || cm.serialize_at_submission();
         let top = Arc::new(TopLevel {
             id,
             snapshot: tm.stm.acquire_snapshot(),
-            graph: Graph::with_root(),
-            nodes: RwLock::new(vec![SubTxNode::new(0, NodeKind::Root)]),
+            root: SubTxNode::new(0, NodeKind::Root),
+            sub: OnceLock::new(),
             doomed: AtomicBool::new(false),
             cancelled: AtomicBool::new(false),
             sealed: AtomicBool::new(false),
             strong,
             conflict_box: AtomicU64::new(u64::MAX),
-            futures: Mutex::new(Vec::new()),
-            top_submissions: Mutex::new(Vec::new()),
-            change: tm.clock.new_event(),
-            committed: Mutex::new(None),
         });
         tm.clock.advance(tm.cfg.costs.begin_cost);
-        tm.register_top(&top);
+        // The list has two readers: the tracer's gauges and the watchdog.
+        if cfg!(feature = "watchdog") || tm.tracer.on() {
+            tm.register_top(&top);
+        }
         tm.tracer
             .record(EventKind::TopBegin, id, top.snapshot.version());
         tm.tracer.maybe_sample_gauges();
         top
+    }
+
+    /// G, once a second node exists.
+    pub(crate) fn inflated(&self) -> Option<&Inflated> {
+        self.sub.get()
+    }
+
+    /// Builds G around the root on first use. Owning thread only.
+    pub(crate) fn inflate(&self, tm: &TmInner) -> &Inflated {
+        self.sub.get_or_init(|| Inflated {
+            graph: Graph::with_root(),
+            nodes: RwLock::new(vec![self.root.clone()]),
+            futures: Mutex::new(Vec::new()),
+            top_submissions: Mutex::new(Vec::new()),
+            change: tm.clock.new_event(),
+            committed: Mutex::new(None),
+        })
+    }
+
+    /// G, on paths only a sub-transaction can reach.
+    pub(crate) fn sub(&self) -> &Inflated {
+        self.sub.get().expect("sub-transaction of a flat top-level")
+    }
+
+    /// Wakes whoever waits for a settlement-relevant change (nobody can
+    /// while the top-level is flat).
+    pub(crate) fn notify_change(&self, tm: &TmInner) {
+        if let Some(sub) = self.inflated() {
+            tm.clock.notify_all(&sub.change);
+        }
     }
 
     pub fn snapshot_version(&self) -> u64 {
@@ -148,18 +195,23 @@ impl TopLevel {
     }
 
     pub(crate) fn node_arc(&self, id: NodeId) -> Arc<SubTxNode> {
-        self.nodes.read()[id].clone()
+        self.sub().nodes.read()[id].clone()
     }
 
     pub(crate) fn node_count(&self) -> usize {
-        self.nodes.read().len()
+        self.inflated().map_or(1, |sub| sub.nodes.read().len())
     }
 
     /// Creates the future + continuation node pair for a submit, marking
     /// the spawning node iCommitted (its writes become visible to both).
-    pub(crate) fn spawn_nodes(&self, cur: NodeId) -> (NodeId, NodeId, Arc<SubTxNode>) {
-        let mut nodes = self.nodes.write();
-        let (f, c) = self.graph.update(|g| {
+    pub(crate) fn spawn_nodes(
+        &self,
+        tm: &TmInner,
+        cur: NodeId,
+    ) -> (NodeId, NodeId, Arc<SubTxNode>) {
+        let sub = self.inflate(tm);
+        let mut nodes = sub.nodes.write();
+        let (f, c) = sub.graph.update(|g| {
             g.set_status(cur, NodeStatus::ICommitted);
             let f = g.add_node(NodeStatus::Active, &[cur]);
             let c = g.add_node(NodeStatus::Active, &[cur]);
@@ -173,9 +225,15 @@ impl TopLevel {
     }
 
     /// Opens a fresh segment node after `pred` (which the caller froze).
-    pub(crate) fn open_segment(&self, pred: NodeId, kind: NodeKind) -> Arc<SubTxNode> {
-        let mut nodes = self.nodes.write();
-        let id = self.graph.update(|g| {
+    pub(crate) fn open_segment(
+        &self,
+        tm: &TmInner,
+        pred: NodeId,
+        kind: NodeKind,
+    ) -> Arc<SubTxNode> {
+        let sub = self.inflate(tm);
+        let mut nodes = sub.nodes.write();
+        let id = sub.graph.update(|g| {
             g.set_status(pred, NodeStatus::ICommitted);
             g.add_node(NodeStatus::Active, &[pred])
         });
@@ -188,10 +246,11 @@ impl TopLevel {
     /// Replaces a node with a fresh incarnation (segment retry / future
     /// body retry).
     pub(crate) fn reset_node(&self, id: NodeId, kind: NodeKind) -> Arc<SubTxNode> {
-        let mut nodes = self.nodes.write();
+        let sub = self.sub();
+        let mut nodes = sub.nodes.write();
         let fresh = SubTxNode::new(id, kind);
         nodes[id] = fresh.clone();
-        self.graph.update(|g| g.set_status(id, NodeStatus::Active));
+        sub.graph.update(|g| g.set_status(id, NodeStatus::Active));
         fresh
     }
 
@@ -217,7 +276,7 @@ impl TopLevel {
             escape: Mutex::new(None),
             children: Mutex::new(Vec::new()),
         });
-        self.futures.lock().push(core.clone());
+        self.sub().futures.lock().push(core.clone());
         if let Some(p) = parent {
             p.children.lock().push(core.clone());
         }
@@ -302,14 +361,15 @@ impl TopLevel {
             // The future was cancelled (replay restart or top abort) while
             // its body was finishing: discard the incarnation's effects.
             tm.clock.notify_all(&core.event);
-            tm.clock.notify_all(&self.change);
+            self.notify_change(tm);
             return FutureCommitOutcome::Escaped;
         }
         *core.final_node.lock() = Some(final_node);
         *core.result.lock() = Some(value);
-        let nodes = self.nodes.read();
+        let sub = self.sub();
+        let nodes = sub.nodes.read();
         let strong = self.strong;
-        let outcome = self.graph.update(|g| {
+        let outcome = sub.graph.update(|g| {
             if self.is_sealed() {
                 g.set_status(core.node, NodeStatus::CompletedPending);
                 g.set_status(final_node, NodeStatus::CompletedPending);
@@ -425,7 +485,7 @@ impl TopLevel {
             FutureCommitOutcome::Doomed => {}
         }
         tm.clock.notify_all(&core.event);
-        tm.clock.notify_all(&self.change);
+        self.notify_change(tm);
         outcome
     }
 
@@ -437,9 +497,10 @@ impl TopLevel {
         eval_pred: NodeId,
         eval_node: NodeId,
     ) -> Result<Value, ()> {
-        let nodes = self.nodes.read();
+        let sub = self.sub();
+        let nodes = sub.nodes.read();
         let final_node = core.final_node.lock().expect("completed future");
-        let ok = self.graph.update(|g| {
+        let ok = sub.graph.update(|g| {
             let members = Self::subtree_members(g, core.node, final_node);
             if members.iter().any(|&m| nodes[m].is_doomed()) {
                 return false;
@@ -489,10 +550,11 @@ impl TopLevel {
         core: &Arc<FutureCore>,
         eval_pred: NodeId,
     ) -> Arc<SubTxNode> {
-        let mut nodes = self.nodes.write();
+        let sub = self.sub();
+        let mut nodes = sub.nodes.write();
         let fresh = SubTxNode::new(core.node, NodeKind::Future);
         nodes[core.node] = fresh.clone();
-        self.graph.update(|g| {
+        sub.graph.update(|g| {
             g.set_status(core.node, NodeStatus::Active);
             g.add_edge(eval_pred, core.node);
         });
@@ -508,7 +570,7 @@ impl TopLevel {
         eval_node: NodeId,
         value: Value,
     ) {
-        self.graph.update(|g| {
+        self.sub().graph.update(|g| {
             g.add_edge(final_node, eval_node);
             let members = Self::subtree_members(g, core.node, final_node);
             for m in members {
@@ -528,7 +590,7 @@ impl TopLevel {
             child.set_state(FutState::Cancelled);
             tm.tracer
                 .record(EventKind::FutureCancelled, child.id, self.id);
-            self.graph.update(|g| {
+            self.sub().graph.update(|g| {
                 g.set_status(child.node, NodeStatus::Aborted);
                 if let Some(f) = *child.final_node.lock() {
                     g.set_status(f, NodeStatus::Aborted);
@@ -541,7 +603,8 @@ impl TopLevel {
     /// Abandons this incarnation (retry or explicit abort).
     pub(crate) fn cancel(&self, tm: &Arc<TmInner>) {
         self.cancelled.store(true, Ordering::Release);
-        let futures: Vec<Arc<FutureCore>> = self.futures.lock().clone();
+        let Some(sub) = self.inflated() else { return };
+        let futures: Vec<Arc<FutureCore>> = sub.futures.lock().clone();
         for fut in futures {
             let st = fut.state();
             if st != FutState::Adopted {
@@ -553,7 +616,7 @@ impl TopLevel {
             }
             tm.clock.notify_all(&fut.event);
         }
-        tm.clock.notify_all(&self.change);
+        tm.clock.notify_all(&sub.change);
     }
 
     /// Replay restart (internal doom recovery): abandons the current
@@ -570,14 +633,17 @@ impl TopLevel {
         &self,
         tm: &Arc<TmInner>,
     ) -> (Vec<Arc<FutureCore>>, Arc<SubTxNode>) {
-        let replay: Vec<Arc<FutureCore>> = std::mem::take(&mut *self.top_submissions.lock());
+        // A doom can land on a flat top-level (the watchdog's): the fresh
+        // chain root below is its second node.
+        let sub = self.inflate(tm);
+        let replay: Vec<Arc<FutureCore>> = std::mem::take(&mut *sub.top_submissions.lock());
         // Cancel not-yet-serialized top submissions: they are respawned at
         // their submission index. (Serialized ones are reused; their
         // nested pending children stay alive and valid.)
         for fut in &replay {
             if fut.state() != FutState::Serialized {
                 fut.set_state(FutState::Cancelled);
-                self.graph.update(|g| {
+                sub.graph.update(|g| {
                     g.set_status(fut.node, NodeStatus::Aborted);
                     if let Some(f) = *fut.final_node.lock() {
                         g.set_status(f, NodeStatus::Aborted);
@@ -589,8 +655,8 @@ impl TopLevel {
         self.doomed.store(false, Ordering::Release);
         // Fresh chain root (a second rank-0 node; the old chain becomes
         // garbage no path reaches).
-        let mut nodes = self.nodes.write();
-        let id = self.graph.update(|g| g.add_node(NodeStatus::Active, &[]));
+        let mut nodes = sub.nodes.write();
+        let id = sub.graph.update(|g| g.add_node(NodeStatus::Active, &[]));
         debug_assert_eq!(id, nodes.len());
         let node = SubTxNode::new(id, NodeKind::Root);
         nodes.push(node.clone());
@@ -605,8 +671,9 @@ impl TopLevel {
         cur: NodeId,
     ) -> Arc<SubTxNode> {
         let final_node = core.final_node.lock().expect("serialized future");
-        let mut nodes = self.nodes.write();
-        let c = self.graph.update(|g| {
+        let sub = self.sub();
+        let mut nodes = sub.nodes.write();
+        let c = sub.graph.update(|g| {
             g.set_status(cur, NodeStatus::ICommitted);
             // Re-home the future's subtree onto the new chain: its old
             // spawn point belongs to the aborted chain, whose segments
@@ -618,7 +685,7 @@ impl TopLevel {
         debug_assert_eq!(c, nodes.len());
         let node = SubTxNode::new(c, NodeKind::Continuation);
         nodes.push(node.clone());
-        self.top_submissions.lock().push(core.clone());
+        sub.top_submissions.lock().push(core.clone());
         node
     }
 
@@ -627,12 +694,11 @@ impl TopLevel {
     /// Commits the top-level transaction (called with the top thread's ctx
     /// so LAC can perform implicit evaluations).
     pub(crate) fn commit(self: &Arc<Self>, ctx: &mut TxCtx) -> Result<(), CommitFail> {
-        let tm = ctx.tm.clone();
-        tm.clock.advance(tm.cfg.costs.commit_cost);
+        ctx.tm.clock.advance(ctx.tm.cfg.costs.commit_cost);
         // 1. Settle futures per the effective ordering (the configured
         // semantics, or the adaptive WO→SO flip sampled at begin).
-        match (self.strong, tm.cfg.semantics.atomicity) {
-            (true, _) => self.settle_wait_all(&tm),
+        match (self.strong, ctx.tm.cfg.semantics.atomicity) {
+            (true, _) => self.settle_wait_all(&ctx.tm),
             (false, AtomicitySemantics::Local) => {
                 self.settle_lac(ctx).map_err(|_| CommitFail::Internal)?
             }
@@ -641,53 +707,81 @@ impl TopLevel {
                 // happens below under the graph lock.
             }
         }
+        let tm = &ctx.tm;
         // 2. Internal dooms force a restart.
         if self.is_doomed() || self.is_cancelled() || ctx.node.is_doomed() {
             return Err(CommitFail::Internal);
         }
-        // 3. Close the final segment; seal against late submissions (GAC).
-        ctx.node.freeze();
-        let commit_node = ctx.node.id;
-        self.graph.update(|g| {
-            g.set_status(commit_node, NodeStatus::ICommitted);
-            self.sealed.store(true, Ordering::Release);
-        });
-        // 4. Gather the transaction's effects: the nodes on a path from
-        // the root to the commit node (the paper's inclusion rule).
-        let gathered = {
-            let nodes = self.nodes.read();
-            let (_, g) = self.graph.snapshot();
-            let mut included = g.ancestors(commit_node);
-            included.push(commit_node);
-            included.retain(|&n| g.status[n] == NodeStatus::ICommitted);
-            if included.iter().any(|&n| nodes[n].is_doomed()) {
-                return Err(CommitFail::Internal);
-            }
-            let overlay = Self::overlay_writes(&g, &nodes, &included);
-            let mut winners: FxHashMap<BoxId, NodeId> = FxHashMap::default();
-            let mut writes: Vec<(Arc<dyn BackendBox>, Value)> = Vec::with_capacity(overlay.len());
-            for (id, (body, value, node)) in overlay {
-                winners.insert(id, node);
-                writes.push((body, value));
-            }
-            // Keep the observed version alongside each body: it is what
-            // the commit-time serialization record (`CommitRead` events)
-            // re-emits for offline checkers, and it must be captured here
-            // — after publication, GC may prune the observed version.
-            let mut reads: Vec<(Arc<dyn BackendBox>, u64)> = Vec::new();
-            let mut seen: HashSet<BoxId> = HashSet::new();
-            for &n in &included {
-                for (id, entry) in nodes[n].reads.lock().iter() {
-                    if let ReadOrigin::Global(v) = entry.origin {
-                        if seen.insert(*id) {
-                            reads.push((entry.body.clone(), v));
+        // 3. Close the final segment and seal against late submissions
+        // (GAC). 4. Gather the transaction's effects: the writes to
+        // publish, the globally-read boxes to validate and, at full trace
+        // detail, the version each read observed — the commit-time
+        // serialization record (`CommitRead` events) re-emits it for
+        // offline checkers, and it must be captured here: after
+        // publication, GC may prune the observed version.
+        let full = tm.tracer.full();
+        let mut reads: Vec<Arc<dyn BackendBox>> = Vec::new();
+        let mut rec: Vec<(u64, u64)> = Vec::new();
+        let (writes, winners) = match self.inflated() {
+            // Flat: the root's own sets, moved out — no descendant exists
+            // to read a frozen copy. A read-only commit validates nothing,
+            // so its reads matter to the trace alone.
+            None => {
+                self.sealed.store(true, Ordering::Release);
+                let writes: Vec<_> = ctx.node.take_writes().into_values().collect();
+                if !writes.is_empty() || full {
+                    for (id, entry) in ctx.node.reads.lock().iter() {
+                        if let ReadOrigin::Global(v) = entry.origin {
+                            reads.push(entry.body.clone());
+                            if full {
+                                rec.push((id.0, v));
+                            }
                         }
                     }
                 }
+                (writes, FxHashMap::default())
             }
-            Ok((writes, winners, reads))
+            // The nodes on a path from the root to the commit node (the
+            // paper's inclusion rule).
+            Some(sub) => {
+                ctx.node.freeze();
+                let commit_node = ctx.node.id;
+                sub.graph.update(|g| {
+                    g.set_status(commit_node, NodeStatus::ICommitted);
+                    self.sealed.store(true, Ordering::Release);
+                });
+                let nodes = sub.nodes.read();
+                let (_, g) = sub.graph.snapshot();
+                let mut included = g.ancestors(commit_node);
+                included.push(commit_node);
+                included.retain(|&n| g.status[n] == NodeStatus::ICommitted);
+                if included.iter().any(|&n| nodes[n].is_doomed()) {
+                    return Err(CommitFail::Internal);
+                }
+                let overlay = Self::overlay_writes(&g, &nodes, &included);
+                let mut winners: FxHashMap<BoxId, NodeId> = FxHashMap::default();
+                let mut writes: Vec<(Arc<dyn BackendBox>, Value)> =
+                    Vec::with_capacity(overlay.len());
+                for (id, (body, value, node)) in overlay {
+                    winners.insert(id, node);
+                    writes.push((body, value));
+                }
+                let mut seen: HashSet<BoxId> = HashSet::new();
+                for &n in &included {
+                    for (id, entry) in nodes[n].reads.lock().iter() {
+                        if let ReadOrigin::Global(v) = entry.origin {
+                            if seen.insert(*id) {
+                                reads.push(entry.body.clone());
+                                if full {
+                                    rec.push((id.0, v));
+                                }
+                            }
+                        }
+                    }
+                }
+                (writes, winners)
+            }
         };
-        let (writes, winners, reads) = gathered?;
         if self.is_doomed() {
             return Err(CommitFail::Internal);
         }
@@ -699,11 +793,9 @@ impl TopLevel {
         let version = if writes.is_empty() {
             self.snapshot_version()
         } else {
-            let read_bodies: Vec<Arc<dyn BackendBox>> =
-                reads.iter().map(|(body, _)| body.clone()).collect();
             match tm
                 .stm
-                .commit_attributed(self.snapshot_version(), &read_bodies, writes)
+                .commit_attributed(self.snapshot_version(), &reads, writes)
             {
                 Ok(v) => v,
                 Err(conflict_box) => {
@@ -713,7 +805,7 @@ impl TopLevel {
                     // event stream additionally ties the abort to this top.
                     tm.tracer
                         .record(EventKind::TopConflictAbort, self.id, conflict_box.0);
-                    crate::inspect::on_conflict_abort(&tm, self);
+                    crate::inspect::on_conflict_abort(tm, self);
                     return Err(CommitFail::CrossTop);
                 }
             }
@@ -722,27 +814,25 @@ impl TopLevel {
             ctx.charge(0, n_writes * tm.cfg.costs.write_mem);
         }
         // 6. Publish commit info and resolve escaping futures.
-        *self.committed.lock() = Some(CommitInfo { version, winners });
-        let futures: Vec<Arc<FutureCore>> = self.futures.lock().clone();
-        for fut in &futures {
-            *fut.spawn_commit_version.lock() = Some(version);
-            if fut.state() == FutState::Completed && fut.escape.lock().is_none() {
-                self.resolve_escape(fut);
+        if let Some(sub) = self.inflated() {
+            *sub.committed.lock() = Some(CommitInfo { version, winners });
+            let futures: Vec<Arc<FutureCore>> = sub.futures.lock().clone();
+            for fut in &futures {
+                *fut.spawn_commit_version.lock() = Some(version);
+                if fut.state() == FutState::Completed && fut.escape.lock().is_none() {
+                    self.resolve_escape(fut);
+                }
+                tm.clock.notify_all(&fut.event);
             }
-            tm.clock.notify_all(&fut.event);
         }
         tm.stats.top_commits();
-        if tm.tracer.full() {
-            // Serialization record: one `CommitRead` per gathered read,
-            // contiguous on this lane immediately before the `TopCommit`,
-            // so offline checkers (`wtf-check`) can rebuild the committed
-            // read-set from the trace alone.
-            let mut rec: Vec<(u64, u64)> =
-                reads.iter().map(|(body, v)| (body.id().0, *v)).collect();
-            rec.sort_unstable();
-            for (id, v) in rec {
-                tm.tracer.record_full(EventKind::CommitRead, id, v);
-            }
+        // Serialization record: one `CommitRead` per gathered read,
+        // contiguous on this lane immediately before the `TopCommit`, so
+        // offline checkers (`wtf-check`) can rebuild the committed
+        // read-set from the trace alone.
+        rec.sort_unstable();
+        for (id, v) in rec {
+            tm.tracer.record_full(EventKind::CommitRead, id, v);
         }
         tm.tracer.record(EventKind::TopCommit, self.id, version);
         if tm.tracer.full() {
@@ -755,11 +845,12 @@ impl TopLevel {
     /// SO: "T's commit request has to be necessarily blocked until all the
     /// futures spawned by T have committed."
     fn settle_wait_all(&self, tm: &Arc<TmInner>) {
+        let Some(sub) = self.inflated() else { return };
         let mut guard = 0u32;
         loop {
             guard += 1;
             assert!(guard < 1_000_000, "settle_wait_all spinning");
-            let futures: Vec<Arc<FutureCore>> = self.futures.lock().clone();
+            let futures: Vec<Arc<FutureCore>> = sub.futures.lock().clone();
             let before = futures.len();
             let all_settled = futures.iter().all(|f| {
                 matches!(
@@ -767,19 +858,18 @@ impl TopLevel {
                     FutState::Serialized | FutState::Failed | FutState::Cancelled
                 )
             });
-            if all_settled && self.futures.lock().len() == before {
+            if all_settled && sub.futures.lock().len() == before {
                 return;
             }
             if self.is_cancelled() || self.is_doomed() {
                 return;
             }
-            let top_change = self.change.clone();
             let me = self;
             let wait_start = tm.tracer.span_start();
-            tm.clock.wait_until(&top_change, || {
+            tm.clock.wait_until(&sub.change, || {
                 me.is_cancelled()
                     || me.is_doomed()
-                    || me.futures.lock().iter().all(|f| {
+                    || sub.futures.lock().iter().all(|f| {
                         matches!(
                             f.state(),
                             FutState::Serialized | FutState::Failed | FutState::Cancelled
@@ -795,6 +885,9 @@ impl TopLevel {
     /// in completion order ("no constraint is imposed on the order in
     /// which they are implicitly evaluated").
     fn settle_lac(self: &Arc<Self>, ctx: &mut TxCtx) -> Result<(), StmError> {
+        let Some(sub) = self.inflated() else {
+            return Ok(());
+        };
         let mut guard = 0u32;
         loop {
             guard += 1;
@@ -802,7 +895,7 @@ impl TopLevel {
             if self.is_cancelled() || self.is_doomed() {
                 return Ok(()); // commit will notice and restart
             }
-            let pending: Vec<Arc<FutureCore>> = self
+            let pending: Vec<Arc<FutureCore>> = sub
                 .futures
                 .lock()
                 .iter()
@@ -829,10 +922,11 @@ impl TopLevel {
                 None => {
                     let me = self.clone();
                     let wait_start = ctx.tm.tracer.span_start();
-                    ctx.tm.clock.wait_until(&self.change, move || {
+                    ctx.tm.clock.wait_until(&sub.change, move || {
                         me.is_cancelled()
                             || me.is_doomed()
                             || me
+                                .sub()
                                 .futures
                                 .lock()
                                 .iter()
@@ -849,14 +943,15 @@ impl TopLevel {
     /// Resolves an escaped future's external read-set against the
     /// spawner's committed state (§4.2 GAC).
     fn resolve_escape(&self, core: &Arc<FutureCore>) {
-        let committed = self.committed.lock();
+        let sub = self.sub();
+        let committed = sub.committed.lock();
         let info = match committed.as_ref() {
             Some(i) => i,
             None => return, // spawner never committed; stays unresolved
         };
         let final_node = core.final_node.lock().expect("completed future");
-        let nodes = self.nodes.read();
-        let (_, g) = self.graph.snapshot();
+        let nodes = sub.nodes.read();
+        let (_, g) = sub.graph.snapshot();
         let members = Self::subtree_members(&g, core.node, final_node);
         let mut poisoned = false;
         let mut reads: Vec<(Arc<dyn BackendBox>, u64)> = Vec::new();
@@ -929,7 +1024,7 @@ pub(crate) fn run_future_body(
         if top.is_cancelled() {
             core.set_state(FutState::Cancelled);
             tm.clock.notify_all(&core.event);
-            tm.clock.notify_all(&top.change);
+            top.notify_change(&tm);
             return;
         }
         // Retry lineage: every incarnation of the body is one attempt;
@@ -965,7 +1060,7 @@ pub(crate) fn run_future_body(
                         if top.is_cancelled() || core.state() == FutState::Cancelled {
                             core.set_state(FutState::Cancelled);
                             tm.clock.notify_all(&core.event);
-                            tm.clock.notify_all(&top.change);
+                            top.notify_change(&tm);
                             return;
                         }
                         top.reset_node(core.node, NodeKind::Future);
@@ -993,7 +1088,7 @@ pub(crate) fn run_future_body(
                 if top.is_cancelled() || core.state() == FutState::Cancelled {
                     core.set_state(FutState::Cancelled);
                     tm.clock.notify_all(&core.event);
-                    tm.clock.notify_all(&top.change);
+                    top.notify_change(&tm);
                     return;
                 }
                 top.reset_node(core.node, NodeKind::Future);
@@ -1004,7 +1099,7 @@ pub(crate) fn run_future_body(
                     .record(EventKind::FutureAttemptAbort, core.id, attempt);
                 core.set_state(FutState::Failed);
                 tm.clock.notify_all(&core.event);
-                tm.clock.notify_all(&top.change);
+                top.notify_change(&tm);
                 return;
             }
         }
@@ -1020,11 +1115,11 @@ fn wait_for_earlier_futures(tm: &Arc<TmInner>, top: &Arc<TopLevel>, core: &Arc<F
     // settles last; the producer is resolved offline from the span's end
     // timestamp (b = u64::MAX marks it unattributed at record time).
     let wait_start = tm.tracer.span_start();
-    tm.clock.wait_until(&top.change, move || {
+    tm.clock.wait_until(&top.sub().change, move || {
         if top2.is_cancelled() || core2.state() == FutState::Cancelled {
             return true;
         }
-        let futures = top2.futures.lock();
+        let futures = top2.sub().futures.lock();
         for f in futures.iter() {
             if Arc::ptr_eq(f, &core2) {
                 return true;

@@ -232,7 +232,9 @@ fn report_stall(tm: &TmInner, live: &[Arc<TopLevel>], cfg: &WatchdogConfig, stal
             top.doom();
             // Real-clock notify is safe from an unregistered thread;
             // wakes settle/evaluate waits so they observe the doom.
-            tm.clock.notify_all(&top.change);
+            // (A flat top-level has no waiter: it meets the doom at its
+            // next operation.)
+            top.notify_change(tm);
         }
     }
 }

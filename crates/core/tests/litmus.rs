@@ -1,0 +1,86 @@
+//! Litmus test for `wtf-core`'s graph stamp — the dynamic counterpart of
+//! `wtf-audit`'s static checks, named after the inventory entry
+//! (`results/audit_inventory.json`) whose protocol it drives. Run under
+//! Miri and TSan in CI; iteration counts scale down under Miri.
+
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use wtf_core::internals::Graph;
+
+const ROUNDS: u64 = if cfg!(miri) { 30 } else { 5_000 };
+
+/// Two-party rendezvous that spins: both sides leave within a cache miss
+/// of each other, so the reader's record-then-recheck can land inside the
+/// writer's critical section (a blocking barrier wakes one side
+/// microseconds late and the two never overlap).
+fn meet(arrivals: &AtomicU64, nth: u64) {
+    arrivals.fetch_add(1, Ordering::SeqCst);
+    let mut spins = 0u32;
+    while arrivals.load(Ordering::SeqCst) < 2 * nth {
+        spins += 1;
+        // Yield once the peer is evidently descheduled (or interpreted).
+        if cfg!(miri) || spins > 2_000 {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    }
+}
+
+/// `stamp` as a seqlock over `Graph::update`. The writer is a completing
+/// future: inside `update` it scans a sibling's read-set (forward
+/// validation). The reader is that sibling inside `TxCtx::read`: it
+/// records its read, then re-checks the stamp of the snapshot its view
+/// was built from. The reader must either be seen by the scan or fail
+/// the re-check (and retry against the new graph) — a reader that is
+/// neither keeps a value the serialized future overwrote. With the stamp
+/// moved only after the closure, that outcome is reachable.
+#[test]
+fn stamp_entry_bump_makes_unseen_readers_retry() {
+    let graph = Arc::new(Graph::with_root());
+    let read_set = Arc::new(Mutex::new(false));
+    // The writer's verdict for the round, read after the closing barrier.
+    let seen = Arc::new(AtomicBool::new(false));
+    let arrivals = Arc::new(AtomicU64::new(0));
+
+    let writer = {
+        let (graph, read_set, seen, arrivals) = (
+            Arc::clone(&graph),
+            Arc::clone(&read_set),
+            Arc::clone(&seen),
+            Arc::clone(&arrivals),
+        );
+        std::thread::spawn(move || {
+            for round in 0..ROUNDS {
+                meet(&arrivals, 2 * round + 1);
+                let saw = graph.update(|_| *read_set.lock().unwrap());
+                seen.store(saw, Ordering::SeqCst);
+                meet(&arrivals, 2 * round + 2);
+            }
+        })
+    };
+
+    let mut retried = 0u64;
+    for round in 0..ROUNDS {
+        *read_set.lock().unwrap() = false;
+        let (view_stamp, _) = graph.snapshot();
+        assert_eq!(view_stamp % 2, 0, "snapshots exclude a writer mid-update");
+        meet(&arrivals, 2 * round + 1);
+        // Sweep the reader across the writer's critical section.
+        for _ in 0..round % 256 {
+            std::hint::spin_loop();
+        }
+        *read_set.lock().unwrap() = true;
+        let validated = graph.stamp() == view_stamp;
+        meet(&arrivals, 2 * round + 2);
+        let seen = seen.load(Ordering::SeqCst);
+        assert!(
+            seen || !validated,
+            "round {round}: the scan missed a read whose stamp re-check passed"
+        );
+        retried += u64::from(!validated);
+    }
+    writer.join().unwrap();
+    assert_eq!(graph.stamp(), 2 * ROUNDS, "two bumps per update");
+    assert!(retried <= ROUNDS);
+}

@@ -1,0 +1,150 @@
+//! Allocation budget of a future-free top-level transaction.
+//!
+//! A transaction that never submits a future builds no graph **G**: it
+//! runs as a backend transaction plus one `TopLevel` and its root node.
+//! Heap allocations on the calling thread are counted exactly, so the
+//! saving is pinned independently of how noisy the host is.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use transactional_futures::backend::{atomic as backend_atomic, TBox};
+use transactional_futures::tm::CmKind;
+use transactional_futures::{BackendKind, FutureTm, Semantics, VBox};
+
+thread_local! {
+    // `const` + `Cell<u64>`: no lazy initialisation and no destructor, so
+    // the allocator may touch it at any point of a thread's life.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: defers to `System` for every request; the only addition is a
+// thread-local counter bump that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: same layout, forwarded unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// Allocations this thread makes inside `f`.
+fn count(f: impl FnOnce()) -> u64 {
+    let before = allocs();
+    f();
+    allocs() - before
+}
+
+fn tm_on(kind: BackendKind) -> FutureTm {
+    FutureTm::builder()
+        .semantics(Semantics::WO_GAC)
+        .backend_kind(kind)
+        .cm(CmKind::Immediate)
+        .workers(1)
+        .build()
+}
+
+fn core_2r2w(tm: &FutureTm, a: &VBox<i64>, b: &VBox<i64>) {
+    tm.atomic(|ctx| {
+        let va = ctx.read(a)?;
+        let vb = ctx.read(b)?;
+        ctx.write(a, va + 1)?;
+        ctx.write(b, vb + 1)
+    })
+    .expect("no explicit abort");
+}
+
+fn backend_2r2w(tm: &FutureTm, a: &TBox<i64>, b: &TBox<i64>) {
+    backend_atomic(&**tm.stm(), |tx| {
+        let va = tx.read(a)?;
+        let vb = tx.read(b)?;
+        tx.write(a, va + 1)?;
+        tx.write(b, vb + 1)
+    })
+    .expect("no explicit abort");
+}
+
+/// 2 reads + 2 writes through `FutureTm::atomic` cost at most five
+/// allocations more than the same transaction through
+/// `wtf_backend::atomic` (today two: the `TopLevel` and its root node),
+/// and at most 20 in all on mvstm (42 when every top-level built its
+/// graph at begin; the backend transaction alone makes 15).
+#[test]
+fn future_free_2r2w_stays_within_budget() {
+    for kind in BackendKind::ALL {
+        let tm = tm_on(kind);
+        let (a, b) = (tm.new_vbox(0i64), tm.new_vbox(0i64));
+        // Warm up: first-touch growth of long-lived tables (registry
+        // slots, the `tops` list, thread-locals) is not per-transaction.
+        for _ in 0..64 {
+            core_2r2w(&tm, &a, &b);
+            backend_2r2w(&tm, &a, &b);
+        }
+        let core = count(|| core_2r2w(&tm, &a, &b));
+        let backend = count(|| backend_2r2w(&tm, &a, &b));
+        assert_eq!(
+            core,
+            count(|| core_2r2w(&tm, &a, &b)),
+            "{kind:?}: the count repeats exactly"
+        );
+        assert!(
+            core <= backend + 5,
+            "{kind:?}: {core} allocations against {backend} through the backend alone"
+        );
+        if kind == BackendKind::Mvstm {
+            assert!(core <= 20, "mvstm: {core} allocations per 2R+2W atomic");
+        }
+        assert_eq!(a.read_latest(), 2 * 64 + 3, "every transaction committed");
+        tm.shutdown();
+    }
+}
+
+/// A read-only commit validates nothing, so it must not walk its
+/// read-set: after the body returns, a 1,000-read transaction allocates
+/// exactly as much as a 10-read one.
+#[test]
+fn read_only_commit_does_not_allocate_per_read() {
+    for kind in BackendKind::ALL {
+        let tm = tm_on(kind);
+        let boxes: Vec<VBox<i64>> = (0..1000).map(|i| tm.new_vbox(i)).collect();
+        let commit_allocs = |n: usize| {
+            let mut at_body_end = 0;
+            let mut sum = 0;
+            tm.atomic(|ctx| {
+                sum = 0;
+                for b in &boxes[..n] {
+                    sum += ctx.read(b)?;
+                }
+                at_body_end = allocs();
+                Ok(())
+            })
+            .expect("no explicit abort");
+            assert_eq!(sum, (0..n as i64).sum::<i64>());
+            allocs() - at_body_end
+        };
+        commit_allocs(1000); // warm up
+        let (small, large) = (commit_allocs(10), commit_allocs(1000));
+        assert_eq!(small, large, "{kind:?}: commit allocates per read");
+        assert!(large <= 2, "{kind:?}: {large} allocations at commit");
+        tm.shutdown();
+    }
+}
