@@ -99,6 +99,25 @@ pub fn make_backend(kind: BackendKind, tracer: Arc<Tracer>) -> Arc<dyn StmBacken
     }
 }
 
+const TOP_SHARDS: usize = 16;
+
+/// One registering thread's slice of the in-flight list, on a cache line
+/// of its own, so that the thread that begins transactions is also the
+/// one that prunes (and so frees) them — DESIGN.md, "The in-flight list".
+#[derive(Default)]
+#[repr(align(64))]
+pub(crate) struct TopShard(Mutex<Vec<std::sync::Weak<TopLevel>>>);
+
+/// The calling thread's shard, handed out round-robin on first use.
+fn top_shard() -> usize {
+    // ordering: relaxed-rmw — any index is correct; publishes nothing.
+    static NEXT_SHARD: AtomicU64 = AtomicU64::new(0);
+    thread_local! {
+        static SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) as usize % TOP_SHARDS;
+    }
+    SHARD.with(|s| *s)
+}
+
 pub(crate) struct TmInner {
     pub(crate) stm: Arc<dyn StmBackend>,
     pub(crate) clock: Clock,
@@ -116,10 +135,11 @@ pub(crate) struct TmInner {
     // uniqueness, nothing is published through the counter.
     future_counter: AtomicU64,
     /// Weak handles to in-flight top-levels (live-graph gauges, watchdog
-    /// snapshots). Dead entries are pruned opportunistically on
-    /// registration. Empty when neither reader can exist (tracer off and
-    /// the `watchdog` feature compiled out).
-    pub(crate) tops: Mutex<Vec<std::sync::Weak<TopLevel>>>,
+    /// snapshots), one list per registering thread (modulo the shard
+    /// count). Dead entries are pruned opportunistically on registration.
+    /// Empty when neither reader can exist (tracer off and the `watchdog`
+    /// feature compiled out).
+    pub(crate) tops: [TopShard; TOP_SHARDS],
     /// Consecutive cross-top conflict aborts since the last commit
     /// (abort-storm detection; see `inspect`).
     // ordering: relaxed-rmw bumps the streak, relaxed-store resets it —
@@ -158,20 +178,21 @@ impl TmInner {
     /// finished top-level (whose `Arc` the caller drops) costs nothing
     /// beyond its slot until the next prune.
     pub(crate) fn register_top(&self, top: &Arc<TopLevel>) {
-        let mut tops = self.tops.lock();
+        let mut tops = self.tops[top_shard()].0.lock();
         if tops.len() >= 32 && tops.len().is_multiple_of(32) {
             tops.retain(|w| w.strong_count() > 0);
         }
         tops.push(Arc::downgrade(top));
     }
 
-    /// Upgrades every still-live tracked top-level.
+    /// Upgrades every still-live tracked top-level, oldest first.
     pub(crate) fn live_tops(&self) -> Vec<Arc<TopLevel>> {
-        self.tops
-            .lock()
-            .iter()
-            .filter_map(|w| w.upgrade())
-            .collect()
+        let mut live: Vec<Arc<TopLevel>> = Vec::new();
+        for shard in &self.tops {
+            live.extend(shard.0.lock().iter().filter_map(|w| w.upgrade()));
+        }
+        live.sort_by_key(|t| t.id);
+        live
     }
 }
 
@@ -306,7 +327,7 @@ impl FutureTmBuilder {
                 tracer,
                 top_counter: AtomicU64::new(0),
                 future_counter: AtomicU64::new(0),
-                tops: Mutex::new(Vec::new()),
+                tops: Default::default(),
                 conflict_abort_streak: AtomicU64::new(0),
                 dumps_remaining: AtomicU64::new(inspect::dump_limit_from_env()),
                 watchdog_stalls: wtf_trace::Counter::new(),

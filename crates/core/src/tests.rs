@@ -1004,6 +1004,35 @@ fn watchdog_quiet_under_progress_and_aborts_straggler() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The in-flight list is sharded by registering thread; its readers see
+/// the union, oldest first, and nothing once the transactions are gone.
+#[cfg(feature = "watchdog")]
+#[test]
+fn live_tops_merges_every_threads_shard() {
+    let tm = FutureTm::new(Semantics::WO_GAC);
+    let barrier = std::sync::Barrier::new(4);
+    std::thread::scope(|s| {
+        for _ in 0..3 {
+            s.spawn(|| {
+                tm.atomic(|_| {
+                    barrier.wait();
+                    barrier.wait();
+                    Ok(())
+                })
+                .unwrap();
+            });
+        }
+        barrier.wait();
+        let live = tm.inner.live_tops();
+        let ids: Vec<u64> = live.iter().map(|t| t.id).collect();
+        assert_eq!(ids, [0, 1, 2]);
+        drop(live);
+        barrier.wait();
+    });
+    assert!(tm.inner.live_tops().is_empty());
+    tm.shutdown();
+}
+
 // ---------------- flat top-levels and the stamp protocol ----------------
 
 /// Regression for the lost update behind the benchmark's `bank-futures-2`:
