@@ -130,12 +130,15 @@ impl TxCtx {
         let Some(sub) = self.top.inflated() else {
             return;
         };
+        // The view's stamp is even (a snapshot's), so an equal stamp says no
+        // writer has entered `update` since: the view is current, by the
+        // very condition `read` re-checks once it has recorded.
+        if self.view_valid && sub.graph.stamp() == self.view_stamp {
+            return;
+        }
         // Lock order everywhere: nodes, then graph.
         let nodes = sub.nodes.read();
         let (stamp, g) = sub.graph.snapshot();
-        if self.view_valid && stamp == self.view_stamp {
-            return;
-        }
         self.view.clear();
         for anc in g.ancestors(self.node.id) {
             if g.status[anc] == NodeStatus::ICommitted {

@@ -1231,3 +1231,49 @@ fn escaping_future_adopted_by_flat_top_level() {
         assert_eq!(stats.reexecutions, u64::from(stale));
     }
 }
+
+/// ROADMAP item 4: a future body that panics settles `Failed`. Its
+/// evaluator is woken with an error (on the parent of this test it parks
+/// for good), the worker that ran it takes the next future, and nothing of
+/// the transaction stays alive.
+#[test]
+fn panicking_future_body_fails_the_future_and_keeps_the_worker() {
+    use crate::{Aborted, BackendKind};
+    use std::time::{Duration, Instant};
+    use wtf_trace::{TraceLevel, Tracer};
+    for kind in [BackendKind::Mvstm, BackendKind::Tl2] {
+        let tracer = Tracer::new(TraceLevel::Lifecycle);
+        let t2 = tracer.clone();
+        Clock::real_nospin().enter(move || {
+            let tm = FutureTm::builder()
+                .semantics(Semantics::WO_GAC)
+                .backend_kind(kind)
+                .workers(1)
+                .tracer(t2.clone())
+                .build();
+            let out: Result<u64, Aborted> = tm.atomic(|ctx| {
+                let f =
+                    ctx.submit(|_| -> crate::TxResult<u64> { panic!("future body blew up") })?;
+                ctx.evaluate(&f)
+            });
+            assert_eq!(out, Err(Aborted), "{kind:?}");
+            // The pool's only worker survived.
+            let next = tm.atomic(|ctx| {
+                let f = ctx.submit(|_| Ok(7u64))?;
+                ctx.evaluate(&f)
+            });
+            assert_eq!(next, Ok(7), "{kind:?}");
+            // The worker drops its hold on the top-level after it notifies.
+            let gauge = |name: &str| {
+                let all = t2.gauges.read_all();
+                all.into_iter().find(|(n, _)| n == name).unwrap().1
+            };
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while (gauge("tm_live_tops"), gauge("tm_live_nodes")) != (0, 0) {
+                assert!(Instant::now() < deadline, "{kind:?}: a top-level leaked");
+                std::thread::yield_now();
+            }
+            tm.shutdown();
+        });
+    }
+}

@@ -7,11 +7,10 @@ use crate::graph::{Graph, NodeId, NodeStatus};
 use crate::node::{NodeKind, ReadOrigin, SubTxNode};
 use crate::{AtomicitySemantics, OrderingSemantics, TmInner};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use wtf_backend::{BackendBox, BackendSnapshot};
-use wtf_mvstm::{BoxId, FxHashMap, StmError, Value};
+use wtf_mvstm::{BoxId, FxHashMap, FxHashSet, StmError, Value};
 use wtf_trace::EventKind;
 use wtf_vclock::Event;
 
@@ -292,7 +291,7 @@ impl TopLevel {
         fnode: NodeId,
         final_node: NodeId,
     ) -> Vec<NodeId> {
-        let mut subtree: HashSet<NodeId> = g.reachable_from(fnode).into_iter().collect();
+        let mut subtree: FxHashSet<NodeId> = g.reachable_from(fnode).into_iter().collect();
         subtree.insert(fnode);
         let mut members: Vec<NodeId> = g
             .ancestors(final_node)
@@ -312,8 +311,8 @@ impl TopLevel {
         nodes: &[Arc<SubTxNode>],
         members: &[NodeId],
     ) -> Vec<(Arc<dyn BackendBox>, ReadOrigin)> {
-        let member_set: HashSet<NodeId> = members.iter().copied().collect();
-        let mut seen: HashSet<BoxId> = HashSet::new();
+        let member_set: FxHashSet<NodeId> = members.iter().copied().collect();
+        let mut seen: FxHashSet<BoxId> = FxHashSet::default();
         let mut out = Vec::new();
         for &m in members {
             for (id, entry) in nodes[m].reads.lock().iter() {
@@ -505,7 +504,7 @@ impl TopLevel {
             if members.iter().any(|&m| nodes[m].is_doomed()) {
                 return false;
             }
-            let member_set: HashSet<NodeId> = members.iter().copied().collect();
+            let member_set: FxHashSet<NodeId> = members.iter().copied().collect();
             // Boxes the future observed from outside its subtree.
             let mut read_ids: FxHashMap<BoxId, ()> = FxHashMap::default();
             for (body, _) in Self::external_reads(&nodes, &members) {
@@ -514,7 +513,7 @@ impl TopLevel {
             // The sub-transactions that ran concurrently with the future:
             // the backward chain from the evaluation point, minus the
             // future's own ancestors (whose writes it did see).
-            let f_anc: HashSet<NodeId> = g.ancestors(core.node).into_iter().collect();
+            let f_anc: FxHashSet<NodeId> = g.ancestors(core.node).into_iter().collect();
             let chain: Vec<NodeId> = g
                 .backward_chain(eval_node, usize::MAX)
                 .into_iter()
@@ -766,7 +765,7 @@ impl TopLevel {
                     winners.insert(id, node);
                     writes.push((body, value));
                 }
-                let mut seen: HashSet<BoxId> = HashSet::new();
+                let mut seen: FxHashSet<BoxId> = FxHashSet::default();
                 for &n in &included {
                     for (id, entry) in nodes[n].reads.lock().iter() {
                         if let ReadOrigin::Global(v) = entry.origin {
@@ -1036,7 +1035,12 @@ pub(crate) fn run_future_body(
         let node_arc = top.node_arc(core.node);
         let mut ctx = TxCtx::new(tm.clone(), top.clone(), node_arc);
         ctx.set_owner(core.clone());
-        match (core.body)(&mut ctx) {
+        // A body that panics settles as one that aborted: its evaluator is
+        // woken with an error and this worker lives on. (The panic hook
+        // has already printed the message.)
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (core.body)(&mut ctx)))
+            .unwrap_or(Err(StmError::UserAbort));
+        match run {
             Ok(value) => {
                 let final_node = ctx.node.id;
                 ctx.node.freeze();

@@ -8,9 +8,14 @@
 //! threads in real mode.
 //!
 //! Workers block on a queue event while idle; pushing a task wakes one up
-//! at the submitter's (virtual) timestamp, which models the inter-thread
-//! communication latency of future activation via an explicit
-//! `dispatch_cost`.
+//! (under a virtual clock all of them, at the submitter's timestamp: which
+//! one runs the task is the scheduler's decision), and an explicit
+//! `dispatch_cost` models the inter-thread communication latency of future
+//! activation. On real threads a worker that has just finished a task
+//! polls the queue for a moment before it parks, one worker at a time, and
+//! a push that finds a worker polling wakes nobody: a submitter that keeps
+//! the pool busy never pays for a thread wake-up (DESIGN.md, "Future
+//! hand-off on real threads").
 //!
 //! The pool is sized by the caller. The paper dedicates one thread per
 //! in-flight future, and the figure harnesses do the same; a pool smaller
@@ -19,7 +24,7 @@
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use wtf_trace::{EventKind, Tracer};
 use wtf_vclock::{Clock, Event, JoinHandle};
@@ -41,6 +46,14 @@ struct PoolInner {
     queue: Mutex<VecDeque<QueuedTask>>,
     /// Notified when a task is pushed or shutdown begins.
     available: Event,
+    /// A worker is polling the queue and will see a push without a wake.
+    // ordering: seqcst-cas claims the one polling seat; seqcst-store gives
+    // it up; seqcst-load in `wake_worker`. One half of a Dekker pairing
+    // with the queue. Submitter: push, SeqCst fence, load `polling`.
+    // Retiring poller: store false, SeqCst fence, look at the queue. Of
+    // the two fences one comes first: either the submitter sees the flag
+    // down (and wakes a parked worker) or the poller sees the task.
+    polling: AtomicBool,
     // ordering: release-store begins shutdown; the worker loop's
     // acquire-load pairs with it so a worker that observes the flag also
     // observes everything enqueued before it. (Downgraded from SeqCst:
@@ -62,6 +75,46 @@ struct PoolInner {
     next_task: AtomicU64,
     /// Observability: workers emit busy/idle spans into this tracer.
     tracer: Arc<Tracer>,
+    #[cfg_attr(not(test), allow(dead_code))]
+    handoffs: Handoffs,
+}
+
+/// Park/poll/wake counts for the hand-off tests; nothing outside them. (An
+/// alias rather than a `#[cfg(test)]` field: wtf-audit's scanner would take
+/// the `impl` that follows the struct for test code.)
+#[cfg(test)]
+type Handoffs = tests::Handoffs;
+#[cfg(not(test))]
+type Handoffs = ();
+
+impl PoolInner {
+    fn work_or_shutdown(&self) -> bool {
+        self.shutdown.load(Ordering::Acquire) || !self.queue.lock().is_empty()
+    }
+
+    /// After a push: wakes one parked worker, unless one is polling.
+    fn wake_worker(&self) {
+        fence(Ordering::SeqCst);
+        if !self.polling.load(Ordering::SeqCst) {
+            self.clock.notify_one(&self.available);
+        }
+    }
+
+    /// Takes the next task. A wake may have been skipped for the ones
+    /// behind it (their pushes saw this worker polling), so whoever leaves
+    /// the queue non-empty passes the wake on. Not under a virtual clock:
+    /// there every push woke every worker, and one more notification
+    /// would move the idle workers' timestamps.
+    fn pop(&self) -> Option<QueuedTask> {
+        let (task, more) = {
+            let mut q = self.queue.lock();
+            (q.pop_front(), !q.is_empty())
+        };
+        if task.is_some() && more && !self.clock.is_virtual() {
+            self.wake_worker();
+        }
+        task
+    }
 }
 
 /// A fixed-size pool of clock-registered worker threads.
@@ -101,11 +154,13 @@ impl TaskPool {
             clock: clock.clone(),
             queue: Mutex::new(VecDeque::new()),
             available: clock.new_event(),
+            polling: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             busy: AtomicUsize::new(0),
             executed: AtomicU64::new(0),
             next_task: AtomicU64::new(0),
             tracer,
+            handoffs: Default::default(),
         });
         if inner.tracer.on() {
             // Live pool gauges, sampled on demand by the registry. `Weak`
@@ -166,7 +221,7 @@ impl TaskPool {
             q.len() as u64
         };
         self.inner.tracer.record(EventKind::TaskEnqueue, id, depth);
-        self.inner.clock.notify_all(&self.inner.available);
+        self.inner.wake_worker();
     }
 
     /// Enqueues `task` and returns a handle to wait for its result.
@@ -174,7 +229,10 @@ impl TaskPool {
         &self,
         task: impl FnOnce() -> T + Send + 'static,
     ) -> TaskHandle<T> {
-        let slot = Arc::new(Mutex::new(None));
+        let slot = Arc::new(Mutex::new(TaskSlot {
+            finished: false,
+            value: None,
+        }));
         let done = self.inner.clock.new_event();
         let clock = self.inner.clock.clone();
         let s2 = slot.clone();
@@ -182,7 +240,10 @@ impl TaskPool {
         let c2 = clock.clone();
         self.execute(move || {
             let out = task();
-            *s2.lock() = Some(out);
+            *s2.lock() = TaskSlot {
+                finished: true,
+                value: Some(out),
+            };
             c2.notify_all(&d2);
         });
         TaskHandle { slot, done, clock }
@@ -204,6 +265,7 @@ impl TaskPool {
     /// [`Clock::enter`] returns.
     pub fn shutdown(mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
+        // Every parked worker; a poller reads the flag itself.
         self.inner.clock.notify_all(&self.inner.available);
         for h in self.workers.drain(..) {
             h.join();
@@ -223,39 +285,49 @@ impl Drop for TaskPool {
     }
 }
 
+/// Completion is a fact of its own: `try_join` empties `value` and the
+/// task is no less finished for it.
+struct TaskSlot<T> {
+    finished: bool,
+    value: Option<T>,
+}
+
 /// Handle to a task submitted with [`TaskPool::submit`].
 pub struct TaskHandle<T> {
-    slot: Arc<Mutex<Option<T>>>,
+    slot: Arc<Mutex<TaskSlot<T>>>,
     done: Event,
     clock: Clock,
 }
 
 impl<T> TaskHandle<T> {
-    /// Blocks (in clock time) until the task completes and returns its result.
+    /// Blocks (in clock time) until the task completes and returns its
+    /// result. Panics if [`TaskHandle::try_join`] already took it.
     pub fn join(self) -> T {
         let slot = self.slot.clone();
-        self.clock.wait_until(&self.done, || slot.lock().is_some());
-        self.slot.lock().take().expect("task result present")
+        self.clock.wait_until(&self.done, || slot.lock().finished);
+        let value = self.slot.lock().value.take();
+        value.expect("task result already taken by try_join")
     }
 
-    /// Returns the result if the task already completed.
+    /// Returns the result if the task already completed (once: the result
+    /// moves out).
     pub fn try_join(&self) -> Option<T> {
-        self.slot.lock().take()
+        self.slot.lock().value.take()
     }
 
     /// True once the task has completed.
     pub fn is_finished(&self) -> bool {
-        self.slot.lock().is_some()
+        self.slot.lock().finished
     }
 }
 
 fn worker_loop(inner: &PoolInner, index: usize) {
+    // Only a worker fresh off a task polls for the next one: its submitter
+    // is evidently busy. A worker that has run nothing parks at once, so a
+    // program that never submits never pays a cycle for its pool.
+    let mut fresh_off_task = false;
     loop {
-        let task = {
-            let mut q = inner.queue.lock();
-            q.pop_front()
-        };
-        match task {
+        match inner.pop() {
             Some(QueuedTask {
                 id,
                 enqueued_at,
@@ -273,19 +345,40 @@ fn worker_loop(inner: &PoolInner, index: usize) {
                     .span_end(EventKind::WorkerBusySpan, start, index as u64);
                 inner.executed.fetch_add(1, Ordering::Relaxed);
                 inner.busy.fetch_sub(1, Ordering::Relaxed);
+                fresh_off_task = true;
             }
             None => {
                 if inner.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                let inner2 = inner;
+                // One poller at a time: a second one could only take CPU
+                // from the threads that produce the work.
+                if std::mem::take(&mut fresh_off_task)
+                    && inner
+                        .polling
+                        .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+                        .is_ok()
+                {
+                    #[cfg(test)]
+                    inner.handoffs.polled();
+                    inner.clock.poll_until(|| inner.work_or_shutdown());
+                    inner.polling.store(false, Ordering::SeqCst);
+                    fence(Ordering::SeqCst);
+                    // Look again with the flag down: a push that saw it up
+                    // woke nobody.
+                    continue;
+                }
+                #[cfg(test)]
+                inner.handoffs.parked();
                 let start = inner.tracer.span_start();
-                inner.clock.wait_until(&inner.available, || {
-                    inner2.shutdown.load(Ordering::Acquire) || !inner2.queue.lock().is_empty()
-                });
+                inner
+                    .clock
+                    .park_until(&inner.available, || inner.work_or_shutdown());
                 inner
                     .tracer
                     .span_end(EventKind::WorkerIdleSpan, start, index as u64);
+                #[cfg(test)]
+                inner.handoffs.woken();
             }
         }
     }
@@ -294,6 +387,104 @@ fn worker_loop(inner: &PoolInner, index: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What the workers of one pool did while idle, counted as they do it.
+    #[derive(Default)]
+    pub(super) struct Handoffs {
+        polls: AtomicUsize,
+        parks: AtomicUsize,
+        wakeups: AtomicUsize,
+    }
+
+    impl Handoffs {
+        pub(super) fn polled(&self) {
+            self.polls.fetch_add(1, Ordering::SeqCst);
+        }
+        pub(super) fn parked(&self) {
+            self.parks.fetch_add(1, Ordering::SeqCst);
+        }
+        pub(super) fn woken(&self) {
+            self.wakeups.fetch_add(1, Ordering::SeqCst);
+        }
+        /// (polls, parks, wakeups)
+        fn read(&self) -> (usize, usize, usize) {
+            (
+                self.polls.load(Ordering::SeqCst),
+                self.parks.load(Ordering::SeqCst),
+                self.wakeups.load(Ordering::SeqCst),
+            )
+        }
+    }
+
+    fn spin_until(mut cond: impl FnMut() -> bool) {
+        while !cond() {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn fresh_workers_park_unpolled_and_one_execute_wakes_one() {
+        Clock::real_nospin().enter(|| {
+            let pool = TaskPool::new(&Clock::current(), 4);
+            let counts = &pool.inner.handoffs;
+            spin_until(|| counts.read().1 == 4);
+            assert_eq!(
+                counts.read(),
+                (0, 4, 0),
+                "a fresh pool parks without polling"
+            );
+            pool.submit(|| ()).join();
+            // The worker that ran the task polls (where it can), then parks
+            // again; a broadcast would have woken the other three by then.
+            spin_until(|| counts.read().1 == 5);
+            let (polls, _, wakeups) = counts.read();
+            assert_eq!(wakeups, 1, "one execute wakes one parked worker");
+            assert_eq!(polls, 1, "only the worker fresh off a task polls");
+            pool.shutdown();
+        });
+    }
+
+    #[test]
+    fn busy_submitter_rarely_parks_its_worker() {
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+            return; // nothing polls on one CPU
+        }
+        Clock::real_nospin().enter(|| {
+            let pool = TaskPool::new(&Clock::current(), 4);
+            for i in 0..100u64 {
+                assert_eq!(pool.submit(move || i).join(), i);
+            }
+            let parks_before = pool.inner.handoffs.read().1;
+            for i in 0..1_000u64 {
+                assert_eq!(pool.submit(move || i).join(), i);
+            }
+            let parks = pool.inner.handoffs.read().1 - parks_before;
+            assert!(
+                parks < 500,
+                "{parks} parks in 1,000 submit→join round trips: the poller is not catching them"
+            );
+            pool.shutdown();
+        });
+    }
+
+    #[test]
+    fn finished_outlives_try_join() {
+        Clock::real_nospin().enter(|| {
+            let pool = TaskPool::new(&Clock::current(), 1);
+            let h = pool.submit(|| 5u32);
+            spin_until(|| h.is_finished());
+            assert_eq!(h.try_join(), Some(5));
+            assert!(
+                h.is_finished(),
+                "taking the result does not unfinish the task"
+            );
+            assert_eq!(h.try_join(), None);
+            // A join now has nothing to return; it must say so, not wait.
+            let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.join()));
+            assert!(joined.is_err());
+            pool.shutdown();
+        });
+    }
 
     #[test]
     fn runs_tasks_real() {

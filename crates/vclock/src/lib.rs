@@ -11,8 +11,9 @@
 //! memory bus) are modeled with [`Resource`]s.
 //!
 //! The same API also runs in **real-time mode** ([`Clock::real`]), where
-//! `advance` burns calibrated CPU work, events are condition variables and
-//! threads are plain OS threads — used by the unit/stress tests and the
+//! `advance` burns calibrated CPU work, events are condition variables
+//! (polled briefly before a thread parks on them) and threads are plain OS
+//! threads — used by the unit/stress tests and the
 //! Criterion micro-benchmarks.
 //!
 //! Virtual executions are fully deterministic: scheduling ties are broken
@@ -79,8 +80,9 @@ impl<T> JoinHandle<T> {
     /// result. Panics raised inside the thread are propagated.
     pub fn join(mut self) -> T {
         let result = self.result.clone();
+        // A thread's exit is not a hand-off: park at once.
         self.clock
-            .wait_until(&self.done, || result.lock().is_some());
+            .park_until(&self.done, || result.lock().is_some());
         // In real mode also join the OS thread so its stack is reclaimed
         // deterministically. In virtual mode the OS thread has already
         // deregistered from the scheduler by the time `done` fires; joining
@@ -250,10 +252,22 @@ impl Clock {
     /// re-checked after every notification of `event`.
     ///
     /// The contract mirrors condition variables: any state change that can
-    /// turn `pred` true must be followed by `notify_all(event)`.
+    /// turn `pred` true must be followed by a notification of `event`.
+    ///
+    /// On a real clock the thread first polls `pred` for about one
+    /// park/unpark round trip (see [`Clock::poll_until`]) and parks only
+    /// then: the waits of a future hand-off usually end sooner.
     pub fn wait_until(&self, event: &Event, mut pred: impl FnMut() -> bool) {
+        if self.is_virtual() || !self.poll_until(&mut pred) {
+            self.park_until(event, pred);
+        }
+    }
+
+    /// [`Clock::wait_until`] without the polling: for a thread that expects
+    /// a long wait, such as an idle pool worker.
+    pub fn park_until(&self, event: &Event, mut pred: impl FnMut() -> bool) {
         match &*self.inner {
-            ClockImpl::Real(_) => event.real_wait_until(&mut pred),
+            ClockImpl::Real(_) => event.real_park_until(&mut pred),
             ClockImpl::Virtual(v) => {
                 let tid = Self::current_tid().expect("not a clock thread");
                 loop {
@@ -269,11 +283,32 @@ impl Clock {
         }
     }
 
+    /// The polling half of [`Clock::wait_until`]: true as soon as `pred()`
+    /// holds, false once a bounded time (tens of microseconds) has passed
+    /// without it. Under a virtual clock, and on a single CPU, nothing can
+    /// change while the caller polls, so `pred()` is looked at once.
+    pub fn poll_until(&self, mut pred: impl FnMut() -> bool) -> bool {
+        match &*self.inner {
+            ClockImpl::Real(r) => event::real_poll_until(r.multi_cpu, &mut pred),
+            ClockImpl::Virtual(_) => pred(),
+        }
+    }
+
     /// Wakes every thread waiting on `event`.
     pub fn notify_all(&self, event: &Event) {
         match &*self.inner {
-            ClockImpl::Real(_) => event.real_notify_all(),
+            ClockImpl::Real(_) => event.real_notify(true),
             ClockImpl::Virtual(v) => v.notify_all(Self::current_tid(), event.virtual_id()),
+        }
+    }
+
+    /// Wakes one thread waiting on `event`, for waiters that are
+    /// interchangeable (pool workers). A virtual clock wakes them all:
+    /// which one would run is the scheduler's decision, by timestamp.
+    pub fn notify_one(&self, event: &Event) {
+        match &*self.inner {
+            ClockImpl::Real(_) => event.real_notify(false),
+            ClockImpl::Virtual(_) => self.notify_all(event),
         }
     }
 

@@ -1,11 +1,23 @@
 //! Real-time clock: OS threads, wall-clock time, calibrated spin work.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
+
+/// Whether a thread that polls can overlap the thread it waits for. Asked
+/// once, of the thread that creates the process's first real clock: a
+/// later caller may be a client pinned to one CPU, and
+/// `available_parallelism` would answer for that thread alone.
+fn multi_cpu() -> bool {
+    static MULTI_CPU: OnceLock<bool> = OnceLock::new();
+    *MULTI_CPU.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1))
+}
 
 pub(crate) struct RealClock {
     origin: Instant,
     spin: bool,
+    /// Waiters poll before they park (see `event::real_poll_until`).
+    pub(crate) multi_cpu: bool,
     // ordering: relaxed-rmw — monotonic thread-id source; ids only need
     // uniqueness, nothing is published through the counter.
     next_tid: AtomicUsize,
@@ -16,6 +28,7 @@ impl RealClock {
         RealClock {
             origin: Instant::now(),
             spin: true,
+            multi_cpu: multi_cpu(),
             next_tid: AtomicUsize::new(0),
         }
     }
@@ -24,6 +37,7 @@ impl RealClock {
         RealClock {
             origin: Instant::now(),
             spin: false,
+            multi_cpu: multi_cpu(),
             next_tid: AtomicUsize::new(0),
         }
     }
