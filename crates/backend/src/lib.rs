@@ -1,13 +1,22 @@
-//! # wtf-backend — the STM substrate trait
+//! # wtf-backend — the STM substrate contract
 //!
 //! The paper's futures machinery (WO/SO top-levels, §3.4 polygraph
 //! acceptance) is defined over an *abstract* STM: a store of versioned
 //! boxes with snapshot reads and validate-and-publish commits. This crate
-//! extracts that surface from the multi-versioned `wtf-mvstm` into the
-//! [`StmBackend`] trait so `wtf-core`, the harness, and the correctness
-//! tooling can run over any conforming backend — today `mvstm`
-//! (multi-versioned, JVSTM-style) and `tl2` (single-version,
-//! lock-striped, lazy-versioning; see `crates/tl2`).
+//! is the bottom of the substrate stack and the only way into it:
+//!
+//! * the vocabulary every backend shares — [`BoxId`], [`Value`] /
+//!   [`TxValue`], [`StmError`] / [`Aborted`] / [`TxResult`],
+//!   [`StmStatsSnapshot`], [`FxHashMap`] / [`FxHashSet`];
+//! * the contract itself — [`StmBackend`] and [`BackendBox`] — which
+//!   `wtf-mvstm` (multi-versioned, JVSTM-style) and `wtf-tl2`
+//!   (single-version, lock-striped, lazy-versioning) each implement on
+//!   their own box and STM types;
+//! * the one transaction path over it: typed boxes ([`TBox`]), the
+//!   stepwise transaction ([`BackendTxn`]) that `wtf-check`'s explorers
+//!   drive one operation at a time, and the plain retry loop ([`atomic`])
+//!   — the paper's no-futures baseline. `wtf-core` layers transactional
+//!   futures on the same two traits.
 //!
 //! The contract every backend must honour, because the offline checker
 //! (`wtf-check`) re-derives commit/abort decisions from traces alone:
@@ -30,15 +39,20 @@
 //! has nothing left to read) — which is why the signature is fallible and
 //! callers must treat `Err` as a conflict abort.
 
+mod error;
+mod hash;
+mod stats;
+mod value;
+
+pub use error::{Aborted, StmError, TxResult};
+pub use hash::{FxHashMap, FxHashSet};
+pub use stats::StmStatsSnapshot;
+pub use value::{downcast_value, BoxId, TxValue, Value};
+
 use std::any::Any;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use wtf_cm::ContentionManager;
-use wtf_mvstm::raw::{self, BoxBody};
-use wtf_mvstm::{
-    downcast_value, Aborted, BoxId, FxHashMap, Stm, StmError, StmStatsSnapshot, TxResult, TxValue,
-    Value,
-};
 use wtf_trace::{EventKind, Tracer};
 
 /// Which STM substrate a run executes over.
@@ -191,12 +205,10 @@ impl std::fmt::Debug for BackendSnapshot {
     }
 }
 
-/// The abstract STM substrate `wtf-core` layers transactional futures on.
-///
-/// Mirrors the slice of `wtf-mvstm`'s API the runtime actually consumes:
-/// box creation, snapshot acquisition, the attributed validate-and-publish
-/// commit, stats and trace hooks. Stats mutation goes through `note_*`
-/// hooks because each backend owns its counters privately.
+/// The abstract STM substrate: box creation, snapshot acquisition, the
+/// attributed validate-and-publish commit, stats and trace hooks. Stats
+/// mutation goes through `note_*` hooks because each backend owns its
+/// counters privately.
 pub trait StmBackend: Send + Sync {
     /// Which substrate this is (selection, labels, reports).
     fn kind(&self) -> BackendKind;
@@ -220,14 +232,10 @@ pub trait StmBackend: Send + Sync {
     /// commit call to count them in.
     fn note_read_only_commit(&self);
 
-    /// Ablation knob: disable background reclamation, where the backend
-    /// has any (no-op on single-version backends).
-    fn set_gc_enabled(&self, enabled: bool);
-
     /// The contention manager this backend's retry loops consult — one
-    /// shared policy instance per backend, so the generic [`atomic`]
-    /// loop, any native loop (mvstm's `Stm::atomic`) and `wtf-core`'s
-    /// top-level loop see the same karma ledger / hotspot gates.
+    /// shared policy instance per backend, so the plain [`atomic`] loop
+    /// and `wtf-core`'s top-level loop see the same karma ledger /
+    /// hotspot gates. Every backend starts on `immediate`.
     fn cm(&self) -> Arc<dyn ContentionManager>;
 
     /// Installs a contention manager (the `FutureTm::builder().cm(..)`
@@ -258,140 +266,11 @@ pub trait StmBackend: Send + Sync {
 }
 
 // ---------------------------------------------------------------------------
-// The mvstm adapter.
-// ---------------------------------------------------------------------------
-
-/// [`BackendBox`] over an mvstm versioned box.
-pub struct MvBox {
-    body: Arc<BoxBody>,
-}
-
-impl MvBox {
-    pub fn new(body: Arc<BoxBody>) -> MvBox {
-        MvBox { body }
-    }
-
-    /// The underlying mvstm body (the adapter's commit path needs it).
-    pub fn body(&self) -> &Arc<BoxBody> {
-        &self.body
-    }
-}
-
-impl BackendBox for MvBox {
-    fn id(&self) -> BoxId {
-        raw::id_of(&self.body)
-    }
-
-    fn read_at(&self, snapshot: u64) -> Result<(u64, Value), StmError> {
-        // Multi-versioning: the snapshot's version is always retained
-        // while the snapshot is live, so reads cannot fail.
-        Ok(raw::read_at(&self.body, snapshot))
-    }
-
-    fn read_latest(&self) -> Value {
-        raw::read_at(&self.body, u64::MAX).1
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// [`StmBackend`] over the multi-versioned `wtf-mvstm` substrate.
-pub struct MvstmBackend {
-    stm: Stm,
-}
-
-impl MvstmBackend {
-    pub fn new(stm: Stm) -> MvstmBackend {
-        MvstmBackend { stm }
-    }
-
-    pub fn with_tracer(tracer: Arc<Tracer>) -> MvstmBackend {
-        MvstmBackend::new(Stm::with_tracer(tracer))
-    }
-
-    /// The wrapped STM (explorers and tests that exercise the native
-    /// mvstm API go through this).
-    pub fn stm(&self) -> &Stm {
-        &self.stm
-    }
-}
-
-fn mv_body(b: &Arc<dyn BackendBox>) -> Arc<BoxBody> {
-    b.as_any()
-        .downcast_ref::<MvBox>()
-        .expect("box from a different backend passed to MvstmBackend")
-        .body()
-        .clone()
-}
-
-impl StmBackend for MvstmBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Mvstm
-    }
-
-    fn tracer(&self) -> &Arc<Tracer> {
-        self.stm.tracer()
-    }
-
-    fn clock(&self) -> u64 {
-        self.stm.clock()
-    }
-
-    fn stats(&self) -> StmStatsSnapshot {
-        self.stm.stats()
-    }
-
-    fn note_abort(&self) {
-        raw::note_abort(&self.stm);
-    }
-
-    fn note_read_only_commit(&self) {
-        raw::note_read_only_commit(&self.stm);
-    }
-
-    fn set_gc_enabled(&self, enabled: bool) {
-        self.stm.set_gc_enabled(enabled);
-    }
-
-    fn cm(&self) -> Arc<dyn ContentionManager> {
-        self.stm.cm()
-    }
-
-    fn set_cm(&self, cm: Arc<dyn ContentionManager>) {
-        self.stm.set_cm(cm);
-    }
-
-    fn new_box(&self, value: Value) -> Arc<dyn BackendBox> {
-        Arc::new(MvBox::new(raw::new_box_body(&self.stm, value)))
-    }
-
-    fn acquire_snapshot(&self) -> BackendSnapshot {
-        let snap = raw::acquire_snapshot(&self.stm);
-        BackendSnapshot::new(snap.version(), Some(Box::new(snap)))
-    }
-
-    fn commit_attributed(
-        &self,
-        snapshot: u64,
-        reads: &[Arc<dyn BackendBox>],
-        writes: Vec<(Arc<dyn BackendBox>, Value)>,
-    ) -> Result<u64, BoxId> {
-        let read_bodies: Vec<Arc<BoxBody>> = reads.iter().map(mv_body).collect();
-        let writes: Vec<(Arc<BoxBody>, Value)> =
-            writes.into_iter().map(|(b, v)| (mv_body(&b), v)).collect();
-        raw::commit_attributed(&self.stm, snapshot, read_bodies.iter(), writes)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The typed box facade.
 // ---------------------------------------------------------------------------
 
-/// The typed, clonable handle over a backend box — the backend-agnostic
-/// analogue of `wtf_mvstm::VBox` (and re-exported as `VBox` by
-/// `wtf-core`).
+/// The typed, clonable handle over a backend box (re-exported as `VBox`
+/// by `wtf-core` and `wtf-mvstm`).
 pub struct TBox<T> {
     body: Arc<dyn BackendBox>,
     _marker: PhantomData<fn() -> T>,
@@ -412,8 +291,14 @@ impl<T: TxValue> TBox<T> {
         TBox::from_body(backend.new_box(Arc::new(value)))
     }
 
+    /// [`TBox::new_on`] under the name `benchmark/` calls through the
+    /// `wtf_mvstm::VBox` re-export; kept for `benchmark/` only.
+    pub fn new(backend: &dyn StmBackend, value: T) -> TBox<T> {
+        TBox::new_on(backend, value)
+    }
+
     /// Wraps an untyped body. The caller asserts the stored type is `T`
-    /// (reads panic on mismatch, exactly like `VBox`).
+    /// (reads panic on mismatch).
     pub fn from_body(body: Arc<dyn BackendBox>) -> TBox<T> {
         TBox {
             body,
@@ -447,20 +332,21 @@ impl<T> std::fmt::Debug for TBox<T> {
 // The stepwise transaction (explorers, differential tests, plain atomics).
 // ---------------------------------------------------------------------------
 
-/// An in-flight backend transaction, mirroring `wtf_mvstm::Txn` but
-/// generic over the substrate. Driven stepwise by `wtf-check`'s schedule
-/// explorers and wrapped by [`atomic`] for retry-until-commit use.
+/// An in-flight transaction on any substrate. Driven stepwise by
+/// `wtf-check`'s schedule explorers and wrapped by [`atomic`] for
+/// retry-until-commit use.
 ///
-/// Unlike the mvstm-native `Txn`, [`BackendTxn::read`] is fallible: on a
-/// single-version backend a read of a box overwritten since the snapshot
-/// returns `Err(Conflict)`, which callers must treat as an abort of the
-/// whole transaction (its snapshot is no longer readable).
+/// [`BackendTxn::read`] is fallible: on a single-version backend a read
+/// of a box overwritten since the snapshot returns `Err(Conflict)`, which
+/// callers must treat as an abort of the whole transaction (its snapshot
+/// is no longer readable). On mvstm it never fails.
 pub struct BackendTxn<'s> {
     backend: &'s dyn StmBackend,
     snapshot: BackendSnapshot,
-    /// Box plus the version the first read observed — captured at read
-    /// time because that is what the commit-time serialization record
-    /// re-emits (see `wtf_mvstm::Txn` for the GC argument).
+    /// Box plus the version the first read observed — what the
+    /// commit-time serialization record re-emits. It must be captured at
+    /// read time: after our own commit, GC may have pruned the version we
+    /// actually read.
     read_set: FxHashMap<BoxId, (Arc<dyn BackendBox>, u64)>,
     write_set: FxHashMap<BoxId, (Arc<dyn BackendBox>, Value)>,
     /// The box a failed read was charged to (single-version backends),
@@ -579,8 +465,11 @@ impl<'s> BackendTxn<'s> {
 }
 
 /// Runs `f` as a transaction on `backend`, retrying on conflicts until it
-/// commits — the backend-generic analogue of `Stm::atomic`. Every
-/// conflict abort is attributed (the failed read's box on single-version
+/// commits — the paper's no-futures baseline, and the one plain retry
+/// loop in the workspace (`FutureTm::atomic` keeps its own because a
+/// replay restart is not a plain retry). `Err(Aborted)` only when `f`
+/// requests an explicit abort via [`BackendTxn::abort`]. Every conflict
+/// abort is attributed (the failed read's box on single-version
 /// backends, the failed validation's box at commit) and reported to the
 /// backend's [contention manager](StmBackend::cm), whose wait is applied
 /// before the retry.
@@ -630,36 +519,5 @@ mod tests {
         assert_eq!(BackendKind::parse(""), Some(BackendKind::Mvstm));
         assert_eq!(BackendKind::parse("nope"), None);
         assert_eq!(BackendKind::Tl2.name(), "tl2");
-    }
-
-    #[test]
-    fn mvstm_adapter_round_trips() {
-        let backend = MvstmBackend::with_tracer(Tracer::disabled());
-        let b: TBox<i64> = TBox::new_on(&backend, 5);
-        assert_eq!(b.read_latest(), 5);
-        let b2 = b.clone();
-        let seen = atomic(&backend, move |tx| {
-            let v = tx.read(&b2)?;
-            tx.write(&b2, v + 1)?;
-            Ok(v)
-        })
-        .unwrap();
-        assert_eq!(seen, 5);
-        assert_eq!(b.read_latest(), 6);
-        let stats = backend.stats();
-        assert_eq!(stats.commits, 1);
-        assert_eq!(stats.read_only_commits, 0);
-    }
-
-    #[test]
-    fn read_only_commit_counts() {
-        let backend = MvstmBackend::with_tracer(Tracer::disabled());
-        let b: TBox<u64> = TBox::new_on(&backend, 3);
-        let b2 = b.clone();
-        let v = atomic(&backend, move |tx| tx.read(&b2)).unwrap();
-        assert_eq!(v, 3);
-        let stats = backend.stats();
-        assert_eq!(stats.commits, 1);
-        assert_eq!(stats.read_only_commits, 1);
     }
 }

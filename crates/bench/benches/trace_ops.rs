@@ -1,4 +1,4 @@
-//! Overhead of the `wtf-trace` hooks on the VBox commit path (real time).
+//! Overhead of the `wtf-trace` hooks on the mvstm commit path (real time).
 //!
 //! The acceptance bar for the observability layer: a *disabled* tracer —
 //! what every `Stm::new()` carries — must cost no more than one relaxed
@@ -16,11 +16,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use wtf_mvstm::{Stm, VBox};
+use wtf_backend::{atomic, StmBackend, TBox};
+use wtf_mvstm::Stm;
 use wtf_trace::{TraceLevel, Tracer};
 
-fn commit_loop(stm: &Stm, boxes: &[VBox<i64>]) {
-    stm.atomic(|tx| {
+fn commit_loop(stm: &Stm, boxes: &[TBox<i64>]) {
+    atomic(stm, |tx| {
         for i in 0..10 {
             tx.write(&boxes[(i * 91) % boxes.len()], i as i64)?;
         }
@@ -41,7 +42,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
         ("commit_10_full", TraceLevel::Full),
     ] {
         let stm = Stm::with_tracer(Tracer::new(level));
-        let boxes: Vec<VBox<i64>> = (0..1024).map(|i| VBox::new(&stm, i as i64)).collect();
+        let boxes: Vec<TBox<i64>> = (0..1024).map(|i| TBox::new_on(&stm, i as i64)).collect();
         g.bench_function(name, |b| b.iter(|| commit_loop(&stm, &boxes)));
     }
 
@@ -99,7 +100,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
     let _hub2 =
         wtf_telemetry::TelemetryHub::attach(std::sync::Arc::clone(&traced), cfg, "mvstm", "bench");
     let stm = Stm::with_tracer(traced);
-    let boxes: Vec<VBox<i64>> = (0..1024).map(|i| VBox::new(&stm, i as i64)).collect();
+    let boxes: Vec<TBox<i64>> = (0..1024).map(|i| TBox::new_on(&stm, i as i64)).collect();
     g.bench_function("commit_10_telemetry_attached", |b| {
         b.iter(|| commit_loop(&stm, &boxes))
     });

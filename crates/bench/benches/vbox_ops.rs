@@ -5,7 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
-use wtf_mvstm::{raw, Stm, VBox};
+use wtf_backend::{atomic, StmBackend, TBox};
+use wtf_mvstm::raw::chain_len;
+use wtf_mvstm::Stm;
 
 fn bench_reads(c: &mut Criterion) {
     let mut g = c.benchmark_group("vbox");
@@ -14,11 +16,11 @@ fn bench_reads(c: &mut Criterion) {
     g.warm_up_time(std::time::Duration::from_millis(300));
 
     let stm = Stm::new();
-    let boxes: Vec<VBox<i64>> = (0..1024).map(|i| VBox::new(&stm, i as i64)).collect();
+    let boxes: Vec<TBox<i64>> = (0..1024).map(|i| TBox::new_on(&stm, i as i64)).collect();
 
     g.bench_function("txn_read_100", |b| {
         b.iter(|| {
-            stm.atomic(|tx| {
+            atomic(&stm, |tx| {
                 let mut acc = 0i64;
                 for i in 0..100 {
                     acc += tx.read(&boxes[(i * 37) % 1024])?;
@@ -31,7 +33,7 @@ fn bench_reads(c: &mut Criterion) {
 
     g.bench_function("txn_write_commit_10", |b| {
         b.iter(|| {
-            stm.atomic(|tx| {
+            atomic(&stm, |tx| {
                 for i in 0..10 {
                     tx.write(&boxes[(i * 91) % 1024], i as i64)?;
                 }
@@ -42,37 +44,36 @@ fn bench_reads(c: &mut Criterion) {
     });
 
     g.bench_function("read_only_commit", |b| {
-        b.iter(|| stm.atomic(|tx| tx.read(&boxes[7])).unwrap())
+        b.iter(|| atomic(&stm, |tx| tx.read(&boxes[7])).unwrap())
     });
 
     g.bench_function("raw_read_at", |b| {
-        let body = raw::body_of(&boxes[0]);
-        let snap = raw::acquire_snapshot(&stm);
-        b.iter(|| black_box(raw::read_at(&body, snap.version())))
+        let body = boxes[0].body();
+        let snap = stm.acquire_snapshot();
+        b.iter(|| black_box(body.read_at(snap.version())))
     });
 
     // GC ablation: long version chains (GC off) vs pruned chains (GC on).
     g.bench_function("versioned_read_gc_on", |b| {
         let stm = Stm::new();
-        let x = VBox::new(&stm, 0i64);
+        let x = TBox::new_on(&stm, 0i64);
         for i in 0..256 {
-            stm.atomic(|tx| tx.write(&x, i)).unwrap();
+            atomic(&stm, |tx| tx.write(&x, i)).unwrap();
         }
-        assert_eq!(x.version_chain_len(), 1);
+        assert_eq!(chain_len(&x), 1);
         b.iter(|| black_box(x.read_latest()))
     });
     g.bench_function("versioned_read_gc_off_deep_chain", |b| {
         let stm = Stm::new();
         stm.set_gc_enabled(false);
-        let x = VBox::new(&stm, 0i64);
-        let pin = raw::acquire_snapshot(&stm); // pin so chains keep length
+        let x = TBox::new_on(&stm, 0i64);
+        let pin = stm.acquire_snapshot(); // pin so chains keep length
         for i in 0..256 {
-            stm.atomic(|tx| tx.write(&x, i)).unwrap();
+            atomic(&stm, |tx| tx.write(&x, i)).unwrap();
         }
-        assert!(x.version_chain_len() > 200);
+        assert!(chain_len(&x) > 200);
         // Reading at the pinned snapshot walks the whole chain.
-        let body = raw::body_of(&x);
-        b.iter(|| black_box(raw::read_at(&body, pin.version())));
+        b.iter(|| black_box(x.body().read_at(pin.version())));
         drop(pin);
     });
 
@@ -81,26 +82,26 @@ fn bench_reads(c: &mut Criterion) {
     // the new version is consed onto the head, never shifting the history.
     g.bench_function("txn_write_commit_shallow_chain", |b| {
         let stm = Stm::new();
-        let x = VBox::new(&stm, 0i64);
-        b.iter(|| stm.atomic(|tx| tx.write(&x, 1)).unwrap())
+        let x = TBox::new_on(&stm, 0i64);
+        b.iter(|| atomic(&stm, |tx| tx.write(&x, 1)).unwrap())
     });
     g.bench_function("txn_write_commit_deep_chain_4096", |b| {
         let stm = Stm::new();
         stm.set_gc_enabled(false);
-        let x = VBox::new(&stm, 0i64);
-        let pin = raw::acquire_snapshot(&stm); // pin so chains keep length
+        let x = TBox::new_on(&stm, 0i64);
+        let pin = stm.acquire_snapshot(); // pin so chains keep length
         for i in 0..4096 {
-            stm.atomic(|tx| tx.write(&x, i)).unwrap();
+            atomic(&stm, |tx| tx.write(&x, i)).unwrap();
         }
-        assert!(x.version_chain_len() > 4000);
-        b.iter(|| stm.atomic(|tx| tx.write(&x, 1)).unwrap());
+        assert!(chain_len(&x) > 4000);
+        b.iter(|| atomic(&stm, |tx| tx.write(&x, 1)).unwrap());
         drop(pin);
     });
 
     g.bench_function("begin_snapshot", |b| {
         b.iter_batched(
             || (),
-            |_| black_box(raw::acquire_snapshot(&stm)),
+            |_| black_box(stm.acquire_snapshot()),
             BatchSize::SmallInput,
         )
     });

@@ -4,19 +4,17 @@
 //!
 //! Two explorer families, matching the two layers of the stack:
 //!
-//! * [`explore_mvstm`] / [`explore_backend`] — step-level interleaving of
-//!   plain STM transactions. Each thread's program is a fixed sequence of
+//! * [`explore_backend`] — step-level interleaving of plain STM
+//!   transactions. Each thread's program is a fixed sequence of
 //!   [`StepOp`]s; the explorer enumerates *every* multiset permutation of
-//!   the programs' steps and executes each one against a fresh substrate.
-//!   `explore_mvstm` drives mvstm's native stepwise [`Stm::begin_txn`]
-//!   API; `explore_backend` drives any [`BackendKind`] through the
-//!   backend-generic [`BackendTxn`], where *reads* can also conflict
-//!   (single-version backends fail a read of a box overwritten since the
-//!   snapshot) — a failed read is a final abort of that thread, exactly
-//!   like a failed commit. Everything runs on one OS thread — a commit is
-//!   a single schedule step, which both makes schedules exactly
-//!   reproducible and keeps each transaction's serialization record
-//!   contiguous on one trace lane.
+//!   the programs' steps and executes each one against a fresh substrate
+//!   of the given [`BackendKind`], through the stepwise [`BackendTxn`].
+//!   On a single-version backend *reads* can also conflict (a read of a
+//!   box overwritten since the snapshot fails) — a failed read is a final
+//!   abort of that thread, exactly like a failed commit. Everything runs
+//!   on one OS thread — a commit is a single schedule step, which both
+//!   makes schedules exactly reproducible and keeps each transaction's
+//!   serialization record contiguous on one trace lane.
 //! * [`explore_core_delays`] / [`explore_core_delays_on`] — the
 //!   `wtf-core` futures path cannot be single-stepped from outside
 //!   (worker threads run future bodies), so it is perturbed instead:
@@ -31,7 +29,6 @@
 use crate::checker::{CheckError, CheckReport, HistoryChecker};
 use wtf_backend::{BackendKind, BackendTxn, TBox};
 use wtf_core::{make_backend, CmKind, FutureTm, Semantics, TmConfig};
-use wtf_mvstm::{Stm, Txn, VBox};
 use wtf_trace::{TraceLevel, Tracer};
 use wtf_vclock::Clock;
 
@@ -96,7 +93,7 @@ fn for_each_schedule(lens: &[usize], mut visit: impl FnMut(&[usize])) {
     rec(lens, &mut taken, &mut cur, total, &mut visit);
 }
 
-/// Number of schedules [`explore_mvstm`] will execute for the given
+/// Number of schedules [`explore_backend`] will execute for the given
 /// programs (multinomial coefficient) — use to budget CI configurations.
 pub fn schedule_count(programs: &[Vec<StepOp>]) -> usize {
     let total: usize = programs.iter().map(Vec::len).sum();
@@ -113,93 +110,12 @@ pub fn schedule_count(programs: &[Vec<StepOp>]) -> usize {
 }
 
 /// Runs every interleaving of `programs` over `boxes` fresh boxes
-/// (initial value 0) and checker-verifies each schedule's trace.
+/// (initial value 0) through [`BackendTxn`] on the given substrate and
+/// checker-verifies each schedule's trace.
 ///
 /// Fails with the offending schedule prefixed to the checker's error if
 /// any interleaving produces a non-serializable history or an
 /// unjustified abort.
-pub fn explore_mvstm(programs: &[Vec<StepOp>], boxes: usize) -> Result<ExploreReport, CheckError> {
-    let lens: Vec<usize> = programs.iter().map(Vec::len).collect();
-    let mut report = ExploreReport::default();
-    let mut failure: Option<CheckError> = None;
-    for_each_schedule(&lens, |schedule| {
-        if failure.is_some() {
-            return;
-        }
-        match run_one_schedule(programs, boxes, schedule) {
-            Ok((check, commits, aborts)) => {
-                report.schedules += 1;
-                report.commits += commits;
-                report.aborts += aborts;
-                report.events += check.events;
-                report.witness_edges += check.witness_edges;
-            }
-            Err(e) => {
-                failure = Some(CheckError(format!(
-                    "schedule {:?} (thread index per step): {}",
-                    schedule, e.0
-                )));
-            }
-        }
-    });
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(report),
-    }
-}
-
-fn run_one_schedule(
-    programs: &[Vec<StepOp>],
-    boxes: usize,
-    schedule: &[usize],
-) -> Result<(CheckReport, usize, usize), CheckError> {
-    let tracer = Tracer::with_capacity(TraceLevel::Full, 1 << 12);
-    let stm = Stm::with_tracer(tracer.clone());
-    let vars: Vec<VBox<u64>> = (0..boxes).map(|_| VBox::new(&stm, 0u64)).collect();
-    let mut txns: Vec<Option<Txn<'_>>> = programs.iter().map(|_| None).collect();
-    let mut dead = vec![false; programs.len()];
-    let mut cursor = vec![0usize; programs.len()];
-    let (mut commits, mut aborts) = (0usize, 0usize);
-    for &t in schedule {
-        let op = programs[t][cursor[t]];
-        cursor[t] += 1;
-        if dead[t] {
-            continue; // aborted transactions skip their remaining steps
-        }
-        match op {
-            StepOp::Read(b) => {
-                let tx = txns[t].get_or_insert_with(|| stm.begin_txn());
-                tx.read(&vars[b]).expect("snapshot reads cannot fail");
-            }
-            StepOp::Write(b, v) => {
-                let tx = txns[t].get_or_insert_with(|| stm.begin_txn());
-                tx.write(&vars[b], v).expect("buffered writes cannot fail");
-            }
-            StepOp::Commit => {
-                // An op-less Commit still begins (and trivially commits) a
-                // read-only transaction, for symmetry with real programs.
-                let tx = match txns[t].take() {
-                    Some(tx) => tx,
-                    None => stm.begin_txn(),
-                };
-                match tx.commit() {
-                    Ok(()) => commits += 1,
-                    Err(_) => {
-                        aborts += 1;
-                        dead[t] = true;
-                    }
-                }
-            }
-        }
-    }
-    drop(txns); // release leftover snapshots before harvesting lanes
-    let check = HistoryChecker::from_tracer(&tracer).verify()?;
-    Ok((check, commits, aborts))
-}
-
-/// Backend-generic sibling of [`explore_mvstm`]: runs every interleaving
-/// of `programs` through [`BackendTxn`] on the given substrate and
-/// checker-verifies each schedule's trace.
 ///
 /// On a single-version backend (TL2) a [`StepOp::Read`] itself can
 /// conflict — the box was overwritten since the transaction's snapshot —

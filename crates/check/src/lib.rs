@@ -12,8 +12,8 @@
 //!   validation cannot hide itself: the checker would see the
 //!   non-serializable history the bug admitted.
 //! * **[`explore`]** — deterministic schedule explorers. A bounded
-//!   interleaving explorer steps several `mvstm` transactions through
-//!   every permutation of their read/write/commit steps, and a virtual-
+//!   interleaving explorer steps several plain STM transactions, on
+//!   either backend, through every permutation of their read/write/commit steps, and a virtual-
 //!   clock delay explorer perturbs the `wtf-core` futures path across a
 //!   grid of injected delays; every schedule's trace goes through the
 //!   checker.
@@ -32,5 +32,5 @@ pub mod explore;
 pub mod lint;
 
 pub use checker::{CheckError, CheckReport, HistoryChecker};
-pub use explore::{explore_core_delays, explore_mvstm, ExploreReport, StepOp};
+pub use explore::{explore_backend, explore_core_delays, ExploreReport, StepOp};
 pub use lint::{lint_source, lint_tree, Finding};

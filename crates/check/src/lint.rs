@@ -9,13 +9,14 @@
 //! handful of misuse patterns that have bitten TM users, not at general
 //! static analysis:
 //!
-//! * **`raw-api`** — using `wtf_mvstm::raw` (snapshots, versioned reads,
-//!   raw commits) outside the runtime crates. The raw layer skips the
-//!   retry loop and the serialization records; application code must go
-//!   through `Stm::atomic` / `FutureTm::atomic`.
-//! * **`snapshot-retained`** — storing a `Snapshot` in a struct field or
-//!   static. A live snapshot pins the GC horizon: version chains grow
-//!   without bound while it exists (the paper's runtime only holds
+//! * **`raw-api`** — calling the substrate trait's own operations
+//!   (`acquire_snapshot`, `read_at`, `commit_attributed`) outside the
+//!   runtime crates. They skip the retry loop and the serialization
+//!   records; application code must go through `wtf_backend::atomic` /
+//!   `FutureTm::atomic`.
+//! * **`snapshot-retained`** — storing a `BackendSnapshot` in a struct
+//!   field or static. A live snapshot pins the GC horizon: version chains
+//!   grow without bound while it exists (the paper's runtime only holds
 //!   snapshots for the duration of one transaction attempt).
 //! * **`thread-escape`** — moving transactional state (`TxCtx`, `ctx`,
 //!   `.submit(...)`) into `thread::spawn`. Futures must be spawned via
@@ -28,11 +29,12 @@
 //!
 //! Suppress a finding with `// wtf-lint: allow(rule)` on the same or the
 //! preceding line. Files under `tests/`, `benches/` or `examples/` are
-//! test code; `crates/mvstm`, `crates/core` and `crates/check` are the
-//! runtime (the `raw-api`, `snapshot-retained` and `unchecked-atomic`
-//! rules do not apply — the runtime crates' concurrency discipline is
-//! `wtf-audit`'s jurisdiction, which checks the atomics themselves
-//! rather than how their results are consumed).
+//! test code; `crates/backend`, `crates/mvstm`, `crates/tl2`,
+//! `crates/core` and `crates/check` are the runtime (the `raw-api`,
+//! `snapshot-retained` and `unchecked-atomic` rules do not apply — the
+//! runtime crates' concurrency discipline is `wtf-audit`'s jurisdiction,
+//! which checks the atomics themselves rather than how their results are
+//! consumed).
 
 use std::fmt;
 use std::path::Path;
@@ -111,13 +113,7 @@ pub fn lint_source_with(file: &str, src: &str, ctx: FileCtx) -> Vec<Finding> {
     if !ctx.runtime_crate {
         // raw-api: the low-level layer bypasses retry + serialization
         // records; only the runtime crates may touch it.
-        const RAW_NEEDLES: [&str; 5] = [
-            "wtf_mvstm::raw::",
-            "raw::acquire_snapshot",
-            "raw::commit_raw",
-            "raw::commit_attributed",
-            "raw::read_at",
-        ];
+        const RAW_NEEDLES: [&str; 3] = [".acquire_snapshot(", ".read_at(", ".commit_attributed("];
         for needle in RAW_NEEDLES {
             for off in find_all(&masked, needle) {
                 push(
@@ -128,9 +124,9 @@ pub fn lint_source_with(file: &str, src: &str, ctx: FileCtx) -> Vec<Finding> {
                 );
             }
         }
-        // snapshot-retained: `: Snapshot` in type position pins the GC
-        // horizon for as long as the holder lives.
-        for off in find_all(&masked, "Snapshot") {
+        // snapshot-retained: `: BackendSnapshot` in type position pins
+        // the GC horizon for as long as the holder lives.
+        for off in find_all(&masked, "BackendSnapshot") {
             let before = masked[..off].trim_end();
             let line = line_of(off);
             let line_text = line_text(&masked, &line_starts, line);
@@ -138,7 +134,7 @@ pub fn lint_source_with(file: &str, src: &str, ctx: FileCtx) -> Vec<Finding> {
                 push(
                     off,
                     "snapshot-retained",
-                    "storing a `Snapshot` pins the GC horizon; hold snapshots only for \
+                    "storing a `BackendSnapshot` pins the GC horizon; hold snapshots only for \
                      the duration of one transaction attempt"
                         .to_string(),
                     true,
@@ -213,8 +209,8 @@ pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Finding>> {
                     "crates/mvstm",
                     "crates/core",
                     "crates/check",
-                    // The substrate layer wraps the raw mvstm/tl2 APIs
-                    // behind the StmBackend trait; it is the runtime.
+                    // The substrate contract and its two
+                    // implementations are the runtime.
                     "crates/backend",
                     "crates/tl2",
                 ]
@@ -542,17 +538,17 @@ mod tests {
 
     #[test]
     fn masking_spares_offsets() {
-        let src = "let a = \"raw::read_at\"; // raw::commit_raw\nlet b = 1;\n";
+        let src = "let a = \".read_at(\"; // .commit_attributed(\nlet b = 1;\n";
         let masked = mask_comments_and_strings(src);
         assert_eq!(masked.len(), src.len());
         assert!(!masked.contains("read_at"));
-        assert!(!masked.contains("commit_raw"));
+        assert!(!masked.contains("commit_attributed"));
         assert!(masked.contains("let b = 1;"));
     }
 
     #[test]
     fn raw_api_flagged_outside_runtime() {
-        let src = "fn f(stm: &Stm) { let s = raw::acquire_snapshot(stm); }\n";
+        let src = "fn f(stm: &dyn StmBackend) { let s = stm.acquire_snapshot(); }\n";
         let findings = lint_source("app.rs", src);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "raw-api");
@@ -569,13 +565,13 @@ mod tests {
 
     #[test]
     fn snapshot_field_flagged() {
-        let src = "struct Cache {\n    snap: Snapshot,\n}\n";
+        let src = "struct Cache {\n    snap: BackendSnapshot,\n}\n";
         let findings = lint_source("app.rs", src);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "snapshot-retained");
         assert_eq!(findings[0].line, 2);
         // `use` imports are not retention
-        assert!(lint_source("app.rs", "use wtf_mvstm::raw::Snapshot;\n")
+        assert!(lint_source("app.rs", "use wtf_backend::BackendSnapshot;\n")
             .iter()
             .all(|f| f.rule != "snapshot-retained"));
     }
@@ -591,17 +587,17 @@ mod tests {
 
     #[test]
     fn unchecked_atomic_flagged_outside_tests() {
-        let src = "fn f(stm: &Stm) { stm.atomic(|tx| tx.read(&b)).unwrap(); }\n";
+        let src = "fn f(stm: &Stm) { atomic(stm, |tx| tx.read(&b)).unwrap(); }\n";
         let findings = lint_source("app.rs", src);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "unchecked-atomic");
-        let test_src = "#[cfg(test)]\nmod t {\n    fn f(stm: &Stm) { stm.atomic(|tx| tx.read(&b)).unwrap(); }\n}\n";
+        let test_src = "#[cfg(test)]\nmod t {\n    fn f(stm: &Stm) { atomic(stm, |tx| tx.read(&b)).unwrap(); }\n}\n";
         assert!(lint_source("app.rs", test_src).is_empty());
     }
 
     #[test]
     fn unchecked_atomic_defers_to_audit_in_runtime_crates() {
-        let src = "fn f(stm: &Stm) { stm.atomic(|tx| tx.read(&b)).unwrap(); }\n";
+        let src = "fn f(stm: &Stm) { atomic(stm, |tx| tx.read(&b)).unwrap(); }\n";
         let runtime = lint_source_with(
             "crates/mvstm/src/x.rs",
             src,
@@ -625,7 +621,7 @@ mod tests {
         std::fs::write(sub.join("bad.rs"), b"fn f() {} // caf\xe9\n").unwrap();
         std::fs::write(
             sub.join("good.rs"),
-            "fn f(stm: &Stm) { stm.atomic(|tx| tx.read(&b)).unwrap(); }\n",
+            "fn f(stm: &Stm) { atomic(stm, |tx| tx.read(&b)).unwrap(); }\n",
         )
         .unwrap();
         let findings = lint_tree(&dir).expect("non-UTF8 files lint lossily, not fatally");
@@ -641,7 +637,7 @@ mod tests {
     #[test]
     fn allow_directive_suppresses() {
         let src =
-            "// wtf-lint: allow(unchecked-atomic)\nfn f(stm: &Stm) { stm.atomic(|tx| tx.read(&b)).unwrap(); }\n";
+            "// wtf-lint: allow(unchecked-atomic)\nfn f(stm: &Stm) { atomic(stm, |tx| tx.read(&b)).unwrap(); }\n";
         assert!(lint_source("app.rs", src).is_empty());
     }
 

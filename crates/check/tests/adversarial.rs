@@ -207,13 +207,14 @@ fn lifecycle_trace_checks_structure_only() {
     assert_eq!(report.dooms_unverified, 1);
 }
 
-/// Live mvstm traffic (threads hammering `Stm::atomic`) always verifies.
+/// Live mvstm traffic (threads hammering `wtf_backend::atomic`) always
+/// verifies.
 #[test]
 fn live_mvstm_trace_verifies() {
-    use wtf_mvstm::{Stm, VBox};
+    use wtf_backend::{atomic, TBox};
     let tracer = Tracer::with_capacity(TraceLevel::Full, 1 << 14);
-    let stm = Stm::with_tracer(tracer.clone());
-    let boxes: Vec<VBox<u64>> = (0..4).map(|_| VBox::new(&stm, 0u64)).collect();
+    let stm = wtf_mvstm::Stm::with_tracer(tracer.clone());
+    let boxes: Vec<TBox<u64>> = (0..4).map(|_| TBox::new_on(&stm, 0u64)).collect();
     let threads: Vec<_> = (0..4)
         .map(|t| {
             let stm = stm.clone();
@@ -222,10 +223,11 @@ fn live_mvstm_trace_verifies() {
                 for i in 0..50 {
                     let a = boxes[(t + i) % 4].clone();
                     let b = boxes[(t + i + 1) % 4].clone();
-                    stm.atomic_infallible(|tx| {
+                    atomic(&stm, |tx| {
                         let v = tx.read(&a)?;
                         tx.write(&b, v + 1)
-                    });
+                    })
+                    .unwrap();
                 }
             })
         })
@@ -291,15 +293,16 @@ fn live_core_trace_verifies() {
 /// (the `wtf-check` CLI path).
 #[test]
 fn chrome_export_round_trip_verifies() {
-    use wtf_mvstm::{Stm, VBox};
+    use wtf_backend::{atomic, TBox};
     let tracer = Tracer::with_capacity(TraceLevel::Full, 1 << 12);
-    let stm = Stm::with_tracer(tracer.clone());
-    let b = VBox::new(&stm, 0u64);
+    let stm = wtf_mvstm::Stm::with_tracer(tracer.clone());
+    let b = TBox::new_on(&stm, 0u64);
     for _ in 0..10 {
-        stm.atomic_infallible(|tx| {
+        atomic(&stm, |tx| {
             let v = tx.read(&b)?;
             tx.write(&b, v + 1)
-        });
+        })
+        .unwrap();
     }
     let json = wtf_trace::Json::parse(&tracer.chrome_trace_json()).unwrap();
     let report = HistoryChecker::from_chrome_json(&json)

@@ -4,7 +4,7 @@
 
 use wtf_check::explore::{
     explore_backend, explore_core_delays, explore_core_delays_cm, explore_core_delays_on,
-    explore_mvstm, schedule_count, StepOp,
+    schedule_count, StepOp,
 };
 use wtf_core::{BackendKind, CmKind, Semantics};
 use StepOp::{Commit, Read, Write};
@@ -19,7 +19,7 @@ fn explores_two_thread_rmw_conflict() {
         vec![Read(0), Write(0, 2), Commit],
     ];
     assert_eq!(schedule_count(&programs), 20);
-    let report = explore_mvstm(&programs, 1).unwrap();
+    let report = explore_backend(BackendKind::Mvstm, &programs, 1).unwrap();
     assert_eq!(report.schedules, 20);
     assert_eq!(report.commits + report.aborts, 40);
     // Fully serial schedules (one txn strictly before the other) commit
@@ -38,7 +38,7 @@ fn explores_write_skew_shape() {
         vec![Read(0), Read(1), Write(1, 1), Commit],
     ];
     assert_eq!(schedule_count(&programs), 70);
-    let report = explore_mvstm(&programs, 2).unwrap();
+    let report = explore_backend(BackendKind::Mvstm, &programs, 2).unwrap();
     assert_eq!(report.schedules, 70);
     assert!(report.aborts > 0);
 }
@@ -54,27 +54,10 @@ fn explores_three_thread_mix() {
         vec![Read(0), Read(1), Commit],
     ];
     assert_eq!(schedule_count(&programs), 1680);
-    let report = explore_mvstm(&programs, 2).unwrap();
+    let report = explore_backend(BackendKind::Mvstm, &programs, 2).unwrap();
     assert_eq!(report.schedules, 1680);
     // The read-only observer never aborts: at most one abort per schedule.
     assert!(report.commits >= 2 * report.schedules, "{report:?}");
-}
-
-/// The backend-generic explorer over mvstm must reproduce the native
-/// stepwise explorer's outcomes exactly: same schedules, same
-/// commit/abort split on every program (multi-version reads never fail,
-/// so the only difference is which API drives the steps).
-#[test]
-fn backend_explorer_matches_native_mvstm() {
-    let programs = vec![
-        vec![Read(0), Write(0, 1), Commit],
-        vec![Read(0), Write(0, 2), Commit],
-    ];
-    let native = explore_mvstm(&programs, 1).unwrap();
-    let generic = explore_backend(BackendKind::Mvstm, &programs, 1).unwrap();
-    assert_eq!(generic.schedules, native.schedules);
-    assert_eq!(generic.commits, native.commits);
-    assert_eq!(generic.aborts, native.aborts);
 }
 
 /// TL2 sweep of the two-thread RMW conflict. Under a single-version
@@ -192,7 +175,7 @@ fn explores_deep_configurations() {
         vec![Read(0), Write(0, 2), Commit],
         vec![Read(0), Write(0, 3), Commit],
     ];
-    let report = explore_mvstm(&programs, 1).unwrap();
+    let report = explore_backend(BackendKind::Mvstm, &programs, 1).unwrap();
     assert_eq!(report.schedules, 1680);
 
     // Write skew plus an observer: 11!/(4!4!3!) = 11550 schedules.
@@ -202,7 +185,7 @@ fn explores_deep_configurations() {
         vec![Read(0), Read(1), Commit],
     ];
     assert_eq!(schedule_count(&programs), 11_550);
-    let report = explore_mvstm(&programs, 2).unwrap();
+    let report = explore_backend(BackendKind::Mvstm, &programs, 2).unwrap();
     assert_eq!(report.schedules, 11_550);
 
     // Finer delay grid through the futures path.

@@ -7,7 +7,8 @@
 //! Lives in its own integration binary: the hook is process-global, and
 //! sharing a test process would poison unrelated tests.
 
-use wtf_check::explore::{explore_mvstm, StepOp};
+use wtf_check::explore::{explore_backend, StepOp};
+use wtf_core::BackendKind;
 use StepOp::{Commit, Read, Write};
 
 #[test]
@@ -18,13 +19,15 @@ fn checker_catches_disabled_validation() {
     ];
 
     // Baseline: with validation on, every schedule verifies.
-    let report = explore_mvstm(&write_skew, 2).expect("intact runtime must verify");
+    let report =
+        explore_backend(BackendKind::Mvstm, &write_skew, 2).expect("intact runtime must verify");
     assert_eq!(report.schedules, 70);
 
     // Mutant: skip validation — interleaved schedules now commit both
     // sides of the skew, and the checker must reject the history.
     wtf_mvstm::test_hooks::set_skip_validation(true);
-    let err = explore_mvstm(&write_skew, 2).expect_err("checker must catch the mutant");
+    let err = explore_backend(BackendKind::Mvstm, &write_skew, 2)
+        .expect_err("checker must catch the mutant");
     wtf_mvstm::test_hooks::set_skip_validation(false);
     assert!(
         err.0.contains("not serializable"),
@@ -32,5 +35,5 @@ fn checker_catches_disabled_validation() {
     );
 
     // Back to normal: the world is consistent again.
-    explore_mvstm(&write_skew, 2).expect("hook reset restores verification");
+    explore_backend(BackendKind::Mvstm, &write_skew, 2).expect("hook reset restores verification");
 }

@@ -5,8 +5,8 @@
 //! signals at runtime: an aborted transaction retried *immediately* into
 //! the same hot box. This crate closes the loop with a
 //! [`ContentionManager`] trait consulted on every abort/retry decision,
-//! in the generic [`wtf-backend`] retry loop, in mvstm's native
-//! `Stm::atomic`, and in `wtf-core`'s top-level retry loop.
+//! in the plain `wtf_backend::atomic` retry loop and in `wtf-core`'s
+//! top-level retry loop.
 //!
 //! ## Design: pure state machines
 //!
@@ -32,10 +32,9 @@
 //! | `hotspot` | per-box abort streaks; flagged boxes gate admission |
 //! | `adaptive` | backoff + WO→SO flip on internal-abort hysteresis |
 //!
-//! Selection mirrors the `WTF_BACKEND` plumbing exactly: the `WTF_CM`
-//! environment variable, [`RunSpec::cm`](../wtf_workloads), or
-//! `FutureTm::builder().cm(..)`, with [`with_cm`] as the scoped override
-//! for in-process sweeps.
+//! Selection: `FutureTm::builder().cm(..)` or
+//! [`RunSpec::cm`](../wtf_workloads) name a policy explicitly; otherwise
+//! the `WTF_CM` environment variable decides ([`CmKind::resolve`]).
 
 mod adaptive;
 mod backoff;
@@ -88,19 +87,28 @@ impl CmKind {
         CmKind::ALL.iter().copied().find(|k| k.name() == name)
     }
 
-    /// The policy selected by the environment: the scoped [`with_cm`]
-    /// override if one is active, else `WTF_CM` (default `immediate`).
-    /// Panics on an unknown `WTF_CM` value — a typo'd policy silently
-    /// running `immediate` would invalidate a comparison sweep.
+    /// The policy a constructor installs: `explicit` when the caller named
+    /// one, else `WTF_CM` (unset or empty: `immediate`). An explicit kind
+    /// never reads — or panics over — the environment. Panics on an
+    /// unknown `WTF_CM` value — a typo'd policy silently running
+    /// `immediate` would invalidate a comparison sweep.
+    pub fn resolve(explicit: Option<CmKind>) -> CmKind {
+        CmKind::resolve_with(explicit, || std::env::var("WTF_CM").ok())
+    }
+
+    /// [`CmKind::resolve`] over an injected reader of `WTF_CM`, so tests
+    /// cover every case without mutating the process environment.
+    fn resolve_with(explicit: Option<CmKind>, env: impl FnOnce() -> Option<String>) -> CmKind {
+        explicit.unwrap_or_else(|| match env() {
+            Some(v) if !v.is_empty() => CmKind::parse(&v)
+                .unwrap_or_else(|| panic!("WTF_CM={v}: unknown contention manager")),
+            _ => CmKind::Immediate,
+        })
+    }
+
+    /// The policy `WTF_CM` selects (default `immediate`).
     pub fn from_env() -> CmKind {
-        match CM_OVERRIDE.load(Ordering::SeqCst) {
-            0 => match std::env::var("WTF_CM") {
-                Ok(v) if !v.is_empty() => CmKind::parse(&v)
-                    .unwrap_or_else(|| panic!("WTF_CM={v}: unknown contention manager")),
-                _ => CmKind::Immediate,
-            },
-            i => CmKind::ALL[i as usize - 1],
-        }
+        CmKind::resolve(None)
     }
 
     /// Builds a fresh instance of this policy with its default tuning.
@@ -115,30 +123,6 @@ impl CmKind {
     }
 }
 
-// ordering: seqcst-store / seqcst-load — test-only override knob, set
-// under `CM_OVERRIDE_LOCK` and read once per TM construction. SeqCst
-// keeps the knob trivially ordered; it is never on a hot path.
-static CM_OVERRIDE: AtomicU64 = AtomicU64::new(0);
-static CM_OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Runs `f` with [`CmKind::from_env`] pinned to `kind`, restoring the
-/// environment default afterwards (mirrors `wtf_backend::with_backend`).
-/// Serialized process-wide, so concurrent sweeps cannot interleave
-/// overrides.
-pub fn with_cm<T>(kind: CmKind, f: impl FnOnce() -> T) -> T {
-    let _guard = CM_OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let idx = CmKind::ALL.iter().position(|k| *k == kind).unwrap();
-    CM_OVERRIDE.store(idx as u64 + 1, Ordering::SeqCst);
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            CM_OVERRIDE.store(0, Ordering::SeqCst);
-        }
-    }
-    let _reset = Reset;
-    f()
-}
-
 /// The current virtual time, or 0 on a thread that never entered a
 /// clock (plain-thread unit tests). Retry loops stamp each attempt's
 /// start with this so the policy sees the wasted attempt's cost.
@@ -146,11 +130,10 @@ pub fn attempt_now() -> u64 {
     wtf_vclock::Clock::try_current().map_or(0, |c| c.now())
 }
 
-/// The one retry-site protocol shared by every loop that consults a CM
-/// (the generic `wtf-backend::atomic`, mvstm's native `Stm::atomic`, and
-/// `wtf-core`'s top-level loop): consult the policy, record the
-/// `CmBoxFlagged` / `CmWait` events, and apply the wait as a single
-/// `Clock::advance`. On a thread without a clock the policy is still
+/// The one retry-site protocol shared by both loops that consult a CM
+/// (`wtf_backend::atomic` and `wtf-core`'s top-level loop): consult the
+/// policy, record the `CmBoxFlagged` / `CmWait` events, and apply the
+/// wait as a single `Clock::advance`. On a thread without a clock the policy is still
 /// consulted (streaks and gates stay coherent) but the wait cannot be
 /// applied, so it is neither advanced nor recorded.
 pub fn pause_after_abort(
@@ -411,18 +394,26 @@ mod tests {
     }
 
     #[test]
-    fn with_cm_pins_and_restores() {
-        // The ambient kind is whatever `WTF_CM` says (CI pins it), so
-        // override with something else and check it is restored after.
-        let ambient = CmKind::from_env();
-        let pinned = if ambient == CmKind::Karma {
+    fn explicit_kind_wins_without_reading_the_environment() {
+        let seen = CmKind::resolve_with(Some(CmKind::Karma), || panic!("environment consulted"));
+        assert_eq!(seen, CmKind::Karma);
+    }
+
+    #[test]
+    fn unnamed_kind_falls_back_to_the_environment_value() {
+        let env = |v: &str| Some(v.to_string());
+        assert_eq!(
+            CmKind::resolve_with(None, || env("hotspot")),
             CmKind::Hotspot
-        } else {
-            CmKind::Karma
-        };
-        let seen = with_cm(pinned, CmKind::from_env);
-        assert_eq!(seen, pinned);
-        assert_eq!(CmKind::from_env(), ambient, "override restored");
+        );
+        assert_eq!(CmKind::resolve_with(None, || env("")), CmKind::Immediate);
+        assert_eq!(CmKind::resolve_with(None, || None), CmKind::Immediate);
+    }
+
+    #[test]
+    #[should_panic(expected = "WTF_CM=karmma: unknown contention manager")]
+    fn malformed_environment_value_is_rejected() {
+        CmKind::resolve_with(None, || Some("karmma".to_string()));
     }
 
     #[test]

@@ -14,8 +14,7 @@ use crate::toplevel::{run_future_body, TopLevel};
 use crate::TmInner;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use wtf_backend::{BackendBox, TBox as VBox};
-use wtf_mvstm::{BoxId, FxHashMap, StmError, TxResult, TxValue, Value};
+use wtf_backend::{BackendBox, BoxId, FxHashMap, StmError, TBox as VBox, TxResult, TxValue, Value};
 use wtf_trace::EventKind;
 
 /// Execution context of one sub-transaction thread.

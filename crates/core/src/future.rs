@@ -5,8 +5,7 @@ use crate::graph::NodeId;
 use parking_lot::Mutex;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use wtf_backend::BackendBox;
-use wtf_mvstm::{TxResult, TxValue, Value};
+use wtf_backend::{BackendBox, TxResult, TxValue, Value};
 use wtf_vclock::Event;
 
 /// Lifecycle of a transactional future (§3.2, §4).
@@ -108,7 +107,7 @@ impl FutureCore {
 
 /// A handle to a transactional future returning `T`.
 ///
-/// Clonable and storable inside a [`VBox`](wtf_mvstm::VBox) — that is how
+/// Clonable and storable inside a [`VBox`](crate::VBox) — that is how
 /// futures *escape*: a transaction writes the handle to shared memory,
 /// commits, and a different top-level transaction reads and evaluates it
 /// (§3.3, Fig. 1c).

@@ -69,10 +69,11 @@ pub use toplevel::TopLevel;
 #[cfg(feature = "watchdog")]
 pub use watchdog::{WatchdogConfig, WatchdogHandle};
 pub use wtf_backend::{
-    with_backend, BackendBox, BackendKind, BackendSnapshot, StmBackend, TBox as VBox,
+    with_backend, Aborted, BackendBox, BackendKind, BackendSnapshot, BoxId, StmBackend, StmError,
+    TBox as VBox, TxResult, TxValue,
 };
-pub use wtf_cm::{with_cm, CmKind, ContentionManager};
-pub use wtf_mvstm::{Aborted, BoxId, Stm, StmError, TxResult, TxValue};
+pub use wtf_cm::{CmKind, ContentionManager};
+pub use wtf_mvstm::Stm;
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -91,12 +92,29 @@ pub(crate) fn debug_enabled() -> bool {
 
 /// Instantiates the STM substrate for `kind`, reporting into `tracer` —
 /// the backend-selection point behind `WTF_BACKEND` and
-/// [`FutureTmBuilder::backend_kind`].
+/// [`FutureTmBuilder::backend_kind`] — with the contention manager
+/// `WTF_CM` names installed (default `immediate`).
 pub fn make_backend(kind: BackendKind, tracer: Arc<Tracer>) -> Arc<dyn StmBackend> {
-    match kind {
-        BackendKind::Mvstm => Arc::new(wtf_backend::MvstmBackend::with_tracer(tracer)),
+    make_backend_with_cm(kind, tracer, None)
+}
+
+/// [`make_backend`] with the policy named by the caller, if any: the one
+/// place "explicit kind, else environment" is resolved. Backends start on
+/// `immediate`, so only another policy is built and installed.
+fn make_backend_with_cm(
+    kind: BackendKind,
+    tracer: Arc<Tracer>,
+    cm: Option<CmKind>,
+) -> Arc<dyn StmBackend> {
+    let backend: Arc<dyn StmBackend> = match kind {
+        BackendKind::Mvstm => Arc::new(Stm::with_tracer(tracer)),
         BackendKind::Tl2 => Arc::new(wtf_tl2::Tl2Stm::with_tracer(tracer)),
+    };
+    let cm = CmKind::resolve(cm);
+    if cm != CmKind::Immediate {
+        backend.set_cm(cm.build());
     }
+    backend
 }
 
 const TOP_SHARDS: usize = 16;
@@ -200,7 +218,6 @@ impl TmInner {
 pub struct FutureTmBuilder {
     cfg: TmConfig,
     clock: Option<Clock>,
-    stm: Option<Arc<dyn StmBackend>>,
     backend_kind: Option<BackendKind>,
     cm: Option<CmKind>,
     workers: usize,
@@ -225,36 +242,19 @@ impl FutureTmBuilder {
         self
     }
 
-    /// Share an existing STM instance (e.g. with plain `Stm::atomic`
-    /// baseline transactions).
-    pub fn stm(mut self, stm: Stm) -> Self {
-        self.stm = Some(Arc::new(wtf_backend::MvstmBackend::new(stm)));
-        self
-    }
-
-    /// Share an existing backend instance directly.
-    pub fn backend(mut self, backend: Arc<dyn StmBackend>) -> Self {
-        self.stm = Some(backend);
-        self
-    }
-
     /// Which STM substrate to instantiate ([`BackendKind::Mvstm`] — the
     /// JVSTM analogue — or [`BackendKind::Tl2`]). Defaults to the
-    /// `WTF_BACKEND` environment variable, falling back to mvstm. Ignored
-    /// when an instance was supplied via [`FutureTmBuilder::stm`] /
-    /// [`FutureTmBuilder::backend`].
+    /// `WTF_BACKEND` environment variable, falling back to mvstm.
     pub fn backend_kind(mut self, kind: BackendKind) -> Self {
         self.backend_kind = Some(kind);
         self
     }
 
-    /// Which contention-management policy every retry loop consults (see
-    /// `wtf-cm`): the generic backend loop, mvstm's native `Stm::atomic`
-    /// over a shared instance, and [`FutureTm::atomic`]'s top-level loop.
-    /// Defaults to the `WTF_CM` environment variable / an active
-    /// [`with_cm`] scope, falling back to `immediate`. Installed on the
-    /// backend instance even when one was supplied via
-    /// [`FutureTmBuilder::stm`] / [`FutureTmBuilder::backend`].
+    /// Which contention-management policy both retry loops consult (see
+    /// `wtf-cm`): `wtf_backend::atomic` over [`FutureTm::stm`] and
+    /// [`FutureTm::atomic`]'s top-level loop. Defaults to the `WTF_CM`
+    /// environment variable, falling back to `immediate`; with an
+    /// explicit kind the environment is not consulted at all.
     pub fn cm(mut self, kind: CmKind) -> Self {
         self.cm = Some(kind);
         self
@@ -270,8 +270,7 @@ impl FutureTmBuilder {
 
     /// Report lifecycle events, latency histograms and abort attribution
     /// into `tracer` (see `wtf-trace`). The tracer is shared with the
-    /// STM (unless one was supplied via [`FutureTmBuilder::stm`]) and the
-    /// worker pool, so one summary covers every layer.
+    /// STM and the worker pool, so one summary covers every layer.
     pub fn tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.tracer = Some(tracer);
         self
@@ -307,15 +306,11 @@ impl FutureTmBuilder {
         } else {
             None
         };
-        let stm = self.stm.unwrap_or_else(|| {
-            make_backend(
-                self.backend_kind.unwrap_or_else(BackendKind::from_env),
-                Arc::clone(&tracer),
-            )
-        });
-        if let Some(kind) = self.cm {
-            stm.set_cm(kind.build());
-        }
+        let stm = make_backend_with_cm(
+            self.backend_kind.unwrap_or_else(BackendKind::from_env),
+            Arc::clone(&tracer),
+            self.cm,
+        );
         let tm = FutureTm {
             inner: Arc::new(TmInner {
                 stm,
@@ -414,7 +409,6 @@ impl FutureTm {
         FutureTmBuilder {
             cfg: TmConfig::default(),
             clock: None,
-            stm: None,
             backend_kind: None,
             cm: None,
             workers: 8,
@@ -651,9 +645,9 @@ impl FutureTm {
     }
 
     /// Joins the worker pool. Call from a clock-registered thread before
-    /// the enclosing `Clock::enter` returns. All clones of this TM must be
-    /// dropped first... no: shutdown is cooperative — the last handle that
-    /// calls it wins; later `atomic` calls that submit futures will panic.
+    /// the enclosing `Clock::enter` returns. Shutdown is cooperative: any
+    /// clone may call it, the first call joins the pool and later calls
+    /// are no-ops; an `atomic` that submits a future afterwards panics.
     pub fn shutdown(&self) {
         if let Some(pool) = self.inner.pool.lock().take() {
             let pool =

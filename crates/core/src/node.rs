@@ -4,8 +4,7 @@ use crate::graph::NodeId;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use wtf_backend::BackendBox;
-use wtf_mvstm::{BoxId, FxHashMap, Value};
+use wtf_backend::{BackendBox, BoxId, FxHashMap, Value};
 
 /// Where a read's value came from — needed for top-level commit validation
 /// (only `Global` reads are validated against the STM clock) and for
@@ -153,16 +152,12 @@ impl SubTxNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wtf_backend::{StmBackend, TBox};
-
-    fn backend() -> wtf_backend::MvstmBackend {
-        wtf_backend::MvstmBackend::new(wtf_mvstm::Stm::new())
-    }
+    use wtf_backend::TBox;
+    use wtf_mvstm::Stm;
 
     #[test]
     fn freeze_makes_writes_shared_and_immutable() {
-        let stm = backend();
-        let b: TBox<i64> = TBox::from_body(stm.new_box(Arc::new(1i64)));
+        let b = TBox::new_on(&Stm::new(), 1i64);
         let node = SubTxNode::new(0, NodeKind::Root);
         let body = b.body().clone();
         node.buffer_write(b.id(), body.clone(), Arc::new(2i64));
@@ -184,9 +179,9 @@ mod tests {
 
     #[test]
     fn intersections() {
-        let stm = backend();
-        let a: TBox<i64> = TBox::from_body(stm.new_box(Arc::new(0i64)));
-        let b: TBox<i64> = TBox::from_body(stm.new_box(Arc::new(0i64)));
+        let stm = Stm::new();
+        let a = TBox::new_on(&stm, 0i64);
+        let b = TBox::new_on(&stm, 0i64);
         let node = SubTxNode::new(0, NodeKind::Future);
         node.buffer_write(a.id(), a.body().clone(), Arc::new(1i64));
         node.record_read(b.id(), b.body().clone(), ReadOrigin::Global(0));

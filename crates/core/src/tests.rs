@@ -1277,3 +1277,18 @@ fn panicking_future_body_fails_the_future_and_keeps_the_worker() {
         });
     }
 }
+
+/// The two substrates hash boxes onto commit-lock stripes the same way,
+/// so their contention profiles (and the tracer's per-stripe conflict
+/// counters) are directly comparable.
+#[test]
+fn backends_agree_on_stripe_assignment() {
+    for raw_id in (0..100_000u64).chain((0..1_000).map(|i| i * 0x9E37_79B9 + 1_000_000)) {
+        let id = crate::BoxId(raw_id);
+        assert_eq!(
+            wtf_tl2::stripe_index(id),
+            wtf_mvstm::raw::stripe_index(id),
+            "{id:?}"
+        );
+    }
+}

@@ -9,8 +9,7 @@ use crate::{AtomicitySemantics, OrderingSemantics, TmInner};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use wtf_backend::{BackendBox, BackendSnapshot};
-use wtf_mvstm::{BoxId, FxHashMap, FxHashSet, StmError, Value};
+use wtf_backend::{BackendBox, BackendSnapshot, BoxId, FxHashMap, FxHashSet, StmError, Value};
 use wtf_trace::EventKind;
 use wtf_vclock::Event;
 

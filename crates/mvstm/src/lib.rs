@@ -4,7 +4,7 @@
 //! "Versioned boxes as the basis for memory transactions"), the substrate
 //! the paper builds WTF-TM on. The design mirrors JVSTM's essentials:
 //!
-//! * **Versioned boxes** ([`VBox<T>`]): every transactional location keeps
+//! * **Versioned boxes**: every transactional location keeps
 //!   a chain of `(version, value)` pairs, newest first — an immutable
 //!   cons list behind an atomic head pointer, so snapshot reads are
 //!   lock-free and installing a committed value is O(1).
@@ -31,26 +31,28 @@
 //! versions) is documented in `DESIGN.md` § "Commit-path concurrency"
 //! and in the module docs of `stripe`, `vbox` and `registry`.
 //!
-//! The crate exposes two levels:
-//!
-//! * the user-level [`Stm::atomic`] / [`Txn`] API — this *is* the plain
-//!   "JVSTM" baseline of the paper's evaluation (top-level transactions,
-//!   no intra-transaction parallelism), and
-//! * the [`raw`] module — snapshots, versioned reads and raw multi-box
-//!   commits — used by `wtf-core` to layer transactional futures on top,
-//!   exactly as WTF-TM layers on JVSTM ("we abstract the mechanisms used
-//!   to regulate concurrency among top-level transactions").
+//! The crate has one way in: [`Stm`] implements
+//! [`wtf_backend::StmBackend`] and its boxes implement
+//! [`wtf_backend::BackendBox`], so transactions run through
+//! `wtf_backend::atomic` (the plain "JVSTM" baseline of the paper's
+//! evaluation — top-level transactions, no intra-transaction parallelism)
+//! or through `wtf-core`, which layers transactional futures on the same
+//! trait, exactly as WTF-TM layers on JVSTM ("we abstract the mechanisms
+//! used to regulate concurrency among top-level transactions"). What is
+//! left public beside the trait is mvstm-only: the GC ablation knob and
+//! gauges on [`Stm`], and the [`raw`] diagnostics the tests use.
 //!
 //! ## Example
 //!
 //! ```
-//! use wtf_mvstm::{Stm, VBox};
+//! use wtf_backend::{atomic, TBox};
+//! use wtf_mvstm::Stm;
 //!
 //! let stm = Stm::new();
-//! let acc_a = VBox::new(&stm, 100i64);
-//! let acc_b = VBox::new(&stm, 0i64);
+//! let acc_a = TBox::new_on(&stm, 100i64);
+//! let acc_b = TBox::new_on(&stm, 0i64);
 //!
-//! stm.atomic(|tx| {
+//! atomic(&stm, |tx| {
 //!     let a = tx.read(&acc_a)?;
 //!     tx.write(&acc_a, a - 30)?;
 //!     let b = tx.read(&acc_b)?;
@@ -59,35 +61,33 @@
 //! })
 //! .unwrap();
 //!
-//! assert_eq!(stm.atomic(|tx| tx.read(&acc_b)).unwrap(), 30);
+//! assert_eq!(atomic(&stm, |tx| tx.read(&acc_b)).unwrap(), 30);
 //! ```
 
-mod hash;
 mod registry;
 mod stats;
 mod stripe;
-mod txn;
-mod value;
 mod vbox;
 
 pub mod raw;
 
-pub use hash::{FxHashMap, FxHashSet};
-pub use stats::{StmStats, StmStatsSnapshot};
-pub use txn::{Aborted, StmError, TxResult, Txn};
-pub use value::{downcast_value, BoxId, TxValue, Value};
-pub use vbox::VBox;
+// Kept for `benchmark/` only (`stm::VBox::new(&stm, v)`,
+// `stm::StmStatsSnapshot`); everything else names these through
+// `wtf-backend`.
+pub use wtf_backend::{StmStatsSnapshot, TBox as VBox};
 
 use registry::ActiveRegistry;
+use stats::StmStats;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use stripe::StripeTable;
+use wtf_backend::BackendTxn;
 use wtf_trace::Tracer;
 
 pub(crate) struct StmInner {
     /// Published version clock: committed state has versions `0..=clock`,
     /// and all of them are fully installed. Only ever advanced by 1, in
-    /// ticket order, by `raw::commit_raw`.
+    /// ticket order, by `commit_attributed`.
     // ordering: seqcst-store publication joins the registry's single
     // total order with the slot stores and the horizon scan (see
     // `registry` module docs), whose republish loop also reads it
@@ -124,11 +124,12 @@ pub(crate) struct StmInner {
     /// tracer costs one relaxed load per hook — so the hot paths carry
     /// no `Option` branch.
     pub(crate) tracer: Arc<Tracer>,
-    /// Contention manager consulted by [`Stm::atomic`]'s retry loop (and,
-    /// through the `MvstmBackend` adapter, by `wtf_backend::atomic` and
-    /// the `wtf-core` top-level loop — one shared policy instance per
-    /// STM). Swappable so `FutureTm::builder().cm(..)` can install a
-    /// policy after construction.
+    /// Contention manager consulted by `wtf_backend::atomic` and the
+    /// `wtf-core` top-level loop — one shared policy instance per STM.
+    /// Starts on `immediate`; swappable so `make_backend` /
+    /// `FutureTm::builder().cm(..)` can install a policy after
+    /// construction, and in-flight retry loops finish on the policy they
+    /// started with.
     // lock-order: cm-slot — read at the top of the retry loop, before
     // any stripe or registry lock is taken; writes happen only from
     // setup code holding nothing.
@@ -137,8 +138,8 @@ pub(crate) struct StmInner {
 
 /// A software transactional memory instance.
 ///
-/// Cheap to clone (all clones share state). All [`VBox`]es are tied to the
-/// `Stm` they were created in.
+/// Cheap to clone (all clones share state). Boxes are tied to the `Stm`
+/// they were created on.
 #[derive(Clone)]
 pub struct Stm {
     pub(crate) inner: Arc<StmInner>,
@@ -170,7 +171,7 @@ impl Stm {
                 gc_enabled: AtomicBool::new(true),
                 versions_installed: AtomicU64::new(0),
                 tracer,
-                cm: parking_lot::RwLock::new(wtf_cm::CmKind::from_env().build()),
+                cm: parking_lot::RwLock::new(wtf_cm::CmKind::Immediate.build()),
             }),
         };
         if stm.inner.tracer.on() {
@@ -242,31 +243,8 @@ impl Stm {
     /// when no transaction is active): the GC horizon lag that bounds
     /// how much garbage version chains must retain.
     pub fn gc_horizon_lag(&self) -> u64 {
-        let clock = self.clock();
+        let clock = self.inner.clock.load(Ordering::Acquire);
         clock.saturating_sub(self.inner.registry.min_active_excluding(u64::MAX, clock))
-    }
-
-    /// The tracer this instance reports into (disabled by default).
-    pub fn tracer(&self) -> &Arc<Tracer> {
-        &self.inner.tracer
-    }
-
-    /// The contention manager [`Stm::atomic`] consults on every conflict
-    /// abort. Defaults from `WTF_CM` / `wtf_cm::with_cm` at construction.
-    pub fn cm(&self) -> Arc<dyn wtf_cm::ContentionManager> {
-        self.inner.cm.read().clone()
-    }
-
-    /// Installs a contention manager (selection plumbing for
-    /// `FutureTm::builder().cm(..)`). Swapping mid-run is safe — in-flight
-    /// retry loops finish on the policy they started with.
-    pub fn set_cm(&self, cm: Arc<dyn wtf_cm::ContentionManager>) {
-        *self.inner.cm.write() = cm;
-    }
-
-    /// Current value of the published version clock.
-    pub fn clock(&self) -> u64 {
-        self.inner.clock.load(Ordering::Acquire)
     }
 
     /// Enables/disables old-version garbage collection (ablation knob,
@@ -275,64 +253,10 @@ impl Stm {
         self.inner.gc_enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Counters: commits, aborts, read-only commits, version prunings.
-    pub fn stats(&self) -> StmStatsSnapshot {
-        self.inner.stats.snapshot()
-    }
-
-    /// Runs `f` as an atomic transaction, retrying on conflict until it
-    /// commits. Returns `Err(Aborted)` only when `f` requests an explicit
-    /// abort via [`Txn::abort`]. Every conflict abort consults the
-    /// [contention manager](Stm::cm) — with the conflicting box's id when
-    /// commit validation names one — and applies its wait before the
-    /// retry.
-    pub fn atomic<T>(&self, mut f: impl FnMut(&mut Txn) -> TxResult<T>) -> Result<T, Aborted> {
-        let cm = self.cm();
-        let actor = cm.begin_txn();
-        wtf_cm::pause_at_begin(&*cm, &self.inner.tracer, actor);
-        let mut streak = 0u32;
-        loop {
-            let attempt_start = wtf_cm::attempt_now();
-            let mut tx = Txn::begin(self);
-            let conflict_box = match f(&mut tx) {
-                Ok(value) => match tx.commit_attributed() {
-                    Ok(()) => {
-                        cm.on_commit(actor);
-                        return Ok(value);
-                    }
-                    Err(box_id) => Some(box_id.0),
-                },
-                Err(StmError::Conflict) => None,
-                Err(StmError::UserAbort) => return Err(Aborted),
-            };
-            self.inner.stats.aborts.fetch_add(1, Ordering::Relaxed);
-            streak += 1;
-            wtf_cm::pause_after_abort(
-                &*cm,
-                &self.inner.tracer,
-                actor,
-                conflict_box,
-                streak,
-                attempt_start,
-            );
-        }
-    }
-
-    /// Like [`Stm::atomic`] but panics on explicit abort; convenient when
-    /// the body never aborts.
-    pub fn atomic_infallible<T>(&self, f: impl FnMut(&mut Txn) -> TxResult<T>) -> T {
-        // This IS the sanctioned panic-on-abort wrapper the lint points
-        // users at (the rule itself is off in runtime crates).
-        self.atomic(f).expect("transaction aborted explicitly")
-    }
-
-    /// Begins a stepwise transaction outside the [`Stm::atomic`] retry
-    /// loop. This is the schedule-explorer hook (`wtf-check` interleaves
-    /// the read/write/commit steps of several transactions): the caller
-    /// owns conflict handling, and a [`Txn::commit`] `Conflict` is final.
-    /// Application code should use [`Stm::atomic`].
-    pub fn begin_txn(&self) -> Txn<'_> {
-        Txn::begin(self)
+    /// `BackendTxn::begin(self)` under the name `benchmark/` calls; kept
+    /// for `benchmark/` only.
+    pub fn begin_txn(&self) -> BackendTxn<'_> {
+        BackendTxn::begin(self)
     }
 }
 

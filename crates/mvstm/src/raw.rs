@@ -1,9 +1,8 @@
-//! Low-level hooks used by `wtf-core` to layer transactional futures on
-//! top of the multi-versioned substrate, mirroring how WTF-TM layers on
-//! JVSTM. Regular applications should use [`Stm::atomic`] instead.
+//! [`StmBackend`] for [`Stm`] — the scalable commit protocol — plus the
+//! diagnostics the mvstm tests and benches use. Application code reaches
+//! all of this through `wtf_backend::atomic` or `FutureTm::atomic`.
 //!
-//! This module owns the scalable commit protocol (see `DESIGN.md`
-//! § "Commit-path concurrency"):
+//! The commit protocol (see `DESIGN.md` § "Commit-path concurrency"):
 //!
 //! 1. lock the stripes covering the read- and write-set, in ascending
 //!    index order (deadlock-free);
@@ -23,29 +22,28 @@
 //! needs — so publication always makes progress, in ticket order.
 
 use crate::stripe::StripeTable;
-use crate::value::{BoxId, TxValue, Value};
-pub use crate::vbox::BoxBody;
-use crate::{Stm, StmError, VBox};
+use crate::vbox::BoxBody;
+use crate::Stm;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use wtf_backend::{
+    BackendBox, BackendKind, BackendSnapshot, BoxId, StmBackend, StmStatsSnapshot, TBox, TxValue,
+    Value,
+};
+use wtf_cm::ContentionManager;
+use wtf_trace::{EventKind, Tracer};
 
 /// Number of commit-lock stripes (re-exported for tests/diagnostics).
 pub const STRIPES: usize = crate::stripe::STRIPES;
 
 /// RAII registration of a begin-snapshot with the active-transaction
 /// registry; keeps versions at-or-after the snapshot from being pruned.
-pub struct Snapshot {
+/// Travels as the `hold` of a [`BackendSnapshot`].
+struct Snapshot {
     stm: Stm,
     version: u64,
     /// Registry slot token (or the overflow sentinel) to release on drop.
     slot: usize,
-}
-
-impl Snapshot {
-    /// The version this snapshot reads at.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
 }
 
 impl Drop for Snapshot {
@@ -54,223 +52,220 @@ impl Drop for Snapshot {
     }
 }
 
-/// Begins a snapshot at the current clock, registered against concurrent
-/// GC via the registry's publish-then-recheck protocol (see
-/// `ActiveRegistry::register_current` for the race argument).
-pub fn acquire_snapshot(stm: &Stm) -> Snapshot {
-    let (version, slot) = stm.inner.registry.register_current(&stm.inner.clock);
-    Snapshot {
-        stm: stm.clone(),
-        version,
-        slot,
+/// Recovers the concrete box behind a handle this STM gave out.
+fn body_of(b: &Arc<dyn BackendBox>) -> &BoxBody {
+    b.as_any()
+        .downcast_ref::<BoxBody>()
+        .expect("box from a different backend passed to wtf-mvstm")
+}
+
+impl StmBackend for Stm {
+    fn kind(&self) -> BackendKind {
+        BackendKind::Mvstm
     }
-}
 
-/// The untyped body behind a typed box handle.
-pub fn body_of<T: TxValue>(vbox: &VBox<T>) -> Arc<BoxBody> {
-    vbox.body.clone()
-}
-
-/// Creates an untyped box body initialized to `value`, stamped at the
-/// current clock — [`VBox::new`] minus the typed facade. Backend adapters
-/// (`wtf-backend`) create boxes through this because their values arrive
-/// already erased.
-pub fn new_box_body(stm: &Stm, value: Value) -> Arc<BoxBody> {
-    let id = BoxId(stm.inner.next_box.fetch_add(1, Ordering::Relaxed));
-    let version = stm.inner.clock.load(Ordering::Acquire);
-    Arc::new(BoxBody::new(id, stm.inner.stripes.clone(), version, value))
-}
-
-/// Counts one transaction abort (conflict retry) against this STM's
-/// stats. Retry loops living outside this crate (`wtf-backend`'s generic
-/// `atomic`) report through here; [`Stm::atomic`] counts its own.
-pub fn note_abort(stm: &Stm) {
-    stm.inner.stats.aborts.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Counts one read-only commit (which never reaches [`commit_raw`] — the
-/// multi-version property lets it commit with no validation at all).
-pub fn note_read_only_commit(stm: &Stm) {
-    stm.inner.stats.commits.fetch_add(1, Ordering::Relaxed);
-    stm.inner
-        .stats
-        .read_only_commits
-        .fetch_add(1, Ordering::Relaxed);
-}
-
-/// Id of an untyped body.
-pub fn id_of(body: &BoxBody) -> BoxId {
-    body.id
-}
-
-/// Reads the newest version of `body` visible at `snapshot`, returning
-/// `(observed_version, value)`. The caller must hold a live [`Snapshot`]
-/// at a version `<= snapshot` for the duration of the call (that is what
-/// fences the lock-free chain walk against concurrent pruning).
-pub fn read_at(body: &BoxBody, snapshot: u64) -> (u64, Value) {
-    body.read_at(snapshot)
-}
-
-/// Newest committed version number of `body` (no snapshot filtering).
-pub fn head_version(body: &BoxBody) -> u64 {
-    body.head_version()
-}
-
-/// Validates-and-publishes a write-set against `snapshot`.
-///
-/// Under the stripes covering `reads` ∪ `writes`, every body in `reads`
-/// must have no version newer than `snapshot` (i.e. every value the
-/// transaction read is still current), after which all `writes` are
-/// installed atomically at a freshly reserved version. Returns the new
-/// commit version.
-///
-/// With all reads re-validated at the commit point, the transaction is
-/// logically instantaneous at commit time, which yields serializability
-/// even in the presence of blind writes. Locking the *read* stripes too
-/// (not just the write stripes) is what makes validation stable: no
-/// concurrent commit can install into a read box between our check and
-/// our publication, because it would need one of the stripes we hold.
-pub fn commit_raw<'a>(
-    stm: &Stm,
-    snapshot: u64,
-    reads: impl IntoIterator<Item = &'a Arc<BoxBody>>,
-    writes: Vec<(Arc<BoxBody>, Value)>,
-) -> Result<u64, StmError> {
-    commit_attributed(stm, snapshot, reads, writes).map_err(|_| StmError::Conflict)
-}
-
-/// Like [`commit_raw`], but a validation failure reports the id of the
-/// box whose version check failed — the input higher layers need for
-/// abort attribution (`wtf-trace` conflict hotspots).
-pub fn commit_attributed<'a>(
-    stm: &Stm,
-    snapshot: u64,
-    reads: impl IntoIterator<Item = &'a Arc<BoxBody>>,
-    writes: Vec<(Arc<BoxBody>, Value)>,
-) -> Result<u64, BoxId> {
-    debug_assert!(!writes.is_empty(), "read-only commits skip commit_raw");
-    let inner = &stm.inner;
-    let tracer = &inner.tracer;
-    let commit_start = tracer.span_start();
-    let read_bodies: Vec<&Arc<BoxBody>> = reads.into_iter().collect();
-    let mut mask = 0u64;
-    for body in &read_bodies {
-        mask |= StripeTable::mask_of(body.id);
+    fn tracer(&self) -> &Arc<Tracer> {
+        &self.inner.tracer
     }
-    for (body, _) in &writes {
-        mask |= StripeTable::mask_of(body.id);
+
+    fn clock(&self) -> u64 {
+        self.inner.clock.load(Ordering::Acquire)
     }
-    let stripes = inner.stripes.lock_mask(mask);
-    // Mutation hook (`test-hooks` feature only): checker self-tests flip
-    // this to skip validation and assert `wtf-check` rejects the
-    // resulting non-serializable history.
-    #[cfg(feature = "test-hooks")]
-    let validate = !crate::test_hooks::skip_validation();
-    #[cfg(not(feature = "test-hooks"))]
-    let validate = true;
-    if validate {
-        for body in &read_bodies {
-            if body.head_version() > snapshot {
-                // Attribute the abort to the box whose version check
-                // failed — the input to the per-run conflict hotspot
-                // report. The `TxnAttemptAbort` event additionally closes
-                // the attempt for retry-lineage profiling (both backends
-                // emit the identical record on this path).
-                tracer.charge_conflict(body.id.0);
-                tracer.record(wtf_trace::EventKind::TxnAttemptAbort, body.id.0, snapshot);
-                return Err(body.id);
+
+    fn stats(&self) -> StmStatsSnapshot {
+        self.inner.stats.snapshot()
+    }
+
+    fn note_abort(&self) {
+        self.inner.stats.aborts.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn note_read_only_commit(&self) {
+        // The multi-version property: a read-only transaction observed a
+        // consistent snapshot and commits with no validation at all, so
+        // it never reaches `commit_attributed`.
+        let stats = &self.inner.stats;
+        stats.commits.fetch_add(1, Ordering::Relaxed);
+        stats.read_only_commits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn cm(&self) -> Arc<dyn ContentionManager> {
+        self.inner.cm.read().clone()
+    }
+
+    fn set_cm(&self, cm: Arc<dyn ContentionManager>) {
+        *self.inner.cm.write() = cm;
+    }
+
+    /// The initial version is stamped with the *current* clock value, so
+    /// the box is visible to every transaction whose snapshot is at or
+    /// after the creation point. (Creating boxes *inside* a transaction
+    /// and publishing them through another box is supported: the handle
+    /// value committed through the STM carries the `Arc`.)
+    fn new_box(&self, value: Value) -> Arc<dyn BackendBox> {
+        let inner = &self.inner;
+        let id = BoxId(inner.next_box.fetch_add(1, Ordering::Relaxed));
+        let version = inner.clock.load(Ordering::Acquire);
+        Arc::new(BoxBody::new(id, inner.stripes.clone(), version, value))
+    }
+
+    /// Registered against concurrent GC via the registry's
+    /// publish-then-recheck protocol (see
+    /// `ActiveRegistry::register_current` for the race argument).
+    fn acquire_snapshot(&self) -> BackendSnapshot {
+        let (version, slot) = self.inner.registry.register_current(&self.inner.clock);
+        let hold = Snapshot {
+            stm: self.clone(),
+            version,
+            slot,
+        };
+        BackendSnapshot::new(version, Some(Box::new(hold)))
+    }
+
+    /// Under the stripes covering `reads` ∪ `writes`, every box in
+    /// `reads` must have no version newer than `snapshot` (i.e. every
+    /// value the transaction read is still current), after which all
+    /// `writes` are installed atomically at a freshly reserved version.
+    ///
+    /// With all reads re-validated at the commit point, the transaction is
+    /// logically instantaneous at commit time, which yields serializability
+    /// even in the presence of blind writes. Locking the *read* stripes too
+    /// (not just the write stripes) is what makes validation stable: no
+    /// concurrent commit can install into a read box between our check and
+    /// our publication, because it would need one of the stripes we hold.
+    fn commit_attributed(
+        &self,
+        snapshot: u64,
+        reads: &[Arc<dyn BackendBox>],
+        writes: Vec<(Arc<dyn BackendBox>, Value)>,
+    ) -> Result<u64, BoxId> {
+        debug_assert!(!writes.is_empty(), "read-only commits skip the backend");
+        let inner = &self.inner;
+        let tracer = &inner.tracer;
+        let commit_start = tracer.span_start();
+        let mut mask = 0u64;
+        for body in reads {
+            mask |= StripeTable::mask_of(body.id());
+        }
+        for (body, _) in &writes {
+            mask |= StripeTable::mask_of(body.id());
+        }
+        let stripes = inner.stripes.lock_mask(mask);
+        // Mutation hook (`test-hooks` feature only): checker self-tests flip
+        // this to skip validation and assert `wtf-check` rejects the
+        // resulting non-serializable history.
+        #[cfg(feature = "test-hooks")]
+        let validate = !crate::test_hooks::skip_validation();
+        #[cfg(not(feature = "test-hooks"))]
+        let validate = true;
+        if validate {
+            for body in reads.iter().map(body_of) {
+                if body.head_version() > snapshot {
+                    // Attribute the abort to the box whose version check
+                    // failed — the input to the per-run conflict hotspot
+                    // report. The `TxnAttemptAbort` event additionally closes
+                    // the attempt for retry-lineage profiling (both backends
+                    // emit the identical record on this path).
+                    tracer.charge_conflict(body.id.0);
+                    tracer.record(EventKind::TxnAttemptAbort, body.id.0, snapshot);
+                    return Err(body.id);
+                }
             }
         }
-    }
-    let validated = tracer.span_end(
-        wtf_trace::EventKind::StmValidationSpan,
-        commit_start,
-        read_bodies.len() as u64,
-    );
-    if tracer.on() {
-        tracer.metrics.validation_latency.record(validated);
-    }
-    // Reserve the version ticket only now, after validation under locks:
-    // every reserved ticket is certain to publish, so the clock (advanced
-    // strictly in ticket order below) can never stall on an aborted
-    // commit.
-    let version = inner.next_version.fetch_add(1, Ordering::AcqRel) + 1;
-    let gc = inner.gc_enabled.load(Ordering::Relaxed);
-    let bodies: Vec<Arc<BoxBody>> = writes.iter().map(|(b, _)| b.clone()).collect();
-    inner
-        .versions_installed
-        .fetch_add(bodies.len() as u64, Ordering::Relaxed);
-    for (body, value) in writes {
-        body.install(version, value);
-        tracer.record_full(wtf_trace::EventKind::StmInstall, body.id.0, version);
-    }
-    // Publish in ticket order: wait until every earlier ticket is fully
-    // installed, then expose ours. A snapshot at clock value `c` therefore
-    // always sees a fully installed prefix `0..=c` (opacity). The wait is
-    // only ever on earlier ticket holders, each of which already holds all
-    // the locks it needs (see module docs), so this cannot deadlock.
-    let mut spins = 0u32;
-    let publish_start = tracer.span_start();
-    while inner.clock.load(Ordering::Acquire) != version - 1 {
-        spins += 1;
-        if spins < 1 << 12 {
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
+        let validated = tracer.span_end(
+            EventKind::StmValidationSpan,
+            commit_start,
+            reads.len() as u64,
+        );
+        if tracer.on() {
+            tracer.metrics.validation_latency.record(validated);
         }
-    }
-    // SeqCst: orders the publication against the registry's slot stores
-    // and the horizon scan below (see `registry` module docs).
-    inner.clock.store(version, Ordering::SeqCst);
-    if spins > 0 {
-        inner.stats.publish_waits.fetch_add(1, Ordering::Relaxed);
-    }
-    if tracer.on() {
-        // The histogram replaces the single-integer `publish_waits` as
-        // the contention signal: it shows *how long* publication stalls,
-        // not just that it did. The span is only worth a trace row when
-        // the committer actually waited.
-        let waited = tracer.now().saturating_sub(publish_start);
-        tracer.metrics.publish_wait.record(waited);
+        // Reserve the version ticket only now, after validation under locks:
+        // every reserved ticket is certain to publish, so the clock (advanced
+        // strictly in ticket order below) can never stall on an aborted
+        // commit.
+        let version = inner.next_version.fetch_add(1, Ordering::AcqRel) + 1;
+        let gc = inner.gc_enabled.load(Ordering::Relaxed);
+        inner
+            .versions_installed
+            .fetch_add(writes.len() as u64, Ordering::Relaxed);
+        // The handles stay in `writes` for the GC pass below, so each
+        // value is shared into its chain rather than moved.
+        for (body, value) in &writes {
+            let body = body_of(body);
+            body.install(version, Arc::clone(value));
+            tracer.record_full(EventKind::StmInstall, body.id.0, version);
+        }
+        // Publish in ticket order: wait until every earlier ticket is fully
+        // installed, then expose ours. A snapshot at clock value `c` therefore
+        // always sees a fully installed prefix `0..=c` (opacity). The wait is
+        // only ever on earlier ticket holders, each of which already holds all
+        // the locks it needs (see module docs), so this cannot deadlock.
+        let mut spins = 0u32;
+        let publish_start = tracer.span_start();
+        while inner.clock.load(Ordering::Acquire) != version - 1 {
+            spins += 1;
+            if spins < 1 << 12 {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        // SeqCst: orders the publication against the registry's slot stores
+        // and the horizon scan below (see `registry` module docs).
+        inner.clock.store(version, Ordering::SeqCst);
         if spins > 0 {
-            tracer.record_at(
-                publish_start,
-                wtf_trace::EventKind::PublishWaitSpan,
-                waited,
-                version,
-            );
+            inner.stats.publish_waits.fetch_add(1, Ordering::Relaxed);
         }
-    }
-    // GC after publication, still under our stripes (prune requires the
-    // box's stripe): the horizon is the oldest live snapshot other than
-    // our own dying one.
-    let mut pruned = 0usize;
-    if gc {
-        let min_active = inner.registry.min_active_excluding(snapshot, version);
-        for body in &bodies {
-            let freed = body.prune(min_active);
-            if freed > 0 {
-                tracer.record_full(wtf_trace::EventKind::StmPrune, body.id.0, freed as u64);
+        if tracer.on() {
+            // The histogram replaces the single-integer `publish_waits` as
+            // the contention signal: it shows *how long* publication stalls,
+            // not just that it did. The span is only worth a trace row when
+            // the committer actually waited.
+            let waited = tracer.now().saturating_sub(publish_start);
+            tracer.metrics.publish_wait.record(waited);
+            if spins > 0 {
+                tracer.record_at(publish_start, EventKind::PublishWaitSpan, waited, version);
             }
-            pruned += freed;
         }
+        // GC after publication, still under our stripes (prune requires the
+        // box's stripe): the horizon is the oldest live snapshot other than
+        // our own dying one.
+        let mut pruned = 0usize;
+        if gc {
+            let min_active = inner.registry.min_active_excluding(snapshot, version);
+            for (body, _) in &writes {
+                let body = body_of(body);
+                let freed = body.prune(min_active);
+                if freed > 0 {
+                    tracer.record_full(EventKind::StmPrune, body.id.0, freed as u64);
+                }
+                pruned += freed;
+            }
+        }
+        drop(stripes);
+        inner.stats.commits.fetch_add(1, Ordering::Relaxed);
+        inner
+            .stats
+            .versions_pruned
+            .fetch_add(pruned as u64, Ordering::Relaxed);
+        if tracer.on() {
+            let dur = tracer.span_end(EventKind::StmCommitSpan, commit_start, version);
+            tracer.metrics.commit_latency.record(dur);
+        }
+        Ok(version)
     }
-    drop(stripes);
-    inner.stats.commits.fetch_add(1, Ordering::Relaxed);
-    inner
-        .stats
-        .versions_pruned
-        .fetch_add(pruned as u64, Ordering::Relaxed);
-    if tracer.on() {
-        let dur = tracer.span_end(wtf_trace::EventKind::StmCommitSpan, commit_start, version);
-        tracer.metrics.commit_latency.record(dur);
-    }
-    Ok(version)
 }
 
 /// Number of distinct snapshots currently registered (diagnostics).
 pub fn active_snapshots(stm: &Stm) -> usize {
     stm.inner.registry.active_snapshots()
+}
+
+/// Number of versions `vbox` retains (GC diagnostics). Takes the box's
+/// stripe, so it also races committers' prunes safely.
+pub fn chain_len<T: TxValue>(vbox: &TBox<T>) -> usize {
+    body_of(vbox.body()).chain_len()
 }
 
 /// The commit-lock stripe `id` hashes to (tests/diagnostics).

@@ -20,7 +20,7 @@
 //! accessors at the bottom are relaxed — they decide nothing), so there
 //! is a single total order `S` over them.
 //! Consider a registrant R and a committer C publishing version `v`
-//! (a `SeqCst` store of the clock in `commit_raw`):
+//! (a `SeqCst` store of the clock in `commit_attributed`):
 //!
 //! * R increments its shard's occupancy, claims a slot with some clock
 //!   reading, then **re-reads the clock and republishes its slot until

@@ -1,10 +1,11 @@
 //! STM-level counters.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use wtf_backend::StmStatsSnapshot;
 
 /// Internal atomic counters. Relaxed ordering throughout: these are
 /// statistics, not synchronization.
-pub struct StmStats {
+pub(crate) struct StmStats {
     // ordering: relaxed-rmw, relaxed-load — a statistics counter.
     pub(crate) commits: AtomicU64,
     // ordering: relaxed-rmw, relaxed-load — a statistics counter.
@@ -39,59 +40,6 @@ impl StmStats {
     }
 }
 
-/// Point-in-time copy of the [`StmStats`] counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StmStatsSnapshot {
-    /// Successful top-level commits (update + read-only).
-    pub commits: u64,
-    /// Commits that needed no validation because the transaction read only.
-    pub read_only_commits: u64,
-    /// Commit- or read-time conflicts that forced a re-execution.
-    pub aborts: u64,
-    /// Old versions removed by commit-time GC.
-    pub versions_pruned: u64,
-    /// Commits that had to spin for an earlier version ticket before
-    /// publishing (contention signal on the in-order publication step).
-    pub publish_waits: u64,
-}
-
-impl StmStatsSnapshot {
-    /// Aborts / (commits + aborts); 0 when idle.
-    pub fn abort_rate(&self) -> f64 {
-        let attempts = self.commits + self.aborts;
-        if attempts == 0 {
-            0.0
-        } else {
-            self.aborts as f64 / attempts as f64
-        }
-    }
-
-    /// Counters gained since `earlier` (parity with
-    /// `TmStatsSnapshot::delta_since`), so multi-run processes sharing
-    /// one `Stm` don't double-count earlier runs' activity.
-    pub fn delta_since(&self, earlier: &StmStatsSnapshot) -> StmStatsSnapshot {
-        StmStatsSnapshot {
-            commits: self.commits - earlier.commits,
-            read_only_commits: self.read_only_commits - earlier.read_only_commits,
-            aborts: self.aborts - earlier.aborts,
-            versions_pruned: self.versions_pruned - earlier.versions_pruned,
-            publish_waits: self.publish_waits - earlier.publish_waits,
-        }
-    }
-
-    /// `(name, value)` pairs in declaration order — the single list the
-    /// JSON exporters iterate, so they can't drift from the fields.
-    pub fn fields(&self) -> [(&'static str, u64); 5] {
-        [
-            ("commits", self.commits),
-            ("read_only_commits", self.read_only_commits),
-            ("aborts", self.aborts),
-            ("versions_pruned", self.versions_pruned),
-            ("publish_waits", self.publish_waits),
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,20 +57,5 @@ mod tests {
         assert_eq!(d.aborts, 0);
         assert_eq!(d.publish_waits, 1);
         assert_eq!(d.abort_rate(), 0.0);
-    }
-
-    #[test]
-    fn fields_cover_every_counter() {
-        let snap = StmStatsSnapshot {
-            commits: 1,
-            read_only_commits: 2,
-            aborts: 3,
-            versions_pruned: 4,
-            publish_waits: 5,
-        };
-        // Sum over fields() must equal the sum of all struct fields: a
-        // counter missing from fields() breaks this identity.
-        let total: u64 = snap.fields().iter().map(|(_, v)| v).sum();
-        assert_eq!(total, 1 + 2 + 3 + 4 + 5);
     }
 }

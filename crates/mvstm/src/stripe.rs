@@ -8,10 +8,10 @@
 //! whose footprints hash to disjoint stripe sets proceed fully in
 //! parallel; the only remaining global synchronization is the version
 //! ticket fetch-add and the in-order publication of the version clock
-//! (see `raw::commit_raw`).
+//! (see `raw`).
 
-use crate::value::BoxId;
 use parking_lot::{Mutex, MutexGuard};
+use wtf_backend::BoxId;
 
 /// Number of commit-lock stripes. Must stay ≤ 64 so a stripe set fits in
 /// a `u64` bitmask.

@@ -1,30 +1,51 @@
 //! Unit tests for the multi-versioned STM substrate.
 
-use crate::{raw, Stm, StmError, VBox};
+use crate::raw::{self, chain_len};
+use crate::Stm;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use wtf_backend::{atomic, StmBackend, TBox, Value};
 
 #[test]
 fn read_own_writes() {
     let stm = Stm::new();
-    let b = VBox::new(&stm, 1i64);
-    let out = stm
-        .atomic(|tx| {
-            tx.write(&b, 5)?;
-            tx.read(&b)
-        })
-        .unwrap();
+    let b = TBox::new_on(&stm, 1i64);
+    let out = atomic(&stm, |tx| {
+        tx.write(&b, 5)?;
+        tx.read(&b)
+    })
+    .unwrap();
     assert_eq!(out, 5);
     assert_eq!(b.read_latest(), 5);
+}
+
+/// A typed box round-trips through the trait: create, read outside any
+/// transaction, read-modify-write through [`atomic`], counters follow.
+#[test]
+fn typed_box_round_trips_through_atomic() {
+    let stm = Stm::new();
+    let b: TBox<i64> = TBox::new_on(&stm, 5);
+    assert_eq!(b.read_latest(), 5);
+    let seen = atomic(&stm, |tx| {
+        let v = tx.read(&b)?;
+        tx.write(&b, v + 1)?;
+        Ok(v)
+    })
+    .unwrap();
+    assert_eq!(seen, 5);
+    assert_eq!(b.read_latest(), 6);
+    let stats = stm.stats();
+    assert_eq!(stats.commits, 1);
+    assert_eq!(stats.read_only_commits, 0);
 }
 
 #[test]
 fn snapshot_isolation_within_txn() {
     let stm = Stm::new();
-    let b = VBox::new(&stm, 0i64);
+    let b = TBox::new_on(&stm, 0i64);
     // Commit a few versions.
     for i in 1..=3 {
-        stm.atomic(|tx| tx.write(&b, i)).unwrap();
+        atomic(&stm, |tx| tx.write(&b, i)).unwrap();
     }
     assert_eq!(b.read_latest(), 3);
     assert_eq!(stm.clock(), 3);
@@ -33,8 +54,8 @@ fn snapshot_isolation_within_txn() {
 #[test]
 fn read_only_commit_is_validation_free() {
     let stm = Stm::new();
-    let b = VBox::new(&stm, 7i64);
-    stm.atomic(|tx| tx.read(&b)).unwrap();
+    let b = TBox::new_on(&stm, 7i64);
+    atomic(&stm, |tx| tx.read(&b)).unwrap();
     let s = stm.stats();
     assert_eq!(s.commits, 1);
     assert_eq!(s.read_only_commits, 1);
@@ -43,48 +64,44 @@ fn read_only_commit_is_validation_free() {
 
 #[test]
 fn conflicting_writers_abort_and_retry() {
-    // Interleave two transactions by hand through the raw API: T1 reads x,
-    // T2 commits x, T1's commit must fail validation.
+    // Interleave two transactions by hand through the trait: T1 reads x,
+    // T2 commits x, T1's commit must fail validation — charged to x.
     let stm = Stm::new();
-    let x = VBox::new(&stm, 0i64);
-    let y = VBox::new(&stm, 0i64);
+    let x = TBox::new_on(&stm, 0i64);
+    let y = TBox::new_on(&stm, 0i64);
 
-    let snap1 = raw::acquire_snapshot(&stm);
-    let body_x = raw::body_of(&x);
-    let (v0, _) = raw::read_at(&body_x, snap1.version());
+    let snap1 = stm.acquire_snapshot();
+    let (v0, _) = x.body().read_at(snap1.version()).unwrap();
     assert_eq!(v0, 0);
 
     // T2 commits a write to x.
-    stm.atomic(|tx| tx.write(&x, 99)).unwrap();
+    atomic(&stm, |tx| tx.write(&x, 99)).unwrap();
 
     // T1 tries to commit {read x, write y} at the old snapshot: conflict.
-    let body_y = raw::body_of(&y);
-    let err = raw::commit_raw(
-        &stm,
-        snap1.version(),
-        [&body_x],
-        vec![(body_y, Arc::new(1i64) as crate::Value)],
-    )
-    .unwrap_err();
-    assert_eq!(err, StmError::Conflict);
+    let err = stm
+        .commit_attributed(
+            snap1.version(),
+            &[x.body().clone()],
+            vec![(y.body().clone(), Arc::new(1i64) as Value)],
+        )
+        .unwrap_err();
+    assert_eq!(err, x.id());
 }
 
 #[test]
 fn blind_write_commits_without_validation_failure() {
     let stm = Stm::new();
-    let x = VBox::new(&stm, 0i64);
+    let x = TBox::new_on(&stm, 0i64);
 
-    let snap1 = raw::acquire_snapshot(&stm);
+    let snap1 = stm.acquire_snapshot();
     // Concurrent committer bumps x.
-    stm.atomic(|tx| tx.write(&x, 5)).unwrap();
+    atomic(&stm, |tx| tx.write(&x, 5)).unwrap();
     // Blind write (no reads) from the old snapshot still commits: the
     // transaction is logically instantaneous at commit time.
-    let body_x = raw::body_of(&x);
-    raw::commit_raw(
-        &stm,
+    stm.commit_attributed(
         snap1.version(),
-        std::iter::empty(),
-        vec![(body_x, Arc::new(10i64) as crate::Value)],
+        &[],
+        vec![(x.body().clone(), Arc::new(10i64) as Value)],
     )
     .unwrap();
     assert_eq!(x.read_latest(), 10);
@@ -93,12 +110,11 @@ fn blind_write_commits_without_validation_failure() {
 #[test]
 fn old_snapshot_reads_old_version() {
     let stm = Stm::new();
-    let x = VBox::new(&stm, 1i64);
-    let snap = raw::acquire_snapshot(&stm);
-    stm.atomic(|tx| tx.write(&x, 2)).unwrap();
-    stm.atomic(|tx| tx.write(&x, 3)).unwrap();
-    let body = raw::body_of(&x);
-    let (ver, val) = raw::read_at(&body, snap.version());
+    let x = TBox::new_on(&stm, 1i64);
+    let snap = stm.acquire_snapshot();
+    atomic(&stm, |tx| tx.write(&x, 2)).unwrap();
+    atomic(&stm, |tx| tx.write(&x, 3)).unwrap();
+    let (ver, val) = x.body().read_at(snap.version()).unwrap();
     assert_eq!(ver, 0);
     assert_eq!(*val.downcast_ref::<i64>().unwrap(), 1);
     // And the latest snapshot sees the newest.
@@ -108,51 +124,50 @@ fn old_snapshot_reads_old_version() {
 #[test]
 fn gc_prunes_unreachable_versions() {
     let stm = Stm::new();
-    let x = VBox::new(&stm, 0i64);
+    let x = TBox::new_on(&stm, 0i64);
     for i in 1..=50 {
-        stm.atomic(|tx| tx.write(&x, i)).unwrap();
+        atomic(&stm, |tx| tx.write(&x, i)).unwrap();
     }
     // No active snapshots: each commit prunes everything older than itself.
-    assert_eq!(x.version_chain_len(), 1);
+    assert_eq!(chain_len(&x), 1);
     assert!(stm.stats().versions_pruned >= 49);
 }
 
 #[test]
 fn gc_respects_active_snapshots() {
     let stm = Stm::new();
-    let x = VBox::new(&stm, 0i64);
-    stm.atomic(|tx| tx.write(&x, 1)).unwrap();
-    let snap = raw::acquire_snapshot(&stm); // pins version 1
+    let x = TBox::new_on(&stm, 0i64);
+    atomic(&stm, |tx| tx.write(&x, 1)).unwrap();
+    let snap = stm.acquire_snapshot(); // pins version 1
     for i in 2..=20 {
-        stm.atomic(|tx| tx.write(&x, i)).unwrap();
+        atomic(&stm, |tx| tx.write(&x, i)).unwrap();
     }
     // Versions newer than the pinned snapshot are all kept, plus the
     // version the snapshot reads: 19 new + 1 pinned.
-    assert_eq!(x.version_chain_len(), 20);
-    let body = raw::body_of(&x);
-    let (ver, val) = raw::read_at(&body, snap.version());
+    assert_eq!(chain_len(&x), 20);
+    let (ver, val) = x.body().read_at(snap.version()).unwrap();
     assert_eq!((ver, *val.downcast_ref::<i64>().unwrap()), (1, 1));
     drop(snap);
-    stm.atomic(|tx| tx.write(&x, 100)).unwrap();
-    assert_eq!(x.version_chain_len(), 1);
+    atomic(&stm, |tx| tx.write(&x, 100)).unwrap();
+    assert_eq!(chain_len(&x), 1);
 }
 
 #[test]
 fn gc_can_be_disabled() {
     let stm = Stm::new();
     stm.set_gc_enabled(false);
-    let x = VBox::new(&stm, 0i64);
+    let x = TBox::new_on(&stm, 0i64);
     for i in 1..=10 {
-        stm.atomic(|tx| tx.write(&x, i)).unwrap();
+        atomic(&stm, |tx| tx.write(&x, i)).unwrap();
     }
-    assert_eq!(x.version_chain_len(), 11);
+    assert_eq!(chain_len(&x), 11);
 }
 
 #[test]
 fn explicit_abort_propagates() {
     let stm = Stm::new();
-    let x = VBox::new(&stm, 0i64);
-    let res: Result<(), _> = stm.atomic(|tx| {
+    let x = TBox::new_on(&stm, 0i64);
+    let res: Result<(), _> = atomic(&stm, |tx| {
         tx.write(&x, 42)?;
         tx.abort()
     });
@@ -166,25 +181,24 @@ fn atomic_retries_on_conflict_until_success() {
     // Force one conflict by committing a competing write between the
     // body's read and its commit, using a flag to only interfere once.
     let stm = Stm::new();
-    let x = VBox::new(&stm, 0i64);
+    let x = TBox::new_on(&stm, 0i64);
     let interfered = AtomicBool::new(false);
     let stm2 = stm.clone();
     let x2 = x.clone();
-    let out = stm
-        .atomic(|tx| {
-            let v = tx.read(&x)?;
-            if !interfered.swap(true, Ordering::SeqCst) {
-                // Sneak in a conflicting commit from "another thread".
-                stm2.atomic(|t2| {
-                    let cur = t2.read(&x2)?;
-                    t2.write(&x2, cur + 100)
-                })
-                .unwrap();
-            }
-            tx.write(&x, v + 1)?;
-            Ok(v + 1)
-        })
-        .unwrap();
+    let out = atomic(&stm, |tx| {
+        let v = tx.read(&x)?;
+        if !interfered.swap(true, Ordering::SeqCst) {
+            // Sneak in a conflicting commit from "another thread".
+            atomic(&stm2, |t2| {
+                let cur = t2.read(&x2)?;
+                t2.write(&x2, cur + 100)
+            })
+            .unwrap();
+        }
+        tx.write(&x, v + 1)?;
+        Ok(v + 1)
+    })
+    .unwrap();
     // First attempt read 0 but aborted; retry read 100 and wrote 101.
     assert_eq!(out, 101);
     assert_eq!(x.read_latest(), 101);
@@ -194,10 +208,10 @@ fn atomic_retries_on_conflict_until_success() {
 #[test]
 fn heterogeneous_box_types() {
     let stm = Stm::new();
-    let a = VBox::new(&stm, String::from("hi"));
-    let b = VBox::new(&stm, vec![1u8, 2, 3]);
-    let c = VBox::new(&stm, 2.5f64);
-    stm.atomic(|tx| {
+    let a = TBox::new_on(&stm, String::from("hi"));
+    let b = TBox::new_on(&stm, vec![1u8, 2, 3]);
+    let c = TBox::new_on(&stm, 2.5f64);
+    atomic(&stm, |tx| {
         let s = tx.read(&a)?;
         tx.write(&a, format!("{s}!"))?;
         let mut v = tx.read(&b)?;
@@ -220,9 +234,9 @@ fn concurrent_bank_invariant_real_threads() {
     const THREADS: usize = 4;
     const TRANSFERS: usize = 500;
     let stm = Stm::new();
-    let accounts: Arc<Vec<VBox<i64>>> = Arc::new(
+    let accounts: Arc<Vec<TBox<i64>>> = Arc::new(
         (0..ACCOUNTS)
-            .map(|_| VBox::new(&stm, 1000i64))
+            .map(|_| TBox::new_on(&stm, 1000i64))
             .collect::<Vec<_>>(),
     );
     let handles: Vec<_> = (0..THREADS)
@@ -249,7 +263,7 @@ fn concurrent_bank_invariant_real_threads() {
                     }
                     done += 1;
                     let amount = (next() % 50) as i64;
-                    stm.atomic(|tx| {
+                    atomic(&stm, |tx| {
                         let f = tx.read(&accounts[from])?;
                         let t = tx.read(&accounts[to])?;
                         tx.write(&accounts[from], f - amount)?;
@@ -264,15 +278,14 @@ fn concurrent_bank_invariant_real_threads() {
     for h in handles {
         h.join().unwrap();
     }
-    let total = stm
-        .atomic(|tx| {
-            let mut sum = 0i64;
-            for a in accounts.iter() {
-                sum += tx.read(a)?;
-            }
-            Ok(sum)
-        })
-        .unwrap();
+    let total = atomic(&stm, |tx| {
+        let mut sum = 0i64;
+        for a in accounts.iter() {
+            sum += tx.read(a)?;
+        }
+        Ok(sum)
+    })
+    .unwrap();
     assert_eq!(total, 1000 * ACCOUNTS as i64);
     assert_eq!(stm.stats().commits, THREADS as u64 * TRANSFERS as u64 + 1);
 }
@@ -281,12 +294,12 @@ fn concurrent_bank_invariant_real_threads() {
 fn snapshot_registry_counts() {
     let stm = Stm::new();
     assert_eq!(raw::active_snapshots(&stm), 0);
-    let s1 = raw::acquire_snapshot(&stm);
-    let s2 = raw::acquire_snapshot(&stm);
+    let s1 = stm.acquire_snapshot();
+    let s2 = stm.acquire_snapshot();
     assert_eq!(raw::active_snapshots(&stm), 1); // same version, one entry
-    let x = VBox::new(&stm, 0i64);
-    stm.atomic(|tx| tx.write(&x, 1)).unwrap();
-    let s3 = raw::acquire_snapshot(&stm);
+    let x = TBox::new_on(&stm, 0i64);
+    atomic(&stm, |tx| tx.write(&x, 1)).unwrap();
+    let s3 = stm.acquire_snapshot();
     assert_eq!(raw::active_snapshots(&stm), 2);
     drop(s1);
     drop(s2);
@@ -299,29 +312,27 @@ fn tracer_attributes_conflicts_and_measures_commits() {
     use wtf_trace::{TraceLevel, Tracer};
     let tracer = Tracer::new(TraceLevel::Lifecycle);
     let stm = Stm::with_tracer(Arc::clone(&tracer));
-    let x = VBox::new(&stm, 0i64);
-    let y = VBox::new(&stm, 0i64);
+    let x = TBox::new_on(&stm, 0i64);
+    let y = TBox::new_on(&stm, 0i64);
 
     // Interleave by hand as in `conflicting_writers_abort_and_retry`:
     // T1 reads x at an old snapshot; T2 bumps x; T1's commit conflicts.
-    let snap1 = raw::acquire_snapshot(&stm);
-    let body_x = raw::body_of(&x);
-    raw::read_at(&body_x, snap1.version());
-    stm.atomic(|tx| tx.write(&x, 99)).unwrap();
-    let body_y = raw::body_of(&y);
-    let err = raw::commit_raw(
-        &stm,
-        snap1.version(),
-        [&body_x],
-        vec![(body_y, Arc::new(1i64) as crate::Value)],
-    )
-    .unwrap_err();
-    assert_eq!(err, StmError::Conflict);
+    let snap1 = stm.acquire_snapshot();
+    x.body().read_at(snap1.version()).unwrap();
+    atomic(&stm, |tx| tx.write(&x, 99)).unwrap();
+    let err = stm
+        .commit_attributed(
+            snap1.version(),
+            &[x.body().clone()],
+            vec![(y.body().clone(), Arc::new(1i64) as Value)],
+        )
+        .unwrap_err();
+    assert_eq!(err, x.id());
 
     // The abort is charged to x, the box whose validation failed.
     let summary = tracer.summary();
     assert_eq!(summary.conflict_total, 1);
-    assert_eq!(summary.hotspots, vec![(raw::id_of(&raw::body_of(&x)).0, 1)]);
+    assert_eq!(summary.hotspots, vec![(x.id().0, 1)]);
     // The successful commit fed the latency histograms.
     assert_eq!(summary.commit_latency.count, 1);
     assert_eq!(summary.validation_latency.count, 1);
@@ -332,9 +343,9 @@ fn tracer_attributes_conflicts_and_measures_commits() {
 #[test]
 fn disabled_tracer_stm_records_nothing() {
     let stm = Stm::new();
-    let x = VBox::new(&stm, 0i64);
+    let x = TBox::new_on(&stm, 0i64);
     for i in 0..10 {
-        stm.atomic(|tx| tx.write(&x, i)).unwrap();
+        atomic(&stm, |tx| tx.write(&x, i)).unwrap();
     }
     let summary = stm.tracer().summary();
     assert!(!summary.enabled());
@@ -368,26 +379,26 @@ mod proptests {
         #[test]
         fn matches_sequential_oracle(ops in proptest::collection::vec(op_strategy(4), 1..60)) {
             let stm = Stm::new();
-            let boxes: Vec<VBox<i64>> = (0..4).map(|i| VBox::new(&stm, i as i64)).collect();
+            let boxes: Vec<TBox<i64>> = (0..4).map(|i| TBox::new_on(&stm, i as i64)).collect();
             let mut oracle = [0i64, 1, 2, 3];
             for op in &ops {
                 match *op {
                     Op::Add(i, d) => {
-                        stm.atomic(|tx| {
+                        atomic(&stm, |tx| {
                             let v = tx.read(&boxes[i])?;
                             tx.write(&boxes[i], v + d)
                         }).unwrap();
                         oracle[i] += d;
                     }
                     Op::Copy(a, b) => {
-                        stm.atomic(|tx| {
+                        atomic(&stm, |tx| {
                             let v = tx.read(&boxes[a])?;
                             tx.write(&boxes[b], v)
                         }).unwrap();
                         oracle[b] = oracle[a];
                     }
                     Op::Swap(a, b) => {
-                        stm.atomic(|tx| {
+                        atomic(&stm, |tx| {
                             let va = tx.read(&boxes[a])?;
                             let vb = tx.read(&boxes[b])?;
                             tx.write(&boxes[a], vb)?;
@@ -405,12 +416,12 @@ mod proptests {
         #[test]
         fn version_chains_never_lose_newest(writes in 1usize..40) {
             let stm = Stm::new();
-            let x = VBox::new(&stm, 0usize);
+            let x = TBox::new_on(&stm, 0usize);
             for i in 1..=writes {
-                stm.atomic(|tx| tx.write(&x, i)).unwrap();
+                atomic(&stm, |tx| tx.write(&x, i)).unwrap();
             }
             prop_assert_eq!(x.read_latest(), writes);
-            prop_assert_eq!(x.version_chain_len(), 1);
+            prop_assert_eq!(chain_len(&x), 1);
         }
     }
 }
@@ -422,7 +433,7 @@ mod proptests {
 #[test]
 fn snapshot_gc_race_regression() {
     let stm = Stm::new();
-    let x = VBox::new(&stm, 0i64);
+    let x = TBox::new_on(&stm, 0i64);
     let stop = Arc::new(AtomicBool::new(false));
     let writer = {
         let stm = stm.clone();
@@ -431,7 +442,7 @@ fn snapshot_gc_race_regression() {
         std::thread::spawn(move || {
             let mut i = 0i64;
             while !stop.load(Ordering::Relaxed) {
-                stm.atomic(|tx| tx.write(&x, i)).unwrap();
+                atomic(&stm, |tx| tx.write(&x, i)).unwrap();
                 i += 1;
             }
         })
@@ -444,9 +455,8 @@ fn snapshot_gc_race_regression() {
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     // begin a snapshot and read through it immediately
-                    let snap = raw::acquire_snapshot(&stm);
-                    let body = raw::body_of(&x);
-                    let (ver, _) = raw::read_at(&body, snap.version());
+                    let snap = stm.acquire_snapshot();
+                    let (ver, _) = x.body().read_at(snap.version()).unwrap();
                     assert!(ver <= snap.version());
                 }
             })
@@ -466,10 +476,10 @@ fn snapshot_gc_race_regression() {
 #[test]
 fn disjoint_commits_proceed_while_stripe_is_held() {
     let stm = Stm::new();
-    let a = VBox::new(&stm, 0i64);
-    let mut b = VBox::new(&stm, 0i64);
+    let a = TBox::new_on(&stm, 0i64);
+    let mut b = TBox::new_on(&stm, 0i64);
     while raw::stripe_index(b.id()) == raw::stripe_index(a.id()) {
-        b = VBox::new(&stm, 0i64);
+        b = TBox::new_on(&stm, 0i64);
     }
 
     let hostage = raw::hold_stripe(&stm, raw::stripe_index(a.id()));
@@ -479,7 +489,7 @@ fn disjoint_commits_proceed_while_stripe_is_held() {
     {
         let stm = stm.clone();
         let b = b.clone();
-        std::thread::spawn(move || stm.atomic(|tx| tx.write(&b, 1)).unwrap())
+        std::thread::spawn(move || atomic(&stm, |tx| tx.write(&b, 1)).unwrap())
             .join()
             .unwrap();
     }
@@ -491,7 +501,7 @@ fn disjoint_commits_proceed_while_stripe_is_held() {
         let stm = stm.clone();
         let a = a.clone();
         std::thread::spawn(move || {
-            stm.atomic(|tx| tx.write(&a, 1)).unwrap();
+            atomic(&stm, |tx| tx.write(&a, 1)).unwrap();
             done_tx.send(()).unwrap();
         })
     };
@@ -585,16 +595,16 @@ fn live_gauges_track_versions_and_horizon() {
             .map(|(_, v)| v)
             .unwrap_or_else(|| panic!("gauge {name} registered"))
     };
-    let b = VBox::new(&stm, 0i64);
-    stm.atomic(|tx| tx.write(&b, 1)).unwrap();
+    let b = TBox::new_on(&stm, 0i64);
+    atomic(&stm, |tx| tx.write(&b, 1)).unwrap();
     assert_eq!(gauge("stm_clock"), 1);
     assert_eq!(gauge("stm_gc_horizon_lag"), 0, "nothing active");
     assert_eq!(gauge("stm_registry_occupancy"), 0);
     // Pin the current snapshot, then commit twice more: GC cannot prune
     // past the pin, so retained versions and horizon lag both grow.
-    let pin = raw::acquire_snapshot(&stm);
+    let pin = stm.acquire_snapshot();
     for i in 2..=3 {
-        stm.atomic(|tx| tx.write(&b, i)).unwrap();
+        atomic(&stm, |tx| tx.write(&b, i)).unwrap();
     }
     assert_eq!(gauge("stm_clock"), 3);
     assert_eq!(gauge("stm_gc_horizon_lag"), 3 - pin.version());
@@ -606,7 +616,7 @@ fn live_gauges_track_versions_and_horizon() {
     );
     drop(pin);
     // Releasing the pin lets the next commit's GC collapse the chain.
-    stm.atomic(|tx| tx.write(&b, 4)).unwrap();
+    atomic(&stm, |tx| tx.write(&b, 4)).unwrap();
     assert_eq!(gauge("stm_gc_horizon_lag"), 0);
     assert_eq!(gauge("stm_retained_versions"), stm.retained_versions());
     assert_eq!(stm.gc_horizon_lag(), 0);
@@ -618,7 +628,7 @@ fn live_gauges_track_versions_and_horizon() {
 #[test]
 fn registry_churn_vs_pruning_commits() {
     let stm = Stm::new();
-    let boxes: Vec<VBox<i64>> = (0..4).map(|_| VBox::new(&stm, 0i64)).collect();
+    let boxes: Vec<TBox<i64>> = (0..4).map(|_| TBox::new_on(&stm, 0i64)).collect();
     let stop = Arc::new(AtomicBool::new(false));
 
     let writers: Vec<_> = (0..2)
@@ -630,7 +640,7 @@ fn registry_churn_vs_pruning_commits() {
                 let mut i = 0i64;
                 while !stop.load(Ordering::Relaxed) {
                     let b = &boxes[(w * 2 + (i as usize & 1)) % boxes.len()];
-                    stm.atomic(|tx| tx.write(b, i)).unwrap();
+                    atomic(&stm, |tx| tx.write(b, i)).unwrap();
                     i += 1;
                 }
             })
@@ -643,14 +653,13 @@ fn registry_churn_vs_pruning_commits() {
             let stop = stop.clone();
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    let snap = raw::acquire_snapshot(&stm);
+                    let snap = stm.acquire_snapshot();
                     for b in boxes.iter().skip(c % boxes.len()) {
-                        let body = raw::body_of(b);
-                        let (ver, _) = raw::read_at(&body, snap.version());
+                        let (ver, _) = b.body().read_at(snap.version()).unwrap();
                         assert!(ver <= snap.version());
                     }
                     // chain_len takes the box stripe: also races the pruners.
-                    assert!(boxes[c % boxes.len()].version_chain_len() >= 1);
+                    assert!(chain_len(&boxes[c % boxes.len()]) >= 1);
                 }
             })
         })
@@ -666,18 +675,17 @@ fn registry_churn_vs_pruning_commits() {
     }
     // Quiesce: one more pruning commit per box collapses every chain.
     for b in &boxes {
-        stm.atomic(|tx| tx.write(b, -1)).unwrap();
-        assert_eq!(b.version_chain_len(), 1);
+        atomic(&stm, |tx| tx.write(b, -1)).unwrap();
+        assert_eq!(chain_len(b), 1);
     }
 }
 
 mod chain_proptests {
     use crate::stripe::StripeTable;
-    use crate::value::Value;
     use crate::vbox::BoxBody;
-    use crate::BoxId;
     use proptest::prelude::*;
     use std::sync::Arc;
+    use wtf_backend::{BoxId, Value};
 
     proptest! {
         /// Oracle check for the lock-free cons-list chain: arbitrary

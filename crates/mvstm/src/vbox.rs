@@ -22,15 +22,14 @@
 //! `next` pointer of any node above it, so the reader can never reach a
 //! freed node. The head node in particular is never freed while the box
 //! is alive, which is why [`BoxBody::head_version`] and
-//! [`VBox::read_latest`] are unconditionally safe.
+//! [`BackendBox::read_latest`] are unconditionally safe.
 
 use crate::stripe::StripeTable;
-use crate::value::{downcast_value, BoxId, TxValue, Value};
-use crate::Stm;
-use std::marker::PhantomData;
+use std::any::Any;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
+use wtf_backend::{BackendBox, BoxId, StmError, Value};
 
 /// One committed version of a box's value: a node in the immutable
 /// newest-first chain.
@@ -47,8 +46,10 @@ pub(crate) struct VersionNode {
     next: AtomicPtr<VersionNode>,
 }
 
-/// The untyped body shared by all handles to one box.
-pub struct BoxBody {
+/// A versioned box: the untyped body every `TBox` handle to it shares,
+/// handed out by [`Stm`](crate::Stm)'s `new_box` as the `dyn BackendBox`
+/// itself.
+pub(crate) struct BoxBody {
     pub(crate) id: BoxId,
     /// Newest version; never null (boxes are born with one version).
     // ordering: release-store in `install` publishes the new node and
@@ -88,9 +89,10 @@ impl BoxBody {
     /// Reads the newest version with `version <= snapshot`, returning the
     /// version number observed alongside the value. Lock-free.
     ///
-    /// Callers must hold a live registration (see `crate::raw::Snapshot`)
-    /// at a version `<= snapshot`; that is what keeps every node this walk
-    /// dereferences out of reach of concurrent pruning (module docs).
+    /// Callers must hold a live registration (a `BackendSnapshot` from
+    /// this STM) at a version `<= snapshot`; that is what keeps every
+    /// node this walk dereferences out of reach of concurrent pruning
+    /// (module docs).
     pub(crate) fn read_at(&self, snapshot: u64) -> (u64, Value) {
         let mut node = self.head.load(Ordering::Acquire);
         let mut oldest_seen = u64::MAX;
@@ -201,75 +203,27 @@ impl Drop for BoxBody {
     }
 }
 
-/// A transactional memory location holding values of type `T`.
-///
-/// The typed, clonable handle over a shared [`BoxBody`]. All access goes
-/// through a transaction ([`Txn::read`](crate::Txn::read) /
-/// [`Txn::write`](crate::Txn::write)) or through the `wtf-core`
-/// futures-aware contexts layered on [`crate::raw`].
-pub struct VBox<T> {
-    pub(crate) body: Arc<BoxBody>,
-    _marker: PhantomData<fn() -> T>,
-}
-
-impl<T> Clone for VBox<T> {
-    fn clone(&self) -> Self {
-        VBox {
-            body: self.body.clone(),
-            _marker: PhantomData,
-        }
-    }
-}
-
-impl<T: TxValue> VBox<T> {
-    /// Creates a box initialized to `value`.
-    ///
-    /// The initial version is stamped with the *current* clock value, so
-    /// the box is visible to every transaction whose snapshot is at or
-    /// after the creation point. (Creating boxes *inside* a transaction
-    /// and publishing them through another box is supported: the handle
-    /// value committed through the STM carries the `Arc`.)
-    pub fn new(stm: &Stm, value: T) -> VBox<T> {
-        let id = BoxId(stm.inner.next_box.fetch_add(1, Ordering::Relaxed));
-        let version = stm.inner.clock.load(Ordering::Acquire);
-        VBox {
-            body: Arc::new(BoxBody::new(
-                id,
-                stm.inner.stripes.clone(),
-                version,
-                Arc::new(value),
-            )),
-            _marker: PhantomData,
-        }
+impl BackendBox for BoxBody {
+    fn id(&self) -> BoxId {
+        self.id
     }
 
-    /// This box's id.
-    pub fn id(&self) -> BoxId {
-        self.body.id
+    fn read_at(&self, snapshot: u64) -> Result<(u64, Value), StmError> {
+        // Multi-versioning: the snapshot's version is always retained
+        // while the snapshot is live, so reads cannot fail.
+        Ok(BoxBody::read_at(self, snapshot))
     }
 
-    /// Reads the latest committed value, outside any transaction.
-    ///
-    /// Useful for inspecting results after a benchmark run; not
-    /// serializable with respect to anything. Touches only the head node,
-    /// which is never reclaimed while the box is alive, so no snapshot
-    /// registration is needed.
-    pub fn read_latest(&self) -> T {
-        let node = self.body.head.load(Ordering::Acquire);
+    /// Touches only the head node, which is never reclaimed while the box
+    /// is alive, so no snapshot registration is needed.
+    fn read_latest(&self) -> Value {
+        let node = self.head.load(Ordering::Acquire);
         // SAFETY: `head` is never null and the head node is never freed
         // while the box is alive (module docs).
-        let value = unsafe { (*node).value.clone() };
-        downcast_value(&value)
+        unsafe { (*node).value.clone() }
     }
 
-    /// Number of retained versions (GC diagnostics).
-    pub fn version_chain_len(&self) -> usize {
-        self.body.chain_len()
-    }
-}
-
-impl<T> std::fmt::Debug for VBox<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "VBox({:?})", self.body.id)
+    fn as_any(&self) -> &dyn Any {
+        self
     }
 }

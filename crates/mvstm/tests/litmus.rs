@@ -6,7 +6,8 @@
 //! in budget while still interleaving.
 
 use std::sync::Arc;
-use wtf_mvstm::{Stm, VBox};
+use wtf_backend::{atomic, TBox};
+use wtf_mvstm::Stm;
 
 const ROUNDS: u64 = if cfg!(miri) { 40 } else { 20_000 };
 
@@ -17,14 +18,14 @@ const ROUNDS: u64 = if cfg!(miri) { 40 } else { 20_000 };
 #[test]
 fn mp_head_release_install_pairs_with_acquire_read() {
     let stm = Arc::new(Stm::new());
-    let data = Arc::new(VBox::new(&stm, 0u64));
-    let flag = Arc::new(VBox::new(&stm, 0u64));
+    let data = Arc::new(TBox::new_on(&*stm, 0u64));
+    let flag = Arc::new(TBox::new_on(&*stm, 0u64));
 
     let writer = {
         let (stm, data, flag) = (Arc::clone(&stm), Arc::clone(&data), Arc::clone(&flag));
         std::thread::spawn(move || {
             for i in 1..=ROUNDS {
-                stm.atomic(|tx| {
+                atomic(&*stm, |tx| {
                     tx.write(&data, i)?;
                     tx.write(&flag, i)
                 })
@@ -39,13 +40,12 @@ fn mp_head_release_install_pairs_with_acquire_read() {
             std::thread::spawn(move || {
                 let mut last = 0u64;
                 while last < ROUNDS {
-                    let (f, d) = stm
-                        .atomic(|tx| {
-                            let f = tx.read(&flag)?;
-                            let d = tx.read(&data)?;
-                            Ok((f, d))
-                        })
-                        .unwrap();
+                    let (f, d) = atomic(&*stm, |tx| {
+                        let f = tx.read(&flag)?;
+                        let d = tx.read(&data)?;
+                        Ok((f, d))
+                    })
+                    .unwrap();
                     assert_eq!(f, d, "flag and data are committed together");
                     assert!(f >= last, "clock publication is monotonic");
                     last = f;
@@ -70,13 +70,13 @@ fn mp_head_release_install_pairs_with_acquire_read() {
 fn sb_registry_slot_claim_vs_clock_republish() {
     let stm = Arc::new(Stm::new());
     stm.set_gc_enabled(true);
-    let counter = Arc::new(VBox::new(&stm, 0u64));
+    let counter = Arc::new(TBox::new_on(&*stm, 0u64));
 
     let writer = {
         let (stm, counter) = (Arc::clone(&stm), Arc::clone(&counter));
         std::thread::spawn(move || {
             for _ in 0..ROUNDS {
-                stm.atomic(|tx| {
+                atomic(&*stm, |tx| {
                     let v = tx.read(&counter)?;
                     tx.write(&counter, v + 1)
                 })
@@ -91,13 +91,12 @@ fn sb_registry_slot_claim_vs_clock_republish() {
             std::thread::spawn(move || {
                 let mut last = 0u64;
                 loop {
-                    let (a, b) = stm
-                        .atomic(|tx| {
-                            let a = tx.read(&counter)?;
-                            let b = tx.read(&counter)?;
-                            Ok((a, b))
-                        })
-                        .unwrap();
+                    let (a, b) = atomic(&*stm, |tx| {
+                        let a = tx.read(&counter)?;
+                        let b = tx.read(&counter)?;
+                        Ok((a, b))
+                    })
+                    .unwrap();
                     assert_eq!(a, b, "double-read within one snapshot is stable");
                     assert!(a >= last, "snapshots never travel backwards");
                     last = a;

@@ -47,8 +47,9 @@ use parking_lot::{Mutex, MutexGuard};
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use wtf_backend::{BackendBox, BackendKind, BackendSnapshot, StmBackend};
-use wtf_mvstm::{BoxId, StmError, StmStatsSnapshot, Value};
+use wtf_backend::{
+    BackendBox, BackendKind, BackendSnapshot, BoxId, StmBackend, StmError, StmStatsSnapshot, Value,
+};
 use wtf_trace::{EventKind, Tracer};
 
 pub mod lockword {
@@ -233,8 +234,9 @@ struct Tl2Inner {
     // ordering: relaxed-rmw, relaxed-load — a statistics counter.
     aborts: AtomicU64,
     tracer: Arc<Tracer>,
-    /// Contention manager consulted by the generic `wtf_backend::atomic`
-    /// retry loop (and `wtf-core`'s top-level loop) for this instance.
+    /// Contention manager consulted by the `wtf_backend::atomic` retry
+    /// loop (and `wtf-core`'s top-level loop) for this instance. Starts
+    /// on `immediate`.
     // lock-order: tl2-cm-slot — read before any stripe or slot lock is
     // taken; written only from setup code holding nothing.
     cm: parking_lot::RwLock<Arc<dyn wtf_cm::ContentionManager>>,
@@ -271,7 +273,7 @@ impl Tl2Stm {
                 read_only_commits: AtomicU64::new(0),
                 aborts: AtomicU64::new(0),
                 tracer,
-                cm: parking_lot::RwLock::new(wtf_cm::CmKind::from_env().build()),
+                cm: parking_lot::RwLock::new(wtf_cm::CmKind::Immediate.build()),
             }),
         };
         if stm.inner.tracer.on() {
@@ -349,10 +351,6 @@ impl StmBackend for Tl2Stm {
     fn note_read_only_commit(&self) {
         self.inner.commits.fetch_add(1, Ordering::Relaxed);
         self.inner.read_only_commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn set_gc_enabled(&self, _enabled: bool) {
-        // Nothing to reclaim: old versions are overwritten in place.
     }
 
     fn cm(&self) -> Arc<dyn wtf_cm::ContentionManager> {

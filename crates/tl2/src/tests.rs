@@ -311,17 +311,15 @@ mod proptests {
         }
 
         /// Satellite: stripe-hash collision oracle, mirroring mvstm's
-        /// chain-oracle proptest — TL2's stripe hash must agree with
-        /// mvstm's stripe assignment on every id (the two backends'
-        /// contention profiles are directly comparable), stay in range,
+        /// chain-oracle proptest — TL2's stripe hash must stay in range
         /// and colliding neighbours must never invalidate each other.
+        /// (That it agrees with mvstm's stripe assignment on every id is
+        /// checked where both crates are in reach:
+        /// `wtf-core`'s `backends_agree_on_stripe_assignment`.)
         #[test]
-        fn stripe_hash_matches_mvstm_oracle(ids in proptest::collection::vec(0u64..1_000_000, 1..50)) {
+        fn stripe_hash_collisions_stay_private(ids in proptest::collection::vec(0u64..1_000_000, 1..50)) {
             for &raw_id in &ids {
-                let id = BoxId(raw_id);
-                let idx = stripe_index(id);
-                prop_assert!(idx < STRIPES);
-                prop_assert_eq!(idx, wtf_mvstm::raw::stripe_index(id));
+                prop_assert!(stripe_index(BoxId(raw_id)) < STRIPES);
             }
             // Collision oracle: group ids by stripe; within one TL2
             // instance, a commit into any box must leave every *other*

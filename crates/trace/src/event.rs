@@ -57,7 +57,7 @@ pub enum EventKind {
     StmInstall,
     /// Commit-time GC pruned old versions. a=box_id, b=versions freed.
     StmPrune,
-    /// Span: a whole `commit_raw` (lock, validate, install, publish, GC).
+    /// Span: a whole `commit_attributed` (lock, validate, install, publish, GC).
     /// a=duration, b=commit version.
     StmCommitSpan,
     /// Span: stripe acquisition + read-set validation. a=duration,

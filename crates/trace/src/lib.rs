@@ -106,7 +106,7 @@ impl TraceLevel {
 /// The latency histograms every run maintains (when tracing is on).
 #[derive(Default)]
 pub struct Metrics {
-    /// Whole `commit_raw` duration (lock → validate → install → publish).
+    /// Whole `commit_attributed` duration (lock → validate → install → publish).
     pub commit_latency: Histogram,
     /// Stripe-lock acquisition + read-set validation duration.
     pub validation_latency: Histogram,

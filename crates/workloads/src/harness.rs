@@ -1,8 +1,8 @@
 //! Virtual-time measurement harness.
 
 use std::sync::Arc;
+use wtf_backend::StmStatsSnapshot;
 use wtf_core::{BackendKind, CmKind, CostModel, FutureTm, Semantics, TmConfig, TmStatsSnapshot};
-use wtf_mvstm::StmStatsSnapshot;
 use wtf_telemetry::{TelemetryConfig, TelemetryHub, TelemetrySummary};
 use wtf_trace::{Json, TraceLevel, TraceSummary, Tracer};
 use wtf_vclock::Clock;
@@ -141,11 +141,6 @@ pub struct RunSpec {
 /// `wtf-backend` (it pins [`BackendKind::from_env`], which both
 /// [`RunSpec::new`] and `FutureTm::builder` consult).
 pub use wtf_core::with_backend;
-
-/// Scoped contention-manager override for workload sweeps — re-exported
-/// from `wtf-cm` (it pins [`CmKind::from_env`], which both
-/// [`RunSpec::new`] and the STM constructors consult).
-pub use wtf_core::with_cm;
 
 impl RunSpec {
     pub fn new(semantics: Semantics, clients: usize, workers: usize) -> RunSpec {

@@ -30,6 +30,4 @@ pub mod synthetic;
 pub mod vacation;
 pub mod zipf;
 
-pub use harness::{
-    run_virtual, run_virtual_traced, with_backend, with_cm, ClientFn, RunResult, RunSpec,
-};
+pub use harness::{run_virtual, run_virtual_traced, with_backend, ClientFn, RunResult, RunSpec};
