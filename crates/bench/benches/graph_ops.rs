@@ -1,11 +1,11 @@
 //! Costs of manipulating the dependency graph **G** — the overhead §5.2
 //! attributes to "synchronizing the manipulations of the graph structure".
 //!
-//! Includes the DESIGN.md ablation: snapshot-Arc reads (our safe-Rust
-//! analogue of the paper's lock-free stamped traversal) vs traversing
-//! under the write lock.
+//! Includes the DESIGN.md ablation: an `update` that mutates G in place
+//! against one that finds a reader's snapshot outstanding and must copy G
+//! first (what every update paid while G was copy-on-write).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 use wtf_core::internals::{Graph, NodeStatus};
 
@@ -14,15 +14,13 @@ fn chain_graph(futures: usize) -> Graph {
     let g = Graph::with_root();
     let mut cur = 0;
     for _ in 0..futures {
-        let (f, c) = g.update(|gi| {
+        cur = g.update(|gi| {
             gi.set_status(cur, NodeStatus::ICommitted);
             let f = gi.add_node(NodeStatus::ICommitted, &[cur]);
             let c = gi.add_node(NodeStatus::Active, &[cur]);
             gi.add_edge(f, c); // serialized at submission
-            (f, c)
+            c
         });
-        let _ = f;
-        cur = c;
     }
     g
 }
@@ -35,16 +33,17 @@ fn bench_graph(c: &mut Criterion) {
 
     for &n in &[8usize, 32, 128] {
         let g = chain_graph(n);
-        let last = {
-            let (_, gi) = g.snapshot();
-            gi.len() - 1
-        };
-        grp.bench_function(format!("snapshot_clone_{n}"), |b| {
+        let last = g.snapshot().1.len() - 1;
+        grp.bench_function(format!("snapshot_{n}"), |b| {
             b.iter(|| black_box(g.snapshot()))
         });
         grp.bench_function(format!("ancestors_{n}"), |b| {
             let (_, gi) = g.snapshot();
             b.iter(|| black_box(gi.ancestors(last)))
+        });
+        grp.bench_function(format!("ancestors_by_rank_{n}"), |b| {
+            let (_, gi) = g.snapshot();
+            b.iter(|| black_box(gi.by_rank(&gi.ancestors(last))))
         });
         grp.bench_function(format!("reachable_{n}"), |b| {
             let (_, gi) = g.snapshot();
@@ -52,12 +51,40 @@ fn bench_graph(c: &mut Criterion) {
         });
         grp.bench_function(format!("backward_chain_{n}"), |b| {
             let (_, gi) = g.snapshot();
-            b.iter(|| black_box(gi.backward_chain(last, 0)))
+            b.iter(|| black_box(gi.backward_chain(last, 0).count()))
         });
-        grp.bench_function(format!("cow_update_{n}"), |b| {
+        // A status change: in place, and behind a fresh snapshot (one
+        // copy of G per update).
+        grp.bench_function(format!("update_{n}"), |b| {
+            b.iter(|| g.update(|gi| gi.set_status(0, NodeStatus::ICommitted)))
+        });
+        grp.bench_function(format!("update_behind_snapshot_{n}"), |b| {
             b.iter(|| {
+                let held = g.snapshot();
                 g.update(|gi| gi.set_status(0, NodeStatus::ICommitted));
+                held
             })
+        });
+        // What `submit` does to G: a future/continuation pair, then the
+        // serialization edge that lifts the continuation's rank. Used
+        // graphs are parked and dropped by the (untimed) setup.
+        grp.bench_function(format!("spawn_pair_{n}"), |b| {
+            let used = std::cell::RefCell::new(Vec::new());
+            b.iter_batched(
+                || {
+                    used.borrow_mut().clear();
+                    chain_graph(n)
+                },
+                |g| {
+                    g.update(|gi| {
+                        let f = gi.add_node(NodeStatus::Active, &[last]);
+                        let c = gi.add_node(NodeStatus::Active, &[last]);
+                        gi.add_edge(f, c);
+                    });
+                    used.borrow_mut().push(g);
+                },
+                BatchSize::SmallInput,
+            )
         });
     }
     grp.finish();

@@ -12,6 +12,7 @@ use crate::graph::{NodeId, NodeStatus};
 use crate::node::{NodeKind, ReadOrigin, SubTxNode};
 use crate::toplevel::{run_future_body, TopLevel};
 use crate::TmInner;
+use std::collections::hash_map::Entry;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use wtf_backend::{BackendBox, BoxId, FxHashMap, StmError, TBox as VBox, TxResult, TxValue, Value};
@@ -138,14 +139,33 @@ impl TxCtx {
         // Lock order everywhere: nodes, then graph.
         let nodes = sub.nodes.read();
         let (stamp, g) = sub.graph.snapshot();
+        // An ancestor's writes count once it has iCommitted.
+        let frozen_of = |anc: NodeId| {
+            (g.status(anc) == NodeStatus::ICommitted)
+                .then(|| nodes[anc].frozen_writes())
+                .flatten()
+        };
+        let ancestors = g.ancestors(self.node.id);
         self.view.clear();
-        for anc in g.ancestors(self.node.id) {
-            if g.status[anc] == NodeStatus::ICommitted {
-                if let Some(frozen) = nodes[anc].frozen_writes() {
-                    for (id, (_, value)) in frozen.iter() {
-                        // Ancestors are visited in ascending rank order, so
-                        // closer ancestors overwrite farther ones.
-                        self.view.insert(*id, (anc, value.clone()));
+        let room = ancestors.iter().filter_map(frozen_of).map(|w| w.len());
+        self.view.reserve(room.sum());
+        for anc in ancestors.iter() {
+            let Some(frozen) = frozen_of(anc) else {
+                continue;
+            };
+            // The closest ancestor — the highest rank — wins a box, in
+            // whatever order the set is walked.
+            let place = (g.rank(anc), anc);
+            for (id, (_, value)) in frozen.iter() {
+                match self.view.entry(*id) {
+                    Entry::Occupied(mut held) => {
+                        let writer = held.get().0;
+                        if (g.rank(writer), writer) < place {
+                            held.insert((anc, value.clone()));
+                        }
+                    }
+                    Entry::Vacant(free) => {
+                        free.insert((anc, value.clone()));
                     }
                 }
             }
@@ -177,35 +197,30 @@ impl TxCtx {
             self.check_doom()?;
             return Ok(downcast(&v));
         }
-        let body = vbox.body().clone();
+        let body = vbox.body();
         let mut guard = 0u32;
         loop {
             guard += 1;
             assert!(guard < 1_000_000, "read stamp-retry loop spinning");
             self.refresh_view();
             let stamp = self.view_stamp;
-            let value = match self.view.get(&id) {
-                Some((writer, v)) => {
-                    let (writer, v) = (*writer, v.clone());
-                    self.node
-                        .record_read(id, body.clone(), ReadOrigin::Ancestor(writer));
-                    v
-                }
+            let (origin, value) = match self.view.get(&id) {
+                Some((writer, v)) => (ReadOrigin::Ancestor(*writer), v.clone()),
                 None => {
-                    let (ver, v) = self.global_read(&body)?;
-                    self.node
-                        .record_read(id, body.clone(), ReadOrigin::Global(ver));
-                    v
+                    let (ver, v) = self.global_read(body)?;
+                    (ReadOrigin::Global(ver), v)
                 }
             };
+            self.node.record_read(id, body.clone(), origin);
             // Race protocol with concurrent forward validation: we record
             // the read *before* re-checking the stamp. `Graph::update`
             // bumps the stamp on entry, before its closure scans any
             // read-set. If a serializing future entered after our view was
-            // built — even if it has not published yet — the stamp differs
-            // and we redo the read against the new graph (`snapshot` waits
-            // for it). If it enters after this check, its validation scan
-            // locks our read-set after our insert and sees our entry.
+            // built — even if it is still inside `update` — the stamp
+            // differs and we redo the read against the graph it leaves
+            // (`snapshot` waits for it). If it enters after this check, its
+            // validation scan locks our read-set after our insert and sees
+            // our entry.
             if self.top.sub().graph.stamp() == stamp {
                 self.check_doom()?;
                 return Ok(downcast(&value));

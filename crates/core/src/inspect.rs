@@ -125,22 +125,22 @@ impl TopLevel {
     pub fn graph_json(&self) -> Json {
         let (stamp, g, ann) = self.render_view();
         let mut order: Vec<usize> = (0..g.len()).collect();
-        order.sort_by_key(|&n| (g.rank[n], n));
+        order.sort_by_key(|&n| (g.rank(n), n));
         let nodes: Vec<Json> = order
             .iter()
             .map(|&n| {
                 Json::obj(vec![
                     ("id", n.into()),
                     ("kind", (*ann.kinds.get(n).unwrap_or(&"?")).into()),
-                    ("status", status_name(g.status[n]).into()),
-                    ("rank", u64::from(g.rank[n]).into()),
+                    ("status", status_name(g.status(n)).into()),
+                    ("rank", u64::from(g.rank(n)).into()),
                     ("doomed", ann.doomed.get(n).copied().unwrap_or(false).into()),
                 ])
             })
             .collect();
         let edges: Vec<Json> = (0..g.len())
             .flat_map(|from| {
-                g.succs[from]
+                g.succs(from)
                     .iter()
                     .map(move |&to| Json::arr(vec![from.into(), to.into()]))
             })
@@ -183,15 +183,15 @@ fn graph_dot_impl(
             out,
             "  n{n} [label=\"n{n} {} {}\\nrank {}{}\" fillcolor={}{}];",
             ann.kinds.get(n).unwrap_or(&"?"),
-            status_name(g.status[n]),
-            g.rank[n],
+            status_name(g.status(n)),
+            g.rank(n),
             if doomed { " doomed" } else { "" },
-            status_fill(g.status[n]),
+            status_fill(g.status(n)),
             outline,
         );
     }
     for from in 0..g.len() {
-        for &to in &g.succs[from] {
+        for &to in g.succs(from) {
             let _ = writeln!(out, "  n{from} -> n{to};");
         }
     }

@@ -1123,6 +1123,100 @@ fn bank_two_futures_in_flight_conserves_total() {
     }
 }
 
+/// A closure that unwinds inside a graph update (forward validation is
+/// one) must not leave the seqlock open or a node the table never got:
+/// the stamp is even again, the node is gone, the top-level is doomed,
+/// and the next read fails at once instead of spinning on the stamp.
+#[test]
+fn panic_inside_graph_update_dooms_the_top_level() {
+    use crate::graph::NodeStatus;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use wtf_backend::StmError;
+    let mut attempts = 0;
+    let (v, _, _) = with_vtm(Semantics::WO_GAC, 1, |tm| {
+        let x = tm.new_vbox(5i64);
+        tm.atomic(|ctx| {
+            attempts += 1;
+            ctx.step(|c| c.read(&x))?;
+            if attempts == 1 {
+                let top = ctx.top.clone();
+                let (stamp, nodes) = (top.sub().graph.stamp(), top.node_count());
+                let unwound = catch_unwind(AssertUnwindSafe(|| {
+                    top.update_graph(|g| {
+                        g.add_node(NodeStatus::Active, &[0]);
+                        panic!("mid-update");
+                    })
+                }));
+                assert!(unwound.is_err());
+                let (after, g) = top.sub().graph.snapshot();
+                assert_eq!(after, stamp + 2, "the seqlock closed");
+                assert_eq!(g.len(), nodes, "no node without a table entry");
+                assert!(top.is_doomed());
+                assert_eq!(ctx.read(&x), Err(StmError::Conflict));
+            }
+            ctx.read(&x)
+        })
+        .unwrap()
+    });
+    assert_eq!((v, attempts), (5, 2), "the doomed incarnation restarted");
+}
+
+/// Cancelling a body's children is one graph update however many there
+/// are: readers' views go stale once per sweep, not once per future.
+#[test]
+fn cancelling_children_is_one_graph_update() {
+    with_vtm(Semantics::WO_GAC, 4, |tm| {
+        tm.atomic(|ctx| {
+            let parent = ctx.submit(|c| {
+                let kids = [c.submit(|_| Ok(1i64))?, c.submit(|_| Ok(2i64))?];
+                Ok(c.evaluate(&kids[0])? + c.evaluate(&kids[1])?)
+            })?;
+            assert_eq!(ctx.evaluate(&parent)?, 3);
+            let graph = &ctx.top.sub().graph;
+            let before = graph.stamp();
+            ctx.top.cancel_children(&ctx.tm, &parent.core);
+            assert_eq!(graph.stamp(), before + 2, "two children, one update");
+            Ok(())
+        })
+        .unwrap();
+    });
+}
+
+/// An inflated commit hands the backend every segment's global reads as
+/// they are, duplicates included (validating a box twice changes no
+/// verdict). What a trace says must not depend on that: a traced commit
+/// names a box two segments read once, in its `CommitRead` record and in
+/// the read count of `StmValidationSpan`.
+#[test]
+fn traced_commit_names_a_box_read_by_two_segments_once() {
+    use wtf_trace::{EventKind, TraceLevel, Tracer};
+    let tracer = Tracer::new(TraceLevel::Full);
+    let t2 = tracer.clone();
+    let x_id = Clock::virtual_time().enter(move || {
+        let tm = FutureTm::builder()
+            .semantics(Semantics::WO_GAC)
+            .workers(1)
+            .tracer(t2)
+            .build();
+        let (x, y) = (tm.new_vbox(1i64), tm.new_vbox(0i64));
+        tm.atomic(|ctx| {
+            let a = ctx.step(|c| c.read(&x))?;
+            let b = ctx.step(|c| c.read(&x))?;
+            ctx.write(&y, a + b)
+        })
+        .unwrap();
+        assert_eq!(y.read_latest(), 2);
+        tm.shutdown();
+        x.id().0
+    });
+    let events: Vec<_> = tracer.lanes().into_iter().flat_map(|(_, e)| e).collect();
+    let of = |kind| events.iter().filter(move |e| e.kind == kind);
+    let named: Vec<u64> = of(EventKind::CommitRead).map(|e| e.a).collect();
+    assert_eq!(named, vec![x_id], "one CommitRead for the one box read");
+    let counts: Vec<u64> = of(EventKind::StmValidationSpan).map(|e| e.b).collect();
+    assert_eq!(counts, vec![1], "validated read count");
+}
+
 /// A top-level transaction has no graph until its first sub-transaction:
 /// reads, writes and the exporters see a single root, and the first
 /// `submit` builds G around that root.

@@ -3,7 +3,7 @@
 
 use crate::ctx::TxCtx;
 use crate::future::{BodyFn, EscapeRecord, FutState, FutureCore};
-use crate::graph::{Graph, NodeId, NodeStatus};
+use crate::graph::{Graph, GraphInner, NodeId, NodeSet, NodeStatus};
 use crate::node::{NodeKind, ReadOrigin, SubTxNode};
 use crate::{AtomicitySemantics, OrderingSemantics, TmInner};
 use parking_lot::{Mutex, RwLock};
@@ -41,6 +41,9 @@ pub(crate) enum CommitFail {
     /// continuation-based partial rollback).
     Internal,
 }
+
+/// Writes on their way to the backend: box handle + value.
+type Writes = Vec<(Arc<dyn BackendBox>, Value)>;
 
 /// Final-commit byproducts needed to resolve escaping futures.
 pub(crate) struct CommitInfo {
@@ -164,6 +167,12 @@ impl TopLevel {
         self.sub.get().expect("sub-transaction of a flat top-level")
     }
 
+    /// Mutates G. A closure that unwinds dooms this incarnation: it may
+    /// have applied half of a serialization decision.
+    pub(crate) fn update_graph<R>(&self, f: impl FnOnce(&mut GraphInner) -> R) -> R {
+        self.sub().graph.update_or(|| self.doom(), f)
+    }
+
     /// Wakes whoever waits for a settlement-relevant change (nobody can
     /// while the top-level is flat).
     pub(crate) fn notify_change(&self, tm: &TmInner) {
@@ -209,7 +218,7 @@ impl TopLevel {
     ) -> (NodeId, NodeId, Arc<SubTxNode>) {
         let sub = self.inflate(tm);
         let mut nodes = sub.nodes.write();
-        let (f, c) = sub.graph.update(|g| {
+        let (f, c) = self.update_graph(|g| {
             g.set_status(cur, NodeStatus::ICommitted);
             let f = g.add_node(NodeStatus::Active, &[cur]);
             let c = g.add_node(NodeStatus::Active, &[cur]);
@@ -231,7 +240,7 @@ impl TopLevel {
     ) -> Arc<SubTxNode> {
         let sub = self.inflate(tm);
         let mut nodes = sub.nodes.write();
-        let id = sub.graph.update(|g| {
+        let id = self.update_graph(|g| {
             g.set_status(pred, NodeStatus::ICommitted);
             g.add_node(NodeStatus::Active, &[pred])
         });
@@ -248,7 +257,7 @@ impl TopLevel {
         let mut nodes = sub.nodes.write();
         let fresh = SubTxNode::new(id, kind);
         nodes[id] = fresh.clone();
-        sub.graph.update(|g| g.set_status(id, NodeStatus::Active));
+        self.update_graph(|g| g.set_status(id, NodeStatus::Active));
         fresh
     }
 
@@ -285,65 +294,45 @@ impl TopLevel {
     /// future's own chain plus nested futures already serialized inside it
     /// — computed as the ancestors of the final node that lie within the
     /// future's subtree.
-    fn subtree_members(
-        g: &crate::graph::GraphInner,
-        fnode: NodeId,
-        final_node: NodeId,
-    ) -> Vec<NodeId> {
-        let mut subtree: FxHashSet<NodeId> = g.reachable_from(fnode).into_iter().collect();
+    fn subtree_members(g: &GraphInner, fnode: NodeId, final_node: NodeId) -> NodeSet {
+        let mut members = g.ancestors(final_node);
+        let mut subtree = g.reachable_from(fnode);
         subtree.insert(fnode);
-        let mut members: Vec<NodeId> = g
-            .ancestors(final_node)
-            .into_iter()
-            .filter(|n| subtree.contains(n))
-            .collect();
-        members.push(final_node);
-        if !members.contains(&fnode) {
-            members.insert(0, fnode);
-        }
+        members.intersect_with(&subtree);
+        members.insert(final_node);
+        members.insert(fnode);
         members
     }
 
-    /// External read-set of a future: every box read by its members whose
-    /// value came from outside the subtree.
-    fn external_reads(
-        nodes: &[Arc<SubTxNode>],
-        members: &[NodeId],
-    ) -> Vec<(Arc<dyn BackendBox>, ReadOrigin)> {
-        let member_set: FxHashSet<NodeId> = members.iter().copied().collect();
-        let mut seen: FxHashSet<BoxId> = FxHashSet::default();
-        let mut out = Vec::new();
-        for &m in members {
-            for (id, entry) in nodes[m].reads.lock().iter() {
-                let external = match entry.origin {
-                    ReadOrigin::Global(_) => true,
-                    ReadOrigin::Ancestor(a) => !member_set.contains(&a),
-                };
-                if external && seen.insert(*id) {
-                    out.push((entry.body.clone(), entry.origin.clone()));
-                }
-            }
+    /// Was this read of a member's served from outside the subtree?
+    fn is_external(origin: &ReadOrigin, members: &NodeSet) -> bool {
+        match origin {
+            ReadOrigin::Global(_) => true,
+            ReadOrigin::Ancestor(a) => !members.contains(*a),
         }
-        out
     }
 
-    /// Overlay of the members' write-sets in rank order.
+    /// Overlay of the write-sets of `ordered`, which is in rank order:
+    /// which node's write wins each box, and the winning writes.
     fn overlay_writes(
-        g: &crate::graph::GraphInner,
         nodes: &[Arc<SubTxNode>],
-        members: &[NodeId],
-    ) -> FxHashMap<BoxId, (Arc<dyn BackendBox>, Value, NodeId)> {
-        let mut ordered: Vec<NodeId> = members.to_vec();
-        ordered.sort_by_key(|&n| (g.rank[n], n));
-        let mut out: FxHashMap<BoxId, (Arc<dyn BackendBox>, Value, NodeId)> = FxHashMap::default();
-        for n in ordered {
-            if let Some(frozen) = nodes[n].frozen_writes() {
-                for (id, (body, value)) in frozen.iter() {
-                    out.insert(*id, (body.clone(), value.clone(), n));
-                }
-            }
+        ordered: &[NodeId],
+    ) -> (FxHashMap<BoxId, NodeId>, Writes) {
+        let frozen = |&n: &NodeId| nodes[n].frozen_writes().map(|w| (n, w));
+        let mut winners: FxHashMap<BoxId, NodeId> = FxHashMap::default();
+        let room = ordered.iter().filter_map(frozen).map(|(_, w)| w.len());
+        winners.reserve(room.sum());
+        for (n, writes) in ordered.iter().filter_map(frozen) {
+            winners.extend(writes.keys().map(|&id| (id, n)));
         }
-        out
+        let writes = winners
+            .iter()
+            .map(|(id, &n)| {
+                let (body, value) = &nodes[n].frozen_writes().expect("a winner froze")[id];
+                (body.clone(), value.clone())
+            })
+            .collect();
+        (winners, writes)
     }
 
     /// A future's body finished executing: attempt serialization at the
@@ -367,7 +356,7 @@ impl TopLevel {
         let sub = self.sub();
         let nodes = sub.nodes.read();
         let strong = self.strong;
-        let outcome = sub.graph.update(|g| {
+        let outcome = self.update_graph(|g| {
             if self.is_sealed() {
                 g.set_status(core.node, NodeStatus::CompletedPending);
                 g.set_status(final_node, NodeStatus::CompletedPending);
@@ -376,29 +365,30 @@ impl TopLevel {
             let members = Self::subtree_members(g, core.node, final_node);
             // A doomed member read state that a conflicting serialization
             // invalidated: this incarnation cannot serialize anywhere.
-            if members.iter().any(|&m| nodes[m].is_doomed()) {
+            if members.iter().any(|m| nodes[m].is_doomed()) {
                 return FutureCommitOutcome::Doomed;
             }
             // Union of the subtree's (frozen) writes.
+            let frozen = |m: NodeId| nodes[m].frozen_writes();
             let mut write_ids: FxHashMap<BoxId, ()> = FxHashMap::default();
-            for &m in &members {
-                if let Some(frozen) = nodes[m].frozen_writes() {
-                    write_ids.extend(frozen.keys().map(|&k| (k, ())));
-                }
+            let room = members.iter().filter_map(frozen).map(|w| w.len());
+            write_ids.reserve(room.sum());
+            for writes in members.iter().filter_map(frozen) {
+                write_ids.extend(writes.keys().map(|&k| (k, ())));
             }
             // Forward validation (§4.1): no sub-transaction reachable from
             // the continuation may have read anything the future wrote.
-            let conflicters: Vec<NodeId> = g
-                .reachable_from(core.cont_node)
-                .into_iter()
-                .chain(std::iter::once(core.cont_node))
+            let mut readers = g.reachable_from(core.cont_node);
+            readers.insert(core.cont_node);
+            let conflicters: Vec<NodeId> = readers
+                .iter()
                 .filter(|&n| {
-                    g.status[n] != NodeStatus::Aborted && nodes[n].reads_intersect(&write_ids)
+                    g.status(n) != NodeStatus::Aborted && nodes[n].reads_intersect(&write_ids)
                 })
                 .collect();
             if conflicters.is_empty() {
                 g.add_edge(final_node, core.cont_node);
-                for &m in &members {
+                for m in members.iter() {
                     g.set_status(m, NodeStatus::ICommitted);
                 }
                 FutureCommitOutcome::SerializedAtSubmission
@@ -408,7 +398,7 @@ impl TopLevel {
                 // reader cannot be rolled back alone: cascade to a
                 // whole-top-level restart.
                 g.add_edge(final_node, core.cont_node);
-                for &m in &members {
+                for m in members.iter() {
                     g.set_status(m, NodeStatus::ICommitted);
                 }
                 for &n in &conflicters {
@@ -417,7 +407,7 @@ impl TopLevel {
                             "[debug] future {} dooms node {} (active={})",
                             core.id,
                             n,
-                            g.status[n] == NodeStatus::Active && g.succs[n].is_empty()
+                            g.status(n) == NodeStatus::Active && g.succs(n).is_empty()
                         );
                     }
                     nodes[n].doom();
@@ -434,7 +424,7 @@ impl TopLevel {
                             witness.map(|b| b.0).unwrap_or(u64::MAX),
                         );
                     }
-                    let contained = g.status[n] == NodeStatus::Active && g.succs[n].is_empty();
+                    let contained = g.status(n) == NodeStatus::Active && g.succs(n).is_empty();
                     if !contained {
                         self.doom();
                     }
@@ -498,36 +488,37 @@ impl TopLevel {
         let sub = self.sub();
         let nodes = sub.nodes.read();
         let final_node = core.final_node.lock().expect("completed future");
-        let ok = sub.graph.update(|g| {
+        let ok = self.update_graph(|g| {
             let members = Self::subtree_members(g, core.node, final_node);
-            if members.iter().any(|&m| nodes[m].is_doomed()) {
+            if members.iter().any(|m| nodes[m].is_doomed()) {
                 return false;
             }
-            let member_set: FxHashSet<NodeId> = members.iter().copied().collect();
             // Boxes the future observed from outside its subtree.
             let mut read_ids: FxHashMap<BoxId, ()> = FxHashMap::default();
-            for (body, _) in Self::external_reads(&nodes, &members) {
-                read_ids.insert(body.id(), ());
+            for m in members.iter() {
+                for (id, entry) in nodes[m].reads.lock().iter() {
+                    if Self::is_external(&entry.origin, &members) {
+                        read_ids.insert(*id, ());
+                    }
+                }
             }
             // The sub-transactions that ran concurrently with the future:
             // the backward chain from the evaluation point, minus the
             // future's own ancestors (whose writes it did see).
-            let f_anc: FxHashSet<NodeId> = g.ancestors(core.node).into_iter().collect();
-            let chain: Vec<NodeId> = g
+            let f_anc = g.ancestors(core.node);
+            let conflict = g
                 .backward_chain(eval_node, usize::MAX)
-                .into_iter()
-                .filter(|n| !f_anc.contains(n) && !member_set.contains(n))
-                .collect();
-            let conflict = chain.iter().any(|&n| {
-                g.status[n] != NodeStatus::Aborted && nodes[n].writes_intersect(&read_ids)
-            });
+                .filter(|&n| !f_anc.contains(n) && !members.contains(n))
+                .any(|n| {
+                    g.status(n) != NodeStatus::Aborted && nodes[n].writes_intersect(&read_ids)
+                });
             if conflict {
                 return false;
             }
             // Serialize after the continuation, before the evaluation.
             g.add_edge(eval_pred, core.node);
             g.add_edge(final_node, eval_node);
-            for &m in &members {
+            for m in members.iter() {
                 g.set_status(m, NodeStatus::ICommitted);
             }
             true
@@ -552,7 +543,7 @@ impl TopLevel {
         let mut nodes = sub.nodes.write();
         let fresh = SubTxNode::new(core.node, NodeKind::Future);
         nodes[core.node] = fresh.clone();
-        sub.graph.update(|g| {
+        self.update_graph(|g| {
             g.set_status(core.node, NodeStatus::Active);
             g.add_edge(eval_pred, core.node);
         });
@@ -568,10 +559,9 @@ impl TopLevel {
         eval_node: NodeId,
         value: Value,
     ) {
-        self.sub().graph.update(|g| {
+        self.update_graph(|g| {
             g.add_edge(final_node, eval_node);
-            let members = Self::subtree_members(g, core.node, final_node);
-            for m in members {
+            for m in Self::subtree_members(g, core.node, final_node).iter() {
                 g.set_status(m, NodeStatus::ICommitted);
             }
         });
@@ -582,19 +572,42 @@ impl TopLevel {
 
     /// Recursively cancels futures spawned by an aborted body incarnation.
     pub(crate) fn cancel_children(&self, tm: &Arc<TmInner>, core: &Arc<FutureCore>) {
-        let children: Vec<Arc<FutureCore>> = core.children.lock().drain(..).collect();
-        for child in children {
-            self.cancel_children(tm, &child);
+        let mut cancelled = Vec::new();
+        Self::drain_descendants(core, &mut cancelled);
+        for child in &cancelled {
             child.set_state(FutState::Cancelled);
             tm.tracer
                 .record(EventKind::FutureCancelled, child.id, self.id);
-            self.sub().graph.update(|g| {
-                g.set_status(child.node, NodeStatus::Aborted);
-                if let Some(f) = *child.final_node.lock() {
+        }
+        self.abort_nodes_of(tm, &cancelled);
+    }
+
+    /// Detaches every future spawned (transitively) under `core`,
+    /// children before their parent.
+    fn drain_descendants(core: &FutureCore, out: &mut Vec<Arc<FutureCore>>) {
+        let children: Vec<Arc<FutureCore>> = core.children.lock().drain(..).collect();
+        for child in children {
+            Self::drain_descendants(&child, out);
+            out.push(child);
+        }
+    }
+
+    /// Marks the nodes of cancelled futures Aborted in one graph update,
+    /// so readers' views go stale once per sweep, and wakes their waiters.
+    fn abort_nodes_of(&self, tm: &TmInner, cancelled: &[Arc<FutureCore>]) {
+        if cancelled.is_empty() {
+            return;
+        }
+        self.update_graph(|g| {
+            for fut in cancelled {
+                g.set_status(fut.node, NodeStatus::Aborted);
+                if let Some(f) = *fut.final_node.lock() {
                     g.set_status(f, NodeStatus::Aborted);
                 }
-            });
-            tm.clock.notify_all(&child.event);
+            }
+        });
+        for fut in cancelled {
+            tm.clock.notify_all(&fut.event);
         }
     }
 
@@ -638,23 +651,20 @@ impl TopLevel {
         // Cancel not-yet-serialized top submissions: they are respawned at
         // their submission index. (Serialized ones are reused; their
         // nested pending children stay alive and valid.)
-        for fut in &replay {
-            if fut.state() != FutState::Serialized {
-                fut.set_state(FutState::Cancelled);
-                sub.graph.update(|g| {
-                    g.set_status(fut.node, NodeStatus::Aborted);
-                    if let Some(f) = *fut.final_node.lock() {
-                        g.set_status(f, NodeStatus::Aborted);
-                    }
-                });
-                tm.clock.notify_all(&fut.event);
-            }
+        let cancelled: Vec<Arc<FutureCore>> = replay
+            .iter()
+            .filter(|fut| fut.state() != FutState::Serialized)
+            .cloned()
+            .collect();
+        for fut in &cancelled {
+            fut.set_state(FutState::Cancelled);
         }
+        self.abort_nodes_of(tm, &cancelled);
         self.doomed.store(false, Ordering::Release);
         // Fresh chain root (a second rank-0 node; the old chain becomes
         // garbage no path reaches).
         let mut nodes = sub.nodes.write();
-        let id = sub.graph.update(|g| g.add_node(NodeStatus::Active, &[]));
+        let id = self.update_graph(|g| g.add_node(NodeStatus::Active, &[]));
         debug_assert_eq!(id, nodes.len());
         let node = SubTxNode::new(id, NodeKind::Root);
         nodes.push(node.clone());
@@ -671,7 +681,7 @@ impl TopLevel {
         let final_node = core.final_node.lock().expect("serialized future");
         let sub = self.sub();
         let mut nodes = sub.nodes.write();
-        let c = sub.graph.update(|g| {
+        let c = self.update_graph(|g| {
             g.set_status(cur, NodeStatus::ICommitted);
             // Re-home the future's subtree onto the new chain: its old
             // spawn point belongs to the aborted chain, whose segments
@@ -744,34 +754,39 @@ impl TopLevel {
             Some(sub) => {
                 ctx.node.freeze();
                 let commit_node = ctx.node.id;
-                sub.graph.update(|g| {
+                self.update_graph(|g| {
                     g.set_status(commit_node, NodeStatus::ICommitted);
                     self.sealed.store(true, Ordering::Release);
                 });
                 let nodes = sub.nodes.read();
                 let (_, g) = sub.graph.snapshot();
-                let mut included = g.ancestors(commit_node);
+                // In rank order: the overlay's, and the order the backend
+                // validates (and so attributes a conflict) in.
+                let mut included = g.by_rank(&g.ancestors(commit_node));
                 included.push(commit_node);
-                included.retain(|&n| g.status[n] == NodeStatus::ICommitted);
+                included.retain(|&n| g.status(n) == NodeStatus::ICommitted);
                 if included.iter().any(|&n| nodes[n].is_doomed()) {
                     return Err(CommitFail::Internal);
                 }
-                let overlay = Self::overlay_writes(&g, &nodes, &included);
-                let mut winners: FxHashMap<BoxId, NodeId> = FxHashMap::default();
-                let mut writes: Vec<(Arc<dyn BackendBox>, Value)> =
-                    Vec::with_capacity(overlay.len());
-                for (id, (body, value, node)) in overlay {
-                    winners.insert(id, node);
-                    writes.push((body, value));
-                }
-                let mut seen: FxHashSet<BoxId> = FxHashSet::default();
-                for &n in &included {
-                    for (id, entry) in nodes[n].reads.lock().iter() {
-                        if let ReadOrigin::Global(v) = entry.origin {
-                            if seen.insert(*id) {
-                                reads.push(entry.body.clone());
-                                if full {
-                                    rec.push((id.0, v));
+                let (winners, writes) = Self::overlay_writes(&nodes, &included);
+                // As on the flat path, a read-only commit validates
+                // nothing. Otherwise every included segment's global
+                // reads go to the backend as they are: a box that two
+                // segments read is validated twice, to the same verdict.
+                // Only a traced run names each box once —
+                // `StmValidationSpan` carries the count.
+                if !writes.is_empty() || full {
+                    let room = included.iter().map(|&n| nodes[n].reads.lock().len());
+                    reads.reserve(room.sum());
+                    let mut seen = tm.tracer.on().then(FxHashSet::<BoxId>::default);
+                    for &n in &included {
+                        for (id, entry) in nodes[n].reads.lock().iter() {
+                            if let ReadOrigin::Global(v) = entry.origin {
+                                if seen.as_mut().is_none_or(|seen| seen.insert(*id)) {
+                                    reads.push(entry.body.clone());
+                                    if full {
+                                        rec.push((id.0, v));
+                                    }
                                 }
                             }
                         }
@@ -951,26 +966,33 @@ impl TopLevel {
         let nodes = sub.nodes.read();
         let (_, g) = sub.graph.snapshot();
         let members = Self::subtree_members(&g, core.node, final_node);
+        let ordered = g.by_rank(&members);
         let mut poisoned = false;
+        // External read-set: every box read by a member whose value came
+        // from outside the subtree, once.
         let mut reads: Vec<(Arc<dyn BackendBox>, u64)> = Vec::new();
-        for (body, origin) in Self::external_reads(&nodes, &members) {
-            match origin {
-                ReadOrigin::Global(v) => reads.push((body, v)),
-                ReadOrigin::Ancestor(a) => {
-                    // The observed ancestor value is revalidatable only if
-                    // it is exactly what the spawner committed for the box.
-                    if info.winners.get(&body.id()) == Some(&a) {
-                        reads.push((body, info.version));
-                    } else {
-                        poisoned = true;
+        let mut seen: FxHashSet<BoxId> = FxHashSet::default();
+        for &m in &ordered {
+            for (id, entry) in nodes[m].reads.lock().iter() {
+                if !Self::is_external(&entry.origin, &members) || !seen.insert(*id) {
+                    continue;
+                }
+                match entry.origin {
+                    ReadOrigin::Global(v) => reads.push((entry.body.clone(), v)),
+                    ReadOrigin::Ancestor(a) => {
+                        // The observed ancestor value is revalidatable only
+                        // if it is exactly what the spawner committed for
+                        // the box.
+                        if info.winners.get(id) == Some(&a) {
+                            reads.push((entry.body.clone(), info.version));
+                        } else {
+                            poisoned = true;
+                        }
                     }
                 }
             }
         }
-        let writes: Vec<(Arc<dyn BackendBox>, Value)> = Self::overlay_writes(&g, &nodes, &members)
-            .into_iter()
-            .map(|(_, (body, value, _))| (body, value))
-            .collect();
+        let (_, writes) = Self::overlay_writes(&nodes, &ordered);
         *core.escape.lock() = Some(EscapeRecord {
             reads,
             writes,

@@ -1,11 +1,12 @@
-//! Litmus test for `wtf-core`'s graph stamp — the dynamic counterpart of
-//! `wtf-audit`'s static checks, named after the inventory entry
-//! (`results/audit_inventory.json`) whose protocol it drives. Run under
-//! Miri and TSan in CI; iteration counts scale down under Miri.
+//! Litmus tests for `wtf-core`'s graph stamp and the graph it guards —
+//! the dynamic counterpart of `wtf-audit`'s static checks, named after
+//! the inventory entry (`results/audit_inventory.json`) whose protocol
+//! they drive. Run under Miri and TSan in CI; iteration counts scale down
+//! under Miri.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use wtf_core::internals::Graph;
+use wtf_core::internals::{Graph, NodeStatus};
 
 const ROUNDS: u64 = if cfg!(miri) { 30 } else { 5_000 };
 
@@ -83,4 +84,66 @@ fn stamp_entry_bump_makes_unseen_readers_retry() {
     writer.join().unwrap();
     assert_eq!(graph.stamp(), 2 * ROUNDS, "two bumps per update");
     assert!(retried <= ROUNDS);
+}
+
+/// G is mutated in place, yet a snapshot is a whole graph: a reader
+/// walking snapshots while a writer appends spawn pairs and serializes
+/// them (an edge that lifts ranks downstream) never follows an edge to a
+/// node its snapshot lacks, never sees a rank descend along an edge, and
+/// never sees a snapshot it already holds change under it.
+#[test]
+fn snapshots_stay_whole_while_a_writer_appends() {
+    const ROUNDS: u64 = if cfg!(miri) { 5 } else { 100 };
+    const PAIRS: usize = 5; // 2 nodes each: 1,000 nodes appended in all
+    let graph = Arc::new(Graph::with_root());
+    let arrivals = Arc::new(AtomicU64::new(0));
+
+    let writer = {
+        let (graph, arrivals) = (Arc::clone(&graph), Arc::clone(&arrivals));
+        std::thread::spawn(move || {
+            let mut cur = 0;
+            for round in 0..ROUNDS {
+                meet(&arrivals, round + 1);
+                for _ in 0..PAIRS {
+                    let (f, c) = graph.update(|g| {
+                        g.set_status(cur, NodeStatus::ICommitted);
+                        let f = g.add_node(NodeStatus::Active, &[cur]);
+                        (f, g.add_node(NodeStatus::Active, &[cur]))
+                    });
+                    // Serialized at submission: lifts `c` above `f`.
+                    graph.update(|g| {
+                        g.add_edge(f, c);
+                        g.set_status(f, NodeStatus::ICommitted);
+                    });
+                    cur = c;
+                }
+            }
+        })
+    };
+
+    let whole = |g: &wtf_core::internals::GraphInner| {
+        for u in 0..g.len() {
+            for &v in g.succs(u) {
+                assert!(v < g.len(), "edge {u}->{v} leaves a {}-node graph", g.len());
+                assert!(g.rank(v) > g.rank(u), "rank descends along {u}->{v}");
+                assert!(g.preds(v).contains(&u), "edge {u}->{v} has no way back");
+            }
+        }
+        g.len()
+    };
+    for round in 0..ROUNDS {
+        meet(&arrivals, round + 1);
+        let (stamp, held) = graph.snapshot();
+        assert_eq!(stamp % 2, 0, "snapshots exclude a writer mid-update");
+        let len = whole(&held);
+        for _ in 0..4 {
+            let (_, g) = graph.snapshot();
+            assert!(whole(&g) >= len, "G only grows");
+        }
+        assert_eq!(whole(&held), len, "a held snapshot is immutable");
+    }
+    writer.join().unwrap();
+    let (stamp, g) = graph.snapshot();
+    assert_eq!(whole(&g), 1 + 2 * PAIRS * ROUNDS as usize);
+    assert_eq!(stamp, 4 * PAIRS as u64 * ROUNDS, "two bumps per update");
 }
