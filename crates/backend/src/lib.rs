@@ -149,7 +149,8 @@ impl std::fmt::Display for BackendKind {
 /// An untyped transactional box owned by some backend.
 ///
 /// The typed facade is [`TBox`]; the runtime (`wtf-core`) holds
-/// `Arc<dyn BackendBox>` in its read/write sets and hands them back to
+/// `Arc<dyn BackendBox>` in its read/write sets and hands them back —
+/// the reads borrowed, the writes owned — to
 /// [`StmBackend::commit_attributed`], which downcasts via
 /// [`BackendBox::as_any`] to recover its own concrete box type.
 pub trait BackendBox: Send + Sync {
@@ -250,7 +251,10 @@ pub trait StmBackend: Send + Sync {
     fn acquire_snapshot(&self) -> BackendSnapshot;
 
     /// Validates `reads` against `snapshot` and publishes `writes` at a
-    /// freshly reserved version (returned). On a validation failure,
+    /// freshly reserved version (returned). The reads are borrowed: the
+    /// caller's read-set keeps the boxes alive, and a box may be listed
+    /// more than once (it is then validated each time, to the same
+    /// verdict). On a validation failure,
     /// returns the id of the box whose check failed — already charged to
     /// the tracer's conflict-hotspot report — and installs nothing.
     ///
@@ -260,7 +264,7 @@ pub trait StmBackend: Send + Sync {
     fn commit_attributed(
         &self,
         snapshot: u64,
-        reads: &[Arc<dyn BackendBox>],
+        reads: &[&dyn BackendBox],
         writes: Vec<(Arc<dyn BackendBox>, Value)>,
     ) -> Result<u64, BoxId>;
 }
@@ -434,8 +438,7 @@ impl<'s> BackendTxn<'s> {
             Self::record_commit(backend, &self.read_set, snapshot, snapshot);
             return Ok(());
         }
-        let reads: Vec<Arc<dyn BackendBox>> =
-            self.read_set.values().map(|(b, _)| b.clone()).collect();
+        let reads: Vec<&dyn BackendBox> = self.read_set.values().map(|(b, _)| &**b).collect();
         let writes: Vec<(Arc<dyn BackendBox>, Value)> = self.write_set.into_values().collect();
         let version = backend.commit_attributed(snapshot, &reads, writes)?;
         Self::record_commit(backend, &self.read_set, version, snapshot);

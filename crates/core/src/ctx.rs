@@ -9,7 +9,7 @@
 
 use crate::future::{EscapeRecord, FutState, FutureCore, TxFuture};
 use crate::graph::{NodeId, NodeStatus};
-use crate::node::{NodeKind, ReadOrigin, SubTxNode};
+use crate::node::{NodeKind, ReadOrigin, SubTxNode, WriteMap};
 use crate::toplevel::{run_future_body, TopLevel};
 use crate::TmInner;
 use std::collections::hash_map::Entry;
@@ -23,6 +23,9 @@ pub struct TxCtx {
     pub(crate) tm: Arc<TmInner>,
     pub(crate) top: Arc<TopLevel>,
     pub(crate) node: Arc<SubTxNode>,
+    /// `node`'s write buffer. It is this context's alone until `freeze`
+    /// hands it to the node as its (immutable, shared) write-set.
+    writes: WriteMap,
     /// The future whose body this context executes (None for the
     /// top-level thread); newly submitted futures register as children so
     /// a body retry can cancel them.
@@ -50,6 +53,7 @@ impl TxCtx {
             tm,
             top,
             node,
+            writes: WriteMap::default(),
             owner: None,
             replay: Vec::new(),
             replay_idx: 0,
@@ -67,6 +71,26 @@ impl TxCtx {
 
     pub(crate) fn set_owner(&mut self, owner: Arc<FutureCore>) {
         self.owner = Some(owner);
+    }
+
+    /// iCommits the current node: its buffered writes become its frozen
+    /// write-set, visible to descendants.
+    pub(crate) fn freeze(&mut self) {
+        self.node.freeze(std::mem::take(&mut self.writes));
+    }
+
+    /// Empties the write buffer into the caller (the commit of a node that
+    /// never iCommits: a flat top-level's root).
+    pub(crate) fn take_writes(&mut self) -> WriteMap {
+        std::mem::take(&mut self.writes)
+    }
+
+    /// Moves the cursor to `node`. Whatever the buffer still holds was
+    /// written by an incarnation that is being retried.
+    fn bind(&mut self, node: Arc<SubTxNode>) {
+        self.node = node;
+        self.writes.clear();
+        self.view_valid = false;
     }
 
     /// Charges CPU plus (optionally) serialized memory-bus cost.
@@ -184,8 +208,8 @@ impl TxCtx {
         self.charge(costs.read_cpu, costs.read_mem);
         self.check_doom()?;
         let id = vbox.id();
-        if let Some(v) = self.node.own_write(id) {
-            return Ok(downcast(&v));
+        if let Some((_, v)) = self.writes.get(&id) {
+            return Ok(downcast(v));
         }
         // Flat (no sub-transaction yet, and only this thread can create
         // one): no ancestor can hold a write and no sibling can serialize,
@@ -193,7 +217,7 @@ impl TxCtx {
         if self.top.inflated().is_none() {
             let (ver, v) = self.global_read(vbox.body())?;
             self.node
-                .record_read(id, vbox.body().clone(), ReadOrigin::Global(ver));
+                .record_read(id, vbox.body(), ReadOrigin::Global(ver));
             self.check_doom()?;
             return Ok(downcast(&v));
         }
@@ -211,16 +235,18 @@ impl TxCtx {
                     (ReadOrigin::Global(ver), v)
                 }
             };
-            self.node.record_read(id, body.clone(), origin);
-            // Race protocol with concurrent forward validation: we record
-            // the read *before* re-checking the stamp. `Graph::update`
-            // bumps the stamp on entry, before its closure scans any
-            // read-set. If a serializing future entered after our view was
-            // built — even if it is still inside `update` — the stamp
-            // differs and we redo the read against the graph it leaves
-            // (`snapshot` waits for it). If it enters after this check, its
-            // validation scan locks our read-set after our insert and sees
-            // our entry.
+            self.node.record_read(id, body, origin);
+            // Race protocol with concurrent forward validation, a
+            // store-buffering pair: we publish the read (a `SeqCst` store
+            // of the log's length) *before* re-checking the stamp (a
+            // `SeqCst` load); `Graph::update` bumps the stamp on entry (a
+            // `SeqCst` RMW), before its closure loads any log's length
+            // (`SeqCst`). So one side sees the other. If a serializing
+            // future entered after our view was built — even if it is
+            // still inside `update` — the stamp differs and we redo the
+            // read against the graph it leaves (`snapshot` waits for it).
+            // If we see the old stamp, its bump comes after our load, its
+            // scan after our publish, and the scan finds our entry.
             if self.top.sub().graph.stamp() == stamp {
                 self.check_doom()?;
                 return Ok(downcast(&value));
@@ -234,8 +260,8 @@ impl TxCtx {
         let costs = self.tm.cfg.costs;
         self.charge(costs.write_cpu, 0);
         self.check_doom()?;
-        self.node
-            .buffer_write(vbox.id(), vbox.body().clone(), Arc::new(value));
+        self.writes
+            .insert(vbox.id(), (vbox.body().clone(), Arc::new(value)));
         Ok(())
     }
 
@@ -274,15 +300,14 @@ impl TxCtx {
             self.replay_idx += 1;
             if candidate.state() == FutState::Serialized {
                 let cur = self.node.id;
-                self.node.freeze();
+                self.freeze();
                 let cont = self.top.relink_reused_future(&candidate, cur);
-                self.node = cont;
-                self.view_valid = false;
+                self.bind(cont);
                 return Ok(candidate);
             }
         }
         let cur = self.node.id;
-        self.node.freeze();
+        self.freeze();
         let (fnode, cnode, cont_arc) = self.top.spawn_nodes(&self.tm, cur);
         let core = self
             .top
@@ -303,8 +328,7 @@ impl TxCtx {
         let core2 = core.clone();
         pool.execute(move || run_future_body(tm, top, core2, submit_ts));
         // The cursor moves to the continuation node.
-        self.node = cont_arc;
-        self.view_valid = false;
+        self.bind(cont_arc);
         Ok(core)
     }
 
@@ -391,10 +415,9 @@ impl TxCtx {
         // V_eval. Its dependence on the future is added upon serialization
         // (before that the future's subtree must stay invisible).
         let cur = self.node.id;
-        self.node.freeze();
+        self.freeze();
         let eval_arc = self.top.open_segment(&self.tm, cur, NodeKind::Eval);
-        self.node = eval_arc;
-        self.view_valid = false;
+        self.bind(eval_arc);
         // Wait for the body to settle. The wait is a join edge of the
         // causal DAG: the span's `b` names the future we blocked on so the
         // profiler can jump lanes along it.
@@ -507,7 +530,7 @@ impl TxCtx {
             match (core.body)(&mut fctx) {
                 Ok(value) => {
                     let final_node = fctx.node.id;
-                    fctx.node.freeze();
+                    fctx.freeze();
                     self.tm
                         .tracer
                         .record(EventKind::FutureCompleted, core.id, attempt);
@@ -616,11 +639,10 @@ impl TxCtx {
             // is externalized through us.
             for (body, version) in &record.reads {
                 self.node
-                    .record_read(body.id(), body.clone(), ReadOrigin::Global(*version));
+                    .record_read(body.id(), body, ReadOrigin::Global(*version));
             }
             for (body, value) in &record.writes {
-                self.node
-                    .buffer_write(body.id(), body.clone(), value.clone());
+                self.writes.insert(body.id(), (body.clone(), value.clone()));
             }
             let value = core.result_value().expect("completed future has result");
             core.set_state(FutState::Adopted);
@@ -670,7 +692,7 @@ impl TxCtx {
         for (body, version) in &record.reads {
             let id = body.id();
             // Any local shadow of the box invalidates the observation.
-            if self.node.own_write(id).is_some() {
+            if self.writes.contains_key(&id) {
                 return false;
             }
             self.refresh_view();
@@ -698,10 +720,9 @@ impl TxCtx {
         self.check_doom()?;
         // Open a fresh segment.
         let cur = self.node.id;
-        self.node.freeze();
+        self.freeze();
         let seg = self.top.open_segment(&self.tm, cur, NodeKind::Continuation);
-        self.node = seg;
-        self.view_valid = false;
+        self.bind(seg);
         let mut guard = 0u32;
         loop {
             guard += 1;
@@ -725,8 +746,7 @@ impl TxCtx {
                                 self.top.id,
                             );
                             let fresh = self.top.reset_node(node_id, NodeKind::Continuation);
-                            self.node = fresh;
-                            self.view_valid = false;
+                            self.bind(fresh);
                             continue;
                         }
                         return Err(StmError::Conflict);
@@ -734,12 +754,11 @@ impl TxCtx {
                     // Seal the segment so later dooms cannot target the
                     // closure we no longer hold.
                     let sealed_from = self.node.id;
-                    self.node.freeze();
+                    self.freeze();
                     let next = self
                         .top
                         .open_segment(&self.tm, sealed_from, NodeKind::Continuation);
-                    self.node = next;
-                    self.view_valid = false;
+                    self.bind(next);
                     return Ok(v);
                 }
                 Err(StmError::Conflict) => {
@@ -756,8 +775,7 @@ impl TxCtx {
                             self.top.id,
                         );
                         let fresh = self.top.reset_node(node_id, NodeKind::Continuation);
-                        self.node = fresh;
-                        self.view_valid = false;
+                        self.bind(fresh);
                         continue;
                     }
                     return Err(StmError::Conflict);

@@ -326,10 +326,13 @@ pub struct Graph {
     // and back to even once G is whole again, so `snapshot` (under the
     // read lock) only ever returns even stamps and the unlocked re-check
     // in `ctx.rs::read` differs from its view's stamp whenever a writer
-    // entered since the view was built. SeqCst keeps the stamp totally
-    // ordered against the read-set mutexes and the graph mutation the
-    // protocol interleaves with; a weaker load could pair a stale stamp
-    // with a newer graph.
+    // entered since the view was built. The entry bump is also the
+    // validator's half of a store-buffering pair with each read log's
+    // `len` (`readlog.rs`): a reader stores `len`, then loads the stamp;
+    // `update` bumps the stamp, then its closure loads `len`. SeqCst on
+    // all four puts them in one total order, so a read is either seen by
+    // the scan or fails its re-check; a weaker load could also pair a
+    // stale stamp with a newer graph.
     stamp: AtomicU64,
 }
 

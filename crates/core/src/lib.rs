@@ -55,6 +55,7 @@ mod future;
 mod graph;
 pub mod inspect;
 mod node;
+mod readlog;
 mod stats;
 mod toplevel;
 #[cfg(feature = "watchdog")]
@@ -666,6 +667,7 @@ impl FutureTm {
 #[doc(hidden)]
 pub mod internals {
     pub use crate::graph::{Graph, GraphInner, NodeStatus};
+    pub use crate::readlog::AppendLog;
 }
 
 enum AttemptOutcome<T> {

@@ -1,7 +1,7 @@
 //! Sub-transaction nodes: per-node read/write sets and freeze protocol.
 
 use crate::graph::NodeId;
-use parking_lot::Mutex;
+use crate::readlog::AppendLog;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use wtf_backend::{BackendBox, BoxId, FxHashMap, Value};
@@ -10,7 +10,7 @@ use wtf_backend::{BackendBox, BoxId, FxHashMap, Value};
 /// (only `Global` reads are validated against the STM clock) and for
 /// resolving escaping futures' read-sets when their spawning top-level
 /// commits.
-#[derive(Clone)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub enum ReadOrigin {
     /// Read the multi-versioned snapshot; records the observed version.
     Global(u64),
@@ -19,6 +19,7 @@ pub enum ReadOrigin {
 }
 
 pub struct ReadEntry {
+    pub id: BoxId,
     pub body: Arc<dyn BackendBox>,
     pub origin: ReadOrigin,
 }
@@ -49,13 +50,15 @@ pub struct SubTxNode {
     // effects are visible to the owner; acquire-load at the owner's next
     // operation pairs with it.
     pub doomed: AtomicBool,
-    /// Read-set; locked because validators scan it concurrently.
-    pub reads: Mutex<FxHashMap<BoxId, ReadEntry>>,
-    /// Private write buffer; locked for symmetric access, though only the
-    /// owning thread writes it before freeze.
-    writes: Mutex<WriteMap>,
-    /// Set exactly once at iCommit; after that the write-set is immutable
-    /// and shared without locking.
+    /// Read-set: a log of every read in program order. Only the `TxCtx`
+    /// that runs this node appends; validators, the commit gather and
+    /// escape resolution scan the published prefix without a lock. A box
+    /// read twice has two entries unless the reads were adjacent, so a
+    /// scanner must treat a box by its worst entry.
+    pub reads: AppendLog<ReadEntry>,
+    /// The write-set, set exactly once at iCommit and shared without
+    /// locking from then on. Until then the writes are the owning
+    /// `TxCtx`'s alone (`TxCtx::writes`) and no other thread sees them.
     frozen: OnceLock<FrozenWrites>,
 }
 
@@ -71,8 +74,7 @@ impl SubTxNode {
             id,
             kind,
             doomed: AtomicBool::new(false),
-            reads: Mutex::new(FxHashMap::default()),
-            writes: Mutex::new(FxHashMap::default()),
+            reads: AppendLog::default(),
             frozen: OnceLock::new(),
         })
     }
@@ -85,37 +87,25 @@ impl SubTxNode {
         self.doomed.store(true, Ordering::Release);
     }
 
-    /// Buffers a write. Must not be called after freeze (enforced: only
-    /// the owning thread writes, and it freezes before moving on).
-    pub fn buffer_write(&self, id: BoxId, body: Arc<dyn BackendBox>, value: Value) {
-        debug_assert!(self.frozen.get().is_none(), "write after iCommit");
-        self.writes.lock().insert(id, (body, value));
-    }
-
-    /// Looks up the node's own buffered write.
-    pub fn own_write(&self, id: BoxId) -> Option<Value> {
-        if let Some(frozen) = self.frozen.get() {
-            return frozen.get(&id).map(|(_, v)| v.clone());
+    /// Records a read. An immediate re-read of the same box from the
+    /// same origin adds nothing; any other appends, so the log grows with
+    /// the reads performed, not with the boxes read.
+    pub fn record_read(&self, id: BoxId, body: &Arc<dyn BackendBox>, origin: ReadOrigin) {
+        let repeat = |last: &ReadEntry| last.id == id && last.origin == origin;
+        if !self.reads.last().is_some_and(repeat) {
+            let body = body.clone();
+            self.reads.push(ReadEntry { id, body, origin });
         }
-        self.writes.lock().get(&id).map(|(_, v)| v.clone())
     }
 
-    /// Records a read (later entries win: re-reads refresh the origin).
-    pub fn record_read(&self, id: BoxId, body: Arc<dyn BackendBox>, origin: ReadOrigin) {
-        self.reads.lock().insert(id, ReadEntry { body, origin });
-    }
-
-    /// Freezes the write buffer (iCommit). Idempotent.
-    pub fn freeze(&self) -> FrozenWrites {
-        self.frozen
-            .get_or_init(|| Arc::new(std::mem::take(&mut *self.writes.lock())))
-            .clone()
-    }
-
-    /// Empties the write buffer into the caller (the commit of a node that
-    /// never iCommits: a flat top-level's root).
-    pub fn take_writes(&self) -> WriteMap {
-        std::mem::take(&mut *self.writes.lock())
+    /// Freezes `writes`, the owner's buffer, as this node's write-set
+    /// (iCommit). Only the first call takes effect.
+    pub fn freeze(&self, writes: WriteMap) -> &FrozenWrites {
+        debug_assert!(
+            self.frozen.get().is_none() || writes.is_empty(),
+            "write after iCommit"
+        );
+        self.frozen.get_or_init(|| Arc::new(writes))
     }
 
     /// The frozen write-set, if iCommitted.
@@ -123,29 +113,28 @@ impl SubTxNode {
         self.frozen.get()
     }
 
-    /// Does the (frozen or live) write-set intersect `ids`? Used by both
-    /// validation passes.
+    /// Does the write-set intersect `ids`? Backward validation asks this
+    /// of the chain behind an evaluation point, every node of which its
+    /// owner froze before it moved on. A node that has not frozen has no
+    /// write-set another thread may look at: the answer is "conflict", the
+    /// safe direction (the future re-executes inline).
     pub fn writes_intersect(&self, ids: &FxHashMap<BoxId, ()>) -> bool {
-        if let Some(frozen) = self.frozen.get() {
-            return frozen.keys().any(|k| ids.contains_key(k));
-        }
-        self.writes.lock().keys().any(|k| ids.contains_key(k))
+        debug_assert!(self.frozen.get().is_some(), "live node on a backward chain");
+        self.frozen
+            .get()
+            .is_none_or(|frozen| frozen.keys().any(|k| ids.contains_key(k)))
     }
 
     /// Does the read-set intersect `ids`?
     pub fn reads_intersect(&self, ids: &FxHashMap<BoxId, ()>) -> bool {
-        self.reads.lock().keys().any(|k| ids.contains_key(k))
+        self.reads.published().any(|e| ids.contains_key(&e.id))
     }
 
     /// The smallest box id in `reads ∩ ids`, for abort attribution (the
-    /// minimum — not iteration order — so traces stay deterministic).
+    /// minimum, so the witness does not depend on the order of the reads).
     pub fn read_conflict_witness(&self, ids: &FxHashMap<BoxId, ()>) -> Option<BoxId> {
-        self.reads
-            .lock()
-            .keys()
-            .filter(|k| ids.contains_key(k))
-            .copied()
-            .min_by_key(|b| b.0)
+        let hits = self.reads.published().map(|e| e.id);
+        hits.filter(|id| ids.contains_key(id)).min_by_key(|b| b.0)
     }
 }
 
@@ -155,26 +144,23 @@ mod tests {
     use wtf_backend::TBox;
     use wtf_mvstm::Stm;
 
+    fn one_write(b: &TBox<i64>, v: i64) -> WriteMap {
+        let mut writes = WriteMap::default();
+        writes.insert(b.id(), (b.body().clone(), Arc::new(v)));
+        writes
+    }
+
     #[test]
     fn freeze_makes_writes_shared_and_immutable() {
         let b = TBox::new_on(&Stm::new(), 1i64);
         let node = SubTxNode::new(0, NodeKind::Root);
-        let body = b.body().clone();
-        node.buffer_write(b.id(), body.clone(), Arc::new(2i64));
-        assert_eq!(
-            *node
-                .own_write(b.id())
-                .unwrap()
-                .downcast_ref::<i64>()
-                .unwrap(),
-            2
-        );
-        let frozen = node.freeze();
+        assert!(node.frozen_writes().is_none());
+        let frozen = node.freeze(one_write(&b, 2)).clone();
         assert_eq!(frozen.len(), 1);
-        // Idempotent.
-        let again = node.freeze();
-        assert!(Arc::ptr_eq(&frozen, &again));
-        assert!(node.frozen_writes().is_some());
+        // Only the first freeze counts.
+        let again = node.freeze(WriteMap::default());
+        assert!(Arc::ptr_eq(&frozen, again));
+        assert!(Arc::ptr_eq(&frozen, node.frozen_writes().unwrap()));
     }
 
     #[test]
@@ -183,8 +169,8 @@ mod tests {
         let a = TBox::new_on(&stm, 0i64);
         let b = TBox::new_on(&stm, 0i64);
         let node = SubTxNode::new(0, NodeKind::Future);
-        node.buffer_write(a.id(), a.body().clone(), Arc::new(1i64));
-        node.record_read(b.id(), b.body().clone(), ReadOrigin::Global(0));
+        node.record_read(b.id(), b.body(), ReadOrigin::Global(0));
+        node.freeze(one_write(&a, 1));
         let mut ids = FxHashMap::default();
         ids.insert(a.id(), ());
         assert!(node.writes_intersect(&ids));
@@ -193,6 +179,28 @@ mod tests {
         ids_b.insert(b.id(), ());
         assert!(node.reads_intersect(&ids_b));
         assert!(!node.writes_intersect(&ids_b));
+        assert_eq!(node.read_conflict_witness(&ids_b), Some(b.id()));
+    }
+
+    #[test]
+    fn only_an_adjacent_repeat_is_suppressed() {
+        let stm = Stm::new();
+        let a = TBox::new_on(&stm, 0i64);
+        let b = TBox::new_on(&stm, 0i64);
+        let node = SubTxNode::new(0, NodeKind::Future);
+        let baseline = Arc::strong_count(a.body());
+        for _ in 0..3 {
+            node.record_read(a.id(), a.body(), ReadOrigin::Global(0));
+        }
+        assert_eq!(node.reads.len(), 1, "same box, same origin, adjacent");
+        node.record_read(a.id(), a.body(), ReadOrigin::Ancestor(2));
+        assert_eq!(node.reads.len(), 2, "the origin moved");
+        node.record_read(b.id(), b.body(), ReadOrigin::Global(0));
+        node.record_read(a.id(), a.body(), ReadOrigin::Ancestor(2));
+        assert_eq!(node.reads.len(), 4, "not adjacent: appended again");
+        assert_eq!(Arc::strong_count(a.body()), baseline + 3);
+        drop(node);
+        assert_eq!(Arc::strong_count(a.body()), baseline, "one drop per entry");
     }
 
     #[test]

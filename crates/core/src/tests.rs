@@ -1217,6 +1217,52 @@ fn traced_commit_names_a_box_read_by_two_segments_once() {
     assert_eq!(counts, vec![1], "validated read count");
 }
 
+/// The read-set is a log, not a map: it grows with the reads performed.
+/// A loop that re-reads one box appends once — the repeat is adjacent —
+/// while `x, y, x` appends three entries, which an untraced commit
+/// validates as they are and a traced commit names once each, flat or
+/// inflated.
+#[test]
+fn read_log_suppresses_adjacent_repeats_only() {
+    use wtf_trace::{EventKind, TraceLevel, Tracer};
+    for inflate in [false, true] {
+        let tracer = Tracer::new(TraceLevel::Full);
+        let t2 = tracer.clone();
+        let mut ids = Clock::virtual_time().enter(move || {
+            let tm = FutureTm::builder()
+                .semantics(Semantics::WO_GAC)
+                .workers(1)
+                .tracer(t2)
+                .build();
+            let (x, y) = (tm.new_vbox(1i64), tm.new_vbox(2i64));
+            tm.atomic(|ctx| {
+                if inflate {
+                    ctx.step(|_| Ok(()))?;
+                }
+                let mut sum = 0;
+                for _ in 0..100_000 {
+                    sum += ctx.read(&x)?;
+                }
+                assert_eq!(ctx.node.reads.len(), 1, "100,000 reads of one box");
+                sum += ctx.read(&y)? + ctx.read(&x)?;
+                assert_eq!(ctx.node.reads.len(), 3, "x, y, x");
+                ctx.write(&y, sum)
+            })
+            .unwrap();
+            assert_eq!(y.read_latest(), 100_003);
+            tm.shutdown();
+            vec![x.id().0, y.id().0]
+        });
+        ids.sort_unstable();
+        let events: Vec<_> = tracer.lanes().into_iter().flat_map(|(_, e)| e).collect();
+        let of = |kind| events.iter().filter(move |e| e.kind == kind);
+        let named: Vec<u64> = of(EventKind::CommitRead).map(|e| e.a).collect();
+        assert_eq!(named, ids, "inflate={inflate}: one CommitRead per box");
+        let counts: Vec<u64> = of(EventKind::StmValidationSpan).map(|e| e.b).collect();
+        assert_eq!(counts, vec![2], "inflate={inflate}: validated read count");
+    }
+}
+
 /// A top-level transaction has no graph until its first sub-transaction:
 /// reads, writes and the exporters see a single root, and the first
 /// `submit` builds G around that root.

@@ -45,6 +45,37 @@ pub(crate) enum CommitFail {
 /// Writes on their way to the backend: box handle + value.
 type Writes = Vec<(Arc<dyn BackendBox>, Value)>;
 
+/// A commit's read list: borrows of the globally-read boxes in the logs
+/// it is fed, which whoever feeds it keeps alive until the backend has
+/// validated them.
+struct ReadGather<'n> {
+    /// What the backend validates, in log order. A box with two entries is
+    /// there twice, and validated twice to the same verdict — unless the
+    /// run is traced.
+    boxes: Vec<&'n dyn BackendBox>,
+    /// A traced run names each box once: `StmValidationSpan` carries the
+    /// count and the `CommitRead` records are the checker's read-set.
+    seen: Option<FxHashSet<BoxId>>,
+    /// At full trace detail, the version each box was read at.
+    rec: Option<Vec<(u64, u64)>>,
+}
+
+impl<'n> ReadGather<'n> {
+    fn node(&mut self, node: &'n SubTxNode) {
+        for entry in node.reads.published() {
+            let ReadOrigin::Global(version) = entry.origin else {
+                continue;
+            };
+            if self.seen.as_mut().is_none_or(|s| s.insert(entry.id)) {
+                self.boxes.push(&*entry.body);
+                if let Some(rec) = self.rec.as_mut() {
+                    rec.push((entry.id.0, version));
+                }
+            }
+        }
+    }
+}
+
 /// Final-commit byproducts needed to resolve escaping futures.
 pub(crate) struct CommitInfo {
     pub version: u64,
@@ -493,12 +524,13 @@ impl TopLevel {
             if members.iter().any(|m| nodes[m].is_doomed()) {
                 return false;
             }
-            // Boxes the future observed from outside its subtree.
+            // Boxes the future observed from outside its subtree: by any
+            // of their log entries.
             let mut read_ids: FxHashMap<BoxId, ()> = FxHashMap::default();
             for m in members.iter() {
-                for (id, entry) in nodes[m].reads.lock().iter() {
+                for entry in nodes[m].reads.published() {
                     if Self::is_external(&entry.origin, &members) {
-                        read_ids.insert(*id, ());
+                        read_ids.insert(entry.id, ());
                     }
                 }
             }
@@ -715,7 +747,6 @@ impl TopLevel {
                 // happens below under the graph lock.
             }
         }
-        let tm = &ctx.tm;
         // 2. Internal dooms force a restart.
         if self.is_doomed() || self.is_cancelled() || ctx.node.is_doomed() {
             return Err(CommitFail::Internal);
@@ -727,102 +758,96 @@ impl TopLevel {
         // serialization record (`CommitRead` events) re-emits it for
         // offline checkers, and it must be captured here: after
         // publication, GC may prune the observed version.
-        let full = tm.tracer.full();
-        let mut reads: Vec<Arc<dyn BackendBox>> = Vec::new();
-        let mut rec: Vec<(u64, u64)> = Vec::new();
-        let (writes, winners) = match self.inflated() {
-            // Flat: the root's own sets, moved out — no descendant exists
-            // to read a frozen copy. A read-only commit validates nothing,
-            // so its reads matter to the trace alone.
-            None => {
-                self.sealed.store(true, Ordering::Release);
-                let writes: Vec<_> = ctx.node.take_writes().into_values().collect();
-                if !writes.is_empty() || full {
-                    for (id, entry) in ctx.node.reads.lock().iter() {
-                        if let ReadOrigin::Global(v) = entry.origin {
-                            reads.push(entry.body.clone());
-                            if full {
-                                rec.push((id.0, v));
-                            }
-                        }
-                    }
-                }
-                (writes, FxHashMap::default())
-            }
-            // The nodes on a path from the root to the commit node (the
-            // paper's inclusion rule).
-            Some(sub) => {
-                ctx.node.freeze();
-                let commit_node = ctx.node.id;
-                self.update_graph(|g| {
-                    g.set_status(commit_node, NodeStatus::ICommitted);
+        let (full, traced) = (ctx.tm.tracer.full(), ctx.tm.tracer.on());
+        let (committed, n_writes, winners, rec) = {
+            // The included nodes, kept until the backend has validated
+            // the boxes `gather` borrows out of their logs.
+            let nodes;
+            let mut gather = ReadGather {
+                boxes: Vec::new(),
+                seen: traced.then(FxHashSet::default),
+                rec: full.then(Vec::new),
+            };
+            let (writes, winners) = match self.inflated() {
+                // Flat: the root's own sets — the writes moved out, no
+                // descendant exists to read a frozen copy; the log kept
+                // alive by `ctx.node`. A read-only commit validates
+                // nothing, so its reads matter to the trace alone.
+                None => {
                     self.sealed.store(true, Ordering::Release);
-                });
-                let nodes = sub.nodes.read();
-                let (_, g) = sub.graph.snapshot();
-                // In rank order: the overlay's, and the order the backend
-                // validates (and so attributes a conflict) in.
-                let mut included = g.by_rank(&g.ancestors(commit_node));
-                included.push(commit_node);
-                included.retain(|&n| g.status(n) == NodeStatus::ICommitted);
-                if included.iter().any(|&n| nodes[n].is_doomed()) {
-                    return Err(CommitFail::Internal);
+                    let writes: Writes = ctx.take_writes().into_values().collect();
+                    if !writes.is_empty() || full {
+                        gather.boxes.reserve(ctx.node.reads.len());
+                        gather.node(&ctx.node);
+                    }
+                    (writes, FxHashMap::default())
                 }
-                let (winners, writes) = Self::overlay_writes(&nodes, &included);
-                // As on the flat path, a read-only commit validates
-                // nothing. Otherwise every included segment's global
-                // reads go to the backend as they are: a box that two
-                // segments read is validated twice, to the same verdict.
-                // Only a traced run names each box once —
-                // `StmValidationSpan` carries the count.
-                if !writes.is_empty() || full {
-                    let room = included.iter().map(|&n| nodes[n].reads.lock().len());
-                    reads.reserve(room.sum());
-                    let mut seen = tm.tracer.on().then(FxHashSet::<BoxId>::default);
-                    for &n in &included {
-                        for (id, entry) in nodes[n].reads.lock().iter() {
-                            if let ReadOrigin::Global(v) = entry.origin {
-                                if seen.as_mut().is_none_or(|seen| seen.insert(*id)) {
-                                    reads.push(entry.body.clone());
-                                    if full {
-                                        rec.push((id.0, v));
-                                    }
-                                }
-                            }
+                // The nodes on a path from the root to the commit node
+                // (the paper's inclusion rule).
+                Some(sub) => {
+                    ctx.freeze();
+                    let commit_node = ctx.node.id;
+                    self.update_graph(|g| {
+                        g.set_status(commit_node, NodeStatus::ICommitted);
+                        self.sealed.store(true, Ordering::Release);
+                    });
+                    nodes = sub.nodes.read();
+                    let (_, g) = sub.graph.snapshot();
+                    // In rank order: the overlay's, and the order the
+                    // backend validates (and so attributes a conflict) in.
+                    let mut included = g.by_rank(&g.ancestors(commit_node));
+                    included.push(commit_node);
+                    included.retain(|&n| g.status(n) == NodeStatus::ICommitted);
+                    if included.iter().any(|&n| nodes[n].is_doomed()) {
+                        return Err(CommitFail::Internal);
+                    }
+                    let (winners, writes) = Self::overlay_writes(&nodes, &included);
+                    // As on the flat path, a read-only commit validates
+                    // nothing. Otherwise every included segment's global
+                    // reads go to the backend as they are.
+                    if !writes.is_empty() || full {
+                        let room = included.iter().map(|&n| nodes[n].reads.len());
+                        gather.boxes.reserve(room.sum());
+                        for &n in &included {
+                            gather.node(&nodes[n]);
                         }
                     }
+                    (writes, winners)
                 }
-                (writes, winners)
+            };
+            if self.is_doomed() {
+                return Err(CommitFail::Internal);
+            }
+            // 5. Validate + publish through the STM substrate: the backend
+            //    locks only the stripes covering this read/write
+            //    footprint, so top-level transactions with disjoint
+            //    footprints commit in parallel.
+            let n_writes = writes.len() as u64;
+            let snapshot = self.snapshot_version();
+            let committed = match n_writes {
+                0 => Ok(snapshot),
+                _ => ctx
+                    .tm
+                    .stm
+                    .commit_attributed(snapshot, &gather.boxes, writes),
+            };
+            (committed, n_writes, winners, gather.rec)
+        };
+        let tm = &ctx.tm;
+        let version = match committed {
+            Ok(v) => v,
+            Err(conflict_box) => {
+                tm.stats.top_aborts();
+                self.conflict_box.store(conflict_box.0, Ordering::Relaxed);
+                // The substrate already charged the conflict map; the
+                // event stream additionally ties the abort to this top.
+                tm.tracer
+                    .record(EventKind::TopConflictAbort, self.id, conflict_box.0);
+                crate::inspect::on_conflict_abort(tm, self);
+                return Err(CommitFail::CrossTop);
             }
         };
-        if self.is_doomed() {
-            return Err(CommitFail::Internal);
-        }
-        // 5. Validate + publish through the STM substrate: the backend
-        //    locks only the stripes covering this read/write footprint, so
-        //    top-level transactions with disjoint footprints commit in
-        //    parallel. Charge the bus for the published writes.
-        let n_writes = writes.len() as u64;
-        let version = if writes.is_empty() {
-            self.snapshot_version()
-        } else {
-            match tm
-                .stm
-                .commit_attributed(self.snapshot_version(), &reads, writes)
-            {
-                Ok(v) => v,
-                Err(conflict_box) => {
-                    tm.stats.top_aborts();
-                    self.conflict_box.store(conflict_box.0, Ordering::Relaxed);
-                    // The substrate already charged the conflict map; the
-                    // event stream additionally ties the abort to this top.
-                    tm.tracer
-                        .record(EventKind::TopConflictAbort, self.id, conflict_box.0);
-                    crate::inspect::on_conflict_abort(tm, self);
-                    return Err(CommitFail::CrossTop);
-                }
-            }
-        };
+        // Charge the bus for the published writes.
         if n_writes > 0 {
             ctx.charge(0, n_writes * tm.cfg.costs.write_mem);
         }
@@ -843,6 +868,7 @@ impl TopLevel {
         // contiguous on this lane immediately before the `TopCommit`, so
         // offline checkers (`wtf-check`) can rebuild the committed
         // read-set from the trace alone.
+        let mut rec = rec.unwrap_or_default();
         rec.sort_unstable();
         for (id, v) in rec {
             tm.tracer.record_full(EventKind::CommitRead, id, v);
@@ -969,26 +995,27 @@ impl TopLevel {
         let ordered = g.by_rank(&members);
         let mut poisoned = false;
         // External read-set: every box read by a member whose value came
-        // from outside the subtree, once.
+        // from outside the subtree, once — by its first such entry; an
+        // adopter that revalidates it against a later one's box state
+        // fails and re-executes, the safe direction.
         let mut reads: Vec<(Arc<dyn BackendBox>, u64)> = Vec::new();
         let mut seen: FxHashSet<BoxId> = FxHashSet::default();
         for &m in &ordered {
-            for (id, entry) in nodes[m].reads.lock().iter() {
-                if !Self::is_external(&entry.origin, &members) || !seen.insert(*id) {
-                    continue;
-                }
-                match entry.origin {
-                    ReadOrigin::Global(v) => reads.push((entry.body.clone(), v)),
-                    ReadOrigin::Ancestor(a) => {
-                        // The observed ancestor value is revalidatable only
-                        // if it is exactly what the spawner committed for
-                        // the box.
-                        if info.winners.get(id) == Some(&a) {
-                            reads.push((entry.body.clone(), info.version));
-                        } else {
-                            poisoned = true;
-                        }
+            for entry in nodes[m].reads.published() {
+                let version = match entry.origin {
+                    ReadOrigin::Global(v) => v,
+                    ReadOrigin::Ancestor(a) if members.contains(a) => continue,
+                    // An observed ancestor value is revalidatable only if
+                    // it is exactly what the spawner committed for the
+                    // box: any entry that is not poisons the record.
+                    ReadOrigin::Ancestor(a) if info.winners.get(&entry.id) != Some(&a) => {
+                        poisoned = true;
+                        continue;
                     }
+                    ReadOrigin::Ancestor(_) => info.version,
+                };
+                if seen.insert(entry.id) {
+                    reads.push((entry.body.clone(), version));
                 }
             }
         }
@@ -1064,7 +1091,7 @@ pub(crate) fn run_future_body(
         match run {
             Ok(value) => {
                 let final_node = ctx.node.id;
-                ctx.node.freeze();
+                ctx.freeze();
                 tm.tracer
                     .record(EventKind::FutureCompleted, core.id, attempt);
                 if top.strong {

@@ -1,12 +1,13 @@
-//! Litmus tests for `wtf-core`'s graph stamp and the graph it guards —
+//! Litmus tests for `wtf-core`'s graph stamp, the read logs it is paired
+//! with and the graph it guards —
 //! the dynamic counterpart of `wtf-audit`'s static checks, named after
 //! the inventory entry (`results/audit_inventory.json`) whose protocol
 //! they drive. Run under Miri and TSan in CI; iteration counts scale down
 //! under Miri.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use wtf_core::internals::{Graph, NodeStatus};
+use std::sync::Arc;
+use wtf_core::internals::{AppendLog, Graph, NodeStatus};
 
 const ROUNDS: u64 = if cfg!(miri) { 30 } else { 5_000 };
 
@@ -28,33 +29,37 @@ fn meet(arrivals: &AtomicU64, nth: u64) {
     }
 }
 
-/// `stamp` as a seqlock over `Graph::update`. The writer is a completing
-/// future: inside `update` it scans a sibling's read-set (forward
-/// validation). The reader is that sibling inside `TxCtx::read`: it
-/// records its read, then re-checks the stamp of the snapshot its view
-/// was built from. The reader must either be seen by the scan or fail
-/// the re-check (and retry against the new graph) — a reader that is
-/// neither keeps a value the serialized future overwrote. With the stamp
-/// moved only after the closure, that outcome is reachable.
+/// `len` (a read log's published length) against `stamp`, a
+/// store-buffering pair. The writer is a completing future: on entering
+/// `Graph::update` it bumps the stamp, then its closure scans a sibling's
+/// read log (forward validation). The reader is that sibling inside
+/// `TxCtx::read`: it appends its read — which publishes `len` — then
+/// re-checks the stamp of the snapshot its view was built from. The
+/// reader must either be seen by the scan or fail the re-check (and retry
+/// against the new graph) — a reader that is neither keeps a value the
+/// serialized future overwrote. With the stamp moved only after the
+/// closure, or either side weaker than `SeqCst`, that outcome is
+/// reachable.
 #[test]
-fn stamp_entry_bump_makes_unseen_readers_retry() {
+fn sb_len_seqcst_publish_vs_stamp_entry_bump() {
     let graph = Arc::new(Graph::with_root());
-    let read_set = Arc::new(Mutex::new(false));
+    // The sibling's read log: round `r` appends `r`.
+    let log = Arc::new(AppendLog::default());
     // The writer's verdict for the round, read after the closing barrier.
     let seen = Arc::new(AtomicBool::new(false));
     let arrivals = Arc::new(AtomicU64::new(0));
 
     let writer = {
-        let (graph, read_set, seen, arrivals) = (
+        let (graph, log, seen, arrivals) = (
             Arc::clone(&graph),
-            Arc::clone(&read_set),
+            Arc::clone(&log),
             Arc::clone(&seen),
             Arc::clone(&arrivals),
         );
         std::thread::spawn(move || {
             for round in 0..ROUNDS {
                 meet(&arrivals, 2 * round + 1);
-                let saw = graph.update(|_| *read_set.lock().unwrap());
+                let saw = graph.update(|_| log.published().any(|&read| read == round));
                 seen.store(saw, Ordering::SeqCst);
                 meet(&arrivals, 2 * round + 2);
             }
@@ -63,7 +68,6 @@ fn stamp_entry_bump_makes_unseen_readers_retry() {
 
     let mut retried = 0u64;
     for round in 0..ROUNDS {
-        *read_set.lock().unwrap() = false;
         let (view_stamp, _) = graph.snapshot();
         assert_eq!(view_stamp % 2, 0, "snapshots exclude a writer mid-update");
         meet(&arrivals, 2 * round + 1);
@@ -71,7 +75,7 @@ fn stamp_entry_bump_makes_unseen_readers_retry() {
         for _ in 0..round % 256 {
             std::hint::spin_loop();
         }
-        *read_set.lock().unwrap() = true;
+        log.push(round);
         let validated = graph.stamp() == view_stamp;
         meet(&arrivals, 2 * round + 2);
         let seen = seen.load(Ordering::SeqCst);
@@ -83,6 +87,10 @@ fn stamp_entry_bump_makes_unseen_readers_retry() {
     }
     writer.join().unwrap();
     assert_eq!(graph.stamp(), 2 * ROUNDS, "two bumps per update");
+    assert!(
+        log.published().copied().eq(0..ROUNDS),
+        "every read, in order"
+    );
     assert!(retried <= ROUNDS);
 }
 

@@ -53,7 +53,7 @@ impl Drop for Snapshot {
 }
 
 /// Recovers the concrete box behind a handle this STM gave out.
-fn body_of(b: &Arc<dyn BackendBox>) -> &BoxBody {
+fn body_of(b: &dyn BackendBox) -> &BoxBody {
     b.as_any()
         .downcast_ref::<BoxBody>()
         .expect("box from a different backend passed to wtf-mvstm")
@@ -136,7 +136,7 @@ impl StmBackend for Stm {
     fn commit_attributed(
         &self,
         snapshot: u64,
-        reads: &[Arc<dyn BackendBox>],
+        reads: &[&dyn BackendBox],
         writes: Vec<(Arc<dyn BackendBox>, Value)>,
     ) -> Result<u64, BoxId> {
         debug_assert!(!writes.is_empty(), "read-only commits skip the backend");
@@ -159,7 +159,7 @@ impl StmBackend for Stm {
         #[cfg(not(feature = "test-hooks"))]
         let validate = true;
         if validate {
-            for body in reads.iter().map(body_of) {
+            for body in reads.iter().map(|&b| body_of(b)) {
                 if body.head_version() > snapshot {
                     // Attribute the abort to the box whose version check
                     // failed — the input to the per-run conflict hotspot
@@ -192,7 +192,7 @@ impl StmBackend for Stm {
         // The handles stay in `writes` for the GC pass below, so each
         // value is shared into its chain rather than moved.
         for (body, value) in &writes {
-            let body = body_of(body);
+            let body = body_of(&**body);
             body.install(version, Arc::clone(value));
             tracer.record_full(EventKind::StmInstall, body.id.0, version);
         }
@@ -235,7 +235,7 @@ impl StmBackend for Stm {
         if gc {
             let min_active = inner.registry.min_active_excluding(snapshot, version);
             for (body, _) in &writes {
-                let body = body_of(body);
+                let body = body_of(&**body);
                 let freed = body.prune(min_active);
                 if freed > 0 {
                     tracer.record_full(EventKind::StmPrune, body.id.0, freed as u64);
@@ -265,7 +265,7 @@ pub fn active_snapshots(stm: &Stm) -> usize {
 /// Number of versions `vbox` retains (GC diagnostics). Takes the box's
 /// stripe, so it also races committers' prunes safely.
 pub fn chain_len<T: TxValue>(vbox: &TBox<T>) -> usize {
-    body_of(vbox.body()).chain_len()
+    body_of(&**vbox.body()).chain_len()
 }
 
 /// The commit-lock stripe `id` hashes to (tests/diagnostics).

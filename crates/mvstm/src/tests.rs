@@ -81,7 +81,7 @@ fn conflicting_writers_abort_and_retry() {
     let err = stm
         .commit_attributed(
             snap1.version(),
-            &[x.body().clone()],
+            &[&**x.body()],
             vec![(y.body().clone(), Arc::new(1i64) as Value)],
         )
         .unwrap_err();
@@ -323,7 +323,7 @@ fn tracer_attributes_conflicts_and_measures_commits() {
     let err = stm
         .commit_attributed(
             snap1.version(),
-            &[x.body().clone()],
+            &[&**x.body()],
             vec![(y.body().clone(), Arc::new(1i64) as Value)],
         )
         .unwrap_err();

@@ -313,7 +313,7 @@ impl Tl2Stm {
     }
 }
 
-fn tl2_box(b: &Arc<dyn BackendBox>) -> &Tl2Box {
+fn tl2_box(b: &dyn BackendBox) -> &Tl2Box {
     b.as_any()
         .downcast_ref::<Tl2Box>()
         .expect("box from a different backend passed to Tl2Stm")
@@ -382,7 +382,7 @@ impl StmBackend for Tl2Stm {
     fn commit_attributed(
         &self,
         snapshot: u64,
-        reads: &[Arc<dyn BackendBox>],
+        reads: &[&dyn BackendBox],
         writes: Vec<(Arc<dyn BackendBox>, Value)>,
     ) -> Result<u64, BoxId> {
         debug_assert!(!writes.is_empty(), "read-only commits skip the backend");
@@ -406,7 +406,7 @@ impl StmBackend for Tl2Stm {
         // Validate every read against its box's own slot version — not
         // the stripe word, whose version is the max over hash-colliding
         // neighbours and would abort transactions that did nothing wrong.
-        for body in reads {
+        for &body in reads {
             let b = tl2_box(body);
             if b.slot.lock().version > snapshot {
                 // Mirror of mvstm's validation-failure record: identical
@@ -437,7 +437,7 @@ impl StmBackend for Tl2Stm {
         }
         let version = inner.clock.fetch_add(1, Ordering::AcqRel) + 1;
         for (body, value) in writes {
-            let b = tl2_box(&body);
+            let b = tl2_box(&*body);
             {
                 let mut slot = b.slot.lock();
                 slot.version = version;

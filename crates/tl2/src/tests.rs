@@ -237,10 +237,9 @@ fn trace_emission_matches_mvstm_contract() {
         tx.write(&x, v + 1)
     })
     .unwrap();
-    let stale: Vec<Arc<dyn BackendBox>> = vec![x.body().clone()];
     let res = stm.commit_attributed(
         snap.version(),
-        &stale,
+        &[&**x.body()],
         vec![(y.body().clone(), Arc::new(9i64) as Value)],
     );
     assert_eq!(res, Err(x.id()));

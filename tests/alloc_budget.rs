@@ -155,6 +155,44 @@ fn read_only_commit_does_not_allocate_per_read() {
     }
 }
 
+/// The read-set is a log in doubling buckets that never move: a scan of
+/// 1,000 boxes on an inflated top-level allocates six of them (16 + 32 +
+/// … + 512 entries) and nothing else per read — a hash map grew ten times
+/// on the way there, re-inserting every entry each time. A scan short
+/// enough for the first bucket allocates that one.
+#[test]
+fn read_log_allocates_one_bucket_per_doubling() {
+    for kind in BackendKind::ALL {
+        let tm = tm_on(kind);
+        let boxes: Vec<VBox<i64>> = (0..1000).map(|i| tm.new_vbox(i)).collect();
+        let scan_allocs = |n: usize| {
+            let mut during_scan = 0;
+            tm.atomic(|ctx| {
+                ctx.step(|_| Ok(()))?;
+                // The first read also builds this segment's ancestor view.
+                ctx.read(&boxes[0])?;
+                let before = allocs();
+                for b in &boxes[1..n] {
+                    ctx.read(b)?;
+                }
+                during_scan = allocs() - before;
+                Ok(())
+            })
+            .expect("no explicit abort");
+            during_scan
+        };
+        scan_allocs(1000); // warm up
+        assert_eq!(scan_allocs(16), 0, "{kind:?}: the first bucket holds 16");
+        assert_eq!(
+            scan_allocs(17),
+            1,
+            "{kind:?}: the 17th read opens the second"
+        );
+        assert_eq!(scan_allocs(1000), 5, "{kind:?}: 1,000 reads, six buckets");
+        tm.shutdown();
+    }
+}
+
 /// `Graph::update` mutates G where it lives: with no snapshot held, a
 /// status change allocates nothing however large G is; a held snapshot
 /// costs the next writer one copy, and only the next.
