@@ -19,6 +19,8 @@
 //! 4. **Inventory baseline** ([`inventory`]): deterministic JSON diffed
 //!    in CI (`results/audit_inventory.json`) so any new/changed atomic
 //!    or ordering is a visible diff, never a silent slip.
+//! 5. **Environment reads** ([`env_read`]): only `wtf_trace::knobs`
+//!    calls `std::env::var*`, so every knob has one strict reader.
 //!
 //! The dynamic counterpart is the litmus suite (`crates/*/tests/
 //! litmus.rs`) run under Miri and TSan; each litmus test is named after
@@ -29,12 +31,14 @@ use std::fmt;
 use std::path::Path;
 
 pub mod atomics;
+pub mod env_read;
 pub mod inventory;
 pub mod lockorder;
 pub mod scan;
 pub mod unsafe_audit;
 
-/// Crates whose runtime source is subject to the atomics + unsafe audit.
+/// Crates whose runtime source is subject to the atomics, unsafe and
+/// environment-read audits.
 pub const AUDIT_CRATES: [&str; 9] = [
     "backend",
     "cm",
@@ -59,7 +63,8 @@ pub struct Finding {
     /// `missing-contract`, `contract-empty`, `ordering-violation`,
     /// `relaxed-guard`, `undeclared-atomic`, `lock-unclassified`,
     /// `lock-key-collision`, `unsorted-multi-lock`,
-    /// `multiple-mask-sources`, `lock-cycle`, `unsafe-missing-safety`.
+    /// `multiple-mask-sources`, `lock-cycle`, `unsafe-missing-safety`,
+    /// `env-read`.
     pub rule: &'static str,
     pub message: String,
 }
@@ -79,6 +84,7 @@ pub struct AuditReport {
     pub atomics: atomics::AtomicsReport,
     pub locks: lockorder::LockReport,
     pub unsafes: unsafe_audit::UnsafeReport,
+    pub env_reads: Vec<Finding>,
 }
 
 impl AuditReport {
@@ -90,6 +96,7 @@ impl AuditReport {
             .iter()
             .chain(&self.locks.findings)
             .chain(&self.unsafes.findings)
+            .chain(&self.env_reads)
             .cloned()
             .collect();
         out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
@@ -140,6 +147,7 @@ pub fn audit_files(files: Vec<scan::SourceFile>) -> AuditReport {
         atomics: atomics_report,
         locks: locks_report,
         unsafes: unsafe_report,
+        env_reads: env_read::analyze(&files),
     }
 }
 

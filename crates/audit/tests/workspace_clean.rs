@@ -54,6 +54,7 @@ fn seeded_fixtures_trip_every_rule() {
         "lock-unclassified",
         "unsorted-multi-lock",
         "lock-cycle",
+        "env-read",
     ] {
         assert!(
             findings.iter().any(|f| f.rule == rule),

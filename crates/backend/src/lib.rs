@@ -53,6 +53,7 @@ use std::any::Any;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use wtf_cm::ContentionManager;
+use wtf_trace::knobs::Knobs;
 use wtf_trace::{EventKind, Tracer};
 
 /// Which STM substrate a run executes over.
@@ -97,13 +98,15 @@ impl BackendKind {
     pub fn from_env() -> BackendKind {
         use std::sync::atomic::Ordering;
         match BACKEND_OVERRIDE.load(Ordering::SeqCst) {
-            0 => match std::env::var("WTF_BACKEND") {
-                Ok(v) => BackendKind::parse(&v)
-                    .unwrap_or_else(|| panic!("WTF_BACKEND={v:?}: expected \"mvstm\" or \"tl2\"")),
-                Err(_) => BackendKind::Mvstm,
-            },
+            0 => BackendKind::from_knobs(&wtf_trace::knobs::env()),
             i => BackendKind::ALL[i - 1],
         }
+    }
+
+    fn from_knobs<R: Fn(&str) -> Option<String>>(knobs: &Knobs<R>) -> BackendKind {
+        knobs
+            .backend(BackendKind::parse, "mvstm or tl2")
+            .unwrap_or(BackendKind::Mvstm)
     }
 }
 
@@ -522,5 +525,31 @@ mod tests {
         assert_eq!(BackendKind::parse(""), Some(BackendKind::Mvstm));
         assert_eq!(BackendKind::parse("nope"), None);
         assert_eq!(BackendKind::Tl2.name(), "tl2");
+    }
+
+    fn backend_from(v: Option<&'static str>) -> BackendKind {
+        BackendKind::from_knobs(&Knobs(|name: &str| {
+            assert_eq!(name, "WTF_BACKEND");
+            v.map(str::to_string)
+        }))
+    }
+
+    #[test]
+    fn backend_knob_table() {
+        assert_eq!(backend_from(None), BackendKind::Mvstm);
+        assert_eq!(backend_from(Some("")), BackendKind::Mvstm);
+        for (v, kind) in [
+            ("mvstm", BackendKind::Mvstm),
+            ("tl2", BackendKind::Tl2),
+            ("TL2", BackendKind::Tl2),
+        ] {
+            assert_eq!(backend_from(Some(v)), kind, "{v}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "WTF_BACKEND=\"tl3\": expected mvstm or tl2")]
+    fn malformed_backend_knob_panics() {
+        backend_from(Some("tl3"));
     }
 }

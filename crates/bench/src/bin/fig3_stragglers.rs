@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use wtf_bench::{emit_report, f3, table_header, table_row, FigReport};
 use wtf_core::{with_backend, BackendKind, FutureTm, Semantics, TxFuture};
-use wtf_trace::{chrome, Json, Tracer};
+use wtf_trace::{chrome, knobs, Json, Tracer};
 use wtf_vclock::Clock;
 
 const TASKS: usize = 8;
@@ -21,8 +21,8 @@ const STRAGGLER_FACTOR: u64 = 10;
 
 /// Runs the Fig. 3 scenario; returns (per-task completion times, makespan)
 /// plus the tracer (recording at the `WTF_TRACE` level) for export.
-/// `mode` labels the telemetry series when `WTF_TELEMETRY` /
-/// `WTF_METRICS_FILE` is set (the CI smoke job scrapes this binary).
+/// `mode` labels the telemetry series when `WTF_METRICS_FILE` is set
+/// (the CI smoke job scrapes this binary).
 fn run(semantics: Semantics, in_order: bool, mode: &str) -> (Vec<(usize, u64)>, u64, Arc<Tracer>) {
     let clock = Clock::virtual_time();
     let tracer = Tracer::from_env();
@@ -108,7 +108,7 @@ fn main() {
         let (completions, makespan, tracer) = run(sem, in_order, mode);
         // WTF_CHECK=1: re-derive a serialization witness for the run we
         // just traced, independently of the TM's own bookkeeping.
-        if std::env::var("WTF_CHECK").is_ok_and(|v| v != "0" && !v.is_empty()) {
+        if knobs::env().check() {
             match wtf_check::HistoryChecker::from_tracer(&tracer).verify() {
                 Ok(rep) => eprintln!("wtf-check[{mode}]: {}", rep.summary()),
                 Err(e) => panic!("WTF_CHECK failed for fig3 {mode}: {e}"),
@@ -119,9 +119,7 @@ fn main() {
         // as the dominant culprit. The partition invariant (category
         // totals == makespan) is enforced here, so CI smoke fails loudly
         // if attribution ever leaks time.
-        if std::env::var("WTF_PROFILE").is_ok_and(|v| v != "0" && !v.is_empty())
-            && tracer.summary().enabled()
-        {
+        if knobs::env().profile() && tracer.summary().enabled() {
             match wtf_profile::Profile::from_tracer_with_makespan(&tracer, makespan) {
                 Ok(p) => {
                     if let Err(e) = p.verify_partition() {

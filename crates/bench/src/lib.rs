@@ -57,9 +57,7 @@ pub fn print_scaling_note(figure: &str) {
 /// if set (CI points this at a scratch directory), else `results/` under
 /// the current directory (the workspace root when run via `cargo run`).
 pub fn results_dir() -> PathBuf {
-    std::env::var_os("WTF_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
+    wtf_trace::knobs::env().results_dir()
 }
 
 /// True when the binary was invoked with `--check-json`: after writing the

@@ -48,6 +48,7 @@ pub use karma::KarmaCm;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use wtf_trace::knobs::{self, Knobs};
 
 /// Which contention-management policy a run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,16 +94,22 @@ impl CmKind {
     /// unknown `WTF_CM` value — a typo'd policy silently running
     /// `immediate` would invalidate a comparison sweep.
     pub fn resolve(explicit: Option<CmKind>) -> CmKind {
-        CmKind::resolve_with(explicit, || std::env::var("WTF_CM").ok())
+        CmKind::resolve_with(explicit, &knobs::env())
     }
 
-    /// [`CmKind::resolve`] over an injected reader of `WTF_CM`, so tests
-    /// cover every case without mutating the process environment.
-    fn resolve_with(explicit: Option<CmKind>, env: impl FnOnce() -> Option<String>) -> CmKind {
-        explicit.unwrap_or_else(|| match env() {
-            Some(v) if !v.is_empty() => CmKind::parse(&v)
-                .unwrap_or_else(|| panic!("WTF_CM={v}: unknown contention manager")),
-            _ => CmKind::Immediate,
+    /// [`CmKind::resolve`] over injected knobs, so tests cover every case
+    /// without mutating the process environment.
+    fn resolve_with<R: Fn(&str) -> Option<String>>(
+        explicit: Option<CmKind>,
+        knobs: &Knobs<R>,
+    ) -> CmKind {
+        explicit.unwrap_or_else(|| {
+            knobs
+                .cm(
+                    CmKind::parse,
+                    "immediate, backoff, karma, hotspot or adaptive",
+                )
+                .unwrap_or(CmKind::Immediate)
         })
     }
 
@@ -393,27 +400,41 @@ mod tests {
         assert_eq!(CmKind::parse("nope"), None);
     }
 
+    /// `CmKind::resolve(None)` with `WTF_CM` set to `v`.
+    fn cm_from(v: Option<&'static str>) -> CmKind {
+        CmKind::resolve_with(
+            None,
+            &Knobs(|name: &str| {
+                assert_eq!(name, "WTF_CM");
+                v.map(str::to_string)
+            }),
+        )
+    }
+
     #[test]
     fn explicit_kind_wins_without_reading_the_environment() {
-        let seen = CmKind::resolve_with(Some(CmKind::Karma), || panic!("environment consulted"));
-        assert_eq!(seen, CmKind::Karma);
-    }
-
-    #[test]
-    fn unnamed_kind_falls_back_to_the_environment_value() {
-        let env = |v: &str| Some(v.to_string());
+        let knobs = Knobs(|_: &str| -> Option<String> { panic!("environment consulted") });
         assert_eq!(
-            CmKind::resolve_with(None, || env("hotspot")),
-            CmKind::Hotspot
+            CmKind::resolve_with(Some(CmKind::Karma), &knobs),
+            CmKind::Karma
         );
-        assert_eq!(CmKind::resolve_with(None, || env("")), CmKind::Immediate);
-        assert_eq!(CmKind::resolve_with(None, || None), CmKind::Immediate);
     }
 
     #[test]
-    #[should_panic(expected = "WTF_CM=karmma: unknown contention manager")]
+    fn cm_knob_table() {
+        assert_eq!(cm_from(None), CmKind::Immediate);
+        assert_eq!(cm_from(Some("")), CmKind::Immediate);
+        for kind in CmKind::ALL {
+            assert_eq!(cm_from(Some(kind.name())), kind);
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "WTF_CM=\"karmma\": expected immediate, backoff, karma, hotspot or adaptive"
+    )]
     fn malformed_environment_value_is_rejected() {
-        CmKind::resolve_with(None, || Some("karmma".to_string()));
+        cm_from(Some("karmma"));
     }
 
     #[test]

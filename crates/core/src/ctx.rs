@@ -439,12 +439,7 @@ impl TxCtx {
                     return Ok(core.result_value().expect("result"));
                 }
                 FutState::Failed => return Err(StmError::UserAbort),
-                FutState::Cancelled => {
-                    if crate::debug_enabled() {
-                        eprintln!("[debug] evaluate hit Cancelled future {}", core.id);
-                    }
-                    return Err(StmError::Conflict);
-                }
+                FutState::Cancelled => return Err(StmError::Conflict),
                 FutState::Completed => {
                     // Claim the serialization so a concurrent same-top
                     // evaluator cannot also position the future (two

@@ -12,9 +12,10 @@
 //!   with no intervening commit (livelock smell).
 //!
 //! Auto-dumps fire only at `WTF_TRACE>=2` (`Tracer::full`), write to
-//! `WTF_SNAPSHOT_DIR` (default `results/snapshots`), and are
-//! rate-limited by a per-TM budget (`WTF_DUMP_LIMIT`, default 8) so a
-//! pathological run cannot fill the disk.
+//! the TM's snapshot directory (`WTF_SNAPSHOT_DIR`, default
+//! `results/snapshots`, resolved when the TM is built), and are
+//! rate-limited by a per-TM budget of [`DUMP_LIMIT`] so a pathological
+//! run cannot fill the disk.
 //!
 //! DOT encoding: node fill encodes [`NodeStatus`], a red outline marks
 //! doomed nodes, and `rank` (longest path from the root — the iCommit
@@ -24,35 +25,16 @@ use crate::graph::{GraphInner, NodeStatus};
 use crate::node::SubTxNode;
 use crate::toplevel::TopLevel;
 use crate::TmInner;
-use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use wtf_trace::Json;
 
 /// Consecutive cross-top conflict aborts (without a commit) that count
-/// as an abort storm. Overridable via `WTF_ABORT_STORM`.
-pub const DEFAULT_ABORT_STORM: u64 = 20;
+/// as an abort storm.
+pub const ABORT_STORM: u64 = 20;
 
-/// Default automatic-dump budget per TM (`WTF_DUMP_LIMIT`).
-pub const DEFAULT_DUMP_LIMIT: u64 = 8;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-pub(crate) fn dump_limit_from_env() -> u64 {
-    env_u64("WTF_DUMP_LIMIT", DEFAULT_DUMP_LIMIT)
-}
-
-/// Where snapshot dumps go: `WTF_SNAPSHOT_DIR`, else `results/snapshots`.
-pub fn snapshot_dir() -> PathBuf {
-    std::env::var_os("WTF_SNAPSHOT_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results").join("snapshots"))
-}
+/// Automatic-dump budget per TM.
+pub const DUMP_LIMIT: u64 = 8;
 
 fn status_name(s: NodeStatus) -> &'static str {
     match s {
@@ -213,8 +195,8 @@ pub(crate) fn auto_dump(tm: &TmInner, top: &TopLevel, reason: &str) {
     if !claim_dump(tm) {
         return;
     }
-    let dir = snapshot_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
+    let dir = &tm.snapshot_dir;
+    if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("[wtf-inspect] cannot create {}: {e}", dir.display());
         return;
     }
@@ -236,8 +218,7 @@ pub(crate) fn on_conflict_abort(tm: &TmInner, top: &TopLevel) {
         return;
     }
     let streak = tm.conflict_abort_streak.fetch_add(1, Ordering::Relaxed) + 1;
-    let threshold = env_u64("WTF_ABORT_STORM", DEFAULT_ABORT_STORM);
-    if streak == threshold {
+    if streak == ABORT_STORM {
         auto_dump(tm, top, "abort_storm");
     }
 }

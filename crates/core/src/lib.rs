@@ -58,7 +58,6 @@ mod node;
 mod readlog;
 mod stats;
 mod toplevel;
-#[cfg(feature = "watchdog")]
 pub mod watchdog;
 
 pub use config::{AtomicitySemantics, CostModel, OrderingSemantics, Semantics, TmConfig};
@@ -67,7 +66,6 @@ pub use future::{FutState, TxFuture};
 pub use graph::NodeId;
 pub use stats::{TmStats, TmStatsSnapshot};
 pub use toplevel::TopLevel;
-#[cfg(feature = "watchdog")]
 pub use watchdog::{WatchdogConfig, WatchdogHandle};
 pub use wtf_backend::{
     with_backend, Aborted, BackendBox, BackendKind, BackendSnapshot, BoxId, StmBackend, StmError,
@@ -77,19 +75,12 @@ pub use wtf_cm::{CmKind, ContentionManager};
 pub use wtf_mvstm::Stm;
 
 use parking_lot::Mutex;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wtf_taskpool::TaskPool;
-use wtf_trace::{EventKind, Tracer};
+use wtf_trace::{knobs, EventKind, Tracer};
 use wtf_vclock::{Clock, Resource};
-
-/// Stderr debug prints (set `WTF_DEBUG=1`): doom/replay decisions.
-/// Cached after the first check. Structured tracing lives in `wtf-trace`
-/// and is controlled by `WTF_TRACE` instead.
-pub(crate) fn debug_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("WTF_DEBUG").is_some())
-}
 
 /// Instantiates the STM substrate for `kind`, reporting into `tracer` —
 /// the backend-selection point behind `WTF_BACKEND` and
@@ -156,8 +147,6 @@ pub(crate) struct TmInner {
     /// Weak handles to in-flight top-levels (live-graph gauges, watchdog
     /// snapshots), one list per registering thread (modulo the shard
     /// count). Dead entries are pruned opportunistically on registration.
-    /// Empty when neither reader can exist (tracer off and the `watchdog`
-    /// feature compiled out).
     pub(crate) tops: [TopShard; TOP_SHARDS],
     /// Consecutive cross-top conflict aborts since the last commit
     /// (abort-storm detection; see `inspect`).
@@ -170,6 +159,9 @@ pub(crate) struct TmInner {
     // ordering: relaxed-rmw — the budget is claimed with a single-word
     // `fetch_update`; no data is published through it.
     pub(crate) dumps_remaining: AtomicU64,
+    /// Where graph dumps and watchdog reports go (`WTF_SNAPSHOT_DIR`,
+    /// resolved once at build).
+    pub(crate) snapshot_dir: PathBuf,
     /// Cumulative watchdog stall reports, registered as the
     /// `watchdog_stalls` gauge (the telemetry incident detector
     /// differences it per epoch).
@@ -325,7 +317,8 @@ impl FutureTmBuilder {
                 future_counter: AtomicU64::new(0),
                 tops: Default::default(),
                 conflict_abort_streak: AtomicU64::new(0),
-                dumps_remaining: AtomicU64::new(inspect::dump_limit_from_env()),
+                dumps_remaining: AtomicU64::new(inspect::DUMP_LIMIT),
+                snapshot_dir: knobs::env().snapshot_dir(),
                 watchdog_stalls: wtf_trace::Counter::new(),
             }),
         };
@@ -528,9 +521,6 @@ impl FutureTm {
                         }
                         AttemptOutcome::Internal => {
                             replays += 1;
-                            if crate::debug_enabled() {
-                                eprintln!("[debug] replay #{replays}");
-                            }
                             if replays < MAX_REPLAYS {
                                 replay = Some(Vec::new());
                                 continue;
@@ -597,9 +587,6 @@ impl FutureTm {
             Ok(value) => match top.commit(&mut ctx) {
                 Ok(()) => AttemptOutcome::Done(Ok(value)),
                 Err(CommitFail::Internal) => {
-                    if crate::debug_enabled() {
-                        eprintln!("[debug] attempt commit internal");
-                    }
                     if top.is_cancelled() {
                         AttemptOutcome::Full
                     } else {
@@ -613,13 +600,6 @@ impl FutureTm {
                 Err(CommitFail::CrossTop) => AttemptOutcome::Full,
             },
             Err(StmError::Conflict) => {
-                if crate::debug_enabled() {
-                    eprintln!(
-                        "[debug] attempt body conflict: top_doomed={} cancelled={}",
-                        top.is_doomed(),
-                        top.is_cancelled()
-                    );
-                }
                 if top.is_cancelled() {
                     AttemptOutcome::Full
                 } else {

@@ -836,8 +836,12 @@ fn auto_dump_writes_snapshots_and_respects_budget() {
     use std::sync::atomic::Ordering;
     let dir = std::env::temp_dir().join(format!("wtf_inspect_dump_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::env::set_var("WTF_SNAPSHOT_DIR", &dir);
-    let tm = FutureTm::new(Semantics::WO_GAC);
+    let mut tm = FutureTm::new(Semantics::WO_GAC);
+    // The TM is not shared yet (tracer off: no gauge holds a `Weak`), so
+    // the snapshot directory it resolved at build can be repointed here.
+    Arc::get_mut(&mut tm.inner)
+        .expect("unshared TM")
+        .snapshot_dir = dir.clone();
     let top = crate::TopLevel::begin(&tm.inner, &*tm.cm());
     crate::inspect::auto_dump(&tm.inner, &top, "doom");
     let dot = std::fs::read_to_string(dir.join("doom_top0.dot")).unwrap();
@@ -847,7 +851,6 @@ fn auto_dump_writes_snapshots_and_respects_budget() {
     tm.inner.dumps_remaining.store(0, Ordering::Relaxed);
     crate::inspect::auto_dump(&tm.inner, &top, "storm");
     assert!(std::fs::metadata(dir.join("storm_top0.dot")).is_err());
-    std::env::remove_var("WTF_SNAPSHOT_DIR");
     drop(top);
     tm.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -891,7 +894,6 @@ fn tm_gauges_track_live_tops_and_nodes() {
 
 /// Acceptance: a stalled top-level trips the watchdog within its window,
 /// and the dumped DOT snapshot contains the straggler's future node.
-#[cfg(feature = "watchdog")]
 #[test]
 fn watchdog_fires_on_stall_and_dumps_straggler() {
     use crate::watchdog::WatchdogConfig;
@@ -952,7 +954,6 @@ fn watchdog_fires_on_stall_and_dumps_straggler() {
 /// The watchdog is quiet while commits make progress, and the
 /// abort-straggler knob dooms (and thereby unwedges) a stalled top
 /// under a real clock.
-#[cfg(feature = "watchdog")]
 #[test]
 fn watchdog_quiet_under_progress_and_aborts_straggler() {
     use crate::watchdog::WatchdogConfig;
@@ -1006,7 +1007,6 @@ fn watchdog_quiet_under_progress_and_aborts_straggler() {
 
 /// The in-flight list is sharded by registering thread; its readers see
 /// the union, oldest first, and nothing once the transactions are gone.
-#[cfg(feature = "watchdog")]
 #[test]
 fn live_tops_merges_every_threads_shard() {
     let tm = FutureTm::new(Semantics::WO_GAC);

@@ -167,9 +167,7 @@ impl TopLevel {
         });
         tm.clock.advance(tm.cfg.costs.begin_cost);
         // The list has two readers: the tracer's gauges and the watchdog.
-        if cfg!(feature = "watchdog") || tm.tracer.on() {
-            tm.register_top(&top);
-        }
+        tm.register_top(&top);
         tm.tracer
             .record(EventKind::TopBegin, id, top.snapshot.version());
         tm.tracer.maybe_sample_gauges();
@@ -433,14 +431,6 @@ impl TopLevel {
                     g.set_status(m, NodeStatus::ICommitted);
                 }
                 for &n in &conflicters {
-                    if crate::debug_enabled() {
-                        eprintln!(
-                            "[debug] future {} dooms node {} (active={})",
-                            core.id,
-                            n,
-                            g.status(n) == NodeStatus::Active && g.succs(n).is_empty()
-                        );
-                    }
                     nodes[n].doom();
                     tm.stats.internal_aborts();
                     if tm.tracer.on() {
@@ -1129,9 +1119,6 @@ pub(crate) fn run_future_body(
                 }
             }
             Err(StmError::Conflict) => {
-                if crate::debug_enabled() {
-                    eprintln!("[debug] future {} body conflict, retrying", core.id);
-                }
                 note_future_attempt(&tm, true);
                 tm.stats.internal_aborts();
                 tm.tracer

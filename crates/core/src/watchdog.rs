@@ -22,9 +22,6 @@
 //!   scheduler itself is wedged (or the workload livelocked) and an
 //!   unregistered doom could corrupt the simulation, so the watchdog
 //!   downgrades to dump-only.
-//!
-//! The watchdog is also feature-gated (`watchdog`, on by default) so
-//! minimal builds can compile it out entirely.
 
 use crate::toplevel::TopLevel;
 use crate::{FutureTm, TmInner, TmStatsSnapshot};
@@ -46,7 +43,7 @@ pub struct WatchdogConfig {
     /// the module docs). The doomed top restarts with a fresh snapshot.
     pub abort_straggler: bool,
     /// Where to write `watchdog_*.dot` / `watchdog_report.json`;
-    /// defaults to [`crate::inspect::snapshot_dir`].
+    /// defaults to the TM's snapshot directory (`WTF_SNAPSHOT_DIR`).
     pub snapshot_dir: Option<PathBuf>,
 }
 
@@ -189,11 +186,8 @@ fn report_stall(tm: &TmInner, live: &[Arc<TopLevel>], cfg: &WatchdogConfig, stal
         straggler_id,
         stalled.as_millis() as u64,
     );
-    let dir = cfg
-        .snapshot_dir
-        .clone()
-        .unwrap_or_else(crate::inspect::snapshot_dir);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
+    let dir = cfg.snapshot_dir.as_ref().unwrap_or(&tm.snapshot_dir);
+    if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("[wtf-watchdog] cannot create {}: {e}", dir.display());
         return;
     }

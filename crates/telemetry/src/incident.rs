@@ -7,7 +7,7 @@
 //! so under the virtual clock the whole report is deterministic.
 //!
 //! Incident *opens* consume the same budget discipline as the PR-3 doom
-//! snapshot dumps (`WTF_DUMP_LIMIT`): a pathological run emits a bounded
+//! snapshot dumps (a budget of 8): a pathological run emits a bounded
 //! report plus a `suppressed` count, never an unbounded file.
 
 use wtf_trace::Json;

@@ -17,9 +17,7 @@
 //! * **Prometheus exposition** ([`prom`]) — the windows render to the
 //!   text exposition format, periodically written to `WTF_METRICS_FILE`
 //!   (merge-on-export, so mvstm and tl2 phases of one run land in one
-//!   file) and optionally served on a feature-gated localhost endpoint
-//!   (`WTF_METRICS_ADDR`, feature `http`). Every series carries
-//!   `backend` and `workload` labels.
+//!   file). Every series carries `backend` and `workload` labels.
 //! * **Incident detection** ([`incident`]) — threshold/EWMA rules over
 //!   the windows (abort storms, GC-horizon lag, queue-delay growth,
 //!   watchdog stalls) emit structured `incidents.json` reports with
@@ -39,9 +37,6 @@
 pub mod incident;
 pub mod prom;
 
-#[cfg(feature = "http")]
-pub mod http;
-
 pub use incident::{
     EpochObservation, Hysteresis, HysteresisEdge, Incident, IncidentDetector, IncidentKind,
     IncidentTransition, Thresholds,
@@ -54,70 +49,37 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use wtf_trace::hist::bucket_upper;
+use wtf_trace::knobs;
 use wtf_trace::{EventKind, HistogramSnapshot, Json, Tracer, WindowedCounter, WindowedHistogram};
 
 /// Default epoch length in clock units (virtual units or wall ns).
 pub const DEFAULT_EPOCH_LEN: u64 = 50_000;
 /// Default window size in epochs.
 pub const DEFAULT_WINDOW_EPOCHS: usize = 8;
-/// Default exposition export cadence, in epochs.
-pub const DEFAULT_EXPORT_EVERY: u64 = 4;
-/// Default incident budget (mirrors the PR-3 snapshot dump budget).
-pub const DEFAULT_INCIDENT_BUDGET: u64 = 8;
+/// Exposition export cadence, in epochs (a final export always happens
+/// at finish).
+pub const EXPORT_EVERY: u64 = 4;
+/// Incident budget (mirrors the PR-3 snapshot dump budget).
+pub const INCIDENT_BUDGET: u64 = 8;
 /// Hard cap on retained per-epoch summaries in the run report.
-pub const DEFAULT_SERIES_CAP: usize = 512;
+pub const SERIES_CAP: usize = 512;
 /// How many hot boxes each epoch frame retains / the rolling rank shows.
 pub const HOT_BOX_LIMIT: usize = 8;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_truthy(name: &str) -> bool {
-    std::env::var(name)
-        .map(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false")
-        })
-        .unwrap_or(false)
-}
-
-/// Where incident reports land by default: the PR-3 snapshot directory
-/// (`WTF_SNAPSHOT_DIR`, default `results/snapshots`).
-fn default_incidents_file() -> PathBuf {
-    let dir = std::env::var("WTF_SNAPSHOT_DIR").unwrap_or_else(|_| "results/snapshots".to_string());
-    PathBuf::from(dir).join("incidents.json")
-}
 
 /// Telemetry configuration. Built from the environment by
 /// [`TelemetryConfig::from_env`] or directly by tests/`RunSpec`.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
-    /// Clock units per epoch (`WTF_TELEMETRY_EPOCH`).
+    /// Clock units per epoch.
     pub epoch_len: u64,
-    /// Window size in epochs (`WTF_TELEMETRY_EPOCHS`).
+    /// Window size in epochs.
     pub window_epochs: usize,
     /// Exposition file path (`WTF_METRICS_FILE`); None = no file export.
     pub metrics_file: Option<PathBuf>,
-    /// Export the exposition file every N closed epochs
-    /// (`WTF_METRICS_EVERY`; a final export always happens at finish).
-    pub export_every: u64,
-    /// Localhost HTTP exposition address (`WTF_METRICS_ADDR`); served
-    /// only when the crate is built with the `http` feature.
-    pub metrics_addr: Option<String>,
-    /// Incident report path (`WTF_INCIDENTS_FILE`, default
-    /// `<snapshot_dir>/incidents.json`).
+    /// Incident report path (`<WTF_SNAPSHOT_DIR>/incidents.json`).
     pub incidents_file: PathBuf,
     /// Detector tuning.
     pub thresholds: Thresholds,
-    /// Maximum incident opens recorded (`WTF_DUMP_LIMIT` — the same
-    /// budget the doom-snapshot dumper uses).
-    pub incident_budget: u64,
-    /// Cap on per-epoch summaries retained in the run report.
-    pub series_cap: usize,
 }
 
 impl Default for TelemetryConfig {
@@ -126,38 +88,21 @@ impl Default for TelemetryConfig {
             epoch_len: DEFAULT_EPOCH_LEN,
             window_epochs: DEFAULT_WINDOW_EPOCHS,
             metrics_file: None,
-            export_every: DEFAULT_EXPORT_EVERY,
-            metrics_addr: None,
-            incidents_file: default_incidents_file(),
+            incidents_file: PathBuf::from("results/snapshots/incidents.json"),
             thresholds: Thresholds::default(),
-            incident_budget: DEFAULT_INCIDENT_BUDGET,
-            series_cap: DEFAULT_SERIES_CAP,
         }
     }
 }
 
 impl TelemetryConfig {
-    /// `Some(config)` iff telemetry is requested: `WTF_TELEMETRY` is
-    /// truthy, or `WTF_METRICS_FILE` / `WTF_METRICS_ADDR` is set.
+    /// `Some(config)` iff telemetry is requested: `WTF_METRICS_FILE` is
+    /// set.
     pub fn from_env() -> Option<TelemetryConfig> {
-        let metrics_file = std::env::var("WTF_METRICS_FILE").ok().map(PathBuf::from);
-        let metrics_addr = std::env::var("WTF_METRICS_ADDR").ok();
-        if !env_truthy("WTF_TELEMETRY") && metrics_file.is_none() && metrics_addr.is_none() {
-            return None;
-        }
+        let knobs = knobs::env();
         Some(TelemetryConfig {
-            epoch_len: env_u64("WTF_TELEMETRY_EPOCH", DEFAULT_EPOCH_LEN).max(1),
-            window_epochs: env_u64("WTF_TELEMETRY_EPOCHS", DEFAULT_WINDOW_EPOCHS as u64).max(1)
-                as usize,
-            metrics_file,
-            export_every: env_u64("WTF_METRICS_EVERY", DEFAULT_EXPORT_EVERY).max(1),
-            metrics_addr,
-            incidents_file: std::env::var("WTF_INCIDENTS_FILE")
-                .map(PathBuf::from)
-                .unwrap_or_else(|_| default_incidents_file()),
-            thresholds: Thresholds::default(),
-            incident_budget: env_u64("WTF_DUMP_LIMIT", DEFAULT_INCIDENT_BUDGET),
-            series_cap: DEFAULT_SERIES_CAP,
+            metrics_file: Some(knobs.metrics_file()?),
+            incidents_file: knobs.snapshot_dir().join("incidents.json"),
+            ..TelemetryConfig::default()
         })
     }
 }
@@ -339,8 +284,6 @@ pub struct TelemetryHub {
     // to the next tick, which re-checks under the lock.
     next_epoch_end: AtomicU64,
     state: Mutex<HubState>,
-    #[cfg(feature = "http")]
-    server: Mutex<Option<http::MetricsServer>>,
 }
 
 impl TelemetryHub {
@@ -373,7 +316,7 @@ impl TelemetryHub {
                 queue_delay: WindowedHistogram::new(window),
                 box_frames: VecDeque::new(),
                 stripe_frames: VecDeque::new(),
-                detector: IncidentDetector::new(cfg.thresholds.clone(), cfg.incident_budget),
+                detector: IncidentDetector::new(cfg.thresholds.clone(), INCIDENT_BUDGET),
                 epochs_closed: 0,
                 epochs_skipped: 0,
                 commits_total: 0,
@@ -386,8 +329,6 @@ impl TelemetryHub {
             tracer: Arc::clone(&tracer),
             backend: backend.to_string(),
             workload: workload.to_string(),
-            #[cfg(feature = "http")]
-            server: Mutex::new(None),
         });
         let weak: Weak<TelemetryHub> = Arc::downgrade(&hub);
         if !tracer.set_tick_hook(move |ts| {
@@ -396,13 +337,6 @@ impl TelemetryHub {
             }
         }) {
             eprintln!("wtf-telemetry: tracer already has a tick hook; hub will not aggregate");
-        }
-        #[cfg(feature = "http")]
-        if let Some(addr) = hub.cfg.metrics_addr.clone() {
-            match http::MetricsServer::start(&addr) {
-                Ok(server) => *hub.server.lock() = Some(server),
-                Err(e) => eprintln!("wtf-telemetry: cannot serve on {addr}: {e}"),
-            }
         }
         hub
     }
@@ -617,7 +551,7 @@ impl TelemetryHub {
             }
         }
 
-        if s.series.len() < self.cfg.series_cap {
+        if s.series.len() < SERIES_CAP {
             s.series.push(EpochSummary {
                 epoch,
                 end_ts,
@@ -628,7 +562,7 @@ impl TelemetryHub {
         }
         s.last_rolling = rolling;
 
-        if s.epochs_closed.is_multiple_of(self.cfg.export_every) {
+        if s.epochs_closed.is_multiple_of(EXPORT_EVERY) {
             self.export(s);
         }
     }
@@ -834,18 +768,12 @@ impl TelemetryHub {
     }
 
     /// Writes the exposition file (merge-on-export: series from other
-    /// backend/workload label sets already in the file are preserved)
-    /// and refreshes the HTTP body if serving.
+    /// backend/workload label sets already in the file are preserved).
     fn export(&self, s: &HubState) {
-        let doc = self.render_prom(s);
-        #[cfg(feature = "http")]
-        if let Some(server) = self.server.lock().as_ref() {
-            server.set_body(doc.render());
-        }
         let Some(path) = &self.cfg.metrics_file else {
             return;
         };
-        let mut merged = doc;
+        let mut merged = self.render_prom(s);
         if let Ok(old_text) = std::fs::read_to_string(path) {
             if let Ok(old) = PromDoc::parse(&old_text) {
                 for old_fam in old.families {
@@ -937,8 +865,6 @@ impl TelemetryHub {
             }
         }
         self.export(&s);
-        #[cfg(feature = "http")]
-        self.server.lock().take();
         self.summarize(&s)
     }
 }
@@ -953,7 +879,6 @@ mod tests {
             epoch_len,
             window_epochs: 4,
             metrics_file: None,
-            metrics_addr: None,
             // Point at a scratch path nothing writes to (no incidents in
             // these tests unless asserted).
             incidents_file: std::env::temp_dir().join("wtf-telemetry-test-incidents.json"),

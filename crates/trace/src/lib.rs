@@ -38,6 +38,7 @@ pub mod event;
 pub mod gauge;
 pub mod hist;
 pub mod json;
+pub mod knobs;
 pub mod ring;
 pub mod window;
 
@@ -69,21 +70,20 @@ pub enum TraceLevel {
 }
 
 impl TraceLevel {
-    /// Parses the `WTF_TRACE` convention: `1`/`lifecycle` → Lifecycle,
-    /// `2`/`full` → Full, anything else → Off.
-    pub fn from_env_str(s: &str) -> TraceLevel {
-        match s.trim() {
-            "1" | "lifecycle" => TraceLevel::Lifecycle,
-            "2" | "full" => TraceLevel::Full,
-            _ => TraceLevel::Off,
+    /// Parses a `WTF_TRACE` value: `0`/`off`, `1`/`lifecycle` or
+    /// `2`/`full`.
+    pub fn parse(s: &str) -> Option<TraceLevel> {
+        match s {
+            "0" | "off" => Some(TraceLevel::Off),
+            "1" | "lifecycle" => Some(TraceLevel::Lifecycle),
+            "2" | "full" => Some(TraceLevel::Full),
+            _ => None,
         }
     }
 
     /// Level from the `WTF_TRACE` environment variable (unset → Off).
     pub fn from_env() -> TraceLevel {
-        std::env::var("WTF_TRACE")
-            .map(|v| TraceLevel::from_env_str(&v))
-            .unwrap_or(TraceLevel::Off)
+        knobs::env().trace()
     }
 
     fn from_u8(v: u8) -> TraceLevel {
@@ -185,17 +185,6 @@ impl Tracer {
     }
 
     pub fn with_capacity(level: TraceLevel, lane_capacity: usize) -> Arc<Tracer> {
-        let gauges = GaugeRegistry::new();
-        // Periodic gauge sampling is opt-in: `WTF_GAUGE_PERIOD=<units>`
-        // sets the minimum clock distance between hook-driven samples
-        // (0 = every hook). An unparseable value stays disabled rather
-        // than accidentally enabling per-hook sampling.
-        if let Some(p) = std::env::var("WTF_GAUGE_PERIOD")
-            .ok()
-            .and_then(|p| p.trim().parse().ok())
-        {
-            gauges.set_period(p);
-        }
         Arc::new(Tracer {
             id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
             level: AtomicU8::new(level as u8),
@@ -203,7 +192,7 @@ impl Tracer {
             lanes: Mutex::new(Vec::new()),
             metrics: Metrics::default(),
             conflicts: ConflictMap::new(),
-            gauges,
+            gauges: GaugeRegistry::new(),
             tick_armed: std::sync::atomic::AtomicBool::new(false),
             tick_hook: OnceLock::new(),
         })
@@ -565,11 +554,13 @@ mod tests {
     }
 
     #[test]
-    fn level_env_parsing() {
-        assert_eq!(TraceLevel::from_env_str("1"), TraceLevel::Lifecycle);
-        assert_eq!(TraceLevel::from_env_str("full"), TraceLevel::Full);
-        assert_eq!(TraceLevel::from_env_str("0"), TraceLevel::Off);
-        assert_eq!(TraceLevel::from_env_str("nope"), TraceLevel::Off);
+    fn level_parsing_is_strict() {
+        assert_eq!(TraceLevel::parse("1"), Some(TraceLevel::Lifecycle));
+        assert_eq!(TraceLevel::parse("full"), Some(TraceLevel::Full));
+        assert_eq!(TraceLevel::parse("0"), Some(TraceLevel::Off));
+        // Unknown spellings used to mean Off; now they are rejected.
+        assert_eq!(TraceLevel::parse("nope"), None);
+        assert_eq!(TraceLevel::parse(" 1"), None);
     }
 
     #[test]

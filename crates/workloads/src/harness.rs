@@ -4,7 +4,7 @@ use std::sync::Arc;
 use wtf_backend::StmStatsSnapshot;
 use wtf_core::{BackendKind, CmKind, CostModel, FutureTm, Semantics, TmConfig, TmStatsSnapshot};
 use wtf_telemetry::{TelemetryConfig, TelemetryHub, TelemetrySummary};
-use wtf_trace::{Json, TraceLevel, TraceSummary, Tracer};
+use wtf_trace::{knobs, Json, TraceLevel, TraceSummary, Tracer};
 use wtf_vclock::Clock;
 
 /// Per-client workload body: `(client_index, tm)`.
@@ -122,8 +122,8 @@ pub struct RunSpec {
     /// plumbing.
     pub cm: CmKind,
     /// Sliding-window telemetry for this run. [`RunSpec::new`] seeds it
-    /// from the environment (`WTF_TELEMETRY` / `WTF_METRICS_FILE` /
-    /// `WTF_METRICS_ADDR`); `None` disables the hub entirely. Telemetry
+    /// from the environment (on iff `WTF_METRICS_FILE` is set); `None`
+    /// disables the hub entirely. Telemetry
     /// rides on tracer hooks, so it additionally needs `trace` ≥
     /// [`TraceLevel::Lifecycle`] to observe anything.
     pub telemetry: Option<TelemetryConfig>,
@@ -156,7 +156,7 @@ impl RunSpec {
             cm: CmKind::from_env(),
             telemetry: TelemetryConfig::from_env(),
             workload: "run",
-            profile: profile_enabled(),
+            profile: knobs::env().profile(),
         }
     }
 
@@ -215,7 +215,7 @@ pub fn run_virtual_traced(spec: &RunSpec, client: ClientFn) -> (RunResult, Arc<T
     // serializability checker after it finishes. Checking and causal
     // profiling both need the full event stream, so lanes get a much
     // deeper ring than the default.
-    let check = check_enabled() && spec.trace != TraceLevel::Off;
+    let check = knobs::env().check() && spec.trace != TraceLevel::Off;
     let profiling = spec.profile && spec.trace != TraceLevel::Off;
     let tracer = if check || profiling {
         Tracer::with_capacity(spec.trace, 1 << 18)
@@ -309,14 +309,6 @@ pub fn run_virtual_traced(spec: &RunSpec, client: ClientFn) -> (RunResult, Arc<T
         }
     }
     (result, tracer)
-}
-
-fn check_enabled() -> bool {
-    std::env::var("WTF_CHECK").is_ok_and(|v| v != "0" && !v.is_empty())
-}
-
-fn profile_enabled() -> bool {
-    std::env::var("WTF_PROFILE").is_ok_and(|v| v != "0" && !v.is_empty())
 }
 
 /// Deterministic xorshift64* generator for workload decisions. We keep a

@@ -100,7 +100,6 @@ fn abort_storm_yields_exactly_one_incident_on_both_backends() {
                 recover_epochs: 2,
                 ..Thresholds::default()
             },
-            ..TelemetryConfig::default()
         };
         // Long calm tail: the 4-epoch window must fully drain of storm
         // conflicts and then stay calm for `recover_epochs` more epochs.
