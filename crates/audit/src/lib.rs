@@ -39,9 +39,8 @@ pub mod unsafe_audit;
 
 /// Crates whose runtime source is subject to the atomics, unsafe and
 /// environment-read audits.
-pub const AUDIT_CRATES: [&str; 9] = [
+pub const AUDIT_CRATES: [&str; 8] = [
     "backend",
-    "cm",
     "core",
     "mvstm",
     "taskpool",

@@ -39,11 +39,13 @@
 //! has nothing left to read) — which is why the signature is fallible and
 //! callers must treat `Err` as a conflict abort.
 
+mod cm;
 mod error;
 mod hash;
 mod stats;
 mod value;
 
+pub use cm::{CmKind, CmStats, ImmediateCm};
 pub use error::{Aborted, StmError, TxResult};
 pub use hash::{FxHashMap, FxHashSet};
 pub use stats::StmStatsSnapshot;
@@ -52,7 +54,6 @@ pub use value::{downcast_value, BoxId, TxValue, Value};
 use std::any::Any;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use wtf_cm::ContentionManager;
 use wtf_trace::knobs::Knobs;
 use wtf_trace::{EventKind, Tracer};
 
@@ -236,16 +237,13 @@ pub trait StmBackend: Send + Sync {
     /// commit call to count them in.
     fn note_read_only_commit(&self);
 
-    /// The contention manager this backend's retry loops consult — one
-    /// shared policy instance per backend, so the plain [`atomic`] loop
-    /// and `wtf-core`'s top-level loop see the same karma ledger /
-    /// hotspot gates. Every backend starts on `immediate`.
-    fn cm(&self) -> Arc<dyn ContentionManager>;
+    /// Kept for `benchmark/` only.
+    fn cm(&self) -> ImmediateCm {
+        ImmediateCm
+    }
 
-    /// Installs a contention manager (the `FutureTm::builder().cm(..)`
-    /// plumbing). In-flight retry loops finish on the policy they
-    /// started with.
-    fn set_cm(&self, cm: Arc<dyn ContentionManager>);
+    /// Kept for `benchmark/` only.
+    fn set_cm(&self, _cm: ImmediateCm) {}
 
     /// Creates a box initialized to `value`, stamped at the current clock.
     fn new_box(&self, value: Value) -> Arc<dyn BackendBox>;
@@ -356,10 +354,6 @@ pub struct BackendTxn<'s> {
     /// actually read.
     read_set: FxHashMap<BoxId, (Arc<dyn BackendBox>, u64)>,
     write_set: FxHashMap<BoxId, (Arc<dyn BackendBox>, Value)>,
-    /// The box a failed read was charged to (single-version backends),
-    /// kept so [`atomic`] can attribute the abort to its contention
-    /// manager even though the `Err(Conflict)` itself carries no id.
-    conflict_box: Option<BoxId>,
 }
 
 impl<'s> BackendTxn<'s> {
@@ -369,7 +363,6 @@ impl<'s> BackendTxn<'s> {
             backend,
             read_set: FxHashMap::default(),
             write_set: FxHashMap::default(),
-            conflict_box: None,
         }
     }
 
@@ -386,13 +379,7 @@ impl<'s> BackendTxn<'s> {
         if let Some((_, v)) = self.write_set.get(&id) {
             return Ok(downcast_value(v));
         }
-        let (version, value) = match tbox.body().read_at(self.snapshot.version()) {
-            Ok(read) => read,
-            Err(e) => {
-                self.conflict_box = Some(id);
-                return Err(e);
-            }
-        };
+        let (version, value) = tbox.body().read_at(self.snapshot.version())?;
         self.backend
             .tracer()
             .record_full(EventKind::StmRead, id.0, version);
@@ -414,23 +401,10 @@ impl<'s> BackendTxn<'s> {
         Err(StmError::UserAbort)
     }
 
-    /// The box a failed [`BackendTxn::read`] charged this transaction's
-    /// conflict to, if any (the contention manager's attribution input).
-    pub fn conflict_box(&self) -> Option<BoxId> {
-        self.conflict_box
-    }
-
     /// Validates and publishes. A `Conflict` outside [`atomic`]'s retry
     /// loop (i.e. from the schedule explorers) is a final abort.
+    /// Read-only commits cannot conflict.
     pub fn commit(self) -> Result<(), StmError> {
-        self.commit_with_attribution()
-            .map_err(|_| StmError::Conflict)
-    }
-
-    /// Like [`BackendTxn::commit`], but a validation failure names the
-    /// box whose check failed — what [`atomic`] feeds the contention
-    /// manager. Read-only commits cannot conflict.
-    pub fn commit_with_attribution(self) -> Result<(), BoxId> {
         let backend = self.backend;
         let snapshot = self.snapshot.version();
         if self.write_set.is_empty() {
@@ -443,7 +417,9 @@ impl<'s> BackendTxn<'s> {
         }
         let reads: Vec<&dyn BackendBox> = self.read_set.values().map(|(b, _)| &**b).collect();
         let writes: Vec<(Arc<dyn BackendBox>, Value)> = self.write_set.into_values().collect();
-        let version = backend.commit_attributed(snapshot, &reads, writes)?;
+        let version = backend
+            .commit_attributed(snapshot, &reads, writes)
+            .map_err(|_| StmError::Conflict)?;
         Self::record_commit(backend, &self.read_set, version, snapshot);
         Ok(())
     }
@@ -474,43 +450,24 @@ impl<'s> BackendTxn<'s> {
 /// commits — the paper's no-futures baseline, and the one plain retry
 /// loop in the workspace (`FutureTm::atomic` keeps its own because a
 /// replay restart is not a plain retry). `Err(Aborted)` only when `f`
-/// requests an explicit abort via [`BackendTxn::abort`]. Every conflict
-/// abort is attributed (the failed read's box on single-version
-/// backends, the failed validation's box at commit) and reported to the
-/// backend's [contention manager](StmBackend::cm), whose wait is applied
-/// before the retry.
+/// requests an explicit abort via [`BackendTxn::abort`]. A conflict
+/// abort retries at once, as in the paper.
 pub fn atomic<T>(
     backend: &dyn StmBackend,
     mut f: impl FnMut(&mut BackendTxn) -> TxResult<T>,
 ) -> Result<T, Aborted> {
-    let cm = backend.cm();
-    let actor = cm.begin_txn();
-    wtf_cm::pause_at_begin(&*cm, backend.tracer(), actor);
-    let mut streak = 0u32;
     loop {
-        let attempt_start = wtf_cm::attempt_now();
         let mut txn = BackendTxn::begin(backend);
-        let conflict_box = match f(&mut txn) {
-            Ok(value) => match txn.commit_with_attribution() {
-                Ok(()) => {
-                    cm.on_commit(actor);
+        match f(&mut txn) {
+            Ok(value) => {
+                if txn.commit().is_ok() {
                     return Ok(value);
                 }
-                Err(box_id) => Some(box_id),
-            },
-            Err(StmError::Conflict) => txn.conflict_box(),
+            }
+            Err(StmError::Conflict) => {}
             Err(StmError::UserAbort) => return Err(Aborted),
-        };
+        }
         backend.note_abort();
-        streak += 1;
-        wtf_cm::pause_after_abort(
-            &*cm,
-            backend.tracer(),
-            actor,
-            conflict_box.map(|b| b.0),
-            streak,
-            attempt_start,
-        );
     }
 }
 

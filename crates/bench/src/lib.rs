@@ -10,7 +10,6 @@
 //! | `fig7` | Fig. 7a/7b | speedup vs sequential + abort rates, by contention × threads |
 //! | `fig8` | Fig. 8 | Bank speedups + internal abort rates, by update% × threads |
 //! | `fig9` | Fig. 9 | Vacation speedups + top-level abort rates |
-//! | `fig10_cm` | — (extension) | contention-manager speedups vs immediate retry on the Zipf hot-box |
 //!
 //! All binaries run under the deterministic virtual clock, so their output
 //! is bit-reproducible. Parameters are scaled down from the paper's

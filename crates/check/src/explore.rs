@@ -22,13 +22,11 @@
 //!   submit/evaluate scenario is replayed across a grid of injected
 //!   [`Clock::advance`] delays. Distinct delay vectors yield distinct
 //!   (but each fully deterministic) schedules through the
-//!   commit/doom/adoption machinery. [`explore_core_delays_cm`] adds
-//!   the contention manager as a further dimension: waiting policies
-//!   inject their own clock advances, shifting every cell of the grid.
+//!   commit/doom/adoption machinery.
 
 use crate::checker::{CheckError, CheckReport, HistoryChecker};
 use wtf_backend::{BackendKind, BackendTxn, TBox};
-use wtf_core::{make_backend, CmKind, FutureTm, Semantics, TmConfig};
+use wtf_core::{make_backend, FutureTm, Semantics, TmConfig};
 use wtf_trace::{TraceLevel, Tracer};
 use wtf_vclock::Clock;
 
@@ -238,32 +236,10 @@ pub fn explore_core_delays(
 
 /// [`explore_core_delays`] pinned to a specific STM substrate, for
 /// side-by-side sweeps of the futures path over mvstm and TL2 regardless
-/// of `WTF_BACKEND`. Runs under the default [`CmKind::Immediate`]
-/// contention manager.
+/// of `WTF_BACKEND`.
 pub fn explore_core_delays_on(
     kind: BackendKind,
     semantics: Semantics,
-    grid: &[u64],
-) -> Result<ExploreReport, CheckError> {
-    explore_core_delays_cm(kind, semantics, CmKind::Immediate, grid)
-}
-
-/// The full sweep: [`explore_core_delays_on`] with the contention
-/// manager as an explicit dimension.
-///
-/// Waiting policies (`backoff`, `karma`) insert `Clock::advance` calls
-/// of their own on abort and at admission, which *shifts* the schedule
-/// grid rather than merely slowing it down: a CM wait can move a
-/// client's validation point past the other's commit, turning a doomed
-/// ordering into a clean one or vice versa. Each (delay vector, CM)
-/// cell is still fully deterministic, and every cell's trace must both
-/// pass the checker — which demands an acyclic §3.4 serialization
-/// witness — and commit both clients (the CM may reorder, never
-/// starve, this bounded scenario).
-pub fn explore_core_delays_cm(
-    kind: BackendKind,
-    semantics: Semantics,
-    cm: CmKind,
     grid: &[u64],
 ) -> Result<ExploreReport, CheckError> {
     let mut report = ExploreReport::default();
@@ -272,13 +248,8 @@ pub fn explore_core_delays_cm(
             for &d2 in grid {
                 for &d3 in grid {
                     let delays = [d0, d1, d2, d3];
-                    let check = run_core_scenario(kind, semantics, cm, delays).map_err(|e| {
-                        CheckError(format!(
-                            "{}/{} delays {delays:?}: {}",
-                            kind.name(),
-                            cm.name(),
-                            e.0
-                        ))
+                    let check = run_core_scenario(kind, semantics, delays).map_err(|e| {
+                        CheckError(format!("{} delays {delays:?}: {}", kind.name(), e.0))
                     })?;
                     report.schedules += 1;
                     report.commits += check.committed_tops;
@@ -294,7 +265,6 @@ pub fn explore_core_delays_cm(
 fn run_core_scenario(
     kind: BackendKind,
     semantics: Semantics,
-    cm: CmKind,
     delays: [u64; 4],
 ) -> Result<CheckReport, CheckError> {
     let clock = Clock::virtual_time();
@@ -304,7 +274,6 @@ fn run_core_scenario(
             .config(TmConfig::new(semantics))
             .workers(2)
             .backend_kind(kind)
-            .cm(cm)
             .tracer(tracer.clone())
             .build();
         let a = tm.new_vbox(0u64);

@@ -3,10 +3,9 @@
 //! path — must produce a checker-clean history.
 
 use wtf_check::explore::{
-    explore_backend, explore_core_delays, explore_core_delays_cm, explore_core_delays_on,
-    schedule_count, StepOp,
+    explore_backend, explore_core_delays, explore_core_delays_on, schedule_count, StepOp,
 };
-use wtf_core::{BackendKind, CmKind, Semantics};
+use wtf_core::{BackendKind, Semantics};
 use StepOp::{Commit, Read, Write};
 
 /// Two conflicting read-modify-write transactions on one box: all 20
@@ -134,33 +133,26 @@ fn tl2_explores_core_delay_grid() {
     }
 }
 
-/// The contention manager as a third explorer dimension: the delay grid
-/// swept under `immediate`, `backoff` and `karma` on both substrates.
-/// Waiting policies inject their own clock advances, shifting every
-/// cell's schedule — yet every cell must commit both clients (the CM
-/// may reorder, never starve) and pass the checker, which demands an
-/// acyclic §3.4 serialization witness for each run.
+/// The delay grid under WO_GAC on both substrates: every cell commits
+/// both clients and passes the checker, which demands an acyclic §3.4
+/// serialization witness for each run.
 #[test]
-fn explores_core_delay_grid_across_cms() {
+fn explores_core_delay_grid_on_both_backends() {
     for backend in [BackendKind::Mvstm, BackendKind::Tl2] {
-        for cm in [CmKind::Immediate, CmKind::Backoff, CmKind::Karma] {
-            let report =
-                explore_core_delays_cm(backend, Semantics::WO_GAC, cm, &[0, 2_500]).unwrap();
-            assert_eq!(report.schedules, 16, "{backend:?}/{cm:?}");
-            assert_eq!(report.commits, 32, "{backend:?}/{cm:?}");
-        }
+        let report = explore_core_delays_on(backend, Semantics::WO_GAC, &[0, 2_500]).unwrap();
+        assert_eq!(report.schedules, 16, "{backend:?}");
+        assert_eq!(report.commits, 32, "{backend:?}");
     }
 }
 
-/// CM-shifted schedules stay deterministic: the same (backend, cm,
-/// grid) cell swept twice yields the identical aggregate report,
-/// witness choices included.
+/// The same (backend, grid) cell swept twice yields the identical
+/// aggregate report, witness choices included.
 #[test]
-fn cm_explorer_sweeps_are_reproducible() {
-    for cm in [CmKind::Backoff, CmKind::Karma] {
-        let a = explore_core_delays_cm(BackendKind::Mvstm, Semantics::SO, cm, &[0, 800]).unwrap();
-        let b = explore_core_delays_cm(BackendKind::Mvstm, Semantics::SO, cm, &[0, 800]).unwrap();
-        assert_eq!(a, b, "{cm:?}");
+fn core_delay_sweeps_are_reproducible() {
+    for backend in [BackendKind::Mvstm, BackendKind::Tl2] {
+        let a = explore_core_delays_on(backend, Semantics::SO, &[0, 800]).unwrap();
+        let b = explore_core_delays_on(backend, Semantics::SO, &[0, 800]).unwrap();
+        assert_eq!(a, b, "{backend:?}");
     }
 }
 
@@ -224,18 +216,16 @@ fn tl2_explores_deep_configurations() {
     }
 }
 
-/// Deep CM sweep (scheduled deep-verify job): the finer delay grid
-/// crossed with every waiting policy on both substrates.
+/// Deep core sweep (scheduled deep-verify job): the finer delay grid on
+/// both substrates, every run committing both clients.
 #[test]
 #[ignore = "CI deep-verify: thousands of schedules"]
-fn cm_explores_deep_configurations() {
+fn explores_deep_core_delays_on_both_backends() {
     for backend in [BackendKind::Mvstm, BackendKind::Tl2] {
-        for cm in [CmKind::Immediate, CmKind::Backoff, CmKind::Karma] {
-            for sem in [Semantics::WO_GAC, Semantics::SO] {
-                let report = explore_core_delays_cm(backend, sem, cm, &[0, 800, 2_500]).unwrap();
-                assert_eq!(report.schedules, 81, "{backend:?}/{cm:?}/{sem:?}");
-                assert_eq!(report.commits, 162, "{backend:?}/{cm:?}/{sem:?}");
-            }
+        for sem in [Semantics::WO_GAC, Semantics::SO] {
+            let report = explore_core_delays_on(backend, sem, &[0, 800, 2_500]).unwrap();
+            assert_eq!(report.schedules, 81, "{backend:?}/{sem:?}");
+            assert_eq!(report.commits, 162, "{backend:?}/{sem:?}");
         }
     }
 }

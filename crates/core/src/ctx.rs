@@ -125,9 +125,6 @@ impl TxCtx {
             Err(_) => {
                 let id = body.id();
                 self.tm.stats.top_aborts();
-                self.top
-                    .conflict_box
-                    .store(id.0, std::sync::atomic::Ordering::Relaxed);
                 self.tm.tracer.charge_conflict(id.0);
                 self.tm
                     .tracer
@@ -453,7 +450,6 @@ impl TxCtx {
                     }
                     match self.top.serialize_at_evaluation(core, cur, self.node.id) {
                         Ok(value) => {
-                            crate::toplevel::note_future_attempt(&self.tm, false);
                             self.tm.stats.serialized_at_evaluation();
                             self.tm.tracer.record(
                                 EventKind::FutureSerializedEvaluation,
@@ -466,7 +462,6 @@ impl TxCtx {
                         Err(()) => {
                             // Backward validation failed: re-execute the
                             // future inline at the evaluation point.
-                            crate::toplevel::note_future_attempt(&self.tm, true);
                             self.tm.stats.internal_aborts();
                             self.tm.stats.reexecutions();
                             self.tm.tracer.record(
@@ -535,7 +530,6 @@ impl TxCtx {
                         self.node.id,
                         value.clone(),
                     );
-                    crate::toplevel::note_future_attempt(&self.tm, false);
                     self.tm.stats.serialized_at_evaluation();
                     self.tm.tracer.record(
                         EventKind::FutureSerializedEvaluation,
@@ -546,7 +540,6 @@ impl TxCtx {
                     return Ok(value);
                 }
                 Err(StmError::Conflict) => {
-                    crate::toplevel::note_future_attempt(&self.tm, true);
                     self.tm.stats.internal_aborts();
                     self.tm
                         .tracer
@@ -641,7 +634,6 @@ impl TxCtx {
             }
             let value = core.result_value().expect("completed future has result");
             core.set_state(FutState::Adopted);
-            crate::toplevel::note_future_attempt(&self.tm, false);
             self.tm.stats.adopted_escaping();
             self.tm
                 .tracer
@@ -652,7 +644,6 @@ impl TxCtx {
             // The state the future observed is stale here: re-execute its
             // body inline within this transaction. The result of this
             // (first successful) serialization becomes the fixed result.
-            crate::toplevel::note_future_attempt(&self.tm, true);
             self.tm.stats.internal_aborts();
             self.tm.stats.reexecutions();
             self.tm

@@ -68,10 +68,9 @@ pub use stats::{TmStats, TmStatsSnapshot};
 pub use toplevel::TopLevel;
 pub use watchdog::{WatchdogConfig, WatchdogHandle};
 pub use wtf_backend::{
-    with_backend, Aborted, BackendBox, BackendKind, BackendSnapshot, BoxId, StmBackend, StmError,
-    TBox as VBox, TxResult, TxValue,
+    with_backend, Aborted, BackendBox, BackendKind, BackendSnapshot, BoxId, CmKind, ImmediateCm,
+    StmBackend, StmError, TBox as VBox, TxResult, TxValue,
 };
-pub use wtf_cm::{CmKind, ContentionManager};
 pub use wtf_mvstm::Stm;
 
 use parking_lot::Mutex;
@@ -84,29 +83,12 @@ use wtf_vclock::{Clock, Resource};
 
 /// Instantiates the STM substrate for `kind`, reporting into `tracer` —
 /// the backend-selection point behind `WTF_BACKEND` and
-/// [`FutureTmBuilder::backend_kind`] — with the contention manager
-/// `WTF_CM` names installed (default `immediate`).
+/// [`FutureTmBuilder::backend_kind`].
 pub fn make_backend(kind: BackendKind, tracer: Arc<Tracer>) -> Arc<dyn StmBackend> {
-    make_backend_with_cm(kind, tracer, None)
-}
-
-/// [`make_backend`] with the policy named by the caller, if any: the one
-/// place "explicit kind, else environment" is resolved. Backends start on
-/// `immediate`, so only another policy is built and installed.
-fn make_backend_with_cm(
-    kind: BackendKind,
-    tracer: Arc<Tracer>,
-    cm: Option<CmKind>,
-) -> Arc<dyn StmBackend> {
-    let backend: Arc<dyn StmBackend> = match kind {
+    match kind {
         BackendKind::Mvstm => Arc::new(Stm::with_tracer(tracer)),
         BackendKind::Tl2 => Arc::new(wtf_tl2::Tl2Stm::with_tracer(tracer)),
-    };
-    let cm = CmKind::resolve(cm);
-    if cm != CmKind::Immediate {
-        backend.set_cm(cm.build());
     }
-    backend
 }
 
 const TOP_SHARDS: usize = 16;
@@ -212,7 +194,6 @@ pub struct FutureTmBuilder {
     cfg: TmConfig,
     clock: Option<Clock>,
     backend_kind: Option<BackendKind>,
-    cm: Option<CmKind>,
     workers: usize,
     tracer: Option<Arc<Tracer>>,
 }
@@ -243,13 +224,8 @@ impl FutureTmBuilder {
         self
     }
 
-    /// Which contention-management policy both retry loops consult (see
-    /// `wtf-cm`): `wtf_backend::atomic` over [`FutureTm::stm`] and
-    /// [`FutureTm::atomic`]'s top-level loop. Defaults to the `WTF_CM`
-    /// environment variable, falling back to `immediate`; with an
-    /// explicit kind the environment is not consulted at all.
-    pub fn cm(mut self, kind: CmKind) -> Self {
-        self.cm = Some(kind);
+    /// Kept for `benchmark/` only.
+    pub fn cm(self, _kind: CmKind) -> Self {
         self
     }
 
@@ -299,10 +275,9 @@ impl FutureTmBuilder {
         } else {
             None
         };
-        let stm = make_backend_with_cm(
+        let stm = make_backend(
             self.backend_kind.unwrap_or_else(BackendKind::from_env),
             Arc::clone(&tracer),
-            self.cm,
         );
         let tm = FutureTm {
             inner: Arc::new(TmInner {
@@ -366,25 +341,6 @@ impl FutureTmBuilder {
                 .tracer
                 .gauges
                 .register("watchdog_stalls", move || c.get());
-            // Contention-manager counters, read through the backend each
-            // sample so a later `set_cm` swap is reflected.
-            let w = Arc::downgrade(&tm.inner);
-            tm.inner.tracer.gauges.register("cm_waits", move || {
-                w.upgrade().map_or(0, |tm| tm.stm.cm().stats().waits)
-            });
-            let w = Arc::downgrade(&tm.inner);
-            tm.inner
-                .tracer
-                .gauges
-                .register("cm_serialized_boxes", move || {
-                    w.upgrade()
-                        .map_or(0, |tm| tm.stm.cm().stats().serialized_boxes)
-                });
-            let w = Arc::downgrade(&tm.inner);
-            tm.inner.tracer.gauges.register("adaptive_flips", move || {
-                w.upgrade()
-                    .map_or(0, |tm| tm.stm.cm().stats().adaptive_flips)
-            });
         }
         tm
     }
@@ -404,7 +360,6 @@ impl FutureTm {
             cfg: TmConfig::default(),
             clock: None,
             backend_kind: None,
-            cm: None,
             workers: 8,
             tracer: None,
         }
@@ -452,9 +407,9 @@ impl FutureTm {
         &self.inner.tracer
     }
 
-    /// The contention manager consulted on every top-level abort.
-    pub fn cm(&self) -> Arc<dyn ContentionManager> {
-        self.inner.stm.cm()
+    /// Kept for `benchmark/` only.
+    pub fn cm(&self) -> ImmediateCm {
+        ImmediateCm
     }
 
     /// Runs `body` as a top-level transaction, retrying on conflicts until
@@ -467,28 +422,6 @@ impl FutureTm {
         // Replay restarts are bounded defensively; beyond the cap we fall
         // back to a full restart (fresh snapshot).
         const MAX_REPLAYS: u32 = 10_000;
-        // One CM actor per logical top-level transaction: karma accrues
-        // across this call's full restarts and retires on commit. Replay
-        // (internal) restarts stay immediate — they recover intra-top
-        // dooms, not cross-top contention.
-        let cm = self.inner.stm.cm();
-        let actor = cm.begin_txn();
-        wtf_cm::pause_at_begin(&*cm, &self.inner.tracer, actor);
-        let mut streak = 0u32;
-        let cm_pause = |top: &Arc<TopLevel>, streak: u32, attempt_start: u64| {
-            let conflict_box = match top.conflict_box.load(Ordering::Relaxed) {
-                u64::MAX => None,
-                b => Some(b),
-            };
-            wtf_cm::pause_after_abort(
-                &*cm,
-                &self.inner.tracer,
-                actor,
-                conflict_box,
-                streak,
-                attempt_start,
-            );
-        };
         let mut top: Option<Arc<TopLevel>> = None;
         let mut replay: Option<Vec<Arc<crate::future::FutureCore>>> = None;
         // Retry lineage: the id of the incarnation a full restart abandoned,
@@ -500,7 +433,6 @@ impl FutureTm {
         loop {
             guard += 1;
             assert!(guard < 200_000, "atomic outer retry spinning");
-            let attempt_start = wtf_cm::attempt_now();
             let (t, root) = match (&top, replay.take()) {
                 (Some(t), Some(q)) => {
                     // Internal (replay) restart on the same incarnation.
@@ -515,10 +447,7 @@ impl FutureTm {
                     let mut ctx = TxCtx::new(self.inner.clone(), t.clone(), root.clone());
                     ctx.set_replay(queue);
                     match self.run_attempt(&t, ctx, &mut body) {
-                        AttemptOutcome::Done(v) => {
-                            cm.on_commit(actor);
-                            return v;
-                        }
+                        AttemptOutcome::Done(v) => return v,
                         AttemptOutcome::Internal => {
                             replays += 1;
                             if replays < MAX_REPLAYS {
@@ -536,8 +465,6 @@ impl FutureTm {
                         }
                         AttemptOutcome::Full => {
                             t.cancel(&self.inner);
-                            streak += 1;
-                            cm_pause(&t, streak, attempt_start);
                             prev_top = Some(t.id);
                             top = None;
                             continue;
@@ -545,7 +472,7 @@ impl FutureTm {
                     }
                 }
                 _ => {
-                    let t = TopLevel::begin(&self.inner, &*cm);
+                    let t = TopLevel::begin(&self.inner);
                     if let Some(prev) = prev_top.take() {
                         self.inner.tracer.record(EventKind::TopRetry, t.id, prev);
                     }
@@ -555,10 +482,7 @@ impl FutureTm {
             };
             let ctx = TxCtx::new(self.inner.clone(), t.clone(), root);
             match self.run_attempt(&t, ctx, &mut body) {
-                AttemptOutcome::Done(v) => {
-                    cm.on_commit(actor);
-                    return v;
-                }
+                AttemptOutcome::Done(v) => return v,
                 AttemptOutcome::Internal => {
                     top = Some(t);
                     replay = Some(Vec::new());
@@ -566,8 +490,6 @@ impl FutureTm {
                 }
                 AttemptOutcome::Full => {
                     t.cancel(&self.inner);
-                    streak += 1;
-                    cm_pause(&t, streak, attempt_start);
                     prev_top = Some(t.id);
                     top = None;
                     continue;

@@ -842,7 +842,7 @@ fn auto_dump_writes_snapshots_and_respects_budget() {
     Arc::get_mut(&mut tm.inner)
         .expect("unshared TM")
         .snapshot_dir = dir.clone();
-    let top = crate::TopLevel::begin(&tm.inner, &*tm.cm());
+    let top = crate::TopLevel::begin(&tm.inner);
     crate::inspect::auto_dump(&tm.inner, &top, "doom");
     let dot = std::fs::read_to_string(dir.join("doom_top0.dot")).unwrap();
     assert!(dot.contains("digraph top0"));

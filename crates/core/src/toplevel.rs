@@ -7,7 +7,7 @@ use crate::graph::{Graph, GraphInner, NodeId, NodeSet, NodeStatus};
 use crate::node::{NodeKind, ReadOrigin, SubTxNode};
 use crate::{AtomicitySemantics, OrderingSemantics, TmInner};
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use wtf_backend::{BackendBox, BackendSnapshot, BoxId, FxHashMap, FxHashSet, StmError, Value};
 use wtf_trace::EventKind;
@@ -128,32 +128,15 @@ pub struct TopLevel {
     // commit itself; acquire-load in the serialization checks pairs
     // with it.
     sealed: AtomicBool,
-    /// Effective ordering, sampled once at begin: the configured SO, or
-    /// the contention manager's adaptive WO→SO flip. Settlement and
-    /// forward validation consult this field, never the live config —
-    /// one transaction must not mix orderings mid-flight (a flip between
-    /// `complete_future` and `settle_wait_all` would deadlock commit on
-    /// a future that parked itself Pending).
+    /// The configured ordering is SO.
     pub(crate) strong: bool,
-    /// Box id of the most recent cross-top conflict abort charged to
-    /// this incarnation (`u64::MAX` = none): the attribution
-    /// `FutureTm::atomic` hands the contention manager on a full
-    /// restart.
-    // ordering: relaxed-store, relaxed-load — written and read by the
-    // owning thread across an abort boundary; the abort path's unwinding
-    // already orders the pair. relaxed-guard: the attribution hint only
-    // biases the contention manager — a stale read picks a slightly
-    // wrong victim, never breaks safety.
-    pub(crate) conflict_box: AtomicU64,
 }
 
 impl TopLevel {
-    /// Begins a flat incarnation. `cm` is the handle `FutureTm::atomic`
-    /// already holds (fetching it costs a lock and an `Arc` bump).
-    pub(crate) fn begin(tm: &Arc<TmInner>, cm: &dyn wtf_cm::ContentionManager) -> Arc<TopLevel> {
+    /// Begins a flat incarnation.
+    pub(crate) fn begin(tm: &Arc<TmInner>) -> Arc<TopLevel> {
         let id = tm.next_top_id();
-        let strong =
-            tm.cfg.semantics.ordering == OrderingSemantics::Strong || cm.serialize_at_submission();
+        let strong = tm.cfg.semantics.ordering == OrderingSemantics::Strong;
         let top = Arc::new(TopLevel {
             id,
             snapshot: tm.stm.acquire_snapshot(),
@@ -163,7 +146,6 @@ impl TopLevel {
             cancelled: AtomicBool::new(false),
             sealed: AtomicBool::new(false),
             strong,
-            conflict_box: AtomicU64::new(u64::MAX),
         });
         tm.clock.advance(tm.cfg.costs.begin_cost);
         // The list has two readers: the tracer's gauges and the watchdog.
@@ -725,8 +707,7 @@ impl TopLevel {
     /// so LAC can perform implicit evaluations).
     pub(crate) fn commit(self: &Arc<Self>, ctx: &mut TxCtx) -> Result<(), CommitFail> {
         ctx.tm.clock.advance(ctx.tm.cfg.costs.commit_cost);
-        // 1. Settle futures per the effective ordering (the configured
-        // semantics, or the adaptive WO→SO flip sampled at begin).
+        // 1. Settle futures per the configured semantics.
         match (self.strong, ctx.tm.cfg.semantics.atomicity) {
             (true, _) => self.settle_wait_all(&ctx.tm),
             (false, AtomicitySemantics::Local) => {
@@ -828,7 +809,6 @@ impl TopLevel {
             Ok(v) => v,
             Err(conflict_box) => {
                 tm.stats.top_aborts();
-                self.conflict_box.store(conflict_box.0, Ordering::Relaxed);
                 // The substrate already charged the conflict map; the
                 // event stream additionally ties the abort to this top.
                 tm.tracer
@@ -1018,28 +998,6 @@ impl TopLevel {
     }
 }
 
-/// Reports one decided future-attempt fate to the contention manager.
-/// The adaptive policy windows these to estimate the internal abort
-/// rate, so call sites follow one contract: `aborted = true` whenever an
-/// incarnation's speculative work is discarded (doomed subtree, doomed
-/// read, failed backward validation forcing a re-execution), `false`
-/// whenever an incarnation serializes (at submission, at evaluation,
-/// inline after a re-execution, or by adoption). Parked (`Pending`)
-/// completions report nothing — their fate is decided at evaluation.
-pub(crate) fn note_future_attempt(tm: &TmInner, aborted: bool) {
-    if let Some(flip) = tm
-        .stm
-        .cm()
-        .note_future_attempt(aborted, wtf_cm::attempt_now())
-    {
-        tm.tracer.record(
-            EventKind::AdaptiveFlip,
-            flip.to_strong as u64,
-            flip.rate_per_mille,
-        );
-    }
-}
-
 /// Worker-side execution of a future's body, with internal retry.
 /// `submit_ts` is the submission-point timestamp (0 when tracing is off)
 /// used to measure the queue-to-start delay.
@@ -1089,12 +1047,10 @@ pub(crate) fn run_future_body(
                     // spawn order*: a future's commit waits for every
                     // earlier-submitted future of the same top-level. This
                     // is the source of the paper's straggler effect (Fig. 3).
-                    // (`top.strong` covers the adaptive WO→SO flip too.)
                     wait_for_earlier_futures(&tm, &top, &core);
                 }
                 match top.complete_future(&tm, &core, final_node, value) {
                     FutureCommitOutcome::Doomed => {
-                        note_future_attempt(&tm, true);
                         tm.stats.internal_aborts();
                         tm.tracer
                             .record(EventKind::FutureAttemptAbort, core.id, attempt);
@@ -1108,18 +1064,10 @@ pub(crate) fn run_future_body(
                         top.reset_node(core.node, NodeKind::Future);
                         continue;
                     }
-                    FutureCommitOutcome::SerializedAtSubmission => {
-                        note_future_attempt(&tm, false);
-                        return;
-                    }
-                    // Pending parks until evaluation and Escaped awaits
-                    // adoption: neither fate is decided yet, so neither
-                    // feeds the adaptive abort-rate window here.
                     _ => return,
                 }
             }
             Err(StmError::Conflict) => {
-                note_future_attempt(&tm, true);
                 tm.stats.internal_aborts();
                 tm.tracer
                     .record(EventKind::FutureAttemptAbort, core.id, attempt);

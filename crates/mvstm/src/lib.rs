@@ -124,16 +124,6 @@ pub(crate) struct StmInner {
     /// tracer costs one relaxed load per hook — so the hot paths carry
     /// no `Option` branch.
     pub(crate) tracer: Arc<Tracer>,
-    /// Contention manager consulted by `wtf_backend::atomic` and the
-    /// `wtf-core` top-level loop — one shared policy instance per STM.
-    /// Starts on `immediate`; swappable so `make_backend` /
-    /// `FutureTm::builder().cm(..)` can install a policy after
-    /// construction, and in-flight retry loops finish on the policy they
-    /// started with.
-    // lock-order: cm-slot — read at the top of the retry loop, before
-    // any stripe or registry lock is taken; writes happen only from
-    // setup code holding nothing.
-    pub(crate) cm: parking_lot::RwLock<Arc<dyn wtf_cm::ContentionManager>>,
 }
 
 /// A software transactional memory instance.
@@ -171,7 +161,6 @@ impl Stm {
                 gc_enabled: AtomicBool::new(true),
                 versions_installed: AtomicU64::new(0),
                 tracer,
-                cm: parking_lot::RwLock::new(wtf_cm::CmKind::Immediate.build()),
             }),
         };
         if stm.inner.tracer.on() {

@@ -30,7 +30,6 @@ use wtf_backend::{
     BackendBox, BackendKind, BackendSnapshot, BoxId, StmBackend, StmStatsSnapshot, TBox, TxValue,
     Value,
 };
-use wtf_cm::ContentionManager;
 use wtf_trace::{EventKind, Tracer};
 
 /// Number of commit-lock stripes (re-exported for tests/diagnostics).
@@ -87,14 +86,6 @@ impl StmBackend for Stm {
         let stats = &self.inner.stats;
         stats.commits.fetch_add(1, Ordering::Relaxed);
         stats.read_only_commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn cm(&self) -> Arc<dyn ContentionManager> {
-        self.inner.cm.read().clone()
-    }
-
-    fn set_cm(&self, cm: Arc<dyn ContentionManager>) {
-        *self.inner.cm.write() = cm;
     }
 
     /// The initial version is stamped with the *current* clock value, so

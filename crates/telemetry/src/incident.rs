@@ -181,7 +181,7 @@ impl Incident {
 
 /// Edge reported by [`Hysteresis::observe`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HysteresisEdge {
+pub(crate) enum HysteresisEdge {
     /// `trigger` consecutive hot observations while closed.
     Opened,
     /// `recover` consecutive calm observations while open.
@@ -190,11 +190,9 @@ pub enum HysteresisEdge {
 
 /// A reusable trigger/recover streak counter: `trigger` consecutive hot
 /// observations open it, `recover` consecutive calm observations close
-/// it. This is the state machine behind every incident-detector rule;
-/// `wtf-cm`'s adaptive future-serialization policy reuses it for its
-/// WO→SO flip decision, so both layers debounce identically.
+/// it. This is the state machine behind every incident-detector rule.
 #[derive(Debug, Clone, Copy)]
-pub struct Hysteresis {
+pub(crate) struct Hysteresis {
     trigger: u32,
     recover: u32,
     hot_streak: u32,
@@ -203,7 +201,7 @@ pub struct Hysteresis {
 }
 
 impl Hysteresis {
-    pub fn new(trigger: u32, recover: u32) -> Hysteresis {
+    pub(crate) fn new(trigger: u32, recover: u32) -> Hysteresis {
         Hysteresis {
             trigger: trigger.max(1),
             recover: recover.max(1),
@@ -213,17 +211,13 @@ impl Hysteresis {
         }
     }
 
-    pub fn is_open(&self) -> bool {
-        self.open
-    }
-
     /// Consecutive hot observations so far (meaningful while closed).
-    pub fn hot_streak(&self) -> u32 {
+    pub(crate) fn hot_streak(&self) -> u32 {
         self.hot_streak
     }
 
     /// Feeds one observation; returns the edge it caused, if any.
-    pub fn observe(&mut self, hot: bool) -> Option<HysteresisEdge> {
+    pub(crate) fn observe(&mut self, hot: bool) -> Option<HysteresisEdge> {
         if self.open {
             if hot {
                 self.calm_streak = 0;
@@ -641,12 +635,12 @@ mod tests {
         assert_eq!(h.observe(false), None, "streak broken");
         assert_eq!(h.observe(true), None);
         assert_eq!(h.observe(true), Some(HysteresisEdge::Opened));
-        assert!(h.is_open());
+        assert!(h.open);
         assert_eq!(h.observe(false), None, "1 calm < recover 2");
         assert_eq!(h.observe(true), None, "calm streak broken");
         assert_eq!(h.observe(false), None);
         assert_eq!(h.observe(false), Some(HysteresisEdge::Recovered));
-        assert!(!h.is_open());
+        assert!(!h.open);
     }
 
     #[test]

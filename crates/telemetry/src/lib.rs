@@ -38,8 +38,7 @@ pub mod incident;
 pub mod prom;
 
 pub use incident::{
-    EpochObservation, Hysteresis, HysteresisEdge, Incident, IncidentDetector, IncidentKind,
-    IncidentTransition, Thresholds,
+    EpochObservation, Incident, IncidentDetector, IncidentKind, IncidentTransition, Thresholds,
 };
 pub use prom::{PromDoc, PromFamily, PromSample, PromValue};
 

@@ -234,12 +234,6 @@ struct Tl2Inner {
     // ordering: relaxed-rmw, relaxed-load — a statistics counter.
     aborts: AtomicU64,
     tracer: Arc<Tracer>,
-    /// Contention manager consulted by the `wtf_backend::atomic` retry
-    /// loop (and `wtf-core`'s top-level loop) for this instance. Starts
-    /// on `immediate`.
-    // lock-order: tl2-cm-slot — read before any stripe or slot lock is
-    // taken; written only from setup code holding nothing.
-    cm: parking_lot::RwLock<Arc<dyn wtf_cm::ContentionManager>>,
 }
 
 /// The TL2 STM instance. Cheap to clone; usually consumed as an
@@ -273,7 +267,6 @@ impl Tl2Stm {
                 read_only_commits: AtomicU64::new(0),
                 aborts: AtomicU64::new(0),
                 tracer,
-                cm: parking_lot::RwLock::new(wtf_cm::CmKind::Immediate.build()),
             }),
         };
         if stm.inner.tracer.on() {
@@ -351,14 +344,6 @@ impl StmBackend for Tl2Stm {
     fn note_read_only_commit(&self) {
         self.inner.commits.fetch_add(1, Ordering::Relaxed);
         self.inner.read_only_commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn cm(&self) -> Arc<dyn wtf_cm::ContentionManager> {
-        self.inner.cm.read().clone()
-    }
-
-    fn set_cm(&self, cm: Arc<dyn wtf_cm::ContentionManager>) {
-        *self.inner.cm.write() = cm;
     }
 
     fn new_box(&self, value: Value) -> Arc<dyn BackendBox> {

@@ -120,19 +120,10 @@ pub enum EventKind {
     /// both mvstm and tl2 so retry lineage profiles identically).
     /// a=conflicting box id, b=snapshot version of the failed attempt.
     TxnAttemptAbort,
-    /// The contention manager made an aborted transaction wait before
-    /// retrying. a=actor token, b=wait (clock units).
-    CmWait,
-    /// The hotspot contention manager flagged a box for serialized
-    /// admission. a=box_id, b=gate deadline (clock units).
-    CmBoxFlagged,
-    /// The adaptive policy flipped future serialization. a=direction
-    /// (1 = WO→SO, 0 = back to WO), b=window abort rate in per-mille.
-    AdaptiveFlip,
 }
 
 /// All kinds, in discriminant order (export tables, tests).
-pub const ALL_KINDS: [EventKind; 40] = [
+pub const ALL_KINDS: [EventKind; 37] = [
     EventKind::TopBegin,
     EventKind::TopCommit,
     EventKind::TopConflictAbort,
@@ -170,9 +161,6 @@ pub const ALL_KINDS: [EventKind; 40] = [
     EventKind::TaskEnqueue,
     EventKind::TaskDequeue,
     EventKind::TxnAttemptAbort,
-    EventKind::CmWait,
-    EventKind::CmBoxFlagged,
-    EventKind::AdaptiveFlip,
 ];
 
 impl EventKind {
@@ -216,9 +204,6 @@ impl EventKind {
             EventKind::TaskEnqueue => "task_enqueue",
             EventKind::TaskDequeue => "task_dequeue",
             EventKind::TxnAttemptAbort => "txn_attempt_abort",
-            EventKind::CmWait => "cm_wait",
-            EventKind::CmBoxFlagged => "cm_box_flagged",
-            EventKind::AdaptiveFlip => "adaptive_flip",
         }
     }
 
@@ -276,9 +261,6 @@ impl EventKind {
             EventKind::TaskEnqueue => ("task", "depth"),
             EventKind::TaskDequeue => ("task", "delay"),
             EventKind::TxnAttemptAbort => ("conflict_box", "snapshot"),
-            EventKind::CmWait => ("actor", "wait"),
-            EventKind::CmBoxFlagged => ("box", "gate_deadline"),
-            EventKind::AdaptiveFlip => ("direction", "rate_per_mille"),
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The process environment, read in one place.
 //!
-//! Eight `WTF_*` variables configure a run, and this module is the only
+//! Seven `WTF_*` variables configure a run, and this module is the only
 //! code in the workspace that reads the environment (wtf-audit's
 //! `env-read` rule keeps it that way). Every value has one strict
 //! grammar, and unset or empty means the default:
@@ -8,7 +8,6 @@
 //! | variable | values | default |
 //! |---|---|---|
 //! | `WTF_BACKEND` | `BackendKind::parse` (`mvstm`, `tl2`) | `mvstm` |
-//! | `WTF_CM` | `CmKind::parse` (`immediate`, `backoff`, `karma`, `hotspot`, `adaptive`) | `immediate` |
 //! | `WTF_TRACE` | `0`/`off`, `1`/`lifecycle`, `2`/`full` | `0` |
 //! | `WTF_CHECK`, `WTF_PROFILE` | `0`, `1` | `0` |
 //! | `WTF_RESULTS_DIR` | a path | `results` |
@@ -24,7 +23,6 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 const BACKEND: &str = "WTF_BACKEND";
-const CM: &str = "WTF_CM";
 const TRACE: &str = "WTF_TRACE";
 const CHECK: &str = "WTF_CHECK";
 const PROFILE: &str = "WTF_PROFILE";
@@ -33,9 +31,8 @@ const SNAPSHOT_DIR: &str = "WTF_SNAPSHOT_DIR";
 const METRICS_FILE: &str = "WTF_METRICS_FILE";
 
 /// Every variable a run reads.
-const NAMES: [&str; 8] = [
+const NAMES: [&str; 7] = [
     BACKEND,
-    CM,
     TRACE,
     CHECK,
     PROFILE,
@@ -109,11 +106,6 @@ impl<R: Fn(&str) -> Option<String>> Knobs<R> {
     /// `WTF_BACKEND` through the backend crate's own parser.
     pub fn backend<T>(&self, parse: impl FnOnce(&str) -> Option<T>, accepted: &str) -> Option<T> {
         self.parsed(BACKEND, parse, accepted)
-    }
-
-    /// `WTF_CM` through the contention-manager crate's own parser.
-    pub fn cm<T>(&self, parse: impl FnOnce(&str) -> Option<T>, accepted: &str) -> Option<T> {
-        self.parsed(CM, parse, accepted)
     }
 
     /// `WTF_TRACE`.
@@ -248,17 +240,16 @@ mod tests {
         let parse = |v: &str| (v == "a").then_some(7);
         assert_eq!(with(&[]).backend(parse, "a"), None);
         assert_eq!(with(&[(BACKEND, "a")]).backend(parse, "a"), Some(7));
-        assert_eq!(with(&[(CM, "a")]).cm(parse, "a"), Some(7));
         let msg = panic_message(|| {
-            with(&[(CM, "b")]).cm(parse, "a");
+            with(&[(BACKEND, "b")]).backend(parse, "a");
         });
-        assert_eq!(msg, "WTF_CM=\"b\": expected a");
+        assert_eq!(msg, "WTF_BACKEND=\"b\": expected a");
     }
 
     #[test]
     fn unknown_names_are_rejected() {
         let names = |ns: &[&str]| ns.iter().map(|n| n.to_string()).collect::<Vec<_>>();
-        assert_eq!(unknown(names(&["PATH", "WTF_TRACE", "WTF_CM"])), None);
+        assert_eq!(unknown(names(&["PATH", "WTF_TRACE", "WTF_BACKEND"])), None);
         let msg = unknown(names(&["WTF_DEBUG", "WTF_TRACE", "WTF_BACKNED"])).unwrap();
         assert!(
             msg.starts_with("unknown variable WTF_BACKNED, WTF_DEBUG: the WTF_* knobs are"),
@@ -276,6 +267,7 @@ mod tests {
             "WTF_METRICS_EVERY",
             "WTF_INCIDENTS_FILE",
             "WTF_METRICS_ADDR",
+            "WTF_CM",
         ] {
             assert!(unknown(names(&[retired])).is_some(), "{retired}");
         }

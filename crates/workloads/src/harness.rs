@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 use wtf_backend::StmStatsSnapshot;
-use wtf_core::{BackendKind, CmKind, CostModel, FutureTm, Semantics, TmConfig, TmStatsSnapshot};
+use wtf_core::{BackendKind, CostModel, FutureTm, Semantics, TmConfig, TmStatsSnapshot};
 use wtf_telemetry::{TelemetryConfig, TelemetryHub, TelemetrySummary};
 use wtf_trace::{knobs, Json, TraceLevel, TraceSummary, Tracer};
 use wtf_vclock::Clock;
@@ -19,8 +19,6 @@ pub struct RunResult {
     pub completed: u64,
     /// Which STM substrate the run executed over.
     pub backend: BackendKind,
-    /// Which contention-management policy governed abort/retry pacing.
-    pub cm: CmKind,
     pub tm: TmStatsSnapshot,
     pub stm: StmStatsSnapshot,
     /// Tracing summary for the run (all-zero when tracing was off).
@@ -79,7 +77,6 @@ impl RunResult {
             ("makespan", self.makespan.into()),
             ("completed", self.completed.into()),
             ("backend", Json::Str(self.backend.name().to_string())),
-            ("cm", Json::Str(self.cm.name().to_string())),
             ("throughput", Json::F64(self.throughput())),
             ("top_abort_rate", Json::F64(self.top_abort_rate())),
             ("internal_abort_rate", Json::F64(self.internal_abort_rate())),
@@ -116,11 +113,6 @@ pub struct RunSpec {
     /// `WTF_BACKEND` environment variable (default mvstm), so every figure
     /// binary honours `WTF_BACKEND=tl2` without per-workload plumbing.
     pub backend: BackendKind,
-    /// Contention-management policy for this run. [`RunSpec::new`] seeds
-    /// it from the `WTF_CM` environment variable (default immediate), so
-    /// every figure binary honours `WTF_CM=karma` without per-workload
-    /// plumbing.
-    pub cm: CmKind,
     /// Sliding-window telemetry for this run. [`RunSpec::new`] seeds it
     /// from the environment (on iff `WTF_METRICS_FILE` is set); `None`
     /// disables the hub entirely. Telemetry
@@ -153,7 +145,6 @@ impl RunSpec {
             units_per_client: 1,
             trace: TraceLevel::from_env(),
             backend: BackendKind::from_env(),
-            cm: CmKind::from_env(),
             telemetry: TelemetryConfig::from_env(),
             workload: "run",
             profile: knobs::env().profile(),
@@ -170,13 +161,6 @@ impl RunSpec {
     /// independent of env).
     pub fn with_backend(mut self, backend: BackendKind) -> RunSpec {
         self.backend = backend;
-        self
-    }
-
-    /// Overrides the contention-management policy (conformance tests
-    /// want this independent of env).
-    pub fn with_cm(mut self, cm: CmKind) -> RunSpec {
-        self.cm = cm;
         self
     }
 
@@ -249,7 +233,6 @@ pub fn run_virtual_traced(spec: &RunSpec, client: ClientFn) -> (RunResult, Arc<T
             )
             .workers(spec2.workers)
             .backend_kind(spec2.backend)
-            .cm(spec2.cm)
             .tracer(t2)
             .build();
         // Delta against the post-construction baseline so the measurement
@@ -295,7 +278,6 @@ pub fn run_virtual_traced(spec: &RunSpec, client: ClientFn) -> (RunResult, Arc<T
         makespan: clock.makespan(),
         completed: spec.units_per_client * spec.clients as u64,
         backend: spec.backend,
-        cm: spec.cm,
         tm: tm_stats,
         stm: stm_stats,
         trace: tracer.summary(),

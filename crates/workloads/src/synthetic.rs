@@ -278,7 +278,6 @@ pub fn read_only_nt(cfg: &SyntheticConfig, clients: usize, parallel: bool) -> Ru
         makespan: clock.makespan(),
         completed: (clients * cfg.txs_per_client * cfg.tasks_per_tx) as u64,
         backend: wtf_core::BackendKind::from_env(),
-        cm: wtf_core::CmKind::from_env(),
         tm: Default::default(),
         stm: Default::default(),
         trace: Default::default(),

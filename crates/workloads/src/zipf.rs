@@ -17,10 +17,9 @@
 //!   private box (calm). Drives the incident detector through exactly
 //!   one open → peak → recover cycle under the virtual clock.
 
-use crate::harness::{run_virtual_traced, RunResult, RunSpec, Xorshift};
+use crate::harness::{run_virtual, RunResult, RunSpec, Xorshift};
 use std::sync::Arc;
 use wtf_core::{FutureTm, Semantics, VBox};
-use wtf_trace::Tracer;
 
 /// Shared lazily-initialized box array: the first client to run allocates
 /// it (so box ids are rank-ordered), later clients reuse it.
@@ -125,17 +124,10 @@ pub fn zipf_hotbox(cfg: &ZipfConfig, semantics: Semantics, clients: usize) -> Ru
 /// [`zipf_hotbox`] with a caller-supplied [`RunSpec`] (tests override
 /// trace level, backend and telemetry config independently of env).
 pub fn zipf_hotbox_spec(cfg: &ZipfConfig, spec: &RunSpec, _clients: usize) -> RunResult {
-    zipf_hotbox_traced(cfg, spec).0
-}
-
-/// [`zipf_hotbox_spec`], also handing back the [`Tracer`] so callers can
-/// inspect the raw event stream (the CM conformance suite asserts on
-/// `CmWait`/`CmBoxFlagged` records).
-pub fn zipf_hotbox_traced(cfg: &ZipfConfig, spec: &RunSpec) -> (RunResult, Arc<Tracer>) {
     let cfg = *cfg;
     let sampler = Arc::new(ZipfSampler::new(cfg.array_size, cfg.theta));
     let array: LazyBoxes = Arc::new(parking_lot::Mutex::new(None));
-    run_virtual_traced(
+    run_virtual(
         spec,
         Arc::new(move |client, tm: &FutureTm| {
             let array = array
@@ -181,55 +173,6 @@ pub fn zipf_hotbox_traced(cfg: &ZipfConfig, spec: &RunSpec) -> (RunResult, Arc<T
     )
 }
 
-/// Top-level variant of the Zipf hot-box: the same skewed access
-/// pattern, but each task runs as its *own* top-level transaction
-/// instead of a future — so every conflict lands as a top-level abort,
-/// which is exactly the decision point the contention managers govern
-/// (retry pacing via `on_abort`, admission via the karma priority
-/// window, per-box gates via hotspot). `fig10_cm`'s workload.
-pub fn zipf_hotbox_top(cfg: &ZipfConfig, spec: &RunSpec) -> RunResult {
-    zipf_hotbox_top_traced(cfg, spec).0
-}
-
-/// [`zipf_hotbox_top`], also handing back the [`Tracer`].
-pub fn zipf_hotbox_top_traced(cfg: &ZipfConfig, spec: &RunSpec) -> (RunResult, Arc<Tracer>) {
-    let cfg = *cfg;
-    let sampler = Arc::new(ZipfSampler::new(cfg.array_size, cfg.theta));
-    let array: LazyBoxes = Arc::new(parking_lot::Mutex::new(None));
-    run_virtual_traced(
-        spec,
-        Arc::new(move |client, tm: &FutureTm| {
-            let array = array
-                .lock()
-                .get_or_insert_with(|| {
-                    Arc::new((0..cfg.array_size).map(|i| tm.new_vbox(i as i64)).collect())
-                })
-                .clone();
-            let mut seeder = Xorshift::new(cfg.seed ^ ((client as u64) << 32));
-            for _ in 0..cfg.txs_per_client * cfg.tasks_per_tx {
-                let array = array.clone();
-                let sampler = sampler.clone();
-                let tx_seed = seeder.next_u64();
-                tm.atomic_infallible(move |ctx| {
-                    let mut rng = Xorshift::new(tx_seed);
-                    let mut acc = 0i64;
-                    for _ in 0..cfg.reads_per_task {
-                        ctx.work(jittered(&mut rng, cfg.iter));
-                        acc = acc.wrapping_add(ctx.read(&array[sampler.sample(&mut rng)])?);
-                    }
-                    for _ in 0..cfg.writes_per_task {
-                        ctx.work(jittered(&mut rng, cfg.iter));
-                        let slot = &array[sampler.sample(&mut rng)];
-                        let v = ctx.read(slot)?;
-                        ctx.write(slot, v.wrapping_add(acc.rem_euclid(3) + 1))?;
-                    }
-                    Ok(())
-                });
-            }
-        }),
-    )
-}
-
 /// Parameters of the two-phase incident workload.
 #[derive(Debug, Clone, Copy)]
 pub struct StormConfig {
@@ -261,16 +204,10 @@ impl Default for StormConfig {
 /// Under the virtual clock this produces one deterministic abort-storm
 /// incident (onset in phase 1, recovery a few calm epochs into phase 2).
 pub fn storm_then_calm(cfg: &StormConfig, spec: &RunSpec) -> RunResult {
-    storm_then_calm_traced(cfg, spec).0
-}
-
-/// [`storm_then_calm`], also handing back the [`Tracer`] (the CM
-/// conformance suite asserts on the raw decision events).
-pub fn storm_then_calm_traced(cfg: &StormConfig, spec: &RunSpec) -> (RunResult, Arc<Tracer>) {
     let cfg = *cfg;
     let boxes: LazyBoxes = Arc::new(parking_lot::Mutex::new(None));
     let clients = spec.clients;
-    run_virtual_traced(
+    run_virtual(
         spec,
         Arc::new(move |client, tm: &FutureTm| {
             // Box 0 is the shared storm target; boxes 1..=clients are the

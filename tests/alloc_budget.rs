@@ -13,7 +13,6 @@ use std::cell::Cell;
 use transactional_futures::backend::{atomic as backend_atomic, TBox};
 use transactional_futures::clock::Clock;
 use transactional_futures::tm::internals::{Graph, NodeStatus};
-use transactional_futures::tm::CmKind;
 use transactional_futures::{BackendKind, FutureTm, Semantics, VBox};
 
 thread_local! {
@@ -63,7 +62,6 @@ fn tm_on(kind: BackendKind) -> FutureTm {
     FutureTm::builder()
         .semantics(Semantics::WO_GAC)
         .backend_kind(kind)
-        .cm(CmKind::Immediate)
         .workers(1)
         .build()
 }
