@@ -7,9 +7,9 @@ use wtf_backend::{atomic, BackendSnapshot, StmBackend, TBox};
 
 /// raw-api: the trait's own operations outside the runtime crates.
 fn sneaky_read(stm: &dyn StmBackend, b: &TBox<u64>) -> u64 {
-    let snap = stm.acquire_snapshot();
-    let (_, v) = b.body().read_at(snap.version()).unwrap();
-    *v.downcast_ref::<u64>().unwrap()
+    let (snap, mut v) = (stm.acquire_snapshot(), 0);
+    b.body().read_at(snap.version(), &mut |x| v = *x.downcast_ref::<u64>().unwrap()).unwrap();
+    v
 }
 
 /// raw-api: a commit with no retry loop and no serialization record.

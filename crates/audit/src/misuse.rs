@@ -4,9 +4,11 @@
 //!
 //! * **`raw-api`** — calling the substrate trait's own operations
 //!   (`acquire_snapshot`, `read_at`, `commit_attributed`) outside the
-//!   runtime crates. They skip the retry loop and the serialization
-//!   records; application code goes through `wtf_backend::atomic` /
-//!   `FutureTm::atomic`.
+//!   runtime crates, called as a method or by path
+//!   (`BackendBox::read_at(..)`, the natural shape for the lending read
+//!   on a `dyn BackendBox`). They skip the retry loop and the
+//!   serialization records; application code goes through
+//!   `wtf_backend::atomic` / `FutureTm::atomic`.
 //! * **`snapshot-retained`** — a `: BackendSnapshot` struct field or
 //!   static outside the runtime crates. A live snapshot pins the GC
 //!   horizon: version chains grow without bound while it exists (the
@@ -60,7 +62,12 @@ pub fn analyze(files: &[&SourceFile]) -> Vec<Finding> {
             continue;
         }
 
-        for needle in [".acquire_snapshot(", ".read_at(", ".commit_attributed("] {
+        for needle in [
+            ".acquire_snapshot(",
+            ".read_at(",
+            "::read_at(",
+            ".commit_attributed(",
+        ] {
             for off in scan::find_all(m, needle) {
                 push(
                     off,
@@ -148,6 +155,19 @@ mod tests {
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "raw-api");
         assert!(findings_in("core", src).is_empty());
+    }
+
+    #[test]
+    fn lending_read_flagged_as_method_and_by_path() {
+        let method = "fn f(b: &TBox<u64>) { b.body().read_at(7, &mut |v| drop(v)).ok(); }\n";
+        let path =
+            "fn f(b: &TBox<u64>) { BackendBox::read_at(&**b.body(), 7, &mut |_| {}).ok(); }\n";
+        for src in [method, path] {
+            let findings = findings_in("workloads", src);
+            assert_eq!(findings.len(), 1, "{src}");
+            assert_eq!(findings[0].rule, "raw-api");
+            assert!(findings_in("core", src).is_empty());
+        }
     }
 
     #[test]

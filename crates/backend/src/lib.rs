@@ -29,6 +29,11 @@
 //!   demands a concrete newer install to justify every abort;
 //! * read-only commits serialize at their snapshot and need no
 //!   validation;
+//! * a read lends: [`BackendBox::read_at`] hands a closure a borrow of
+//!   the stored value and returns the version, so a read writes no
+//!   reference count a concurrent reader of the same box also writes;
+//! * every box is born at version 0, which no snapshot precedes — its
+//!   initial value is what the checker calls the initial state;
 //! * the same serialization records (`CommitRead` / `TxnCommit` /
 //!   `StmInstall`) are emitted by every backend, so the checker and abort
 //!   attribution work unchanged.
@@ -161,8 +166,16 @@ pub trait BackendBox: Send + Sync {
     /// This box's id (unique within its backend instance).
     fn id(&self) -> BoxId;
 
-    /// Reads the value visible at `snapshot`, returning
-    /// `(observed_version, value)`.
+    /// Reads the value visible at `snapshot`: lends it to `f` and returns
+    /// the version observed.
+    ///
+    /// The read is lending, not cloning: `f` borrows the stored [`Value`]
+    /// itself, so a read writes no reference count on a line every other
+    /// reader of the box shares. `f` is called exactly once on `Ok` and
+    /// never on `Err`; it runs inside the backend's read (mvstm: on the
+    /// version node, kept alive by the caller's registered snapshot; TL2:
+    /// under the slot mutex), so it should copy out what it needs and
+    /// return — it must not touch the STM.
     ///
     /// `Err(Conflict)` means the box's current version is newer than
     /// `snapshot` and the old value is no longer available (single-version
@@ -170,7 +183,7 @@ pub trait BackendBox: Send + Sync {
     /// must always be justified by a real install newer than `snapshot`
     /// on *this* box, because the offline checker verifies exactly that
     /// for every abort the runtime charges.
-    fn read_at(&self, snapshot: u64) -> Result<(u64, Value), StmError>;
+    fn read_at(&self, snapshot: u64, f: &mut dyn FnMut(&Value)) -> Result<u64, StmError>;
 
     /// The latest committed value, outside any transaction (benchmark
     /// inspection; not serializable with respect to anything).
@@ -245,7 +258,10 @@ pub trait StmBackend: Send + Sync {
     /// Kept for `benchmark/` only.
     fn set_cm(&self, _cm: ImmediateCm) {}
 
-    /// Creates a box initialized to `value`, stamped at the current clock.
+    /// Creates a box initialized to `value`, stamped at version 0: the
+    /// initial value is a constant no commit wrote, so every snapshot —
+    /// including one taken before the box existed — reads it until the
+    /// first install.
     fn new_box(&self, value: Value) -> Arc<dyn BackendBox>;
 
     /// Begins a snapshot at the current clock.
@@ -379,14 +395,17 @@ impl<'s> BackendTxn<'s> {
         if let Some((_, v)) = self.write_set.get(&id) {
             return Ok(downcast_value(v));
         }
-        let (version, value) = tbox.body().read_at(self.snapshot.version())?;
+        let mut lent = None;
+        let version = tbox.body().read_at(self.snapshot.version(), &mut |v| {
+            lent = Some(downcast_value(v))
+        })?;
         self.backend
             .tracer()
             .record_full(EventKind::StmRead, id.0, version);
         self.read_set
             .entry(id)
             .or_insert_with(|| (tbox.body().clone(), version));
-        Ok(downcast_value(&value))
+        Ok(lent.expect("read_at lends the value on Ok"))
     }
 
     /// Transactional write: buffered privately until commit.

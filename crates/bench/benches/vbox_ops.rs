@@ -50,7 +50,11 @@ fn bench_reads(c: &mut Criterion) {
     g.bench_function("raw_read_at", |b| {
         let body = boxes[0].body();
         let snap = stm.acquire_snapshot();
-        b.iter(|| black_box(body.read_at(snap.version())))
+        b.iter(|| {
+            black_box(body.read_at(snap.version(), &mut |v| {
+                black_box(v);
+            }))
+        })
     });
 
     // GC ablation: long version chains (GC off) vs pruned chains (GC on).
@@ -73,7 +77,11 @@ fn bench_reads(c: &mut Criterion) {
         }
         assert!(chain_len(&x) > 200);
         // Reading at the pinned snapshot walks the whole chain.
-        b.iter(|| black_box(x.body().read_at(pin.version())));
+        b.iter(|| {
+            black_box(x.body().read_at(pin.version(), &mut |v| {
+                black_box(v);
+            }))
+        });
         drop(pin);
     });
 

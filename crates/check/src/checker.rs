@@ -393,6 +393,9 @@ impl HistoryChecker {
                         ));
                     }
                 }
+                // Version 0 is every box's initial value: backends stamp
+                // a new box at 0 whenever it is created, and no commit
+                // installs at 0.
                 if observed == 0 {
                     h.read(me, Var(bx as u32));
                 } else {

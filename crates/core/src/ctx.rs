@@ -113,15 +113,20 @@ impl TxCtx {
         self.tm.clock.advance(iters);
     }
 
-    /// Snapshot read through the backend. On the multi-versioned substrate
-    /// this never fails; on a single-version backend (TL2) the box may
-    /// have been overwritten since our snapshot, in which case the whole
-    /// top-level incarnation is doomed: we cancel it (so the retry begins
-    /// on a fresh snapshot under a fresh top id) and record the justified
-    /// cross-top abort, exactly as a commit-time validation failure would.
-    fn global_read(&self, body: &Arc<dyn BackendBox>) -> TxResult<(u64, Value)> {
-        match body.read_at(self.top.snapshot_version()) {
-            Ok(read) => Ok(read),
+    /// Snapshot read through the backend, downcast inside the backend's
+    /// lending closure: the stored value is borrowed, never cloned. On the
+    /// multi-versioned substrate this never fails; on a single-version
+    /// backend (TL2) the box may have been overwritten since our snapshot,
+    /// in which case the whole top-level incarnation is doomed: we cancel
+    /// it (so the retry begins on a fresh snapshot under a fresh top id)
+    /// and record the justified cross-top abort, exactly as a commit-time
+    /// validation failure would.
+    fn global_read<T: TxValue>(&self, body: &Arc<dyn BackendBox>) -> TxResult<(u64, T)> {
+        let mut lent = None;
+        match body.read_at(self.top.snapshot_version(), &mut |v| {
+            lent = Some(downcast(v))
+        }) {
+            Ok(ver) => Ok((ver, lent.expect("read_at lends the value on Ok"))),
             Err(_) => {
                 let id = body.id();
                 self.tm.stats.top_aborts();
@@ -212,11 +217,11 @@ impl TxCtx {
         // one): no ancestor can hold a write and no sibling can serialize,
         // so the read is the backend's.
         if self.top.inflated().is_none() {
-            let (ver, v) = self.global_read(vbox.body())?;
+            let (ver, value) = self.global_read(vbox.body())?;
             self.node
                 .record_read(id, vbox.body(), ReadOrigin::Global(ver));
             self.check_doom()?;
-            return Ok(downcast(&v));
+            return Ok(value);
         }
         let body = vbox.body();
         let mut guard = 0u32;
@@ -226,10 +231,10 @@ impl TxCtx {
             self.refresh_view();
             let stamp = self.view_stamp;
             let (origin, value) = match self.view.get(&id) {
-                Some((writer, v)) => (ReadOrigin::Ancestor(*writer), v.clone()),
+                Some((writer, v)) => (ReadOrigin::Ancestor(*writer), downcast(v)),
                 None => {
-                    let (ver, v) = self.global_read(body)?;
-                    (ReadOrigin::Global(ver), v)
+                    let (ver, value) = self.global_read(body)?;
+                    (ReadOrigin::Global(ver), value)
                 }
             };
             self.node.record_read(id, body, origin);
@@ -246,7 +251,7 @@ impl TxCtx {
             // scan after our publish, and the scan finds our entry.
             if self.top.sub().graph.stamp() == stamp {
                 self.check_doom()?;
-                return Ok(downcast(&value));
+                return Ok(value);
             }
             self.view_valid = false;
         }
@@ -688,8 +693,8 @@ impl TxCtx {
             // A failed snapshot read (single-version backend, box
             // overwritten) means the observation is certainly stale:
             // adoption fails and the future re-executes inline.
-            match body.read_at(self.top.snapshot_version()) {
-                Ok((cur, _)) if cur == *version => {}
+            match body.read_at(self.top.snapshot_version(), &mut |_| {}) {
+                Ok(cur) if cur == *version => {}
                 _ => return false,
             }
         }

@@ -88,16 +88,17 @@ impl StmBackend for Stm {
         stats.read_only_commits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The initial version is stamped with the *current* clock value, so
-    /// the box is visible to every transaction whose snapshot is at or
-    /// after the creation point. (Creating boxes *inside* a transaction
-    /// and publishing them through another box is supported: the handle
-    /// value committed through the STM carries the `Arc`.)
+    /// The initial version is stamped 0, not the current clock: no commit
+    /// wrote the initial value, so it is what every snapshot reads until
+    /// the first install — including a snapshot taken before the box was
+    /// created, which a box created (or handed over) inside a running
+    /// transaction meets. (Creating boxes *inside* a transaction and
+    /// publishing them through another box is supported: the handle value
+    /// committed through the STM carries the `Arc`.)
     fn new_box(&self, value: Value) -> Arc<dyn BackendBox> {
         let inner = &self.inner;
         let id = BoxId(inner.next_box.fetch_add(1, Ordering::Relaxed));
-        let version = inner.clock.load(Ordering::Acquire);
-        Arc::new(BoxBody::new(id, inner.stripes.clone(), version, value))
+        Arc::new(BoxBody::new(id, inner.stripes.clone(), value))
     }
 
     /// Registered against concurrent GC via the registry's

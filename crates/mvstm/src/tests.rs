@@ -6,6 +6,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use wtf_backend::{atomic, StmBackend, TBox, Value};
 
+/// A lending read through the trait at `snapshot`, copying the value out.
+fn read_i64(b: &TBox<i64>, snapshot: u64) -> (u64, i64) {
+    let mut lent = None;
+    let ver = b
+        .body()
+        .read_at(snapshot, &mut |v| lent = v.downcast_ref::<i64>().copied())
+        .unwrap();
+    (ver, lent.unwrap())
+}
+
 #[test]
 fn read_own_writes() {
     let stm = Stm::new();
@@ -71,7 +81,7 @@ fn conflicting_writers_abort_and_retry() {
     let y = TBox::new_on(&stm, 0i64);
 
     let snap1 = stm.acquire_snapshot();
-    let (v0, _) = x.body().read_at(snap1.version()).unwrap();
+    let (v0, _) = read_i64(&x, snap1.version());
     assert_eq!(v0, 0);
 
     // T2 commits a write to x.
@@ -114,9 +124,7 @@ fn old_snapshot_reads_old_version() {
     let snap = stm.acquire_snapshot();
     atomic(&stm, |tx| tx.write(&x, 2)).unwrap();
     atomic(&stm, |tx| tx.write(&x, 3)).unwrap();
-    let (ver, val) = x.body().read_at(snap.version()).unwrap();
-    assert_eq!(ver, 0);
-    assert_eq!(*val.downcast_ref::<i64>().unwrap(), 1);
+    assert_eq!(read_i64(&x, snap.version()), (0, 1));
     // And the latest snapshot sees the newest.
     assert_eq!(x.read_latest(), 3);
 }
@@ -145,8 +153,7 @@ fn gc_respects_active_snapshots() {
     // Versions newer than the pinned snapshot are all kept, plus the
     // version the snapshot reads: 19 new + 1 pinned.
     assert_eq!(chain_len(&x), 20);
-    let (ver, val) = x.body().read_at(snap.version()).unwrap();
-    assert_eq!((ver, *val.downcast_ref::<i64>().unwrap()), (1, 1));
+    assert_eq!(read_i64(&x, snap.version()), (1, 1));
     drop(snap);
     atomic(&stm, |tx| tx.write(&x, 100)).unwrap();
     assert_eq!(chain_len(&x), 1);
@@ -318,7 +325,7 @@ fn tracer_attributes_conflicts_and_measures_commits() {
     // Interleave by hand as in `conflicting_writers_abort_and_retry`:
     // T1 reads x at an old snapshot; T2 bumps x; T1's commit conflicts.
     let snap1 = stm.acquire_snapshot();
-    x.body().read_at(snap1.version()).unwrap();
+    read_i64(&x, snap1.version());
     atomic(&stm, |tx| tx.write(&x, 99)).unwrap();
     let err = stm
         .commit_attributed(
@@ -456,7 +463,7 @@ fn snapshot_gc_race_regression() {
                 while !stop.load(Ordering::Relaxed) {
                     // begin a snapshot and read through it immediately
                     let snap = stm.acquire_snapshot();
-                    let (ver, _) = x.body().read_at(snap.version()).unwrap();
+                    let (ver, _) = read_i64(&x, snap.version());
                     assert!(ver <= snap.version());
                 }
             })
@@ -655,7 +662,7 @@ fn registry_churn_vs_pruning_commits() {
                 while !stop.load(Ordering::Relaxed) {
                     let snap = stm.acquire_snapshot();
                     for b in boxes.iter().skip(c % boxes.len()) {
-                        let (ver, _) = b.body().read_at(snap.version()).unwrap();
+                        let (ver, _) = read_i64(b, snap.version());
                         assert!(ver <= snap.version());
                     }
                     // chain_len takes the box stripe: also races the pruners.
@@ -697,7 +704,7 @@ mod chain_proptests {
         fn chain_matches_oracle(ops in proptest::collection::vec((0u8..3, 1u64..4, 0u64..64), 1..80)) {
             let stripes = Arc::new(StripeTable::new());
             let id = BoxId(0);
-            let body = BoxBody::new(id, stripes.clone(), 0, Arc::new(0u64) as Value);
+            let body = BoxBody::new(id, stripes.clone(), Arc::new(0u64) as Value);
             // Oracle chain, newest first: (version, value).
             let mut oracle: Vec<(u64, u64)> = vec![(0, 0)];
             let mut last_version = 0u64;
@@ -720,9 +727,10 @@ mod chain_proptests {
                         // transaction can hold such a snapshot — so only
                         // read when the oracle says something is visible.
                         if let Some(&(ev, eval)) = oracle.iter().find(|(v, _)| *v <= snapshot) {
-                            let (rv, rval) = body.read_at(snapshot);
+                            let mut lent = None;
+                            let rv = body.read_at(snapshot, |v| lent = v.downcast_ref::<u64>().copied());
                             prop_assert_eq!(rv, ev);
-                            prop_assert_eq!(*rval.downcast_ref::<u64>().unwrap(), eval);
+                            prop_assert_eq!(lent, Some(eval));
                         }
                     }
                     _ => {
@@ -734,7 +742,7 @@ mod chain_proptests {
                         if let Some(keep) = oracle.iter().position(|(v, _)| *v <= min_active) {
                             oracle.truncate(keep + 1);
                             // The newest version <= min_active must survive.
-                            let (rv, _) = body.read_at(min_active);
+                            let rv = body.read_at(min_active, |_| {});
                             prop_assert_eq!(rv, oracle[oracle.len() - 1].0);
                         }
                     }

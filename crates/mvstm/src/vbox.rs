@@ -23,6 +23,12 @@
 //! freed node. The head node in particular is never freed while the box
 //! is alive, which is why [`BoxBody::head_version`] and
 //! [`BackendBox::read_latest`] are unconditionally safe.
+//!
+//! The same argument covers a lending read: [`BackendBox::read_at`]
+//! hands its closure a borrow of the visible node's value, and that node
+//! is at or above the keep node for as long as the reader's registration
+//! lives — which is longer than the call, since the caller holds both
+//! the registration and the box.
 
 use crate::stripe::StripeTable;
 use std::any::Any;
@@ -65,9 +71,10 @@ pub(crate) struct BoxBody {
 }
 
 impl BoxBody {
-    pub(crate) fn new(id: BoxId, stripes: Arc<StripeTable>, version: u64, value: Value) -> BoxBody {
+    /// A box whose one version is the initial `value` at version 0.
+    pub(crate) fn new(id: BoxId, stripes: Arc<StripeTable>, value: Value) -> BoxBody {
         let node = Box::into_raw(Box::new(VersionNode {
-            version,
+            version: 0,
             value,
             next: AtomicPtr::new(ptr::null_mut()),
         }));
@@ -86,14 +93,15 @@ impl BoxBody {
         unsafe { (*self.head.load(Ordering::Acquire)).version }
     }
 
-    /// Reads the newest version with `version <= snapshot`, returning the
-    /// version number observed alongside the value. Lock-free.
+    /// Lends `f` the value of the newest version with `version <= snapshot`
+    /// and returns that version number. Lock-free, and it writes nothing:
+    /// `f` borrows the value in place, no reference count is touched.
     ///
     /// Callers must hold a live registration (a `BackendSnapshot` from
     /// this STM) at a version `<= snapshot`; that is what keeps every
-    /// node this walk dereferences out of reach of concurrent pruning
-    /// (module docs).
-    pub(crate) fn read_at(&self, snapshot: u64) -> (u64, Value) {
+    /// node this walk dereferences — and the one `f` borrows from, for as
+    /// long as `f` runs — out of reach of concurrent pruning (module docs).
+    pub(crate) fn read_at(&self, snapshot: u64, f: impl FnOnce(&Value)) -> u64 {
         let mut node = self.head.load(Ordering::Acquire);
         let mut oldest_seen = u64::MAX;
         while !node.is_null() {
@@ -102,17 +110,17 @@ impl BoxBody {
             // acquire loads of `head`/`next` ordered the node's fields.
             let n = unsafe { &*node };
             if n.version <= snapshot {
-                return (n.version, n.value.clone());
+                f(&n.value);
+                return n.version;
             }
             oldest_seen = n.version;
             node = n.next.load(Ordering::Acquire);
         }
-        // Unreachable through the public API: every box is born with a
-        // version stamped at-or-before any snapshot taken after its
-        // creation, and GC never removes the last version <= min_active.
+        // Unreachable through the public API: every box is born at
+        // version 0, which no snapshot precedes, and GC never removes the
+        // last version <= min_active.
         panic!(
-            "VBox {:?}: no version visible at snapshot {} (oldest retained: {}); \
-             was the box created after the reading transaction began?",
+            "VBox {:?}: no version visible at snapshot {} (oldest retained: {})",
             self.id, snapshot, oldest_seen
         );
     }
@@ -208,10 +216,10 @@ impl BackendBox for BoxBody {
         self.id
     }
 
-    fn read_at(&self, snapshot: u64) -> Result<(u64, Value), StmError> {
+    fn read_at(&self, snapshot: u64, f: &mut dyn FnMut(&Value)) -> Result<u64, StmError> {
         // Multi-versioning: the snapshot's version is always retained
         // while the snapshot is live, so reads cannot fail.
-        Ok(BoxBody::read_at(self, snapshot))
+        Ok(BoxBody::read_at(self, snapshot, f))
     }
 
     /// Touches only the head node, which is never reclaimed while the box

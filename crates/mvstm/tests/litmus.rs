@@ -6,7 +6,7 @@
 //! in budget while still interleaving.
 
 use std::sync::Arc;
-use wtf_backend::{atomic, TBox};
+use wtf_backend::{atomic, StmBackend, TBox};
 use wtf_mvstm::Stm;
 
 const ROUNDS: u64 = if cfg!(miri) { 40 } else { 20_000 };
@@ -103,6 +103,63 @@ fn sb_registry_slot_claim_vs_clock_republish() {
                     if a >= ROUNDS {
                         break;
                     }
+                }
+            })
+        })
+        .collect();
+
+    writer.join().unwrap();
+    for r in readers {
+        r.join().unwrap();
+    }
+}
+
+/// Lending over `head` + `next`: a reader borrows a heap payload in
+/// place — `read_at` hands its closure the version node's value, no
+/// reference count taken — and checks it, yielding in the middle, while a
+/// writer commits new versions and GC prunes the chain behind them. The
+/// reader's registered snapshot is all that keeps its node alive; were
+/// `prune` to free a node at or above the keep node, Miri would report
+/// the use after free and the payload check would read garbage.
+#[test]
+fn head_next_lent_payload_survives_concurrent_prune() {
+    const LEN: usize = 16;
+    let stm = Arc::new(Stm::new());
+    stm.set_gc_enabled(true);
+    let payload = Arc::new(TBox::new_on(&*stm, vec![0u64; LEN]));
+
+    let writer = {
+        let (stm, payload) = (Arc::clone(&stm), Arc::clone(&payload));
+        std::thread::spawn(move || {
+            for i in 1..=ROUNDS {
+                atomic(&*stm, |tx| tx.write(&payload, vec![i; LEN])).unwrap();
+            }
+        })
+    };
+
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            let (stm, payload) = (Arc::clone(&stm), Arc::clone(&payload));
+            std::thread::spawn(move || {
+                let mut last = 0u64;
+                while last < ROUNDS {
+                    let snap = stm.acquire_snapshot();
+                    let mut first = None;
+                    let ver = payload
+                        .body()
+                        .read_at(snap.version(), &mut |v| {
+                            let lent = v.downcast_ref::<Vec<u64>>().unwrap();
+                            first = Some(lent[0]);
+                            std::thread::yield_now();
+                            assert!(lent.iter().all(|&x| x == lent[0]), "torn payload");
+                            assert_eq!(lent.len(), LEN);
+                        })
+                        .unwrap();
+                    // One writer, one box: commit `i` installs `vec![i; LEN]`
+                    // at version `i`.
+                    assert_eq!(first, Some(ver), "the lent value is the version's");
+                    assert!(ver >= last, "snapshots never travel backwards");
+                    last = ver;
                 }
             })
         })

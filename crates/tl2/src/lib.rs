@@ -36,8 +36,10 @@
 //! The checker rejects any abort it cannot justify with a concrete newer
 //! install, so [`BackendBox::read_at`] must return `Err` **iff** the
 //! box's current slot version exceeds the snapshot. The fast path reads
-//! the slot between two stripe-word loads and retries through the slow
-//! path on any disturbance; the slow path takes the stripe mutex itself,
+//! the slot between two stripe-word loads (the second taken while the
+//! slot mutex is still held, so the value lent on success is the one
+//! the bracket vouched for) and retries through the slow path on any
+//! disturbance; the slow path takes the stripe mutex itself,
 //! which committers hold for their whole write-back — so a blocked reader
 //! resumes to a stable slot and the `ver > snapshot` test is always
 //! decided against fully committed state, never against a lock bit that a
@@ -165,10 +167,15 @@ impl Tl2Box {
         &self.stripes.stripes[stripe_index(self.id)]
     }
 
-    /// Snapshot of the slot under its mutex.
-    fn slot_read(&self) -> (u64, Value) {
-        let slot = self.slot.lock();
-        (slot.version, slot.value.clone())
+    /// Decides a read at `snapshot` against a locked slot: lends the value
+    /// to `f` if the slot's version is visible, else a justified conflict.
+    fn lend(slot: &Slot, snapshot: u64, f: &mut dyn FnMut(&Value)) -> Result<u64, StmError> {
+        if slot.version <= snapshot {
+            f(&slot.value);
+            Ok(slot.version)
+        } else {
+            Err(StmError::Conflict)
+        }
     }
 }
 
@@ -177,20 +184,15 @@ impl BackendBox for Tl2Box {
         self.id
     }
 
-    fn read_at(&self, snapshot: u64) -> Result<(u64, Value), StmError> {
+    fn read_at(&self, snapshot: u64, f: &mut dyn FnMut(&Value)) -> Result<u64, StmError> {
         let stripe = self.stripe();
         // Fast path: no commit in flight on this stripe across the slot
         // read (word unchanged and unlocked on both sides).
         let w1 = stripe.word.load(Ordering::Acquire);
         if !lockword::is_locked(w1) {
-            let (ver, value) = self.slot_read();
-            let w2 = stripe.word.load(Ordering::Acquire);
-            if w2 == w1 {
-                return if ver <= snapshot {
-                    Ok((ver, value))
-                } else {
-                    Err(StmError::Conflict)
-                };
+            let slot = self.slot.lock();
+            if stripe.word.load(Ordering::Acquire) == w1 {
+                return Tl2Box::lend(&slot, snapshot, f);
             }
         }
         // Slow path: wait out the in-flight commit (committers hold the
@@ -198,16 +200,11 @@ impl BackendBox for Tl2Box {
         // the stable slot. `Err` here is always justified: the slot's
         // version is the version of a fully recorded install.
         let _guard = stripe.lock.lock();
-        let (ver, value) = self.slot_read();
-        if ver <= snapshot {
-            Ok((ver, value))
-        } else {
-            Err(StmError::Conflict)
-        }
+        Tl2Box::lend(&self.slot.lock(), snapshot, f)
     }
 
     fn read_latest(&self) -> Value {
-        self.slot_read().1
+        self.slot.lock().value.clone()
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -348,13 +345,14 @@ impl StmBackend for Tl2Stm {
 
     fn new_box(&self, value: Value) -> Arc<dyn BackendBox> {
         let id = BoxId(self.inner.next_box.fetch_add(1, Ordering::Relaxed));
-        // Stamp the current clock, like mvstm: the box is visible to
-        // every snapshot at or after its creation point.
-        let version = self.inner.clock.load(Ordering::Acquire);
+        // Stamp version 0, like mvstm: no commit wrote the initial value,
+        // so every snapshot reads it — also one taken before the box was
+        // created, which would otherwise take an abort no install
+        // justifies.
         Arc::new(Tl2Box {
             id,
             stripes: self.inner.stripes.clone(),
-            slot: Mutex::new(Slot { version, value }),
+            slot: Mutex::new(Slot { version: 0, value }),
         })
     }
 

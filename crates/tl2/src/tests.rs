@@ -66,15 +66,21 @@ fn stale_snapshot_read_conflicts_after_overwrite() {
     let stm = new_backend();
     let x = TBox::new_on(&stm, 0i64);
     let snap = stm.acquire_snapshot();
-    assert!(x.body().read_at(snap.version()).is_ok());
+    assert_eq!(x.body().read_at(snap.version(), &mut |_| {}), Ok(0));
     atomic(&stm, |tx| tx.write(&x, 1)).unwrap();
-    match x.body().read_at(snap.version()) {
+    match x.body().read_at(snap.version(), &mut |_| {}) {
         Err(StmError::Conflict) => {}
         other => panic!("expected a read conflict, got {other:?}"),
     }
     // A fresh snapshot sees the new value again.
-    let (ver, _) = x.body().read_at(stm.clock()).unwrap();
-    assert_eq!(ver, 1);
+    let mut lent = None;
+    let ver = x
+        .body()
+        .read_at(stm.clock(), &mut |v| {
+            lent = v.downcast_ref::<i64>().copied()
+        })
+        .unwrap();
+    assert_eq!((ver, lent), (1, Some(1)));
 }
 
 /// Commit-time validation: a transaction whose read was overwritten must
@@ -304,7 +310,7 @@ mod proptests {
                 prop_assert_eq!(stm.clock(), expected);
                 // The freshest read observes exactly the published clock's
                 // state: version <= clock always holds.
-                let (ver, _) = boxes[i].body().read_at(stm.clock()).unwrap();
+                let ver = boxes[i].body().read_at(stm.clock(), &mut |_| {}).unwrap();
                 prop_assert!(ver <= stm.clock());
             }
         }
@@ -328,7 +334,7 @@ mod proptests {
             let victim = &boxes[0];
             atomic(&stm, |tx| tx.write(victim, 1)).unwrap();
             for (i, b) in boxes.iter().enumerate() {
-                let (ver, _) = b.body().read_at(stm.clock()).unwrap();
+                let ver = b.body().read_at(stm.clock(), &mut |_| {}).unwrap();
                 if i == 0 {
                     prop_assert_eq!(ver, stm.clock());
                 } else {

@@ -6,8 +6,11 @@
 //! with zero dropped trace events.
 
 use std::sync::Arc;
+use transactional_futures::backend::{atomic, StmBackend, StmError, TBox};
 use transactional_futures::check::HistoryChecker;
 use transactional_futures::clock::Clock;
+use transactional_futures::stm::Stm;
+use transactional_futures::tl2::Tl2Stm;
 use transactional_futures::trace::{TraceLevel, Tracer};
 use transactional_futures::{BackendKind, FutureTm, Semantics, VBox};
 
@@ -222,4 +225,86 @@ fn vacation_bookings_agree_across_backends() {
     // Every seat sold is accounted for: 3 decrements per booking.
     let sold: i64 = state.iter().map(|&left| CAPACITY - left).sum();
     assert_eq!(sold, (3 * CLIENTS * BOOKINGS) as i64);
+}
+
+/// A box created after the reading transaction's snapshot was taken —
+/// here, after another client committed behind that snapshot — reads its
+/// initial value on the first attempt: no commit wrote that value, so no
+/// snapshot is too old for it. A box stamped with the creation-time clock
+/// made mvstm panic ("no version visible at snapshot") and TL2 take an
+/// abort that no install justified.
+#[test]
+fn box_created_behind_a_snapshot_reads_its_initial_value() {
+    let state = differential(2, |tm| {
+        let other = tm.new_vbox(0i64);
+        let mut attempts = 0;
+        let read = tm.atomic_infallible(|ctx| {
+            attempts += 1;
+            if attempts == 1 {
+                // Another client's commit, after our snapshot was taken.
+                atomic(&**tm.stm(), |tx| tx.write(&other, 1)).unwrap();
+            }
+            let fresh = tm.new_vbox(7i64);
+            ctx.read(&fresh)
+        });
+        assert_eq!(attempts, 1, "{:?}: an unjustified retry", tm.backend_kind());
+        vec![read, other.read_latest()]
+    });
+    assert_eq!(state, vec![7, 1]);
+}
+
+/// A transaction that reads a box created after the first commit, and
+/// writes what it read, leaves a history the checker accepts. Read at
+/// the creation-time clock, the box's initial value looked like the
+/// install of a commit that never wrote it ("read box 1 at version 1, but
+/// that version installed different boxes").
+#[test]
+fn box_created_after_a_commit_passes_the_checker() {
+    let state = differential(2, |tm| {
+        let a = tm.new_vbox(1i64);
+        tm.atomic_infallible(|ctx| ctx.write(&a, 2));
+        let b = tm.new_vbox(10i64);
+        tm.atomic_infallible(|ctx| {
+            let v = ctx.read(&b)?;
+            ctx.write(&a, v + 1)
+        });
+        vec![a.read_latest(), b.read_latest()]
+    });
+    assert_eq!(state, vec![11, 10]);
+}
+
+/// The lending read's contract, on every backend: `read_at` hands its
+/// closure the stored `Value` itself (no clone: a value nobody else holds
+/// has a strong count of 1 inside the closure), calls it exactly once on
+/// `Ok`, and never on `Err`.
+#[test]
+fn read_at_lends_the_stored_value_once() {
+    let backends: [Arc<dyn StmBackend>; 2] = [Arc::new(Stm::new()), Arc::new(Tl2Stm::new())];
+    for stm in backends {
+        let kind = stm.kind();
+        let x = TBox::new_on(&*stm, 5u64);
+        // `(calls, strong count seen, value seen)` for one read.
+        let read = |snapshot: u64| {
+            let (mut calls, mut strong, mut seen) = (0, 0, None);
+            let res = x.body().read_at(snapshot, &mut |v| {
+                calls += 1;
+                strong = Arc::strong_count(v);
+                seen = v.downcast_ref::<u64>().copied();
+            });
+            (res, calls, strong, seen)
+        };
+        let old = stm.acquire_snapshot();
+        assert_eq!(read(old.version()), (Ok(0), 1, 1, Some(5)), "{kind:?}");
+        atomic(&*stm, |tx| tx.write(&x, 6)).unwrap();
+        let fresh = stm.acquire_snapshot();
+        let v = fresh.version();
+        assert_eq!(read(v), (Ok(v), 1, 1, Some(6)), "{kind:?}: the new value");
+        match read(old.version()) {
+            // mvstm keeps the version the old snapshot reads.
+            (Ok(0), 1, 1, Some(5)) if kind == BackendKind::Mvstm => {}
+            // TL2 has nothing left to lend at the old snapshot.
+            (Err(StmError::Conflict), 0, 0, None) if kind == BackendKind::Tl2 => {}
+            other => panic!("{kind:?}: read at the old snapshot gave {other:?}"),
+        }
+    }
 }
