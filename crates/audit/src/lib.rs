@@ -46,15 +46,8 @@ pub mod unsafe_audit;
 
 /// Crates whose runtime source is subject to the atomics, unsafe and
 /// environment-read audits.
-pub const AUDIT_CRATES: [&str; 8] = [
-    "backend",
-    "core",
-    "mvstm",
-    "taskpool",
-    "telemetry",
-    "tl2",
-    "trace",
-    "vclock",
+pub const AUDIT_CRATES: [&str; 7] = [
+    "backend", "core", "mvstm", "taskpool", "tl2", "trace", "vclock",
 ];
 
 /// Crates subject to the lock-order audit (the lock-holding substrates).

@@ -21,23 +21,9 @@ const STRAGGLER_FACTOR: u64 = 10;
 
 /// Runs the Fig. 3 scenario; returns (per-task completion times, makespan)
 /// plus the tracer (recording at the `WTF_TRACE` level) for export.
-/// `mode` labels the telemetry series when `WTF_METRICS_FILE` is set
-/// (the CI smoke job scrapes this binary).
-fn run(semantics: Semantics, in_order: bool, mode: &str) -> (Vec<(usize, u64)>, u64, Arc<Tracer>) {
+fn run(semantics: Semantics, in_order: bool) -> (Vec<(usize, u64)>, u64, Arc<Tracer>) {
     let clock = Clock::virtual_time();
     let tracer = Tracer::from_env();
-    // Telemetry rides the tracer's sampling hooks, so it only observes
-    // anything when tracing is live (WTF_TRACE >= 1).
-    let hub = wtf_telemetry::TelemetryConfig::from_env()
-        .filter(|_| tracer.summary().enabled())
-        .map(|cfg| {
-            wtf_telemetry::TelemetryHub::attach(
-                Arc::clone(&tracer),
-                cfg,
-                wtf_core::BackendKind::from_env().name(),
-                if mode == "so" { "fig3_so" } else { "fig3_wo" },
-            )
-        });
     let t2 = Arc::clone(&tracer);
     let completions = clock.enter(move || {
         let tm = FutureTm::builder()
@@ -85,9 +71,6 @@ fn run(semantics: Semantics, in_order: bool, mode: &str) -> (Vec<(usize, u64)>, 
         // Final gauge sample: closes every series at end-of-run virtual
         // time (deterministic, so safe for the byte-stable baselines).
         tm.tracer().sample_gauges();
-        if let Some(h) = &hub {
-            h.finish(Clock::current().now());
-        }
         tm.shutdown();
         out
     });
@@ -105,7 +88,7 @@ fn main() {
         ("SO (strongly ordered)", "so", Semantics::SO, true),
         ("WO (weakly ordered)", "wo", Semantics::WO_GAC, false),
     ] {
-        let (completions, makespan, tracer) = run(sem, in_order, mode);
+        let (completions, makespan, tracer) = run(sem, in_order);
         // WTF_CHECK=1: re-derive a serialization witness for the run we
         // just traced, independently of the TM's own bookkeeping.
         if knobs::env().check() {
@@ -164,8 +147,8 @@ fn main() {
             emit_report(&format!("fig3_trace_{mode}"), &trace);
         }
     }
-    let (_, so, _) = run(Semantics::SO, true, "so");
-    let (_, wo, _) = run(Semantics::WO_GAC, false, "wo");
+    let (_, so, _) = run(Semantics::SO, true);
+    let (_, wo, _) = run(Semantics::WO_GAC, false);
     println!();
     println!(
         "WO completes the 8 tasks {}x faster than SO (paper: WO is immune to stragglers)",
@@ -185,7 +168,7 @@ fn main() {
         &["backend", "makespan"],
     );
     for kind in BackendKind::ALL {
-        let (_, makespan, _) = with_backend(kind, || run(Semantics::WO_GAC, false, "wo"));
+        let (_, makespan, _) = with_backend(kind, || run(Semantics::WO_GAC, false));
         table_row(&[&kind.name(), &makespan]);
         report.row(vec![
             ("system", kind.name().into()),
@@ -202,8 +185,8 @@ mod tests {
 
     #[test]
     fn wo_beats_so_on_stragglers() {
-        let (_, so, _) = run(Semantics::SO, true, "so");
-        let (_, wo, _) = run(Semantics::WO_GAC, false, "wo");
+        let (_, so, _) = run(Semantics::SO, true);
+        let (_, wo, _) = run(Semantics::WO_GAC, false);
         assert!(wo < so, "WO {wo} should beat SO {so}");
         // WO is bounded by the straggler itself.
         assert!(wo <= BASE_WORK * STRAGGLER_FACTOR + BASE_WORK);

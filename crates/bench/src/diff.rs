@@ -19,8 +19,8 @@
 //!
 //! Everything else — run parameters, raw `tm`/`stm` counters — is
 //! compared *structurally* (same shape, same parameter values) but not
-//! gated numerically; `trace`, `telemetry` and `profile` subtrees are
-//! skipped entirely (tracing volume and observability schema are allowed
+//! gated numerically; `trace` and `profile` subtrees are skipped
+//! entirely (tracing volume and observability schema are allowed
 //! to evolve without invalidating perf baselines).
 //!
 //! [`check_backend_rows`] is the companion structural gate for the
@@ -135,7 +135,7 @@ pub fn compare_reports(baseline: &Json, fresh: &Json) -> DiffReport {
 }
 
 fn walk(path: &str, key: &str, base: &Json, fresh: &Json, out: &mut DiffReport) {
-    if key == "trace" || key == "telemetry" || key == "profile" {
+    if key == "trace" || key == "profile" {
         return;
     }
     match (base, fresh) {
@@ -364,32 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_subtree_ignored() {
-        let with_telemetry = |enabled: bool, commits: u64| {
-            Json::obj(vec![
-                ("figure", "figX".into()),
-                (
-                    "rows",
-                    Json::Arr(vec![Json::obj(vec![
-                        ("makespan", 1000u64.into()),
-                        (
-                            "telemetry",
-                            Json::obj(vec![
-                                ("enabled", Json::Bool(enabled)),
-                                ("commits_total", commits.into()),
-                            ]),
-                        ),
-                    ])]),
-                ),
-            ])
-        };
-        // Wildly different telemetry blocks (even different shapes) never
-        // trip the perf gate.
-        let d = compare_reports(&with_telemetry(false, 0), &with_telemetry(true, 123_456));
-        assert!(d.ok(), "{:?}", d);
-    }
-
-    #[test]
     fn profile_subtree_ignored() {
         let with_profile = |makespan: u64, profile: Json| {
             Json::obj(vec![
@@ -405,7 +379,7 @@ mod tests {
         };
         // A baseline generated without WTF_PROFILE (null) against a fresh
         // run with a full report block — and vice versa — never trips the
-        // perf gate, exactly like `trace`/`telemetry`.
+        // perf gate, exactly like `trace`.
         let block = Json::obj(vec![
             ("schema", "wtf-profile/v1".into()),
             ("makespan", 999u64.into()),

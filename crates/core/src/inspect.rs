@@ -64,7 +64,7 @@ struct NodeAnnotations {
 impl TopLevel {
     /// `(stamp, G, annotations)`. A flat top-level (no G yet) renders as
     /// its single root and is *not* inflated: the caller may be a foreign
-    /// thread (watchdog, gauges).
+    /// thread (a pool worker whose serialization doomed this top-level).
     fn render_view(&self) -> (u64, Arc<GraphInner>, NodeAnnotations) {
         let annotate = |nodes: &[Arc<SubTxNode>]| NodeAnnotations {
             kinds: nodes

@@ -58,7 +58,6 @@ mod node;
 mod readlog;
 mod stats;
 mod toplevel;
-pub mod watchdog;
 
 pub use config::{AtomicitySemantics, CostModel, OrderingSemantics, Semantics, TmConfig};
 pub use ctx::TxCtx;
@@ -66,7 +65,6 @@ pub use future::{FutState, TxFuture};
 pub use graph::NodeId;
 pub use stats::{TmStats, TmStatsSnapshot};
 pub use toplevel::TopLevel;
-pub use watchdog::{WatchdogConfig, WatchdogHandle};
 pub use wtf_backend::{
     with_backend, Aborted, BackendBox, BackendKind, BackendSnapshot, BoxId, CmKind, ImmediateCm,
     StmBackend, StmError, TBox as VBox, TxResult, TxValue,
@@ -126,10 +124,12 @@ pub(crate) struct TmInner {
     // ordering: relaxed-rmw — monotonic id source; ids only need
     // uniqueness, nothing is published through the counter.
     future_counter: AtomicU64,
-    /// Weak handles to in-flight top-levels (live-graph gauges, watchdog
-    /// snapshots), one list per registering thread (modulo the shard
-    /// count). Dead entries are pruned opportunistically on registration.
-    pub(crate) tops: [TopShard; TOP_SHARDS],
+    /// Weak handles to in-flight top-levels, one list per registering
+    /// thread (modulo the shard count), read only by the `tm_live_*`
+    /// gauges: `None` unless the tracer was on at build, so an untraced
+    /// begin registers nothing. Dead entries are pruned opportunistically
+    /// on registration.
+    pub(crate) tops: Option<[TopShard; TOP_SHARDS]>,
     /// Consecutive cross-top conflict aborts since the last commit
     /// (abort-storm detection; see `inspect`).
     // ordering: relaxed-rmw bumps the streak, relaxed-store resets it —
@@ -141,13 +141,8 @@ pub(crate) struct TmInner {
     // ordering: relaxed-rmw — the budget is claimed with a single-word
     // `fetch_update`; no data is published through it.
     pub(crate) dumps_remaining: AtomicU64,
-    /// Where graph dumps and watchdog reports go (`WTF_SNAPSHOT_DIR`,
-    /// resolved once at build).
+    /// Where graph dumps go (`WTF_SNAPSHOT_DIR`, resolved once at build).
     pub(crate) snapshot_dir: PathBuf,
-    /// Cumulative watchdog stall reports, registered as the
-    /// `watchdog_stalls` gauge (the telemetry incident detector
-    /// differences it per epoch).
-    pub(crate) watchdog_stalls: wtf_trace::Counter,
 }
 
 impl TmInner {
@@ -167,21 +162,23 @@ impl TmInner {
         self.future_counter.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Tracks `top` while it is in flight. The list holds `Weak`s so a
-    /// finished top-level (whose `Arc` the caller drops) costs nothing
-    /// beyond its slot until the next prune.
+    /// Tracks `top` while it is in flight, if anything reads the list.
+    /// The list holds `Weak`s so a finished top-level (whose `Arc` the
+    /// caller drops) costs nothing beyond its slot until the next prune.
     pub(crate) fn register_top(&self, top: &Arc<TopLevel>) {
-        let mut tops = self.tops[top_shard()].0.lock();
+        let Some(shards) = &self.tops else { return };
+        let mut tops = shards[top_shard()].0.lock();
         if tops.len() >= 32 && tops.len().is_multiple_of(32) {
             tops.retain(|w| w.strong_count() > 0);
         }
         tops.push(Arc::downgrade(top));
     }
 
-    /// Upgrades every still-live tracked top-level, oldest first.
+    /// Upgrades every still-live tracked top-level, oldest first (none
+    /// when the TM keeps no list).
     pub(crate) fn live_tops(&self) -> Vec<Arc<TopLevel>> {
         let mut live: Vec<Arc<TopLevel>> = Vec::new();
-        for shard in &self.tops {
+        for shard in self.tops.iter().flatten() {
             live.extend(shard.0.lock().iter().filter_map(|w| w.upgrade()));
         }
         live.sort_by_key(|t| t.id);
@@ -256,6 +253,7 @@ impl FutureTmBuilder {
             "a FutureTm over a virtual clock must be built inside Clock::enter              (its pool workers would otherwise deadlock the scheduler)"
         );
         let tracer = self.tracer.unwrap_or_else(Tracer::disabled);
+        let traced = tracer.on();
         let make = |clock: &Clock| {
             Arc::new(TaskPool::with_tracer(
                 clock,
@@ -290,14 +288,13 @@ impl FutureTmBuilder {
                 tracer,
                 top_counter: AtomicU64::new(0),
                 future_counter: AtomicU64::new(0),
-                tops: Default::default(),
+                tops: traced.then(Default::default),
                 conflict_abort_streak: AtomicU64::new(0),
                 dumps_remaining: AtomicU64::new(inspect::DUMP_LIMIT),
                 snapshot_dir: knobs::env().snapshot_dir(),
-                watchdog_stalls: wtf_trace::Counter::new(),
             }),
         };
-        if tm.inner.tracer.on() {
+        if traced {
             // Live TM gauges. `Weak`: the tracer lives inside `TmInner`.
             let w = Arc::downgrade(&tm.inner);
             tm.inner.tracer.gauges.register("tm_live_tops", move || {
@@ -309,38 +306,6 @@ impl FutureTmBuilder {
                     tm.live_tops().iter().map(|t| t.node_count() as u64).sum()
                 })
             });
-            // Cumulative TM counters for the telemetry hub's per-epoch
-            // deltas (futures/adoption signals alongside the STM's
-            // commit/conflict gauges).
-            let w = Arc::downgrade(&tm.inner);
-            tm.inner.tracer.gauges.register("tm_top_commits", move || {
-                w.upgrade().map_or(0, |tm| tm.stats.snapshot().top_commits)
-            });
-            let w = Arc::downgrade(&tm.inner);
-            tm.inner.tracer.gauges.register("tm_top_aborts", move || {
-                w.upgrade().map_or(0, |tm| tm.stats.snapshot().top_aborts)
-            });
-            let w = Arc::downgrade(&tm.inner);
-            tm.inner
-                .tracer
-                .gauges
-                .register("tm_internal_aborts", move || {
-                    w.upgrade()
-                        .map_or(0, |tm| tm.stats.snapshot().internal_aborts)
-                });
-            let w = Arc::downgrade(&tm.inner);
-            tm.inner
-                .tracer
-                .gauges
-                .register("tm_futures_submitted", move || {
-                    w.upgrade()
-                        .map_or(0, |tm| tm.stats.snapshot().futures_submitted)
-                });
-            let c = tm.inner.watchdog_stalls.clone();
-            tm.inner
-                .tracer
-                .gauges
-                .register("watchdog_stalls", move || c.get());
         }
         tm
     }

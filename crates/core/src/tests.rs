@@ -796,7 +796,7 @@ fn many_futures_fanout() {
     assert_eq!(stats.futures_submitted, 32);
 }
 
-// ---------------- wtf-inspect: exporters + watchdog ----------------
+// ---------------- wtf-inspect: exporters and the in-flight list ----------------
 
 /// Graph exporters: mid-flight DOT and JSON renderings of a top-level
 /// with a submitted future reflect node kinds, statuses and edges.
@@ -892,124 +892,14 @@ fn tm_gauges_track_live_tops_and_nodes() {
     });
 }
 
-/// Acceptance: a stalled top-level trips the watchdog within its window,
-/// and the dumped DOT snapshot contains the straggler's future node.
-#[test]
-fn watchdog_fires_on_stall_and_dumps_straggler() {
-    use crate::watchdog::WatchdogConfig;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::{Duration, Instant};
-    let dir = std::env::temp_dir().join(format!("wtf_watchdog_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let clock = Clock::real_nospin();
-    let dir2 = dir.clone();
-    clock.enter(move || {
-        let tm = FutureTm::new(Semantics::WO_GAC);
-        let wd = tm.start_watchdog(WatchdogConfig {
-            poll: Duration::from_millis(5),
-            window: Duration::from_millis(30),
-            abort_straggler: false,
-            snapshot_dir: Some(dir2.clone()),
-        });
-        let gate = Arc::new(AtomicBool::new(false));
-        let out = tm
-            .atomic(|ctx| {
-                let g = gate.clone();
-                let f = ctx.submit(move |_| {
-                    while !g.load(Ordering::Acquire) {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Ok(11u64)
-                })?;
-                // Straggle: hold the top open until the watchdog fires.
-                let deadline = Instant::now() + Duration::from_secs(30);
-                while wd.times_fired() == 0 {
-                    assert!(Instant::now() < deadline, "watchdog never fired");
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                gate.store(true, Ordering::Release);
-                ctx.evaluate(&f)
-            })
-            .unwrap();
-        assert_eq!(out, 11);
-        wd.stop();
-        tm.shutdown();
-    });
-    let dot = std::fs::read_to_string(dir.join("watchdog_top0.dot"))
-        .expect("watchdog dumped the live graph");
-    assert!(dot.contains("digraph top0"), "{dot}");
-    assert!(dot.contains("n1 future"), "straggler node present: {dot}");
-    let report = std::fs::read_to_string(dir.join("watchdog_report.json")).unwrap();
-    let parsed = wtf_trace::Json::parse(&report).unwrap();
-    assert_eq!(parsed.get("straggler"), Some(&wtf_trace::Json::U64(0)));
-    assert!(!parsed
-        .get("live_tops")
-        .unwrap()
-        .as_arr()
-        .unwrap()
-        .is_empty());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The watchdog is quiet while commits make progress, and the
-/// abort-straggler knob dooms (and thereby unwedges) a stalled top
-/// under a real clock.
-#[test]
-fn watchdog_quiet_under_progress_and_aborts_straggler() {
-    use crate::watchdog::WatchdogConfig;
-    use std::time::Duration;
-    let dir = std::env::temp_dir().join(format!("wtf_watchdog_quiet_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let clock = Clock::real_nospin();
-    let dir2 = dir.clone();
-    clock.enter(move || {
-        let tm = FutureTm::new(Semantics::WO_GAC);
-        let b = tm.new_vbox(0u64);
-        let wd = tm.start_watchdog(WatchdogConfig {
-            poll: Duration::from_millis(5),
-            window: Duration::from_millis(40),
-            abort_straggler: true,
-            snapshot_dir: Some(dir2.clone()),
-        });
-        // Steady commits: the watchdog must stay quiet.
-        for _ in 0..20 {
-            tm.atomic(|ctx| {
-                let v = ctx.read(&b)?;
-                ctx.write(&b, v + 1)
-            })
-            .unwrap();
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(wd.times_fired(), 0, "no stall under steady commits");
-        // Now stall: a top-level that spins until it is doomed from
-        // outside. The watchdog's abort_straggler unwedges it.
-        let mut attempts = 0u32;
-        tm.atomic(|ctx| {
-            attempts += 1;
-            if attempts == 1 {
-                let top = tm.inner.live_tops().pop().unwrap();
-                while !top.is_doomed() {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                // Doomed by the watchdog: force the restart path.
-                return Err(crate::StmError::Conflict);
-            }
-            ctx.write(&b, 99)
-        })
-        .unwrap();
-        assert!(wd.times_fired() >= 1);
-        assert!(attempts >= 2, "straggler was aborted and retried");
-        wd.stop();
-        tm.shutdown();
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// The in-flight list is sharded by registering thread; its readers see
 /// the union, oldest first, and nothing once the transactions are gone.
 #[test]
 fn live_tops_merges_every_threads_shard() {
-    let tm = FutureTm::new(Semantics::WO_GAC);
+    let tm = FutureTm::builder()
+        .semantics(Semantics::WO_GAC)
+        .tracer(wtf_trace::Tracer::new(wtf_trace::TraceLevel::Lifecycle))
+        .build();
     let barrier = std::sync::Barrier::new(4);
     std::thread::scope(|s| {
         for _ in 0..3 {
@@ -1030,6 +920,20 @@ fn live_tops_merges_every_threads_shard() {
         barrier.wait();
     });
     assert!(tm.inner.live_tops().is_empty());
+    tm.shutdown();
+}
+
+/// Only the gauges read the in-flight list, and they exist only on a TM
+/// built traced: an untraced TM keeps no list, so a begin takes no shard
+/// lock and the list is empty while a top-level is in flight.
+#[test]
+fn untraced_tm_keeps_no_in_flight_list() {
+    let tm = FutureTm::new(Semantics::WO_GAC);
+    tm.atomic(|ctx| {
+        assert!(ctx.tm.live_tops().is_empty(), "in flight, yet not listed");
+        Ok(())
+    })
+    .unwrap();
     tm.shutdown();
 }
 
@@ -1294,10 +1198,10 @@ fn top_level_is_flat_until_first_submit() {
     assert_eq!(stats.top_commits, 1);
 }
 
-/// A doom that lands on a flat top-level (the watchdog's straggler abort
-/// is the only source) takes the replay-restart path: G is built around
-/// the abandoned root, the body re-runs from a fresh chain root on the
-/// same snapshot, and commits.
+/// A doom that lands on a flat top-level (set by hand here: the runtime
+/// dooms only inflated ones) takes the replay-restart path: G is built
+/// around the abandoned root, the body re-runs from a fresh chain root on
+/// the same snapshot, and commits.
 #[test]
 fn doom_on_flat_top_level_replays_and_commits() {
     let (attempts, stats, _) = with_vtm(Semantics::WO_GAC, 2, |tm| {

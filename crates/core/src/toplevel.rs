@@ -148,11 +148,11 @@ impl TopLevel {
             strong,
         });
         tm.clock.advance(tm.cfg.costs.begin_cost);
-        // The list has two readers: the tracer's gauges and the watchdog.
+        // The list has one reader, the `tm_live_*` gauges; a TM built
+        // untraced keeps no list and this returns at once.
         tm.register_top(&top);
         tm.tracer
             .record(EventKind::TopBegin, id, top.snapshot.version());
-        tm.tracer.maybe_sample_gauges();
         top
     }
 
@@ -648,8 +648,8 @@ impl TopLevel {
         &self,
         tm: &Arc<TmInner>,
     ) -> (Vec<Arc<FutureCore>>, Arc<SubTxNode>) {
-        // A doom can land on a flat top-level (the watchdog's): the fresh
-        // chain root below is its second node.
+        // An internal restart can land on a flat top-level: the fresh
+        // chain root below is then its second node.
         let sub = self.inflate(tm);
         let replay: Vec<Arc<FutureCore>> = std::mem::take(&mut *sub.top_submissions.lock());
         // Cancel not-yet-serialized top submissions: they are respawned at
@@ -847,7 +847,6 @@ impl TopLevel {
         if tm.tracer.full() {
             tm.conflict_abort_streak.store(0, Ordering::Relaxed);
         }
-        tm.tracer.maybe_sample_gauges();
         Ok(())
     }
 

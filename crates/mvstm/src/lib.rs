@@ -202,20 +202,6 @@ impl Stm {
         gauges.register("stm_registry_occupancy", move || {
             w.upgrade().map_or(0, |s| s.registry.occupancy() as u64)
         });
-        // Cumulative commit/conflict counters: the telemetry hub
-        // differences these per epoch for rolling throughput/abort-rate.
-        let w = Arc::downgrade(&self.inner);
-        gauges.register("stm_commits", move || {
-            w.upgrade().map_or(0, |s| {
-                s.stats.commits.load(Ordering::Relaxed)
-                    + s.stats.read_only_commits.load(Ordering::Relaxed)
-            })
-        });
-        let w = Arc::downgrade(&self.inner);
-        gauges.register("stm_conflicts", move || {
-            w.upgrade()
-                .map_or(0, |s| s.stats.aborts.load(Ordering::Relaxed))
-        });
     }
 
     /// Committed versions still retained in version chains (installed

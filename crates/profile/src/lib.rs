@@ -1,8 +1,8 @@
 //! # wtf-profile — causal critical-path profiler
 //!
-//! `wtf-trace` records what happened; `wtf-telemetry` reports rates. This
-//! crate answers *why a run took as long as it did*: it rebuilds the
-//! causal dependency structure of a run from its trace streams (future
+//! `wtf-trace` records what happened and how often. This crate answers
+//! *why a run took as long as it did*: it rebuilds the causal
+//! dependency structure of a run from its trace streams (future
 //! spawn/join edges, retry lineage, taskpool queue edges, commit-pipeline
 //! spans), walks the critical path through that structure under the
 //! virtual clock, and attributes every unit of time to a closed category

@@ -65,10 +65,6 @@ struct PoolInner {
     /// Number of workers currently executing a task (diagnostics).
     // ordering: relaxed-rmw, relaxed-load — a diagnostics gauge.
     busy: AtomicUsize,
-    /// Cumulative tasks finished across all workers, exposed as the
-    /// `pool_tasks_executed` gauge (telemetry differences it per epoch).
-    // ordering: relaxed-rmw, relaxed-load — a statistics counter.
-    executed: AtomicU64,
     /// Monotonic task-id source for enqueue/dequeue causal pairs.
     // ordering: relaxed-rmw — ids only need uniqueness; the queue mutex
     // orders the enqueue itself.
@@ -157,7 +153,6 @@ impl TaskPool {
             polling: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             busy: AtomicUsize::new(0),
-            executed: AtomicU64::new(0),
             next_task: AtomicU64::new(0),
             tracer,
             handoffs: Default::default(),
@@ -174,14 +169,6 @@ impl TaskPool {
                 w.upgrade()
                     .map_or(0, |p| p.busy.load(Ordering::Relaxed) as u64)
             });
-            let w = Arc::downgrade(&inner);
-            inner
-                .tracer
-                .gauges
-                .register("pool_tasks_executed", move || {
-                    w.upgrade()
-                        .map_or(0, |p| p.executed.load(Ordering::Relaxed))
-                });
         }
         let handles = (0..workers)
             .map(|i| {
@@ -343,7 +330,6 @@ fn worker_loop(inner: &PoolInner, index: usize) {
                 inner
                     .tracer
                     .span_end(EventKind::WorkerBusySpan, start, index as u64);
-                inner.executed.fetch_add(1, Ordering::Relaxed);
                 inner.busy.fetch_sub(1, Ordering::Relaxed);
                 fresh_off_task = true;
             }

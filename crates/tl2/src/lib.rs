@@ -286,18 +286,6 @@ impl Tl2Stm {
                             .count() as u64
                     })
                 });
-            // Cumulative commit/conflict counters for the telemetry
-            // hub's per-epoch deltas (same names as mvstm's).
-            let w: Weak<Tl2Inner> = Arc::downgrade(&stm.inner);
-            stm.inner.tracer.gauges.register("stm_commits", move || {
-                w.upgrade().map_or(0, |s| {
-                    s.commits.load(Ordering::Relaxed) + s.read_only_commits.load(Ordering::Relaxed)
-                })
-            });
-            let w: Weak<Tl2Inner> = Arc::downgrade(&stm.inner);
-            stm.inner.tracer.gauges.register("stm_conflicts", move || {
-                w.upgrade().map_or(0, |s| s.aborts.load(Ordering::Relaxed))
-            });
         }
         stm
     }

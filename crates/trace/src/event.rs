@@ -71,12 +71,9 @@ pub enum EventKind {
     /// Span: a pool worker blocked waiting for work. a=duration,
     /// b=worker index.
     WorkerIdleSpan,
-    /// A periodic or on-demand gauge sample was recorded. a=sample
-    /// index in the gauge series, b=number of gauges sampled.
+    /// A gauge sample was recorded. a=sample index in the gauge series,
+    /// b=number of gauges sampled.
     GaugeSample,
-    /// The stall watchdog detected a no-commit-progress window.
-    /// a=straggler top_id (or u64::MAX if none live), b=window length.
-    WatchdogStall,
     /// One entry of a committed transaction's read set, re-emitted on the
     /// committer's lane immediately before its commit event so offline
     /// checkers can reconstruct the serialization record (Full detail
@@ -86,15 +83,6 @@ pub enum EventKind {
     /// only; top-levels use [`EventKind::TopCommit`] instead).
     /// a=commit_version, b=snapshot_version.
     TxnCommit,
-    /// The telemetry hub closed a sliding-window epoch. a=epoch index,
-    /// b=epochs currently retained in the window.
-    TelemetryEpoch,
-    /// The incident detector opened an incident. a=incident kind code,
-    /// b=onset epoch index.
-    IncidentOnset,
-    /// A previously open incident recovered. a=incident kind code,
-    /// b=recovery epoch index.
-    IncidentEnd,
     /// A future body incarnation started executing. a=future_id,
     /// b=attempt index (0-based; bumps on every internal retry).
     FutureAttemptBegin,
@@ -123,7 +111,7 @@ pub enum EventKind {
 }
 
 /// All kinds, in discriminant order (export tables, tests).
-pub const ALL_KINDS: [EventKind; 37] = [
+pub const ALL_KINDS: [EventKind; 33] = [
     EventKind::TopBegin,
     EventKind::TopCommit,
     EventKind::TopConflictAbort,
@@ -147,12 +135,8 @@ pub const ALL_KINDS: [EventKind; 37] = [
     EventKind::WorkerBusySpan,
     EventKind::WorkerIdleSpan,
     EventKind::GaugeSample,
-    EventKind::WatchdogStall,
     EventKind::CommitRead,
     EventKind::TxnCommit,
-    EventKind::TelemetryEpoch,
-    EventKind::IncidentOnset,
-    EventKind::IncidentEnd,
     EventKind::FutureAttemptBegin,
     EventKind::FutureAttemptAbort,
     EventKind::FutureCompleted,
@@ -190,12 +174,8 @@ impl EventKind {
             EventKind::WorkerBusySpan => "worker_busy",
             EventKind::WorkerIdleSpan => "worker_idle",
             EventKind::GaugeSample => "gauge_sample",
-            EventKind::WatchdogStall => "watchdog_stall",
             EventKind::CommitRead => "commit_read",
             EventKind::TxnCommit => "txn_commit",
-            EventKind::TelemetryEpoch => "telemetry_epoch",
-            EventKind::IncidentOnset => "incident_onset",
-            EventKind::IncidentEnd => "incident_end",
             EventKind::FutureAttemptBegin => "future_attempt_begin",
             EventKind::FutureAttemptAbort => "future_attempt_abort",
             EventKind::FutureCompleted => "future_completed",
@@ -248,11 +228,8 @@ impl EventKind {
             EventKind::StmValidationSpan => ("dur", "reads"),
             EventKind::WorkerBusySpan | EventKind::WorkerIdleSpan => ("dur", "worker"),
             EventKind::GaugeSample => ("sample", "gauges"),
-            EventKind::WatchdogStall => ("top", "window"),
             EventKind::CommitRead => ("box", "version"),
             EventKind::TxnCommit => ("version", "snapshot"),
-            EventKind::TelemetryEpoch => ("epoch", "retained"),
-            EventKind::IncidentOnset | EventKind::IncidentEnd => ("incident_kind", "epoch"),
             EventKind::FutureAttemptBegin
             | EventKind::FutureAttemptAbort
             | EventKind::FutureCompleted => ("future", "attempt"),

@@ -1,70 +1,19 @@
-//! Live gauge/counter registry: the "what is the runtime doing *right
-//! now*" half of the observability story.
+//! Gauge registry: named pull gauges over the runtime's live state.
 //!
-//! Events and histograms (PR 2) answer post-hoc questions; gauges answer
-//! live ones — how deep are the version chains, how far behind is the GC
-//! horizon, how many futures are queued, how many top-levels are in
-//! flight. A gauge is either a shared [`Counter`] the runtime bumps
-//! directly (one relaxed atomic op, lock-free) or a *pull* closure
-//! sampled on demand (so a gauge can walk a registry or sum queue
-//! depths without the hot path paying for it).
+//! Events and histograms record what happened; a gauge reads what the
+//! runtime holds at one instant — how deep the version chains are, how far
+//! behind the GC horizon is, how many futures are queued, how many
+//! top-levels are in flight. Each gauge is a closure sampled on demand, so
+//! the hot path pays nothing for it.
 //!
-//! Sampling is **hook-driven, never thread-driven**: a background
-//! sampler thread would perturb the virtual-clock schedule and break
-//! byte-determinism, so the runtime calls
-//! [`Tracer::maybe_sample_gauges`](crate::Tracer::maybe_sample_gauges)
-//! from existing hooks (top-level begin/commit) and the registry
-//! rate-limits itself with a CAS on the next-due timestamp. With
-//! periodic sampling unset (the default) only explicit
-//! [`Tracer::sample_gauges`](crate::Tracer::sample_gauges) calls record
-//! — e.g. the harness takes one end-of-run sample — keeping baselines
-//! small and untraced runs at a single relaxed load per hook. Once
-//! enabled via [`GaugeRegistry::set_period`], a period of 0 means
-//! "sample on every hook" and `u64::MAX` means "sample at most once".
+//! Sampling is explicit: [`Tracer::sample_gauges`](crate::Tracer::sample_gauges)
+//! records one row of every gauge, and the harness calls it once at the
+//! end of a run, at deterministic virtual time. Nothing samples in the
+//! background (a sampler thread would perturb the virtual-clock schedule
+//! and break byte-determinism).
 
 use crate::json::Json;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// A registered push-style gauge: the owner stores samples into it with
-/// plain atomic ops; the registry reads it when sampling.
-// ordering: relaxed-store, relaxed-rmw, relaxed-load — a gauge cell;
-// samplers tolerate arbitrary staleness.
-#[derive(Clone, Default)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn add(&self, v: u64) {
-        self.0.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Saturating decrement (a pruner can observe more frees than the
-    /// installs it saw; never wrap to u64::MAX).
-    #[inline]
-    pub fn sub(&self, v: u64) {
-        let _ = self
-            .0
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                Some(cur.saturating_sub(v))
-            });
-    }
-
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// A pull-style gauge callback. Captures `Weak` handles into the
 /// runtime (the tracer is owned *by* the runtime, so `Arc` captures
@@ -72,56 +21,17 @@ impl Counter {
 /// is gone.
 pub type GaugeFn = Box<dyn Fn() -> u64 + Send + Sync>;
 
-enum GaugeSource {
-    Counter(Counter),
-    Pull(GaugeFn),
-}
-
 struct GaugeEntry {
     name: String,
-    source: GaugeSource,
+    read: GaugeFn,
 }
 
-impl GaugeEntry {
-    fn read(&self) -> u64 {
-        match &self.source {
-            GaugeSource::Counter(c) => c.get(),
-            GaugeSource::Pull(f) => f(),
-        }
-    }
-}
-
-/// The per-tracer gauge registry: named live gauges plus the timestamped
-/// series periodic sampling accumulates into.
-///
-/// Registration takes a mutex (it happens a handful of times at runtime
-/// construction); reading a [`Counter`] gauge from the hot path is a
-/// single relaxed atomic op and touches no lock.
+/// The per-tracer gauge registry: named gauges plus the timestamped
+/// series their samples accumulate into. Registration takes a mutex (it
+/// happens a handful of times at runtime construction).
 pub struct GaugeRegistry {
     entries: Mutex<Vec<GaugeEntry>>,
     samples: Mutex<Vec<(u64, Vec<u64>)>>,
-    /// Whether hook-driven periodic sampling is enabled at all. Off by
-    /// default; [`GaugeRegistry::set_period`] turns it on. Kept separate
-    /// from `period` so that a period of 0 can mean "sample on every
-    /// hook" instead of being overloaded as the disabled sentinel.
-    // ordering: relaxed-store / relaxed-load — a configuration flag.
-    // relaxed-guard: sampling a hook late or early around a toggle is
-    // harmless; the samples mutex orders the actual recording.
-    periodic: AtomicBool,
-    /// Minimum clock distance between periodic samples. 0 means every
-    /// hook samples; `u64::MAX` means the first due hook samples once
-    /// and the saturated next-due point never arrives again.
-    // ordering: relaxed-store / relaxed-load — configuration, read once
-    // per hook. relaxed-guard: a stale period only shifts the sampling
-    // rate for the hooks that race the reconfiguration.
-    period: AtomicU64,
-    /// Next timestamp at which `maybe_record` fires. Claimed by CAS so
-    /// exactly one caller records per due window.
-    // ordering: relaxed-load probe plus relaxed-cas claim — the CAS
-    // only elects a sampler; the sample row itself is published by the
-    // `samples` mutex. relaxed-guard: losing the claim race just skips
-    // one redundant sample.
-    next_due: AtomicU64,
 }
 
 impl Default for GaugeRegistry {
@@ -135,27 +45,14 @@ impl GaugeRegistry {
         GaugeRegistry {
             entries: Mutex::new(Vec::new()),
             samples: Mutex::new(Vec::new()),
-            periodic: AtomicBool::new(false),
-            period: AtomicU64::new(0),
-            next_due: AtomicU64::new(0),
         }
-    }
-
-    /// Registers a push-style counter gauge and returns its handle.
-    pub fn counter(&self, name: &str) -> Counter {
-        let c = Counter::new();
-        self.entries.lock().push(GaugeEntry {
-            name: name.to_string(),
-            source: GaugeSource::Counter(c.clone()),
-        });
-        c
     }
 
     /// Registers a pull-style gauge sampled on demand.
     pub fn register(&self, name: &str, f: impl Fn() -> u64 + Send + Sync + 'static) {
         self.entries.lock().push(GaugeEntry {
             name: name.to_string(),
-            source: GaugeSource::Pull(Box::new(f)),
+            read: Box::new(f),
         });
     }
 
@@ -167,35 +64,12 @@ impl GaugeRegistry {
         self.entries.lock().is_empty()
     }
 
-    /// Enables periodic sampling with the given interval. A period of 0
-    /// samples on **every** hook (no rate limit); `u64::MAX` samples at
-    /// most once (the saturated next-due point is unreachable).
-    pub fn set_period(&self, period: u64) {
-        self.period.store(period, Ordering::Relaxed);
-        self.periodic.store(true, Ordering::Relaxed);
-    }
-
-    /// Turns hook-driven periodic sampling back off (the default).
-    pub fn disable_periodic(&self) {
-        self.periodic.store(false, Ordering::Relaxed);
-    }
-
-    /// Whether [`GaugeRegistry::maybe_record`] can ever fire.
-    #[inline]
-    pub fn periodic_enabled(&self) -> bool {
-        self.periodic.load(Ordering::Relaxed)
-    }
-
-    pub fn period(&self) -> u64 {
-        self.period.load(Ordering::Relaxed)
-    }
-
     /// Reads every gauge now, without recording. Registration order.
     pub fn read_all(&self) -> Vec<(String, u64)> {
         self.entries
             .lock()
             .iter()
-            .map(|e| (e.name.clone(), e.read()))
+            .map(|e| (e.name.clone(), (e.read)()))
             .collect()
     }
 
@@ -207,43 +81,11 @@ impl GaugeRegistry {
         if entries.is_empty() {
             return None;
         }
-        let values: Vec<u64> = entries.iter().map(|e| e.read()).collect();
+        let values: Vec<u64> = entries.iter().map(|e| (e.read)()).collect();
         drop(entries);
         let mut samples = self.samples.lock();
         samples.push((ts, values));
         Some(samples.len() - 1)
-    }
-
-    /// Rate-limited sampling: records iff periodic sampling is enabled
-    /// and at least one period elapsed since the last recorded sample.
-    /// The CAS claim means concurrent callers at the same due point
-    /// record once; with period 0 every caller records (no claim).
-    pub fn maybe_record(&self, ts: u64) -> Option<usize> {
-        if !self.periodic.load(Ordering::Relaxed) {
-            return None;
-        }
-        let period = self.period.load(Ordering::Relaxed);
-        if period == 0 {
-            // Sample-every-hook mode: no due window to claim.
-            return self.record_sample(ts);
-        }
-        let due = self.next_due.load(Ordering::Relaxed);
-        if ts < due {
-            return None;
-        }
-        if self
-            .next_due
-            .compare_exchange(
-                due,
-                ts.saturating_add(period),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            )
-            .is_err()
-        {
-            return None; // someone else claimed this window
-        }
-        self.record_sample(ts)
     }
 
     /// Point-in-time copy of the recorded series.
@@ -299,11 +141,13 @@ impl GaugeSeriesSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     #[test]
-    fn counters_and_pull_gauges_sample_in_registration_order() {
+    fn pull_gauges_sample_in_registration_order() {
         let reg = GaugeRegistry::new();
-        let c = reg.counter("queue_depth");
+        reg.register("queue_depth", || 2);
         let shared = Arc::new(AtomicU64::new(7));
         let weak = Arc::downgrade(&shared);
         reg.register("chain_len", move || {
@@ -311,8 +155,6 @@ mod tests {
                 .map(|v| v.load(Ordering::Relaxed))
                 .unwrap_or(0)
         });
-        c.add(3);
-        c.sub(1);
         assert_eq!(
             reg.read_all(),
             vec![("queue_depth".to_string(), 2), ("chain_len".to_string(), 7)]
@@ -330,59 +172,8 @@ mod tests {
     }
 
     #[test]
-    fn counter_sub_saturates() {
-        let c = Counter::new();
-        c.add(2);
-        c.sub(10);
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn periodic_sampling_rate_limits() {
-        let reg = GaugeRegistry::new();
-        reg.counter("g");
-        assert_eq!(
-            reg.maybe_record(10),
-            None,
-            "periodic sampling off by default"
-        );
-        reg.set_period(100);
-        assert!(reg.maybe_record(10).is_some(), "first due point records");
-        assert_eq!(reg.maybe_record(50), None, "inside the period window");
-        assert_eq!(reg.maybe_record(109), None);
-        assert!(reg.maybe_record(110).is_some());
-        assert_eq!(reg.series().samples.len(), 2);
-        reg.disable_periodic();
-        assert_eq!(reg.maybe_record(1000), None, "disabled again");
-    }
-
-    #[test]
-    fn period_zero_samples_every_hook() {
-        let reg = GaugeRegistry::new();
-        reg.counter("g");
-        reg.set_period(0);
-        assert!(reg.periodic_enabled());
-        for ts in [5, 5, 6, 7] {
-            assert!(reg.maybe_record(ts).is_some(), "period 0 never rate-limits");
-        }
-        assert_eq!(reg.series().samples.len(), 4);
-    }
-
-    #[test]
-    fn period_max_samples_at_most_once() {
-        let reg = GaugeRegistry::new();
-        reg.counter("g");
-        reg.set_period(u64::MAX);
-        assert!(reg.maybe_record(3).is_some(), "the first due hook records");
-        // next_due saturated to u64::MAX: no reachable timestamp is due.
-        assert_eq!(reg.maybe_record(u64::MAX - 1), None);
-        assert_eq!(reg.series().samples.len(), 1);
-    }
-
-    #[test]
     fn empty_registry_records_nothing() {
         let reg = GaugeRegistry::new();
-        reg.set_period(1);
         assert_eq!(reg.record_sample(5), None);
         assert!(reg.series().is_empty());
     }
@@ -390,9 +181,8 @@ mod tests {
     #[test]
     fn series_json_round_trips() {
         let reg = GaugeRegistry::new();
-        let c = reg.counter("a");
-        reg.counter("b");
-        c.set(4);
+        reg.register("a", || 4);
+        reg.register("b", || 0);
         reg.record_sample(17);
         let j = reg.series().to_json();
         assert_eq!(j.to_string(), r#"{"names":["a","b"],"samples":[[17,4,0]]}"#);

@@ -41,7 +41,7 @@ pub fn bucket_of(v: u64) -> usize {
 }
 
 /// Inclusive upper bound of bucket `i` (used for quantile estimates and
-/// the Prometheus `le` bounds in `wtf-telemetry`).
+/// the bucket labels of the JSON dump).
 pub fn bucket_upper(i: usize) -> u64 {
     if i == 0 {
         0
@@ -77,24 +77,6 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Folds a snapshot into this histogram: bucket arrays and count/sum
-    /// add, min/max extend. This is how `wtf-telemetry` collapses
-    /// per-epoch window deltas back into a mergeable aggregate.
-    pub fn merge(&self, other: &HistogramSnapshot) {
-        if other.count == 0 {
-            return;
-        }
-        for (i, &n) in other.buckets.iter().enumerate() {
-            if n > 0 {
-                self.buckets[i].fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count, Ordering::Relaxed);
-        self.sum.fetch_add(other.sum, Ordering::Relaxed);
-        self.min.fetch_min(other.min, Ordering::Relaxed);
-        self.max.fetch_max(other.max, Ordering::Relaxed);
     }
 
     /// Point-in-time copy of all counters.
@@ -165,47 +147,6 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// [`HistogramSnapshot::quantile`] with the conventional percentile
-    /// spelling: `percentile(99.0)` == `quantile(0.99)`. Values outside
-    /// `[0, 100]` are clamped.
-    pub fn percentile(&self, p: f64) -> u64 {
-        self.quantile((p / 100.0).clamp(0.0, 1.0))
-    }
-
-    /// Pointwise difference (for measuring one run out of a shared
-    /// histogram). Saturating so a reset-free reader can never underflow.
-    pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].saturating_sub(earlier.buckets[i])),
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            // min/max are not subtractive; keep the later snapshot's.
-            min: self.min,
-            max: self.max,
-        }
-    }
-
-    /// Folds `other` into `self`: bucket arrays and count/sum add, min
-    /// and max extend. The snapshot-level counterpart of
-    /// [`Histogram::merge`], used to collapse per-epoch window deltas
-    /// into one rolling histogram.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        if other.count == 0 {
-            return;
-        }
-        self.min = if self.count == 0 {
-            other.min
-        } else {
-            self.min.min(other.min)
-        };
-        self.max = self.max.max(other.max);
-        for (i, &n) in other.buckets.iter().enumerate() {
-            self.buckets[i] += n;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-
     /// Compact JSON: summary stats plus the non-empty buckets as
     /// `[bucket_upper_bound, count]` pairs (deterministic order).
     pub fn to_json(&self) -> Json {
@@ -272,19 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn percentile_mirrors_quantile() {
-        let h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.percentile(50.0), s.quantile(0.5));
-        assert_eq!(s.percentile(100.0), 1000);
-        assert_eq!(s.percentile(250.0), 1000, "clamped above 100");
-        assert_eq!(s.percentile(-3.0), s.quantile(0.0), "clamped below 0");
-    }
-
-    #[test]
     fn min_tracked_and_normalized() {
         let h = Histogram::new();
         assert_eq!(h.snapshot().min, 0, "empty histogram reports min 0");
@@ -297,55 +225,14 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_buckets_and_extends_bounds() {
-        let a = Histogram::new();
-        a.record(5);
-        a.record(9);
-        let b = Histogram::new();
-        b.record(2);
-        b.record(1000);
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.count, 4);
-        assert_eq!(merged.sum, 1016);
-        assert_eq!(merged.min, 2);
-        assert_eq!(merged.max, 1000);
-        // Bucket arrays are the element-wise sum: rebuild directly.
-        let direct = Histogram::new();
-        for v in [5, 9, 2, 1000] {
-            direct.record(v);
+    fn snapshot_json_round_trips() {
+        let h = Histogram::new();
+        for v in [5, 100, 7] {
+            h.record(v);
         }
-        assert_eq!(merged, direct.snapshot());
-        // Merging an empty snapshot is the identity.
-        let before = merged.clone();
-        merged.merge(&HistogramSnapshot::default());
-        assert_eq!(merged, before);
-        // The atomic-side merge agrees with the snapshot-side one.
-        a.merge(&b.snapshot());
-        assert_eq!(a.snapshot(), merged);
-    }
-
-    #[test]
-    fn merge_into_empty_takes_other_min() {
-        let mut empty = HistogramSnapshot::default();
-        let h = Histogram::new();
-        h.record(7);
-        empty.merge(&h.snapshot());
-        assert_eq!(empty.min, 7, "empty min=0 must not poison the merge");
-    }
-
-    #[test]
-    fn delta_and_json() {
-        let h = Histogram::new();
-        h.record(5);
-        let before = h.snapshot();
-        h.record(100);
-        h.record(7);
-        let d = h.snapshot().delta_since(&before);
-        assert_eq!(d.count, 2);
-        assert_eq!(d.sum, 107);
-        let j = d.to_json();
-        assert_eq!(j.get("count"), Some(&Json::U64(2)));
+        let j = h.snapshot().to_json();
+        assert_eq!(j.get("count"), Some(&Json::U64(3)));
+        assert_eq!(j.get("sum"), Some(&Json::U64(112)));
         // Round-trips through the parser.
         let s = j.to_string();
         assert_eq!(Json::parse(&s).unwrap(), j);
@@ -386,7 +273,7 @@ mod proptests {
                 h.record(v);
             }
             let s = h.snapshot();
-            let estimate = s.percentile(p);
+            let estimate = s.quantile(p / 100.0);
 
             let mut sorted = values.clone();
             sorted.sort_unstable();

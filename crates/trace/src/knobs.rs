@@ -1,6 +1,6 @@
 //! The process environment, read in one place.
 //!
-//! Seven `WTF_*` variables configure a run, and this module is the only
+//! Six `WTF_*` variables configure a run, and this module is the only
 //! code in the workspace that reads the environment (wtf-audit's
 //! `env-read` rule keeps it that way). Every value has one strict
 //! grammar, and unset or empty means the default:
@@ -12,7 +12,6 @@
 //! | `WTF_CHECK`, `WTF_PROFILE` | `0`, `1` | `0` |
 //! | `WTF_RESULTS_DIR` | a path | `results` |
 //! | `WTF_SNAPSHOT_DIR` | a path | `results/snapshots` |
-//! | `WTF_METRICS_FILE` | a path | none (telemetry off) |
 //!
 //! A malformed value panics, naming the variable and what it accepts.
 //! So does any other `WTF_*` name in the environment, at the first read:
@@ -28,18 +27,9 @@ const CHECK: &str = "WTF_CHECK";
 const PROFILE: &str = "WTF_PROFILE";
 const RESULTS_DIR: &str = "WTF_RESULTS_DIR";
 const SNAPSHOT_DIR: &str = "WTF_SNAPSHOT_DIR";
-const METRICS_FILE: &str = "WTF_METRICS_FILE";
 
 /// Every variable a run reads.
-const NAMES: [&str; 7] = [
-    BACKEND,
-    TRACE,
-    CHECK,
-    PROFILE,
-    RESULTS_DIR,
-    SNAPSHOT_DIR,
-    METRICS_FILE,
-];
+const NAMES: [&str; 6] = [BACKEND, TRACE, CHECK, PROFILE, RESULTS_DIR, SNAPSHOT_DIR];
 
 /// The knobs as seen through `read` (name → raw value): the process
 /// environment via [`env`], a table in tests.
@@ -130,16 +120,10 @@ impl<R: Fn(&str) -> Option<String>> Knobs<R> {
             .unwrap_or_else(|| PathBuf::from("results"))
     }
 
-    /// `WTF_SNAPSHOT_DIR`: graph dumps, watchdog and incident reports.
+    /// `WTF_SNAPSHOT_DIR`: graph dumps.
     pub fn snapshot_dir(&self) -> PathBuf {
         self.path(SNAPSHOT_DIR)
             .unwrap_or_else(|| PathBuf::from("results/snapshots"))
-    }
-
-    /// `WTF_METRICS_FILE`: the Prometheus exposition file; setting it
-    /// turns telemetry on.
-    pub fn metrics_file(&self) -> Option<PathBuf> {
-        self.path(METRICS_FILE)
     }
 }
 
@@ -220,19 +204,12 @@ mod tests {
         let empty = with(&[]);
         assert_eq!(empty.results_dir(), PathBuf::from("results"));
         assert_eq!(empty.snapshot_dir(), PathBuf::from("results/snapshots"));
-        assert_eq!(empty.metrics_file(), None);
-        let blank = with(&[(RESULTS_DIR, ""), (SNAPSHOT_DIR, ""), (METRICS_FILE, "")]);
+        let blank = with(&[(RESULTS_DIR, ""), (SNAPSHOT_DIR, "")]);
         assert_eq!(blank.results_dir(), PathBuf::from("results"));
         assert_eq!(blank.snapshot_dir(), PathBuf::from("results/snapshots"));
-        assert_eq!(blank.metrics_file(), None);
-        let set = with(&[
-            (RESULTS_DIR, "/r"),
-            (SNAPSHOT_DIR, "/s"),
-            (METRICS_FILE, "/m.prom"),
-        ]);
+        let set = with(&[(RESULTS_DIR, "/r"), (SNAPSHOT_DIR, "/s")]);
         assert_eq!(set.results_dir(), PathBuf::from("/r"));
         assert_eq!(set.snapshot_dir(), PathBuf::from("/s"));
-        assert_eq!(set.metrics_file(), Some(PathBuf::from("/m.prom")));
     }
 
     #[test]
@@ -268,6 +245,7 @@ mod tests {
             "WTF_INCIDENTS_FILE",
             "WTF_METRICS_ADDR",
             "WTF_CM",
+            "WTF_METRICS_FILE",
         ] {
             assert!(unknown(names(&[retired])).is_some(), "{retired}");
         }

@@ -40,15 +40,13 @@ pub mod hist;
 pub mod json;
 pub mod knobs;
 pub mod ring;
-pub mod window;
 
 pub use attribution::ConflictMap;
 pub use event::{EventKind, TraceEvent};
-pub use gauge::{Counter, GaugeRegistry, GaugeSeriesSnapshot};
+pub use gauge::{GaugeRegistry, GaugeSeriesSnapshot};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use json::Json;
 pub use ring::Lane;
-pub use window::{WindowedCounter, WindowedHistogram};
 
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -151,21 +149,9 @@ pub struct Tracer {
     pub metrics: Metrics,
     /// Conflict attribution (public: charged by abort paths).
     pub conflicts: ConflictMap,
-    /// Live gauge registry (public: runtimes register providers at
-    /// construction, hooks trigger periodic samples).
+    /// Gauge registry (public: runtimes register pull gauges at
+    /// construction, the harness samples them at end of run).
     pub gauges: GaugeRegistry,
-    /// Whether a telemetry tick hook is installed — a single relaxed
-    /// load keeps the disabled path flat.
-    // ordering: relaxed-store / relaxed-load — the hook itself lives in
-    // a `OnceLock`, which does the publication; this flag is only the
-    // cheap fast-path filter. relaxed-guard: a hook racing arming can
-    // miss at most the ticks before the OnceLock write is visible.
-    tick_armed: std::sync::atomic::AtomicBool,
-    /// The telemetry tick hook: called with the current timestamp from
-    /// [`Tracer::maybe_sample_gauges`] (i.e. from the runtime's
-    /// top-level begin/commit hooks) so an attached aggregator can
-    /// close epochs without any thread of its own.
-    tick_hook: OnceLock<Box<dyn Fn(u64) + Send + Sync>>,
 }
 
 impl Tracer {
@@ -193,8 +179,6 @@ impl Tracer {
             metrics: Metrics::default(),
             conflicts: ConflictMap::new(),
             gauges: GaugeRegistry::new(),
-            tick_armed: std::sync::atomic::AtomicBool::new(false),
-            tick_hook: OnceLock::new(),
         })
     }
 
@@ -292,53 +276,6 @@ impl Tracer {
                 self.gauges.len() as u64,
             );
         }
-    }
-
-    /// Rate-limited gauge sampling for hot-path hooks: records only when
-    /// tracing is on *and* periodic sampling is enabled, and drives any
-    /// installed telemetry tick hook. Costs one relaxed load when off
-    /// and three when nothing is armed.
-    #[inline]
-    pub fn maybe_sample_gauges(&self) {
-        if !self.on() {
-            return;
-        }
-        let periodic = self.gauges.periodic_enabled();
-        let ticking = self.tick_armed.load(Ordering::Relaxed);
-        if !periodic && !ticking {
-            return;
-        }
-        let ts = self.now();
-        if periodic {
-            if let Some(idx) = self.gauges.maybe_record(ts) {
-                self.record_at(
-                    ts,
-                    EventKind::GaugeSample,
-                    idx as u64,
-                    self.gauges.len() as u64,
-                );
-            }
-        }
-        if ticking {
-            if let Some(hook) = self.tick_hook.get() {
-                hook(ts);
-            }
-        }
-    }
-
-    /// Installs the telemetry tick hook. One hook per tracer: returns
-    /// false (and installs nothing) if one is already set.
-    pub fn set_tick_hook(&self, hook: impl Fn(u64) + Send + Sync + 'static) -> bool {
-        if self.tick_hook.set(Box::new(hook)).is_err() {
-            return false;
-        }
-        self.tick_armed.store(true, Ordering::Relaxed);
-        true
-    }
-
-    /// Whether a telemetry tick hook is installed.
-    pub fn tick_hook_installed(&self) -> bool {
-        self.tick_armed.load(Ordering::Relaxed)
     }
 
     /// Charges a conflict abort to `box_id`. No-op when off.

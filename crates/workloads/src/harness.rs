@@ -3,7 +3,6 @@
 use std::sync::Arc;
 use wtf_backend::StmStatsSnapshot;
 use wtf_core::{BackendKind, CostModel, FutureTm, Semantics, TmConfig, TmStatsSnapshot};
-use wtf_telemetry::{TelemetryConfig, TelemetryHub, TelemetrySummary};
 use wtf_trace::{knobs, Json, TraceLevel, TraceSummary, Tracer};
 use wtf_vclock::Clock;
 
@@ -23,9 +22,6 @@ pub struct RunResult {
     pub stm: StmStatsSnapshot,
     /// Tracing summary for the run (all-zero when tracing was off).
     pub trace: TraceSummary,
-    /// Sliding-window telemetry block (disabled default when the run had
-    /// no [`RunSpec::telemetry`] config or tracing was off).
-    pub telemetry: TelemetrySummary,
     /// Causal critical-path profile (`wtf-profile` report block), present
     /// when the run had [`RunSpec::profile`] set and tracing on.
     pub profile: Option<Json>,
@@ -87,7 +83,6 @@ impl RunResult {
             // summary shape.
             ("dropped_events", self.trace.events_dropped.into()),
             ("trace", self.trace.to_json()),
-            ("telemetry", self.telemetry.to_json()),
             ("profile", self.profile.clone().unwrap_or(Json::Null)),
         ])
     }
@@ -113,15 +108,6 @@ pub struct RunSpec {
     /// `WTF_BACKEND` environment variable (default mvstm), so every figure
     /// binary honours `WTF_BACKEND=tl2` without per-workload plumbing.
     pub backend: BackendKind,
-    /// Sliding-window telemetry for this run. [`RunSpec::new`] seeds it
-    /// from the environment (on iff `WTF_METRICS_FILE` is set); `None`
-    /// disables the hub entirely. Telemetry
-    /// rides on tracer hooks, so it additionally needs `trace` ≥
-    /// [`TraceLevel::Lifecycle`] to observe anything.
-    pub telemetry: Option<TelemetryConfig>,
-    /// Workload label stamped on every exported metric series (and the
-    /// incident report), so one exposition file can hold several runs.
-    pub workload: &'static str,
     /// Causal profiling for this run. [`RunSpec::new`] seeds it from the
     /// `WTF_PROFILE` environment variable. Profiling needs the full event
     /// stream, so (like `WTF_CHECK`) it deepens the tracer rings and
@@ -145,8 +131,6 @@ impl RunSpec {
             units_per_client: 1,
             trace: TraceLevel::from_env(),
             backend: BackendKind::from_env(),
-            telemetry: TelemetryConfig::from_env(),
-            workload: "run",
             profile: knobs::env().profile(),
         }
     }
@@ -161,19 +145,6 @@ impl RunSpec {
     /// independent of env).
     pub fn with_backend(mut self, backend: BackendKind) -> RunSpec {
         self.backend = backend;
-        self
-    }
-
-    /// Overrides the telemetry config (tests want this independent of
-    /// env); `None` disables the hub.
-    pub fn with_telemetry(mut self, cfg: Option<TelemetryConfig>) -> RunSpec {
-        self.telemetry = cfg;
-        self
-    }
-
-    /// Sets the workload label used on exported metric series.
-    pub fn with_workload(mut self, workload: &'static str) -> RunSpec {
-        self.workload = workload;
         self
     }
 
@@ -206,25 +177,9 @@ pub fn run_virtual_traced(spec: &RunSpec, client: ClientFn) -> (RunResult, Arc<T
     } else {
         Tracer::new(spec.trace)
     };
-    // The telemetry hub rides on the tracer's sampling hook, so it only
-    // attaches when tracing is live; its epochs advance at virtual
-    // timestamps and the resulting summary is byte-deterministic.
-    let hub = spec
-        .telemetry
-        .as_ref()
-        .filter(|_| spec.trace != TraceLevel::Off)
-        .map(|cfg| {
-            TelemetryHub::attach(
-                Arc::clone(&tracer),
-                cfg.clone(),
-                spec.backend.name(),
-                spec.workload,
-            )
-        });
     let spec2 = spec.clone();
     let t2 = Arc::clone(&tracer);
-    let hub2 = hub.clone();
-    let (tm_stats, stm_stats, telemetry) = clock.enter(move || {
+    let (tm_stats, stm_stats) = clock.enter(move || {
         let tm = FutureTm::builder()
             .config(
                 TmConfig::new(spec2.semantics)
@@ -255,14 +210,8 @@ pub fn run_virtual_traced(spec: &RunSpec, client: ClientFn) -> (RunResult, Arc<T
         // Close every gauge series with one end-of-run sample, taken at
         // deterministic virtual time (no-op when tracing is off).
         tm.tracer().sample_gauges();
-        // Finish telemetry before shutdown so the final epoch still sees
-        // the pool/STM gauges alive.
-        let telemetry = match &hub2 {
-            Some(h) => h.finish(c.now()),
-            None => TelemetrySummary::default(),
-        };
         tm.shutdown();
-        (tm_stats, stm_stats, telemetry)
+        (tm_stats, stm_stats)
     });
     let profile = if profiling {
         // A truncated trace would silently misattribute the missing time,
@@ -281,7 +230,6 @@ pub fn run_virtual_traced(spec: &RunSpec, client: ClientFn) -> (RunResult, Arc<T
         tm: tm_stats,
         stm: stm_stats,
         trace: tracer.summary(),
-        telemetry,
         profile,
     };
     if check {
@@ -518,7 +466,7 @@ mod tests {
     }
 
     /// `RunResult::to_json` carries the profile block under its own key
-    /// (after `telemetry`), and `null` when profiling was off.
+    /// (after `trace`), and `null` when profiling was off.
     #[test]
     fn run_result_json_carries_profile_block() {
         let spec = RunSpec {

@@ -15,10 +15,7 @@
 //!   (Fig. 9);
 //! * [`harness`] — virtual-time measurement: spawn client threads under a
 //!   deterministic clock, run transactions, report makespan/throughput and
-//!   the paper's two abort rates;
-//! * [`zipf`] — a Zipf-skewed hot-box workload (plus a two-phase abort
-//!   storm) used to exercise the `wtf-telemetry` sliding-window metrics
-//!   and incident detector with deterministic, assertable shapes.
+//!   the paper's two abort rates.
 //!
 //! All workloads are deterministic functions of their seeds under the
 //! virtual clock, which is what lets `wtf-bench` regenerate the figures
@@ -28,6 +25,5 @@ pub mod bank;
 pub mod harness;
 pub mod synthetic;
 pub mod vacation;
-pub mod zipf;
 
 pub use harness::{run_virtual, run_virtual_traced, with_backend, ClientFn, RunResult, RunSpec};

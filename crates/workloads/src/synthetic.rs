@@ -281,7 +281,6 @@ pub fn read_only_nt(cfg: &SyntheticConfig, clients: usize, parallel: bool) -> Ru
         tm: Default::default(),
         stm: Default::default(),
         trace: Default::default(),
-        telemetry: Default::default(),
         profile: None,
     }
 }

@@ -1,8 +1,8 @@
 //! Abort attribution under contention: when 8 threads hammer one hot
 //! box (while also touching private cold boxes), the tracer's hotspot
 //! report must charge the hot box with essentially all conflict aborts
-//! — that report is what the watchdog and the abort-storm dumps point
-//! operators at, so it has to name the right box.
+//! — that report is what the abort-storm dumps point operators at, so
+//! it has to name the right box.
 //!
 //! Swept across both substrates: mvstm charges the box whose version
 //! chain outran the snapshot at commit validation; TL2 additionally
