@@ -14,7 +14,7 @@ fn sneaky_read(stm: &dyn StmBackend, b: &TBox<u64>) -> u64 {
 
 /// raw-api: a commit with no retry loop and no serialization record.
 fn sneaky_write(stm: &dyn StmBackend, b: &TBox<u64>, snapshot: u64) {
-    let _ = stm.commit_attributed(snapshot, &[], vec![(b.body().clone(), Arc::new(1u64))]);
+    let _ = stm.commit_attributed(snapshot, &[], vec![(b.body(), Arc::new(1u64))]);
 }
 
 /// snapshot-retained: pins the GC horizon for the cache's lifetime.

@@ -13,7 +13,7 @@
 //!    checked against it, Relaxed loads feeding branch/CAS decisions
 //!    need an explicit `relaxed-guard` clause, undeclared atomics fail.
 //! 2. **Static lock-order graph** ([`lockorder`]): `Mutex`/`RwLock`
-//!    fields in `mvstm`/`tl2` are classified via `// lock-order:`
+//!    fields in `backend`/`mvstm`/`tl2` are classified via `// lock-order:`
 //!    annotations; acquisition order (including the sorted stripe-mask
 //!    walk) is verified and the class graph must be acyclic.
 //! 3. **Unsafe audit** ([`unsafe_audit`]): every `unsafe` needs a
@@ -50,8 +50,9 @@ pub const AUDIT_CRATES: [&str; 7] = [
     "backend", "core", "mvstm", "taskpool", "tl2", "trace", "vclock",
 ];
 
-/// Crates subject to the lock-order audit (the lock-holding substrates).
-pub const LOCK_CRATES: [&str; 2] = ["mvstm", "tl2"];
+/// Crates subject to the lock-order audit (the lock-holding substrates
+/// and the horizon they share).
+pub const LOCK_CRATES: [&str; 3] = ["backend", "mvstm", "tl2"];
 
 /// The runtime: the substrate contract, its two implementations, the
 /// futures layer and the checker. The misuse pass lets them call the raw

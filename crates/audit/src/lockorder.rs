@@ -1,7 +1,7 @@
 //! Static lock-order graph for the striped commit paths.
 //!
-//! Scope: the lock-holding runtime crates (`mvstm`, `tl2`). Every
-//! `Mutex`/`RwLock` struct field there must carry a
+//! Scope: the lock-holding runtime crates (`backend`, `mvstm`, `tl2`).
+//! Every `Mutex`/`RwLock` struct field there must carry a
 //! `// lock-order: <class>` annotation naming its lock class; the pass
 //! then tracks `.lock()` / `.read()` / `.write()` acquisition sites,
 //! guard lifetimes (temporaries die with their statement, `let`-bound

@@ -160,8 +160,7 @@ mod tests {
     #[test]
     fn lending_read_flagged_as_method_and_by_path() {
         let method = "fn f(b: &TBox<u64>) { b.body().read_at(7, &mut |v| drop(v)).ok(); }\n";
-        let path =
-            "fn f(b: &TBox<u64>) { BackendBox::read_at(&**b.body(), 7, &mut |_| {}).ok(); }\n";
+        let path = "fn f(b: &TBox<u64>) { BackendBox::read_at(b.body(), 7, &mut |_| {}).ok(); }\n";
         for src in [method, path] {
             let findings = findings_in("workloads", src);
             assert_eq!(findings.len(), 1, "{src}");

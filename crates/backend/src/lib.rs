@@ -32,6 +32,10 @@
 //! * a read lends: [`BackendBox::read_at`] hands a closure a borrow of
 //!   the stored value and returns the version, so a read writes no
 //!   reference count a concurrent reader of the same box also writes;
+//! * nor does a transaction count the box itself: it logs [`BoxRef`]
+//!   borrows, and a body whose last [`BoxHandle`] goes retires to the
+//!   backend's [`Horizon`] until no registered snapshot can still hold
+//!   one (module `horizon`);
 //! * every box is born at version 0, which no snapshot precedes — its
 //!   initial value is what the checker calls the initial state;
 //! * the same serialization records (`CommitRead` / `TxnCommit` /
@@ -47,12 +51,15 @@
 mod cm;
 mod error;
 mod hash;
+mod horizon;
+mod registry;
 mod stats;
 mod value;
 
 pub use cm::{CmKind, CmStats, ImmediateCm};
 pub use error::{Aborted, StmError, TxResult};
 pub use hash::{FxHashMap, FxHashSet};
+pub use horizon::{BackendSnapshot, BoxHandle, BoxRef, Horizon};
 pub use stats::StmStatsSnapshot;
 pub use value::{downcast_value, BoxId, TxValue, Value};
 
@@ -124,6 +131,8 @@ impl BackendKind {
 static BACKEND_OVERRIDE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 /// Serializes [`with_backend`] scopes (overrides must not interleave
 /// when tests sweep backends from parallel test threads).
+// lock-order: backend-override — the outermost lock: held for a whole
+// `with_backend` scope, inside which any other lock may be taken.
 static BACKEND_OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Runs `f` with every [`BackendKind::from_env`] call in scope pinned to
@@ -157,10 +166,9 @@ impl std::fmt::Display for BackendKind {
 
 /// An untyped transactional box owned by some backend.
 ///
-/// The typed facade is [`TBox`]; the runtime (`wtf-core`) holds
-/// `Arc<dyn BackendBox>` in its read/write sets and hands them back —
-/// the reads borrowed, the writes owned — to
-/// [`StmBackend::commit_attributed`], which downcasts via
+/// The typed facade is [`TBox`]; the runtime (`wtf-core`) logs
+/// [`BoxRef`] borrows of the body in its read/write sets and hands them
+/// back to [`StmBackend::commit_attributed`], which downcasts via
 /// [`BackendBox::as_any`] to recover its own concrete box type.
 pub trait BackendBox: Send + Sync {
     /// This box's id (unique within its backend instance).
@@ -191,36 +199,6 @@ pub trait BackendBox: Send + Sync {
 
     /// Concrete-type escape hatch for the owning backend's commit path.
     fn as_any(&self) -> &dyn Any;
-}
-
-/// A begin-snapshot acquired from a backend.
-///
-/// Multi-versioned backends register the snapshot against GC and release
-/// it on drop (the `hold`); single-version backends have nothing to
-/// retain and pass `None`.
-pub struct BackendSnapshot {
-    version: u64,
-    _hold: Option<Box<dyn Any + Send + Sync>>,
-}
-
-impl BackendSnapshot {
-    pub fn new(version: u64, hold: Option<Box<dyn Any + Send + Sync>>) -> BackendSnapshot {
-        BackendSnapshot {
-            version,
-            _hold: hold,
-        }
-    }
-
-    /// The version this snapshot reads at.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-}
-
-impl std::fmt::Debug for BackendSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "BackendSnapshot({})", self.version)
-    }
 }
 
 /// The abstract STM substrate: box creation, snapshot acquisition, the
@@ -262,16 +240,20 @@ pub trait StmBackend: Send + Sync {
     /// initial value is a constant no commit wrote, so every snapshot —
     /// including one taken before the box existed — reads it until the
     /// first install.
-    fn new_box(&self, value: Value) -> Arc<dyn BackendBox>;
+    fn new_box(&self, value: Value) -> BoxHandle;
 
-    /// Begins a snapshot at the current clock.
+    /// The clock, snapshot registry and retired bodies of this backend.
+    fn horizon(&self) -> &Arc<Horizon>;
+
+    /// Begins a snapshot at the current clock, registered with the
+    /// backend's [`Horizon`].
     fn acquire_snapshot(&self) -> BackendSnapshot;
 
     /// Validates `reads` against `snapshot` and publishes `writes` at a
-    /// freshly reserved version (returned). The reads are borrowed: the
-    /// caller's read-set keeps the boxes alive, and a box may be listed
-    /// more than once (it is then validated each time, to the same
-    /// verdict). On a validation failure,
+    /// freshly reserved version (returned). Both lists are borrowed: the
+    /// caller's registration keeps the bodies, and a box may be listed
+    /// more than once in `reads` (it is then validated each time, to the
+    /// same verdict). On a validation failure,
     /// returns the id of the box whose check failed — already charged to
     /// the tracer's conflict-hotspot report — and installs nothing.
     ///
@@ -282,7 +264,7 @@ pub trait StmBackend: Send + Sync {
         &self,
         snapshot: u64,
         reads: &[&dyn BackendBox],
-        writes: Vec<(Arc<dyn BackendBox>, Value)>,
+        writes: Vec<(&dyn BackendBox, Value)>,
     ) -> Result<u64, BoxId>;
 }
 
@@ -291,16 +273,17 @@ pub trait StmBackend: Send + Sync {
 // ---------------------------------------------------------------------------
 
 /// The typed, clonable handle over a backend box (re-exported as `VBox`
-/// by `wtf-core` and `wtf-mvstm`).
+/// by `wtf-core` and `wtf-mvstm`): a [`BoxHandle`], so clone and drop
+/// count handles and the last drop retires the body.
 pub struct TBox<T> {
-    body: Arc<dyn BackendBox>,
+    handle: BoxHandle,
     _marker: PhantomData<fn() -> T>,
 }
 
 impl<T> Clone for TBox<T> {
     fn clone(&self) -> Self {
         TBox {
-            body: self.body.clone(),
+            handle: self.handle.clone(),
             _marker: PhantomData,
         }
     }
@@ -318,34 +301,44 @@ impl<T: TxValue> TBox<T> {
         TBox::new_on(backend, value)
     }
 
-    /// Wraps an untyped body. The caller asserts the stored type is `T`
-    /// (reads panic on mismatch).
-    pub fn from_body(body: Arc<dyn BackendBox>) -> TBox<T> {
+    /// Wraps an untyped handle. The caller asserts the stored type is
+    /// `T` (reads panic on mismatch).
+    pub fn from_body(handle: BoxHandle) -> TBox<T> {
         TBox {
-            body,
+            handle,
             _marker: PhantomData,
         }
     }
 
     /// This box's id.
     pub fn id(&self) -> BoxId {
-        self.body.id()
+        self.body().id()
     }
 
     /// The untyped body (runtime internals).
-    pub fn body(&self) -> &Arc<dyn BackendBox> {
-        &self.body
+    pub fn body(&self) -> &dyn BackendBox {
+        self.handle.body()
+    }
+
+    /// An uncounted borrow of the body: what a transaction logs.
+    pub fn borrow(&self) -> BoxRef {
+        self.handle.borrow()
+    }
+
+    /// Number of live handles to this box (diagnostics).
+    pub fn handles(&self) -> usize {
+        self.handle.handles()
     }
 
     /// Reads the latest committed value, outside any transaction.
     pub fn read_latest(&self) -> T {
-        downcast_value(&self.body.read_latest())
+        downcast_value(&self.body().read_latest())
     }
 }
 
 impl<T> std::fmt::Debug for TBox<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TBox({:?})", self.body.id())
+        write!(f, "TBox({:?})", self.handle.body().id())
     }
 }
 
@@ -367,9 +360,9 @@ pub struct BackendTxn<'s> {
     /// Box plus the version the first read observed — what the
     /// commit-time serialization record re-emits. It must be captured at
     /// read time: after our own commit, GC may have pruned the version we
-    /// actually read.
-    read_set: FxHashMap<BoxId, (Arc<dyn BackendBox>, u64)>,
-    write_set: FxHashMap<BoxId, (Arc<dyn BackendBox>, Value)>,
+    /// actually read. Both sets borrow the bodies under `snapshot`.
+    read_set: FxHashMap<BoxId, (BoxRef, u64)>,
+    write_set: FxHashMap<BoxId, (BoxRef, Value)>,
 }
 
 impl<'s> BackendTxn<'s> {
@@ -404,14 +397,14 @@ impl<'s> BackendTxn<'s> {
             .record_full(EventKind::StmRead, id.0, version);
         self.read_set
             .entry(id)
-            .or_insert_with(|| (tbox.body().clone(), version));
+            .or_insert_with(|| (tbox.borrow(), version));
         Ok(lent.expect("read_at lends the value on Ok"))
     }
 
     /// Transactional write: buffered privately until commit.
     pub fn write<T: TxValue>(&mut self, tbox: &TBox<T>, value: T) -> TxResult<()> {
         self.write_set
-            .insert(tbox.id(), (tbox.body().clone(), Arc::new(value)));
+            .insert(tbox.id(), (tbox.borrow(), Arc::new(value)));
         Ok(())
     }
 
@@ -434,8 +427,15 @@ impl<'s> BackendTxn<'s> {
             Self::record_commit(backend, &self.read_set, snapshot, snapshot);
             return Ok(());
         }
-        let reads: Vec<&dyn BackendBox> = self.read_set.values().map(|(b, _)| &**b).collect();
-        let writes: Vec<(Arc<dyn BackendBox>, Value)> = self.write_set.into_values().collect();
+        // SAFETY: every entry was borrowed through a handle after
+        // `self.snapshot` registered, which drops after this call.
+        let body = |b: BoxRef| unsafe { b.get() };
+        let reads: Vec<&dyn BackendBox> = self.read_set.values().map(|&(b, _)| body(b)).collect();
+        let writes: Vec<(&dyn BackendBox, Value)> = self
+            .write_set
+            .into_values()
+            .map(|(b, v)| (body(b), v))
+            .collect();
         let version = backend
             .commit_attributed(snapshot, &reads, writes)
             .map_err(|_| StmError::Conflict)?;
@@ -448,7 +448,7 @@ impl<'s> BackendTxn<'s> {
     /// lane (the shape `wtf-check` inverts).
     fn record_commit(
         backend: &dyn StmBackend,
-        read_set: &FxHashMap<BoxId, (Arc<dyn BackendBox>, u64)>,
+        read_set: &FxHashMap<BoxId, (BoxRef, u64)>,
         version: u64,
         snapshot: u64,
     ) {

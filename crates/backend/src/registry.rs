@@ -1,7 +1,9 @@
-//! Active-transaction registry: JVSTM's `ActiveTransactionsRecord`.
+//! Active-transaction registry: JVSTM's `ActiveTransactionsRecord`,
+//! shared by both backends through [`Horizon`](crate::Horizon).
 //!
-//! Tracks which snapshot versions are still in use so that commit-time GC
-//! can prune version chains down to the oldest live snapshot.
+//! Tracks which snapshot versions are still in use, so that commit-time
+//! GC can prune version chains (mvstm) and free retired box bodies (both
+//! backends) down to the oldest live snapshot.
 //!
 //! The registry is a sharded slot array rather than a mutex-protected
 //! map: registration claims a per-shard atomic slot (threads cache their
@@ -11,6 +13,11 @@
 //! skipping whole shards whose occupancy counter is zero. A small
 //! mutex-protected overflow map catches the (never-in-practice) case of
 //! more than [`SLOT_COUNT`] simultaneous transactions.
+//!
+//! Beside the registrations sit the *pins*: extra holds on a version an
+//! existing registration already holds, taken when an escaping future's
+//! record must outlive its spawner (see `Horizon`). Pins keep box bodies,
+//! never versions: version GC does not read them.
 //!
 //! ## Why the lock-free registration/GC race is safe
 //!
@@ -36,6 +43,12 @@
 //! — its snapshot is at the new clock, which GC never prunes below.
 //! Either way the horizon never exceeds a live snapshot. Stale *low*
 //! values seen mid-loop only make GC more conservative, never less.
+//!
+//! A pin needs no clock chase: it is taken while the registration it
+//! copies is still held, and a scan reads the slots before the pin
+//! count. A scan that finds the original slot already released read it
+//! after the release, hence after the pin was published, so it finds
+//! the pin.
 
 use parking_lot::Mutex;
 use std::cell::Cell;
@@ -55,6 +68,9 @@ const EMPTY: u64 = u64::MAX;
 
 /// Token returned for registrations that landed in the overflow map.
 pub(crate) const OVERFLOW_TOKEN: usize = usize::MAX;
+
+/// Token returned for pins.
+pub(crate) const PIN_TOKEN: usize = usize::MAX - 1;
 
 /// One registration slot, padded to a cache line so concurrent
 /// register/deregister traffic on neighbouring slots does not false-share.
@@ -101,6 +117,27 @@ pub(crate) struct ActiveRegistry {
     // relaxed-guard: the diagnostic nonzero checks only gate extra
     // reporting work, never reclamation.
     overflow_count: AtomicUsize,
+    /// Pinned version -> pin count (module docs).
+    // lock-order: registry-pins — a leaf lock, like `registry-overflow`:
+    // taken with nothing held (pin, unpin) or after the slot scan on a
+    // body drain, never the other way.
+    pins: Mutex<BTreeMap<u64, usize>>,
+    /// Number of pins. Incremented *after* the map entry is inserted, so
+    /// a scan that sees a nonzero count finds the entry under the lock.
+    // ordering: seqcst-rmw pin/unpin and seqcst-load in the body scans
+    // (module docs).
+    pin_count: AtomicUsize,
+}
+
+/// Takes one count of `version` out of a version -> count map.
+fn take_one(map: &mut BTreeMap<u64, usize>, version: u64) {
+    match map.get_mut(&version) {
+        Some(n) if *n > 1 => *n -= 1,
+        Some(_) => {
+            map.remove(&version);
+        }
+        None => unreachable!("deregister without a matching register"),
+    }
 }
 
 thread_local! {
@@ -127,6 +164,8 @@ impl ActiveRegistry {
                 .collect(),
             overflow: Mutex::new(BTreeMap::new()),
             overflow_count: AtomicUsize::new(0),
+            pins: Mutex::new(BTreeMap::new()),
+            pin_count: AtomicUsize::new(0),
         }
     }
 
@@ -201,32 +240,32 @@ impl ActiveRegistry {
             if now == snapshot {
                 break;
             }
-            match map.get_mut(&snapshot) {
-                Some(n) if *n > 1 => *n -= 1,
-                _ => {
-                    map.remove(&snapshot);
-                }
-            }
+            take_one(&mut map, snapshot);
             *map.entry(now).or_insert(0) += 1;
             snapshot = now;
         }
         (snapshot, OVERFLOW_TOKEN)
     }
 
-    /// Deregisters a transaction. `token` is the slot token returned by
-    /// [`ActiveRegistry::register_current`]; `snapshot` is only consulted
-    /// for overflow registrations.
+    /// Pins `version`, which a registration the caller holds already
+    /// holds, so no clock chase is needed (module docs). Returns the
+    /// token to pass to [`ActiveRegistry::deregister`].
+    pub(crate) fn pin(&self, version: u64) -> usize {
+        *self.pins.lock().entry(version).or_insert(0) += 1;
+        self.pin_count.fetch_add(1, Ordering::SeqCst);
+        PIN_TOKEN
+    }
+
+    /// Deregisters a transaction or a pin. `token` is the token
+    /// [`ActiveRegistry::register_current`] or [`ActiveRegistry::pin`]
+    /// returned; `snapshot` is only consulted for overflow registrations
+    /// and pins.
     pub(crate) fn deregister(&self, token: usize, snapshot: u64) {
-        if token == OVERFLOW_TOKEN {
-            let mut map = self.overflow.lock();
-            match map.get_mut(&snapshot) {
-                Some(n) if *n > 1 => *n -= 1,
-                Some(_) => {
-                    map.remove(&snapshot);
-                }
-                None => unreachable!("overflow deregister without matching register"),
-            }
-            drop(map);
+        if token == PIN_TOKEN {
+            self.pin_count.fetch_sub(1, Ordering::SeqCst);
+            take_one(&mut self.pins.lock(), snapshot);
+        } else if token == OVERFLOW_TOKEN {
+            take_one(&mut self.overflow.lock(), snapshot);
             self.overflow_count.fetch_sub(1, Ordering::SeqCst);
         } else {
             self.slots[token].0.store(EMPTY, Ordering::SeqCst);
@@ -281,6 +320,27 @@ impl ActiveRegistry {
             }
         }
         min.unwrap_or(fallback)
+    }
+
+    /// The oldest pinned version, if any pin is held. Called after the
+    /// slot scan (module docs).
+    pub(crate) fn min_pinned(&self) -> Option<u64> {
+        if self.pin_count.load(Ordering::SeqCst) == 0 {
+            return None;
+        }
+        self.pins.lock().keys().next().copied()
+    }
+
+    /// Whether no registration and no pin is held: a box whose last
+    /// handle goes now has no borrower left. Every registration that
+    /// could have borrowed it happened before the caller's last-handle
+    /// drop, so these loads see its occupancy increment (or its release).
+    pub(crate) fn is_idle(&self) -> bool {
+        self.shards
+            .iter()
+            .all(|s| s.occupancy.load(Ordering::SeqCst) == 0)
+            && self.overflow_count.load(Ordering::SeqCst) == 0
+            && self.pin_count.load(Ordering::SeqCst) == 0
     }
 
     /// Number of distinct active snapshot versions (diagnostics). Exact
@@ -367,6 +427,81 @@ mod tests {
         }
         assert_eq!(reg.min_active_excluding(u64::MAX, 99), 99);
         assert_eq!(reg.active_snapshots(), 0);
+    }
+
+    #[test]
+    fn a_pin_holds_bodies_but_not_versions() {
+        let reg = ActiveRegistry::new();
+        let clock = AtomicU64::new(4);
+        let (snap, token) = reg.register_current(&clock);
+        let pin = reg.pin(snap);
+        assert_eq!(pin, PIN_TOKEN);
+        reg.deregister(token, snap);
+        assert_eq!(reg.min_active_excluding(u64::MAX, 99), 99, "versions");
+        assert_eq!(reg.min_pinned(), Some(4), "bodies");
+        assert!(!reg.is_idle());
+        reg.deregister(pin, snap);
+        assert_eq!(reg.min_pinned(), None);
+        assert!(reg.is_idle());
+    }
+
+    /// Direct race on the sharded registry: while one snapshot stays
+    /// pinned, the GC horizon returned to a concurrent committer must
+    /// never exceed it, no matter how hard other threads churn
+    /// register/deregister against a moving clock.
+    #[test]
+    fn registry_horizon_never_exceeds_live_snapshot() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+
+        let reg = Arc::new(ActiveRegistry::new());
+        let clock = Arc::new(AtomicU64::new(0));
+        let (pin_ver, pin_token) = reg.register_current(&clock);
+        assert_eq!(pin_ver, 0);
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let ticker = {
+            let clock = clock.clone();
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    clock.fetch_add(1, Ordering::SeqCst);
+                }
+            })
+        };
+        let churners: Vec<_> = (0..4)
+            .map(|_| {
+                let reg = reg.clone();
+                let clock = clock.clone();
+                let stop = stop.clone();
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        let (v, t) = reg.register_current(&clock);
+                        reg.deregister(t, v);
+                    }
+                })
+            })
+            .collect();
+
+        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(300);
+        while std::time::Instant::now() < deadline {
+            let fallback = clock.load(Ordering::SeqCst);
+            let horizon = reg.min_active_excluding(u64::MAX, fallback);
+            assert!(
+                horizon <= pin_ver,
+                "GC horizon {horizon} exceeded pinned live snapshot {pin_ver}"
+            );
+        }
+
+        stop.store(true, Ordering::Relaxed);
+        ticker.join().unwrap();
+        for c in churners {
+            c.join().unwrap();
+        }
+        reg.deregister(pin_token, pin_ver);
+        assert_eq!(reg.min_active_excluding(u64::MAX, 12345), 12345);
+        assert_eq!(reg.active_snapshots(), 0);
+        assert_eq!(reg.occupancy(), 0);
     }
 
     #[test]

@@ -121,7 +121,7 @@ impl TxCtx {
     /// it (so the retry begins on a fresh snapshot under a fresh top id)
     /// and record the justified cross-top abort, exactly as a commit-time
     /// validation failure would.
-    fn global_read<T: TxValue>(&self, body: &Arc<dyn BackendBox>) -> TxResult<(u64, T)> {
+    fn global_read<T: TxValue>(&self, body: &dyn BackendBox) -> TxResult<(u64, T)> {
         let mut lent = None;
         match body.read_at(self.top.snapshot_version(), &mut |v| {
             lent = Some(downcast(v))
@@ -219,7 +219,7 @@ impl TxCtx {
         if self.top.inflated().is_none() {
             let (ver, value) = self.global_read(vbox.body())?;
             self.node
-                .record_read(id, vbox.body(), ReadOrigin::Global(ver));
+                .record_read(id, vbox.borrow(), ReadOrigin::Global(ver));
             self.check_doom()?;
             return Ok(value);
         }
@@ -237,7 +237,7 @@ impl TxCtx {
                     (ReadOrigin::Global(ver), value)
                 }
             };
-            self.node.record_read(id, body, origin);
+            self.node.record_read(id, vbox.borrow(), origin);
             // Race protocol with concurrent forward validation, a
             // store-buffering pair: we publish the read (a `SeqCst` store
             // of the log's length) *before* re-checking the stamp (a
@@ -263,7 +263,7 @@ impl TxCtx {
         self.charge(costs.write_cpu, 0);
         self.check_doom()?;
         self.writes
-            .insert(vbox.id(), (vbox.body().clone(), Arc::new(value)));
+            .insert(vbox.id(), (vbox.borrow(), Arc::new(value)));
         Ok(())
     }
 
@@ -629,14 +629,15 @@ impl TxCtx {
             && self.validate_escape_reads(&record);
         if valid {
             // Adopt: the future's reads and writes become ours; its result
-            // is externalized through us.
-            for (body, version) in &record.reads {
-                self.node
-                    .record_read(body.id(), body, ReadOrigin::Global(*version));
+            // is externalized through us. They borrow under the record's
+            // pin, which our top-level keeps from now on.
+            for &(id, body, version) in &record.reads {
+                self.node.record_read(id, body, ReadOrigin::Global(version));
             }
-            for (body, value) in &record.writes {
-                self.writes.insert(body.id(), (body.clone(), value.clone()));
+            for (id, body, value) in record.writes {
+                self.writes.insert(id, (body, value));
             }
+            self.top.keep_pin(record.pin);
             let value = core.result_value().expect("completed future has result");
             core.set_state(FutState::Adopted);
             self.tm.stats.adopted_escaping();
@@ -680,8 +681,7 @@ impl TxCtx {
     }
 
     fn validate_escape_reads(&mut self, record: &EscapeRecord) -> bool {
-        for (body, version) in &record.reads {
-            let id = body.id();
+        for &(id, body, version) in &record.reads {
             // Any local shadow of the box invalidates the observation.
             if self.writes.contains_key(&id) {
                 return false;
@@ -693,8 +693,11 @@ impl TxCtx {
             // A failed snapshot read (single-version backend, box
             // overwritten) means the observation is certainly stale:
             // adoption fails and the future re-executes inline.
+            // SAFETY: `record.pin`, alive for this call, pins the
+            // registration the record's borrows were taken under.
+            let body = unsafe { body.get() };
             match body.read_at(self.top.snapshot_version(), &mut |_| {}) {
-                Ok(cur) if cur == *version => {}
+                Ok(cur) if cur == version => {}
                 _ => return false,
             }
         }

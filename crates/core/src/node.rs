@@ -4,7 +4,7 @@ use crate::graph::NodeId;
 use crate::readlog::AppendLog;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use wtf_backend::{BackendBox, BoxId, FxHashMap, Value};
+use wtf_backend::{BoxId, BoxRef, FxHashMap, Value};
 
 /// Where a read's value came from — needed for top-level commit validation
 /// (only `Global` reads are validated against the STM clock) and for
@@ -18,9 +18,11 @@ pub enum ReadOrigin {
     Ancestor(NodeId),
 }
 
+/// One logged read. `body` borrows the box under the top-level's
+/// registration: logging it counts nothing.
 pub struct ReadEntry {
     pub id: BoxId,
-    pub body: Arc<dyn BackendBox>,
+    pub body: BoxRef,
     pub origin: ReadOrigin,
 }
 
@@ -62,8 +64,8 @@ pub struct SubTxNode {
     frozen: OnceLock<FrozenWrites>,
 }
 
-/// A node's buffered writes: backend box handle + pending value per id.
-pub type WriteMap = FxHashMap<BoxId, (Arc<dyn BackendBox>, Value)>;
+/// A node's buffered writes: borrowed box + pending value per id.
+pub type WriteMap = FxHashMap<BoxId, (BoxRef, Value)>;
 
 /// An iCommitted node's immutable write-set, shared without locking.
 pub type FrozenWrites = Arc<WriteMap>;
@@ -90,10 +92,9 @@ impl SubTxNode {
     /// Records a read. An immediate re-read of the same box from the
     /// same origin adds nothing; any other appends, so the log grows with
     /// the reads performed, not with the boxes read.
-    pub fn record_read(&self, id: BoxId, body: &Arc<dyn BackendBox>, origin: ReadOrigin) {
+    pub fn record_read(&self, id: BoxId, body: BoxRef, origin: ReadOrigin) {
         let repeat = |last: &ReadEntry| last.id == id && last.origin == origin;
         if !self.reads.last().is_some_and(repeat) {
-            let body = body.clone();
             self.reads.push(ReadEntry { id, body, origin });
         }
     }
@@ -146,7 +147,7 @@ mod tests {
 
     fn one_write(b: &TBox<i64>, v: i64) -> WriteMap {
         let mut writes = WriteMap::default();
-        writes.insert(b.id(), (b.body().clone(), Arc::new(v)));
+        writes.insert(b.id(), (b.borrow(), Arc::new(v)));
         writes
     }
 
@@ -169,7 +170,7 @@ mod tests {
         let a = TBox::new_on(&stm, 0i64);
         let b = TBox::new_on(&stm, 0i64);
         let node = SubTxNode::new(0, NodeKind::Future);
-        node.record_read(b.id(), b.body(), ReadOrigin::Global(0));
+        node.record_read(b.id(), b.borrow(), ReadOrigin::Global(0));
         node.freeze(one_write(&a, 1));
         let mut ids = FxHashMap::default();
         ids.insert(a.id(), ());
@@ -188,19 +189,25 @@ mod tests {
         let a = TBox::new_on(&stm, 0i64);
         let b = TBox::new_on(&stm, 0i64);
         let node = SubTxNode::new(0, NodeKind::Future);
-        let baseline = Arc::strong_count(a.body());
         for _ in 0..3 {
-            node.record_read(a.id(), a.body(), ReadOrigin::Global(0));
+            node.record_read(a.id(), a.borrow(), ReadOrigin::Global(0));
         }
         assert_eq!(node.reads.len(), 1, "same box, same origin, adjacent");
-        node.record_read(a.id(), a.body(), ReadOrigin::Ancestor(2));
+        node.record_read(a.id(), a.borrow(), ReadOrigin::Ancestor(2));
         assert_eq!(node.reads.len(), 2, "the origin moved");
-        node.record_read(b.id(), b.body(), ReadOrigin::Global(0));
-        node.record_read(a.id(), a.body(), ReadOrigin::Ancestor(2));
+        node.record_read(b.id(), b.borrow(), ReadOrigin::Global(0));
+        node.record_read(a.id(), a.borrow(), ReadOrigin::Ancestor(2));
         assert_eq!(node.reads.len(), 4, "not adjacent: appended again");
-        assert_eq!(Arc::strong_count(a.body()), baseline + 3);
+        // Entries and buffered writes borrow the box: counting nothing,
+        // they leave its handle count where it was, dropped or not.
+        let mut writes = WriteMap::default();
+        for i in 0..100 {
+            writes.insert(a.id(), (a.borrow(), Arc::new(i)));
+        }
+        node.freeze(writes);
+        assert_eq!(a.handles(), 1, "N reads and writes count no handle");
         drop(node);
-        assert_eq!(Arc::strong_count(a.body()), baseline, "one drop per entry");
+        assert_eq!(a.handles(), 1, "dropping them uncounts none");
     }
 
     #[test]

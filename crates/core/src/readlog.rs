@@ -9,9 +9,10 @@
 //! demand and never move, so a scan that runs beside an append only ever
 //! touches slots the append has left behind.
 //!
-//! This is the only `unsafe` in `wtf-core`. What it relies on — one
-//! appender, a prefix that is written once — is set up here and nowhere
-//! else: the fields are private and the appender is checked.
+//! This is the one `unsafe` module of `wtf-core`; elsewhere there are
+//! only the `BoxRef::get` calls of the box lifetime rule. What it relies
+//! on — one appender, a prefix that is written once — is set up here and
+//! nowhere else: the fields are private and the appender is checked.
 
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;

@@ -9,7 +9,9 @@ use crate::{AtomicitySemantics, OrderingSemantics, TmInner};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use wtf_backend::{BackendBox, BackendSnapshot, BoxId, FxHashMap, FxHashSet, StmError, Value};
+use wtf_backend::{
+    BackendBox, BackendSnapshot, BoxId, BoxRef, FxHashMap, FxHashSet, StmError, Value,
+};
 use wtf_trace::EventKind;
 use wtf_vclock::Event;
 
@@ -42,12 +44,13 @@ pub(crate) enum CommitFail {
     Internal,
 }
 
-/// Writes on their way to the backend: box handle + value.
-type Writes = Vec<(Arc<dyn BackendBox>, Value)>;
+/// An overlay of frozen write-sets: borrowed box + value per id.
+type Writes = Vec<(BoxId, BoxRef, Value)>;
 
-/// A commit's read list: borrows of the globally-read boxes in the logs
-/// it is fed, which whoever feeds it keeps alive until the backend has
-/// validated them.
+/// A commit's read list: the globally-read boxes of the logs it is fed.
+/// Only [`TopLevel::commit`] builds one, and only from its own nodes,
+/// whose borrows its registration (or a pin it keeps) covers for as long
+/// as the gather lives.
 struct ReadGather<'n> {
     /// What the backend validates, in log order. A box with two entries is
     /// there twice, and validated twice to the same verdict — unless the
@@ -67,7 +70,10 @@ impl<'n> ReadGather<'n> {
                 continue;
             };
             if self.seen.as_mut().is_none_or(|s| s.insert(entry.id)) {
-                self.boxes.push(&*entry.body);
+                // SAFETY: the entry was logged under the committing
+                // top-level's registration or an adopted pin it keeps,
+                // both alive until `commit` returns (struct docs).
+                self.boxes.push(unsafe { entry.body.get() });
                 if let Some(rec) = self.rec.as_mut() {
                     rec.push((entry.id.0, version));
                 }
@@ -130,6 +136,10 @@ pub struct TopLevel {
     sealed: AtomicBool,
     /// The configured ordering is SO.
     pub(crate) strong: bool,
+    /// Pins of the spawners' registrations that came with adopted escape
+    /// records: their borrows now sit in this incarnation's logs and
+    /// buffers.
+    pins: Mutex<Vec<BackendSnapshot>>,
 }
 
 impl TopLevel {
@@ -146,6 +156,7 @@ impl TopLevel {
             cancelled: AtomicBool::new(false),
             sealed: AtomicBool::new(false),
             strong,
+            pins: Mutex::new(Vec::new()),
         });
         tm.clock.advance(tm.cfg.costs.begin_cost);
         // The list has one reader, the `tm_live_*` gauges; a TM built
@@ -194,6 +205,23 @@ impl TopLevel {
 
     pub fn snapshot_version(&self) -> u64 {
         self.snapshot.version()
+    }
+
+    /// Keeps an adopted escape record's pin until this incarnation ends.
+    pub(crate) fn keep_pin(&self, pin: BackendSnapshot) {
+        self.pins.lock().push(pin);
+    }
+
+    /// A pin of the oldest registration this incarnation holds — its own
+    /// or an adopted one — for an escape record to carry: the record may
+    /// borrow under either.
+    fn pin_oldest(&self) -> BackendSnapshot {
+        let pins = self.pins.lock();
+        let oldest = pins.iter().min_by_key(|p| p.version());
+        match oldest {
+            Some(p) if p.version() < self.snapshot.version() => p.pin(),
+            _ => self.snapshot.pin(),
+        }
     }
 
     pub(crate) fn is_doomed(&self) -> bool {
@@ -338,9 +366,9 @@ impl TopLevel {
         }
         let writes = winners
             .iter()
-            .map(|(id, &n)| {
-                let (body, value) = &nodes[n].frozen_writes().expect("a winner froze")[id];
-                (body.clone(), value.clone())
+            .map(|(&id, &n)| {
+                let (body, value) = &nodes[n].frozen_writes().expect("a winner froze")[&id];
+                (id, *body, value.clone())
             })
             .collect();
         (winners, writes)
@@ -734,6 +762,10 @@ impl TopLevel {
             // The included nodes, kept until the backend has validated
             // the boxes `gather` borrows out of their logs.
             let nodes;
+            // SAFETY: every write was buffered under this incarnation's
+            // registration or an adopted pin it keeps (`pins`), both alive
+            // until this function returns.
+            let body = |b: BoxRef| unsafe { b.get() };
             let mut gather = ReadGather {
                 boxes: Vec::new(),
                 seen: traced.then(FxHashSet::default),
@@ -746,7 +778,11 @@ impl TopLevel {
                 // nothing, so its reads matter to the trace alone.
                 None => {
                     self.sealed.store(true, Ordering::Release);
-                    let writes: Writes = ctx.take_writes().into_values().collect();
+                    let writes: Vec<(&dyn BackendBox, Value)> = ctx
+                        .take_writes()
+                        .into_values()
+                        .map(|(b, v)| (body(b), v))
+                        .collect();
                     if !writes.is_empty() || full {
                         gather.boxes.reserve(ctx.node.reads.len());
                         gather.node(&ctx.node);
@@ -773,6 +809,8 @@ impl TopLevel {
                         return Err(CommitFail::Internal);
                     }
                     let (winners, writes) = Self::overlay_writes(&nodes, &included);
+                    let writes: Vec<(&dyn BackendBox, Value)> =
+                        writes.into_iter().map(|(_, b, v)| (body(b), v)).collect();
                     // As on the flat path, a read-only commit validates
                     // nothing. Otherwise every included segment's global
                     // reads go to the backend as they are.
@@ -967,7 +1005,7 @@ impl TopLevel {
         // from outside the subtree, once — by its first such entry; an
         // adopter that revalidates it against a later one's box state
         // fails and re-executes, the safe direction.
-        let mut reads: Vec<(Arc<dyn BackendBox>, u64)> = Vec::new();
+        let mut reads: Vec<(BoxId, BoxRef, u64)> = Vec::new();
         let mut seen: FxHashSet<BoxId> = FxHashSet::default();
         for &m in &ordered {
             for entry in nodes[m].reads.published() {
@@ -984,7 +1022,7 @@ impl TopLevel {
                     ReadOrigin::Ancestor(_) => info.version,
                 };
                 if seen.insert(entry.id) {
-                    reads.push((entry.body.clone(), version));
+                    reads.push((entry.id, entry.body, version));
                 }
             }
         }
@@ -993,6 +1031,7 @@ impl TopLevel {
             reads,
             writes,
             poisoned,
+            pin: self.pin_oldest(),
         });
     }
 }

@@ -23,13 +23,16 @@
 //!   with disjoint stripe footprints run fully in parallel; there is no
 //!   global commit mutex.
 //! * **Version GC** driven by a sharded, lock-free active-transaction
-//!   registry (JVSTM's `ActiveTransactionsRecord`): version chains are
-//!   pruned down to the oldest snapshot still in use.
+//!   registry (JVSTM's `ActiveTransactionsRecord`, in `wtf-backend`'s
+//!   [`Horizon`](wtf_backend::Horizon)): version chains are pruned down
+//!   to the oldest snapshot still in use, and the bodies of dropped boxes
+//!   are freed under the same horizon.
 //!
 //! The commit-path concurrency protocol (stripe masks, the
 //! ticket/publish clock pair, and the reclamation argument for pruned
-//! versions) is documented in `DESIGN.md` § "Commit-path concurrency"
-//! and in the module docs of `stripe`, `vbox` and `registry`.
+//! versions) is documented in `DESIGN.md` § "Commit-path concurrency",
+//! in the module docs of `stripe` and `vbox`, and in those of
+//! `wtf-backend`'s registry and horizon.
 //!
 //! The crate has one way in: [`Stm`] implements
 //! [`wtf_backend::StmBackend`] and its boxes implement
@@ -64,7 +67,6 @@
 //! assert_eq!(atomic(&stm, |tx| tx.read(&acc_b)).unwrap(), 30);
 //! ```
 
-mod registry;
 mod stats;
 mod stripe;
 mod vbox;
@@ -76,24 +78,18 @@ pub mod raw;
 // `wtf-backend`.
 pub use wtf_backend::{StmStatsSnapshot, TBox as VBox};
 
-use registry::ActiveRegistry;
 use stats::StmStats;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use stripe::StripeTable;
-use wtf_backend::BackendTxn;
+use wtf_backend::{BackendTxn, Horizon};
 use wtf_trace::Tracer;
 
 pub(crate) struct StmInner {
-    /// Published version clock: committed state has versions `0..=clock`,
-    /// and all of them are fully installed. Only ever advanced by 1, in
-    /// ticket order, by `commit_attributed`.
-    // ordering: seqcst-store publication joins the registry's single
-    // total order with the slot stores and the horizon scan (see
-    // `registry` module docs), whose republish loop also reads it
-    // seqcst-load; acquire-load everywhere else pairs with the
-    // publishing store so a snapshot implies a fully installed prefix.
-    pub(crate) clock: AtomicU64,
+    /// The published version clock (only ever advanced by 1, in ticket
+    /// order, by `commit_attributed`), the snapshot registry and the
+    /// retired box bodies.
+    pub(crate) horizon: Arc<Horizon>,
     /// Version ticket dispenser: `fetch_add` here is the single global
     /// atomic on the commit path. A ticket may be ahead of `clock` while
     /// its commit is still installing.
@@ -104,7 +100,6 @@ pub(crate) struct StmInner {
     /// Striped commit locks; shared with every `BoxBody` for safe chain
     /// walks (see `stripe`).
     pub(crate) stripes: Arc<StripeTable>,
-    pub(crate) registry: ActiveRegistry,
     pub(crate) stats: StmStats,
     // ordering: relaxed-rmw — a pure id dispenser; uniqueness is all
     // that matters, nothing is published through it.
@@ -124,6 +119,15 @@ pub(crate) struct StmInner {
     /// tracer costs one relaxed load per hook — so the hot paths carry
     /// no `Option` branch.
     pub(crate) tracer: Arc<Tracer>,
+}
+
+impl Drop for StmInner {
+    /// Frees the retired bodies no registration holds any more (a body
+    /// that held the last handle of another box of this STM would keep
+    /// the horizon alive, and with it the whole retire list).
+    fn drop(&mut self) {
+        self.horizon.close();
+    }
 }
 
 /// A software transactional memory instance.
@@ -152,10 +156,9 @@ impl Stm {
     pub fn with_tracer(tracer: Arc<Tracer>) -> Stm {
         let stm = Stm {
             inner: Arc::new(StmInner {
-                clock: AtomicU64::new(0),
+                horizon: Horizon::new(),
                 next_version: AtomicU64::new(0),
                 stripes: Arc::new(StripeTable::new()),
-                registry: ActiveRegistry::new(),
                 stats: StmStats::new(),
                 next_box: AtomicU64::new(0),
                 gc_enabled: AtomicBool::new(true),
@@ -176,7 +179,7 @@ impl Stm {
         let gauges = &self.inner.tracer.gauges;
         let w = Arc::downgrade(&self.inner);
         gauges.register("stm_clock", move || {
-            w.upgrade().map_or(0, |s| s.clock.load(Ordering::Acquire))
+            w.upgrade().map_or(0, |s| s.horizon.now())
         });
         let w = Arc::downgrade(&self.inner);
         gauges.register("stm_retained_versions", move || {
@@ -189,18 +192,18 @@ impl Stm {
         let w = Arc::downgrade(&self.inner);
         gauges.register("stm_gc_horizon_lag", move || {
             w.upgrade().map_or(0, |s| {
-                let clock = s.clock.load(Ordering::Acquire);
-                clock.saturating_sub(s.registry.min_active_excluding(u64::MAX, clock))
+                let clock = s.horizon.now();
+                clock.saturating_sub(s.horizon.min_active_excluding(u64::MAX, clock))
             })
         });
         let w = Arc::downgrade(&self.inner);
         gauges.register("stm_active_snapshots", move || {
             w.upgrade()
-                .map_or(0, |s| s.registry.active_snapshots() as u64)
+                .map_or(0, |s| s.horizon.active_snapshots() as u64)
         });
         let w = Arc::downgrade(&self.inner);
         gauges.register("stm_registry_occupancy", move || {
-            w.upgrade().map_or(0, |s| s.registry.occupancy() as u64)
+            w.upgrade().map_or(0, |s| s.horizon.occupancy() as u64)
         });
     }
 
@@ -218,8 +221,8 @@ impl Stm {
     /// when no transaction is active): the GC horizon lag that bounds
     /// how much garbage version chains must retain.
     pub fn gc_horizon_lag(&self) -> u64 {
-        let clock = self.inner.clock.load(Ordering::Acquire);
-        clock.saturating_sub(self.inner.registry.min_active_excluding(u64::MAX, clock))
+        let clock = self.inner.horizon.now();
+        clock.saturating_sub(self.inner.horizon.min_active_excluding(u64::MAX, clock))
     }
 
     /// Enables/disables old-version garbage collection (ablation knob,

@@ -14,7 +14,8 @@
 //!    `clock = ticket` so the clock only ever exposes fully installed
 //!    prefixes (opacity);
 //! 5. GC the written boxes' chains down to the registry's horizon, still
-//!    under the stripes.
+//!    under the stripes; then, with the stripes released, free the
+//!    retired box bodies that horizon has passed.
 //!
 //! Because tickets are reserved only *after* all stripes are held and
 //! validation has passed, a committer spinning in step 4 waits only on
@@ -27,29 +28,13 @@ use crate::Stm;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use wtf_backend::{
-    BackendBox, BackendKind, BackendSnapshot, BoxId, StmBackend, StmStatsSnapshot, TBox, TxValue,
-    Value,
+    BackendBox, BackendKind, BackendSnapshot, BoxHandle, BoxId, Horizon, StmBackend,
+    StmStatsSnapshot, TBox, TxValue, Value,
 };
 use wtf_trace::{EventKind, Tracer};
 
 /// Number of commit-lock stripes (re-exported for tests/diagnostics).
 pub const STRIPES: usize = crate::stripe::STRIPES;
-
-/// RAII registration of a begin-snapshot with the active-transaction
-/// registry; keeps versions at-or-after the snapshot from being pruned.
-/// Travels as the `hold` of a [`BackendSnapshot`].
-struct Snapshot {
-    stm: Stm,
-    version: u64,
-    /// Registry slot token (or the overflow sentinel) to release on drop.
-    slot: usize,
-}
-
-impl Drop for Snapshot {
-    fn drop(&mut self) {
-        self.stm.inner.registry.deregister(self.slot, self.version);
-    }
-}
 
 /// Recovers the concrete box behind a handle this STM gave out.
 fn body_of(b: &dyn BackendBox) -> &BoxBody {
@@ -68,7 +53,7 @@ impl StmBackend for Stm {
     }
 
     fn clock(&self) -> u64 {
-        self.inner.clock.load(Ordering::Acquire)
+        self.inner.horizon.now()
     }
 
     fn stats(&self) -> StmStatsSnapshot {
@@ -93,25 +78,27 @@ impl StmBackend for Stm {
     /// the first install — including a snapshot taken before the box was
     /// created, which a box created (or handed over) inside a running
     /// transaction meets. (Creating boxes *inside* a transaction and
-    /// publishing them through another box is supported: the handle value
-    /// committed through the STM carries the `Arc`.)
-    fn new_box(&self, value: Value) -> Arc<dyn BackendBox> {
+    /// publishing them through another box is supported: the value
+    /// committed through the STM holds a counted handle.)
+    fn new_box(&self, value: Value) -> BoxHandle {
         let inner = &self.inner;
         let id = BoxId(inner.next_box.fetch_add(1, Ordering::Relaxed));
-        Arc::new(BoxBody::new(id, inner.stripes.clone(), value))
+        BoxHandle::new(
+            &inner.horizon,
+            BoxBody::new(id, inner.stripes.clone(), value),
+        )
+    }
+
+    fn horizon(&self) -> &Arc<Horizon> {
+        &self.inner.horizon
     }
 
     /// Registered against concurrent GC via the registry's
-    /// publish-then-recheck protocol (see
-    /// `ActiveRegistry::register_current` for the race argument).
+    /// publish-then-recheck protocol (see `wtf-backend`'s registry module
+    /// docs for the race argument); it keeps this snapshot's versions and
+    /// every body borrowed under it.
     fn acquire_snapshot(&self) -> BackendSnapshot {
-        let (version, slot) = self.inner.registry.register_current(&self.inner.clock);
-        let hold = Snapshot {
-            stm: self.clone(),
-            version,
-            slot,
-        };
-        BackendSnapshot::new(version, Some(Box::new(hold)))
+        self.inner.horizon.register()
     }
 
     /// Under the stripes covering `reads` ∪ `writes`, every box in
@@ -129,7 +116,7 @@ impl StmBackend for Stm {
         &self,
         snapshot: u64,
         reads: &[&dyn BackendBox],
-        writes: Vec<(Arc<dyn BackendBox>, Value)>,
+        writes: Vec<(&dyn BackendBox, Value)>,
     ) -> Result<u64, BoxId> {
         debug_assert!(!writes.is_empty(), "read-only commits skip the backend");
         let inner = &self.inner;
@@ -181,10 +168,10 @@ impl StmBackend for Stm {
         inner
             .versions_installed
             .fetch_add(writes.len() as u64, Ordering::Relaxed);
-        // The handles stay in `writes` for the GC pass below, so each
+        // The borrows stay in `writes` for the GC pass below, so each
         // value is shared into its chain rather than moved.
-        for (body, value) in &writes {
-            let body = body_of(&**body);
+        for &(body, ref value) in &writes {
+            let body = body_of(body);
             body.install(version, Arc::clone(value));
             tracer.record_full(EventKind::StmInstall, body.id.0, version);
         }
@@ -195,7 +182,7 @@ impl StmBackend for Stm {
         // the locks it needs (see module docs), so this cannot deadlock.
         let mut spins = 0u32;
         let publish_start = tracer.span_start();
-        while inner.clock.load(Ordering::Acquire) != version - 1 {
+        while inner.horizon.now() != version - 1 {
             spins += 1;
             if spins < 1 << 12 {
                 std::hint::spin_loop();
@@ -205,7 +192,7 @@ impl StmBackend for Stm {
         }
         // SeqCst: orders the publication against the registry's slot stores
         // and the horizon scan below (see `registry` module docs).
-        inner.clock.store(version, Ordering::SeqCst);
+        inner.horizon.publish(version);
         if spins > 0 {
             inner.stats.publish_waits.fetch_add(1, Ordering::Relaxed);
         }
@@ -225,9 +212,9 @@ impl StmBackend for Stm {
         // our own dying one.
         let mut pruned = 0usize;
         if gc {
-            let min_active = inner.registry.min_active_excluding(snapshot, version);
-            for (body, _) in &writes {
-                let body = body_of(&**body);
+            let min_active = inner.horizon.min_active_excluding(snapshot, version);
+            for &(body, _) in &writes {
+                let body = body_of(body);
                 let freed = body.prune(min_active);
                 if freed > 0 {
                     tracer.record_full(EventKind::StmPrune, body.id.0, freed as u64);
@@ -236,6 +223,11 @@ impl StmBackend for Stm {
             }
         }
         drop(stripes);
+        // Then the retired box bodies, with no stripe held (a freed body
+        // drops its chain's values) and our own snapshot counted, unlike
+        // above: an escaping future may still borrow under it (see
+        // `wtf-backend`'s horizon module docs).
+        inner.horizon.drain(snapshot);
         inner.stats.commits.fetch_add(1, Ordering::Relaxed);
         inner
             .stats
@@ -251,13 +243,13 @@ impl StmBackend for Stm {
 
 /// Number of distinct snapshots currently registered (diagnostics).
 pub fn active_snapshots(stm: &Stm) -> usize {
-    stm.inner.registry.active_snapshots()
+    stm.inner.horizon.active_snapshots()
 }
 
 /// Number of versions `vbox` retains (GC diagnostics). Takes the box's
 /// stripe, so it also races committers' prunes safely.
 pub fn chain_len<T: TxValue>(vbox: &TBox<T>) -> usize {
-    body_of(&**vbox.body()).chain_len()
+    body_of(vbox.body()).chain_len()
 }
 
 /// The commit-lock stripe `id` hashes to (tests/diagnostics).

@@ -28,7 +28,18 @@
 //! hands its closure a borrow of the visible node's value, and that node
 //! is at or above the keep node for as long as the reader's registration
 //! lives — which is longer than the call, since the caller holds both
-//! the registration and the box.
+//! the registration and a borrow of the box.
+//!
+//! The body itself is reclaimed under the same horizon. A transaction
+//! never counts the box it reads or writes: its read log, write buffer
+//! and commit lists hold uncounted borrows. When the last counted handle
+//! drops, `wtf-backend` retires the `BoxBody` stamped with the clock, and
+//! a commit frees it only once every registered snapshot is newer than
+//! the stamp (at once if none is registered). Every borrower registered
+//! before it borrowed, so its snapshot is at or below the stamp and the
+//! body — chain and all — outlives every walk the borrower can still
+//! make. Freeing a body drops its whole chain (`Drop`); no snapshot that
+//! could reach it is left by then.
 
 use crate::stripe::StripeTable;
 use std::any::Any;

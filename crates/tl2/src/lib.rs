@@ -50,7 +50,8 @@ use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use wtf_backend::{
-    BackendBox, BackendKind, BackendSnapshot, BoxId, StmBackend, StmError, StmStatsSnapshot, Value,
+    BackendBox, BackendKind, BackendSnapshot, BoxHandle, BoxId, Horizon, StmBackend, StmError,
+    StmStatsSnapshot, Value,
 };
 use wtf_trace::{EventKind, Tracer};
 
@@ -213,14 +214,11 @@ impl BackendBox for Tl2Box {
 }
 
 struct Tl2Inner {
-    /// The global version clock: committed state has versions
-    /// `0..=clock`, every one of them fully written back (write stripes
-    /// stay locked until the write-back completes).
-    // ordering: acqrel-rmw — the per-commit bump happens with every
-    // written stripe locked, so the new version is fully written back
-    // before any reader can observe it; acquire-load snapshot reads pair
-    // with the bump.
-    clock: AtomicU64,
+    /// The global version clock (committed state has versions
+    /// `0..=clock`, every one of them fully written back: write stripes
+    /// stay locked until the write-back completes), the snapshot registry
+    /// and the retired box bodies.
+    horizon: Arc<Horizon>,
     stripes: Arc<StripeTable>,
     // ordering: relaxed-rmw — a pure id dispenser.
     next_box: AtomicU64,
@@ -257,7 +255,7 @@ impl Tl2Stm {
     pub fn with_tracer(tracer: Arc<Tracer>) -> Tl2Stm {
         let stm = Tl2Stm {
             inner: Arc::new(Tl2Inner {
-                clock: AtomicU64::new(0),
+                horizon: Horizon::new(),
                 stripes: Arc::new(StripeTable::new()),
                 next_box: AtomicU64::new(0),
                 commits: AtomicU64::new(0),
@@ -271,7 +269,7 @@ impl Tl2Stm {
             // would cycle and leak.
             let w: Weak<Tl2Inner> = Arc::downgrade(&stm.inner);
             stm.inner.tracer.gauges.register("stm_clock", move || {
-                w.upgrade().map_or(0, |s| s.clock.load(Ordering::Acquire))
+                w.upgrade().map_or(0, |s| s.horizon.now())
             });
             let w: Weak<Tl2Inner> = Arc::downgrade(&stm.inner);
             stm.inner
@@ -307,7 +305,7 @@ impl StmBackend for Tl2Stm {
     }
 
     fn clock(&self) -> u64 {
-        self.inner.clock.load(Ordering::Acquire)
+        self.inner.horizon.now()
     }
 
     fn stats(&self) -> StmStatsSnapshot {
@@ -331,30 +329,38 @@ impl StmBackend for Tl2Stm {
         self.inner.read_only_commits.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn new_box(&self, value: Value) -> Arc<dyn BackendBox> {
+    fn new_box(&self, value: Value) -> BoxHandle {
         let id = BoxId(self.inner.next_box.fetch_add(1, Ordering::Relaxed));
         // Stamp version 0, like mvstm: no commit wrote the initial value,
         // so every snapshot reads it — also one taken before the box was
         // created, which would otherwise take an abort no install
         // justifies.
-        Arc::new(Tl2Box {
+        let body = Tl2Box {
             id,
             stripes: self.inner.stripes.clone(),
             slot: Mutex::new(Slot { version: 0, value }),
-        })
+        };
+        BoxHandle::new(&self.inner.horizon, body)
+    }
+
+    fn horizon(&self) -> &Arc<Horizon> {
+        &self.inner.horizon
     }
 
     fn acquire_snapshot(&self) -> BackendSnapshot {
-        // Nothing to register: TL2 retains no old versions a snapshot
-        // could pin. (The cost moves to read time — see `read_at`.)
-        BackendSnapshot::new(self.inner.clock.load(Ordering::Acquire), None)
+        // TL2 retains no old versions (reads pay instead — see
+        // `read_at`), so the registration pins no version: it keeps the
+        // bodies this snapshot's transaction borrows, which a dropped box
+        // retires until no registered snapshot can hold them. The slot
+        // travels inline: nothing is allocated.
+        self.inner.horizon.register()
     }
 
     fn commit_attributed(
         &self,
         snapshot: u64,
         reads: &[&dyn BackendBox],
-        writes: Vec<(Arc<dyn BackendBox>, Value)>,
+        writes: Vec<(&dyn BackendBox, Value)>,
     ) -> Result<u64, BoxId> {
         debug_assert!(!writes.is_empty(), "read-only commits skip the backend");
         let inner = &*self.inner;
@@ -406,9 +412,9 @@ impl StmBackend for Tl2Stm {
                     .fetch_or(lockword::LOCK_BIT, Ordering::AcqRel);
             }
         }
-        let version = inner.clock.fetch_add(1, Ordering::AcqRel) + 1;
+        let version = inner.horizon.advance();
         for (body, value) in writes {
-            let b = tl2_box(&*body);
+            let b = tl2_box(body);
             {
                 let mut slot = b.slot.lock();
                 slot.version = version;
@@ -426,12 +432,22 @@ impl StmBackend for Tl2Stm {
             }
         }
         drop(guards);
+        // Free the retired bodies every registered snapshot (ours
+        // included) has passed — a lock-free check when there are none.
+        inner.horizon.drain(snapshot);
         inner.commits.fetch_add(1, Ordering::Relaxed);
         if tracer.on() {
             let dur = tracer.span_end(EventKind::StmCommitSpan, commit_start, version);
             tracer.metrics.commit_latency.record(dur);
         }
         Ok(version)
+    }
+}
+
+impl Drop for Tl2Inner {
+    /// Frees the retired bodies no registration holds any more.
+    fn drop(&mut self) {
+        self.horizon.close();
     }
 }
 

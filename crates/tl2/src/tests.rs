@@ -245,8 +245,8 @@ fn trace_emission_matches_mvstm_contract() {
     .unwrap();
     let res = stm.commit_attributed(
         snap.version(),
-        &[&**x.body()],
-        vec![(y.body().clone(), Arc::new(9i64) as Value)],
+        &[x.body()],
+        vec![(y.body(), Arc::new(9i64) as Value)],
     );
     assert_eq!(res, Err(x.id()));
     assert_eq!(tracer.summary().conflict_total, 1);
