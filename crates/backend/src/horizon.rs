@@ -3,9 +3,9 @@
 //! A box is a counted handle over an uncounted body. [`BoxHandle`] (and
 //! the typed [`TBox`](crate::TBox) over it) counts its handles in a word
 //! of the body's own allocation. Transactional code takes no handle: the
-//! read log, the write buffers, the commit lists and the escape records
-//! hold [`BoxRef`] borrows, which count nothing, so a transactional read
-//! or write writes no line another reader of the box shares.
+//! read log, the write buffers and the commit lists hold [`BoxRef`]
+//! borrows, which count nothing, so a transactional read or write writes
+//! no line another reader of the box shares.
 //!
 //! A borrow stays valid because a body whose last handle goes is not
 //! freed but *retired* to its backend's [`Horizon`], stamped with the
@@ -33,11 +33,10 @@
 //! Unlike version GC, a drain does not discount the committer's own
 //! registration: an escaping future may still borrow under it.
 //!
-//! A registration that must outlive its transaction — an escaped
-//! future's record, which its adopter keeps until the adopter ends — is
-//! a pin of the spawner's ([`BackendSnapshot::pin`]): the same version,
-//! taken while the original is held, counted for bodies but not for
-//! versions.
+//! What must outlive its registration — an escaped future's record,
+//! which its adopter keeps until the adopter ends — counts instead:
+//! [`BoxRef::upgrade`] takes a handle while the borrow is still covered,
+//! and fails once the body is retired.
 
 use crate::registry::ActiveRegistry;
 use crate::BackendBox;
@@ -151,7 +150,7 @@ impl Horizon {
 
     /// Oldest registered snapshot, discounting one registration at
     /// `excluding`, or `fallback` when none is left: mvstm's version GC
-    /// horizon. Pins are not counted.
+    /// horizon.
     pub fn min_active_excluding(&self, excluding: u64, fallback: u64) -> u64 {
         self.registry.min_active_excluding(excluding, fallback)
     }
@@ -186,12 +185,11 @@ impl Horizon {
         self.retired_len.store(retired.len(), Ordering::Release);
     }
 
-    /// Frees the retired bodies every registration and pin has passed —
-    /// `own`, the caller's live registration (or `u64::MAX`), counted
-    /// too — and keeps the rest. A lock-free check when there are none.
-    /// Call it with no lock held: a freed body drops its values, which
-    /// may retire more boxes.
-    pub fn drain(&self, own: u64) {
+    /// Frees the retired bodies every registration — the caller's own
+    /// included — has passed, and keeps the rest. A lock-free check when
+    /// there are none. Call it with no lock held: a freed body drops its
+    /// values, which may retire more boxes.
+    pub fn drain(&self) {
         if self.retired_len.load(Ordering::Acquire) == 0 {
             return;
         }
@@ -201,9 +199,7 @@ impl Horizon {
             self.retired_len.store(0, Ordering::Release);
             std::mem::take(&mut *retired)
         };
-        let registered = self.registry.min_active_excluding(u64::MAX, u64::MAX);
-        let pinned = self.registry.min_pinned().unwrap_or(u64::MAX);
-        let floor = registered.min(pinned).min(own);
+        let floor = self.registry.min_active_excluding(u64::MAX, u64::MAX);
         let (dead, kept): (Vec<Retired>, Vec<Retired>) =
             taken.into_iter().partition(|r| r.stamp < floor);
         if !kept.is_empty() {
@@ -213,8 +209,8 @@ impl Horizon {
         }
         for r in dead {
             // SAFETY: retired cells have a zero count and no horizon; every
-            // registration and pin is newer than the stamp, so no borrower
-            // is left (module docs).
+            // registration is newer than the stamp, so no borrower is left
+            // (module docs).
             unsafe { free(r.cell) };
         }
     }
@@ -224,13 +220,13 @@ impl Horizon {
     /// rest.
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
-        self.drain(u64::MAX);
+        self.drain();
     }
 
     fn release(&self, token: usize, version: u64) {
         self.registry.deregister(token, version);
         if self.retired_len.load(Ordering::Acquire) > 0 && self.closed.load(Ordering::Acquire) {
-            self.drain(u64::MAX);
+            self.drain();
         }
     }
 }
@@ -251,7 +247,7 @@ impl Drop for Horizon {
 /// it (both backends) until it drops.
 pub struct BackendSnapshot {
     version: u64,
-    /// Registry slot, overflow or pin token, to release on drop.
+    /// Registry slot or overflow token, to release on drop.
     token: usize,
     horizon: Arc<Horizon>,
 }
@@ -260,17 +256,6 @@ impl BackendSnapshot {
     /// The version this snapshot reads at.
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// A second hold on this snapshot's version that may outlive it: it
-    /// keeps every body borrowed under this snapshot, but no version.
-    /// What an escaped future's record carries past its spawner.
-    pub fn pin(&self) -> BackendSnapshot {
-        BackendSnapshot {
-            version: self.version,
-            token: self.horizon.registry.pin(self.version),
-            horizon: Arc::clone(&self.horizon),
-        }
     }
 }
 
@@ -291,8 +276,10 @@ impl std::fmt::Debug for BackendSnapshot {
 struct Cell<B: ?Sized> {
     // ordering: relaxed-rmw on clone (the cloner already holds a handle,
     // as in `Arc::clone`); acqrel-rmw on drop, so the last dropper sees
-    // every other holder's use of the body before it retires it.
-    // relaxed-load in the `handles` diagnostic, which decides nothing.
+    // every other holder's use of the body before it retires it;
+    // acquire-rmw in `BoxRef::upgrade`, as in `Weak::upgrade`, with a
+    // relaxed-rmw failure ordering (a zero count is final). relaxed-load
+    // in the `handles` diagnostic, which decides nothing.
     handles: AtomicUsize,
     /// Taken out when the last handle goes: a retired body must not keep
     /// its horizon alive, since the horizon is what frees it.
@@ -343,7 +330,7 @@ impl BoxHandle {
     /// An uncounted borrow of the body, for a transaction whose snapshot
     /// is registered (see [`BoxRef::get`]).
     pub fn borrow(&self) -> BoxRef {
-        BoxRef(NonNull::from(&self.cell().body))
+        BoxRef(self.cell)
     }
 
     /// Number of live handles (diagnostics).
@@ -369,7 +356,8 @@ impl Drop for BoxHandle {
         }
         // SAFETY: `handles` reached zero: no handle is left to read the
         // `horizon` field, which is taken exactly once, here. Borrowers
-        // only ever reach the `body` field, which this does not touch.
+        // only ever reach the `body` and `handles` fields, which this
+        // does not touch.
         let horizon = unsafe { ManuallyDrop::take(&mut (*self.cell.as_ptr()).horizon) };
         horizon.retire(self.cell);
     }
@@ -378,7 +366,7 @@ impl Drop for BoxHandle {
 /// An uncounted borrow of a box body: what transactional code logs.
 /// Copying one writes nothing; dereferencing it is [`BoxRef::get`].
 #[derive(Clone, Copy)]
-pub struct BoxRef(NonNull<dyn BackendBox>);
+pub struct BoxRef(NonNull<Cell<dyn BackendBox>>);
 
 // SAFETY: a `BoxRef` is an address. Sharing it is harmless; what could
 // go wrong — dereferencing it after the body is freed — is `unsafe` and
@@ -393,13 +381,36 @@ impl BoxRef {
     /// # Safety
     ///
     /// The caller holds a registration on the box's backend (a
-    /// [`BackendSnapshot`] or a pin of one) that was taken before this
-    /// borrow was, and does not use the result after that registration
-    /// drops: the body is not freed before then (module docs).
+    /// [`BackendSnapshot`]) that was taken before this borrow was, and
+    /// does not use the result after that registration drops: the body
+    /// is not freed before then (module docs).
     // SAFETY: an `unsafe fn` because the registration rule above is the
     // caller's to keep.
     pub unsafe fn get<'a>(self) -> &'a dyn BackendBox {
-        // SAFETY: the caller's contract keeps the body allocated.
-        unsafe { self.0.as_ref() }
+        // SAFETY: the caller's contract keeps the cell allocated. The
+        // reference covers the body alone: a last-handle drop may take
+        // the `horizon` field meanwhile.
+        unsafe { &(*self.0.as_ptr()).body }
+    }
+
+    /// A counted handle of the borrowed box, for a holder that must
+    /// outlive the registration, or `None` if its last handle has gone
+    /// (the body is retired, and stays so).
+    ///
+    /// # Safety
+    ///
+    /// As for [`BoxRef::get`], at the time of the call.
+    // SAFETY: an `unsafe fn` because the registration rule above is the
+    // caller's to keep.
+    pub unsafe fn upgrade(self) -> Option<BoxHandle> {
+        // SAFETY: as in `get`, covering the count alone.
+        let handles = unsafe { &(*self.0.as_ptr()).handles };
+        let held = handles
+            .fetch_update(Ordering::Acquire, Ordering::Relaxed, |n| {
+                (n != 0).then_some(n + 1)
+            })
+            .ok()?;
+        assert!(held < isize::MAX as usize, "box handle count overflow");
+        Some(BoxHandle { cell: self.0 })
     }
 }

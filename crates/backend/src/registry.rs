@@ -14,11 +14,6 @@
 //! mutex-protected overflow map catches the (never-in-practice) case of
 //! more than [`SLOT_COUNT`] simultaneous transactions.
 //!
-//! Beside the registrations sit the *pins*: extra holds on a version an
-//! existing registration already holds, taken when an escaping future's
-//! record must outlive its spawner (see `Horizon`). Pins keep box bodies,
-//! never versions: version GC does not read them.
-//!
 //! ## Why the lock-free registration/GC race is safe
 //!
 //! The danger is a GC horizon that *exceeds* a live snapshot: a committer
@@ -43,12 +38,6 @@
 //! — its snapshot is at the new clock, which GC never prunes below.
 //! Either way the horizon never exceeds a live snapshot. Stale *low*
 //! values seen mid-loop only make GC more conservative, never less.
-//!
-//! A pin needs no clock chase: it is taken while the registration it
-//! copies is still held, and a scan reads the slots before the pin
-//! count. A scan that finds the original slot already released read it
-//! after the release, hence after the pin was published, so it finds
-//! the pin.
 
 use parking_lot::Mutex;
 use std::cell::Cell;
@@ -68,9 +57,6 @@ const EMPTY: u64 = u64::MAX;
 
 /// Token returned for registrations that landed in the overflow map.
 pub(crate) const OVERFLOW_TOKEN: usize = usize::MAX;
-
-/// Token returned for pins.
-pub(crate) const PIN_TOKEN: usize = usize::MAX - 1;
 
 /// One registration slot, padded to a cache line so concurrent
 /// register/deregister traffic on neighbouring slots does not false-share.
@@ -117,16 +103,6 @@ pub(crate) struct ActiveRegistry {
     // relaxed-guard: the diagnostic nonzero checks only gate extra
     // reporting work, never reclamation.
     overflow_count: AtomicUsize,
-    /// Pinned version -> pin count (module docs).
-    // lock-order: registry-pins — a leaf lock, like `registry-overflow`:
-    // taken with nothing held (pin, unpin) or after the slot scan on a
-    // body drain, never the other way.
-    pins: Mutex<BTreeMap<u64, usize>>,
-    /// Number of pins. Incremented *after* the map entry is inserted, so
-    /// a scan that sees a nonzero count finds the entry under the lock.
-    // ordering: seqcst-rmw pin/unpin and seqcst-load in the body scans
-    // (module docs).
-    pin_count: AtomicUsize,
 }
 
 /// Takes one count of `version` out of a version -> count map.
@@ -164,8 +140,6 @@ impl ActiveRegistry {
                 .collect(),
             overflow: Mutex::new(BTreeMap::new()),
             overflow_count: AtomicUsize::new(0),
-            pins: Mutex::new(BTreeMap::new()),
-            pin_count: AtomicUsize::new(0),
         }
     }
 
@@ -247,24 +221,13 @@ impl ActiveRegistry {
         (snapshot, OVERFLOW_TOKEN)
     }
 
-    /// Pins `version`, which a registration the caller holds already
-    /// holds, so no clock chase is needed (module docs). Returns the
-    /// token to pass to [`ActiveRegistry::deregister`].
-    pub(crate) fn pin(&self, version: u64) -> usize {
-        *self.pins.lock().entry(version).or_insert(0) += 1;
-        self.pin_count.fetch_add(1, Ordering::SeqCst);
-        PIN_TOKEN
-    }
-
-    /// Deregisters a transaction or a pin. `token` is the token
-    /// [`ActiveRegistry::register_current`] or [`ActiveRegistry::pin`]
-    /// returned; `snapshot` is only consulted for overflow registrations
-    /// and pins.
+    /// Deregisters a transaction. `token` is the slot token returned by
+    /// [`ActiveRegistry::register_current`]; `snapshot` is only consulted
+    /// for overflow registrations.
     pub(crate) fn deregister(&self, token: usize, snapshot: u64) {
-        if token == PIN_TOKEN {
-            self.pin_count.fetch_sub(1, Ordering::SeqCst);
-            take_one(&mut self.pins.lock(), snapshot);
-        } else if token == OVERFLOW_TOKEN {
+        if token == OVERFLOW_TOKEN {
+            // Not `drop(guard)`: the lock-order audit would read a call
+            // to this crate's `Drop` impls, which take the retire lock.
             take_one(&mut self.overflow.lock(), snapshot);
             self.overflow_count.fetch_sub(1, Ordering::SeqCst);
         } else {
@@ -322,25 +285,15 @@ impl ActiveRegistry {
         min.unwrap_or(fallback)
     }
 
-    /// The oldest pinned version, if any pin is held. Called after the
-    /// slot scan (module docs).
-    pub(crate) fn min_pinned(&self) -> Option<u64> {
-        if self.pin_count.load(Ordering::SeqCst) == 0 {
-            return None;
-        }
-        self.pins.lock().keys().next().copied()
-    }
-
-    /// Whether no registration and no pin is held: a box whose last
-    /// handle goes now has no borrower left. Every registration that
-    /// could have borrowed it happened before the caller's last-handle
-    /// drop, so these loads see its occupancy increment (or its release).
+    /// Whether no registration is held: a box whose last handle goes now
+    /// has no borrower left. Every registration that could have borrowed
+    /// it happened before the caller's last-handle drop, so these loads
+    /// see its occupancy increment (or its release).
     pub(crate) fn is_idle(&self) -> bool {
         self.shards
             .iter()
             .all(|s| s.occupancy.load(Ordering::SeqCst) == 0)
             && self.overflow_count.load(Ordering::SeqCst) == 0
-            && self.pin_count.load(Ordering::SeqCst) == 0
     }
 
     /// Number of distinct active snapshot versions (diagnostics). Exact
@@ -429,19 +382,22 @@ mod tests {
         assert_eq!(reg.active_snapshots(), 0);
     }
 
+    /// `is_idle` sees a slot registration and an overflow one alike.
     #[test]
-    fn a_pin_holds_bodies_but_not_versions() {
+    fn idle_only_with_no_registration_left() {
         let reg = ActiveRegistry::new();
-        let clock = AtomicU64::new(4);
-        let (snap, token) = reg.register_current(&clock);
-        let pin = reg.pin(snap);
-        assert_eq!(pin, PIN_TOKEN);
+        let clock = AtomicU64::new(1);
+        assert!(reg.is_idle());
+        let mut held: Vec<_> = (0..=SLOT_COUNT)
+            .map(|_| reg.register_current(&clock))
+            .collect();
+        let (snap, token) = held.pop().expect("one past capacity");
+        assert_eq!(token, OVERFLOW_TOKEN);
+        for (s, t) in held {
+            reg.deregister(t, s);
+        }
+        assert!(!reg.is_idle(), "the overflow registration is held");
         reg.deregister(token, snap);
-        assert_eq!(reg.min_active_excluding(u64::MAX, 99), 99, "versions");
-        assert_eq!(reg.min_pinned(), Some(4), "bodies");
-        assert!(!reg.is_idle());
-        reg.deregister(pin, snap);
-        assert_eq!(reg.min_pinned(), None);
         assert!(reg.is_idle());
     }
 

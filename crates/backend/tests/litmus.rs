@@ -91,3 +91,48 @@ fn handles_retire_vs_borrow_mvstm() {
 fn handles_retire_vs_borrow_tl2() {
     retire_vs_borrow(Arc::new(Tl2Stm::new()));
 }
+
+/// Upgrade versus last drop, over `handles`: a thread whose snapshot is
+/// registered upgrades a borrow while another thread drops the box's
+/// last handle. Either the upgrade wins, and the body is retired only
+/// when the new handle goes, or it fails on a zero count and the body is
+/// already retired; a freed body is never resurrected. Either way the
+/// body is freed once the registration ends.
+fn upgrade_vs_last_drop(stm: Arc<dyn StmBackend>) {
+    let kind = stm.kind();
+    let sink = TBox::new_on(&*stm, 0usize);
+    for round in 0..ROUNDS {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let watched = TBox::new_on(&*stm, Counted(drops.clone()));
+        let snapshot = stm.acquire_snapshot();
+        let borrow = watched.borrow();
+        let dropper = std::thread::spawn(move || drop(watched));
+        // SAFETY: `snapshot` was registered before the borrow was taken
+        // and is held until after the call.
+        let upgraded = unsafe { borrow.upgrade() };
+        dropper.join().unwrap();
+        if let Some(handle) = upgraded {
+            assert_eq!(stm.horizon().retired_boxes(), 0, "{kind:?}: counted");
+            assert_eq!(handle.handles(), 1, "{kind:?}");
+            drop(handle);
+        }
+        assert_eq!(stm.horizon().retired_boxes(), 1, "{kind:?}: retired");
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "{kind:?}");
+        drop(snapshot);
+        for _ in 0..2 {
+            atomic(&*stm, |tx| tx.write(&sink, round)).expect("no explicit abort");
+        }
+        assert_eq!(stm.horizon().retired_boxes(), 0, "{kind:?}");
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "{kind:?}: freed");
+    }
+}
+
+#[test]
+fn handles_upgrade_vs_last_drop_mvstm() {
+    upgrade_vs_last_drop(Arc::new(Stm::new()));
+}
+
+#[test]
+fn handles_upgrade_vs_last_drop_tl2() {
+    upgrade_vs_last_drop(Arc::new(Tl2Stm::new()));
+}

@@ -629,15 +629,20 @@ impl TxCtx {
             && self.validate_escape_reads(&record);
         if valid {
             // Adopt: the future's reads and writes become ours; its result
-            // is externalized through us. They borrow under the record's
-            // pin, which our top-level keeps from now on.
-            for &(id, body, version) in &record.reads {
-                self.node.record_read(id, body, ReadOrigin::Global(version));
+            // is externalized through us. Our logs borrow the record's
+            // boxes, whose handles our top-level keeps from now on.
+            let mut kept = Vec::with_capacity(record.reads.len() + record.writes.len());
+            for (body, version) in record.reads {
+                let id = body.body().id();
+                self.node
+                    .record_read(id, body.borrow(), ReadOrigin::Global(version));
+                kept.push(body);
             }
-            for (id, body, value) in record.writes {
-                self.writes.insert(id, (body, value));
+            for (body, value) in record.writes {
+                self.writes.insert(body.body().id(), (body.borrow(), value));
+                kept.push(body);
             }
-            self.top.keep_pin(record.pin);
+            self.top.keep(kept);
             let value = core.result_value().expect("completed future has result");
             core.set_state(FutState::Adopted);
             self.tm.stats.adopted_escaping();
@@ -681,7 +686,8 @@ impl TxCtx {
     }
 
     fn validate_escape_reads(&mut self, record: &EscapeRecord) -> bool {
-        for &(id, body, version) in &record.reads {
+        for (body, version) in &record.reads {
+            let id = body.body().id();
             // Any local shadow of the box invalidates the observation.
             if self.writes.contains_key(&id) {
                 return false;
@@ -693,11 +699,11 @@ impl TxCtx {
             // A failed snapshot read (single-version backend, box
             // overwritten) means the observation is certainly stale:
             // adoption fails and the future re-executes inline.
-            // SAFETY: `record.pin`, alive for this call, pins the
-            // registration the record's borrows were taken under.
-            let body = unsafe { body.get() };
-            match body.read_at(self.top.snapshot_version(), &mut |_| {}) {
-                Ok(cur) if cur == version => {}
+            match body
+                .body()
+                .read_at(self.top.snapshot_version(), &mut |_| {})
+            {
+                Ok(cur) if cur == *version => {}
                 _ => return false,
             }
         }

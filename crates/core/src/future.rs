@@ -5,7 +5,7 @@ use crate::graph::NodeId;
 use parking_lot::Mutex;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use wtf_backend::{BackendSnapshot, BoxId, BoxRef, TxResult, TxValue, Value};
+use wtf_backend::{BoxHandle, TxResult, TxValue, Value};
 use wtf_vclock::Event;
 
 /// Lifecycle of a transactional future (§3.2, §4).
@@ -42,24 +42,21 @@ impl FutState {
 /// Read-set of an escaping future resolved to global versions at its
 /// spawning top-level's commit, for adoption-time revalidation (§4.2 GAC).
 ///
-/// The boxes are borrowed, as in the logs they come from. The record
-/// outlives its spawner, so it carries a pin of the spawner's
-/// registration, and an adopter keeps that pin until its own top-level
-/// ends.
+/// The record outlives its spawner's registration, so unlike the logs it
+/// comes from it counts its boxes, and an adopter keeps the handles until
+/// its own top-level ends.
 pub struct EscapeRecord {
-    /// `(box, version the future observed)` triples.
-    pub reads: Vec<(BoxId, BoxRef, u64)>,
+    /// `(box, version the future observed)` pairs.
+    pub reads: Vec<(BoxHandle, u64)>,
     /// The future's effective write-set (its subtree overlay), merged into
     /// the adopter on successful validation.
-    pub writes: Vec<(BoxId, BoxRef, Value)>,
+    pub writes: Vec<(BoxHandle, Value)>,
     /// The future observed ancestor values that did not survive into the
     /// spawning transaction's committed write-set (they were shadowed by a
-    /// deeper write, or the top-level was read-only): the observation can
-    /// never be revalidated and adoption must re-execute.
+    /// deeper write, or the top-level was read-only), or one of its boxes
+    /// had lost its last handle by then: the observation can never be
+    /// revalidated and adoption must re-execute.
     pub poisoned: bool,
-    /// Keeps every body above borrowed: a pin of the spawner's oldest
-    /// registration.
-    pub pin: BackendSnapshot,
 }
 
 /// Type-erased body, re-runnable for internal retries and evaluation-time

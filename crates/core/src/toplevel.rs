@@ -10,7 +10,7 @@ use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use wtf_backend::{
-    BackendBox, BackendSnapshot, BoxId, BoxRef, FxHashMap, FxHashSet, StmError, Value,
+    BackendBox, BackendSnapshot, BoxHandle, BoxId, BoxRef, FxHashMap, FxHashSet, StmError, Value,
 };
 use wtf_trace::EventKind;
 use wtf_vclock::Event;
@@ -49,8 +49,8 @@ type Writes = Vec<(BoxId, BoxRef, Value)>;
 
 /// A commit's read list: the globally-read boxes of the logs it is fed.
 /// Only [`TopLevel::commit`] builds one, and only from its own nodes,
-/// whose borrows its registration (or a pin it keeps) covers for as long
-/// as the gather lives.
+/// whose borrows its registration (or a handle it keeps) covers for as
+/// long as the gather lives.
 struct ReadGather<'n> {
     /// What the backend validates, in log order. A box with two entries is
     /// there twice, and validated twice to the same verdict — unless the
@@ -71,7 +71,7 @@ impl<'n> ReadGather<'n> {
             };
             if self.seen.as_mut().is_none_or(|s| s.insert(entry.id)) {
                 // SAFETY: the entry was logged under the committing
-                // top-level's registration or an adopted pin it keeps,
+                // top-level's registration or borrows a handle it keeps,
                 // both alive until `commit` returns (struct docs).
                 self.boxes.push(unsafe { entry.body.get() });
                 if let Some(rec) = self.rec.as_mut() {
@@ -136,10 +136,9 @@ pub struct TopLevel {
     sealed: AtomicBool,
     /// The configured ordering is SO.
     pub(crate) strong: bool,
-    /// Pins of the spawners' registrations that came with adopted escape
-    /// records: their borrows now sit in this incarnation's logs and
-    /// buffers.
-    pins: Mutex<Vec<BackendSnapshot>>,
+    /// The boxes of adopted escape records: their borrows now sit in
+    /// this incarnation's logs and buffers.
+    kept: Mutex<Vec<BoxHandle>>,
 }
 
 impl TopLevel {
@@ -156,7 +155,7 @@ impl TopLevel {
             cancelled: AtomicBool::new(false),
             sealed: AtomicBool::new(false),
             strong,
-            pins: Mutex::new(Vec::new()),
+            kept: Mutex::new(Vec::new()),
         });
         tm.clock.advance(tm.cfg.costs.begin_cost);
         // The list has one reader, the `tm_live_*` gauges; a TM built
@@ -207,21 +206,10 @@ impl TopLevel {
         self.snapshot.version()
     }
 
-    /// Keeps an adopted escape record's pin until this incarnation ends.
-    pub(crate) fn keep_pin(&self, pin: BackendSnapshot) {
-        self.pins.lock().push(pin);
-    }
-
-    /// A pin of the oldest registration this incarnation holds — its own
-    /// or an adopted one — for an escape record to carry: the record may
-    /// borrow under either.
-    fn pin_oldest(&self) -> BackendSnapshot {
-        let pins = self.pins.lock();
-        let oldest = pins.iter().min_by_key(|p| p.version());
-        match oldest {
-            Some(p) if p.version() < self.snapshot.version() => p.pin(),
-            _ => self.snapshot.pin(),
-        }
+    /// Keeps an adopted escape record's boxes until this incarnation
+    /// ends.
+    pub(crate) fn keep(&self, boxes: Vec<BoxHandle>) {
+        self.kept.lock().extend(boxes);
     }
 
     pub(crate) fn is_doomed(&self) -> bool {
@@ -763,8 +751,8 @@ impl TopLevel {
             // the boxes `gather` borrows out of their logs.
             let nodes;
             // SAFETY: every write was buffered under this incarnation's
-            // registration or an adopted pin it keeps (`pins`), both alive
-            // until this function returns.
+            // registration or borrows a handle it keeps (`kept`), both
+            // alive until this function returns.
             let body = |b: BoxRef| unsafe { b.get() };
             let mut gather = ReadGather {
                 boxes: Vec::new(),
@@ -1005,7 +993,7 @@ impl TopLevel {
         // from outside the subtree, once — by its first such entry; an
         // adopter that revalidates it against a later one's box state
         // fails and re-executes, the safe direction.
-        let mut reads: Vec<(BoxId, BoxRef, u64)> = Vec::new();
+        let mut reads: Vec<(BoxRef, u64)> = Vec::new();
         let mut seen: FxHashSet<BoxId> = FxHashSet::default();
         for &m in &ordered {
             for entry in nodes[m].reads.published() {
@@ -1022,16 +1010,36 @@ impl TopLevel {
                     ReadOrigin::Ancestor(_) => info.version,
                 };
                 if seen.insert(entry.id) {
-                    reads.push((entry.id, entry.body, version));
+                    reads.push((entry.body, version));
                 }
             }
         }
         let (_, writes) = Self::overlay_writes(&nodes, &ordered);
-        *core.escape.lock() = Some(EscapeRecord {
-            reads,
-            writes,
-            poisoned,
-            pin: self.pin_oldest(),
+        // The record outlives this incarnation, so it counts its boxes. A
+        // box whose last handle has already gone stays retired: the record
+        // cannot be revalidated, and the future must re-execute.
+        // SAFETY: the borrows were logged under this incarnation's
+        // registration or borrow a handle it keeps, both alive here.
+        let count = |b: BoxRef| unsafe { b.upgrade() };
+        let reads: Option<Vec<_>> = reads
+            .into_iter()
+            .map(|(b, v)| Some((count(b)?, v)))
+            .collect();
+        let writes: Option<Vec<_>> = writes
+            .into_iter()
+            .map(|(_, b, v)| Some((count(b)?, v)))
+            .collect();
+        *core.escape.lock() = Some(match (reads, writes) {
+            (Some(reads), Some(writes)) => EscapeRecord {
+                reads,
+                writes,
+                poisoned,
+            },
+            _ => EscapeRecord {
+                reads: Vec::new(),
+                writes: Vec::new(),
+                poisoned: true,
+            },
         });
     }
 }

@@ -227,7 +227,7 @@ impl StmBackend for Stm {
         // drops its chain's values) and our own snapshot counted, unlike
         // above: an escaping future may still borrow under it (see
         // `wtf-backend`'s horizon module docs).
-        inner.horizon.drain(snapshot);
+        inner.horizon.drain();
         inner.stats.commits.fetch_add(1, Ordering::Relaxed);
         inner
             .stats

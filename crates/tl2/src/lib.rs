@@ -434,7 +434,7 @@ impl StmBackend for Tl2Stm {
         drop(guards);
         // Free the retired bodies every registered snapshot (ours
         // included) has passed — a lock-free check when there are none.
-        inner.horizon.drain(snapshot);
+        inner.horizon.drain();
         inner.commits.fetch_add(1, Ordering::Relaxed);
         if tracer.on() {
             let dur = tracer.span_end(EventKind::StmCommitSpan, commit_start, version);

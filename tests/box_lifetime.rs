@@ -9,7 +9,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use transactional_futures::clock::Clock;
-use transactional_futures::{BackendKind, FutureTm, Semantics, TxCtx, TxFuture, TxResult, VBox};
+use transactional_futures::{
+    BackendKind, FutState, FutureTm, Semantics, TxCtx, TxFuture, TxResult, VBox,
+};
 
 fn tm_on(kind: BackendKind, semantics: Semantics) -> FutureTm {
     FutureTm::builder()
@@ -142,24 +144,41 @@ fn a_box_dropped_with_nothing_registered_is_freed_at_once() {
     }
 }
 
+/// When the last handles of an escaping future's boxes go.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum LastHandles {
+    /// After the future escaped: its record counts the boxes.
+    AfterEscape,
+    /// The same, with the box it read overwritten first.
+    AfterEscapeStale,
+    /// In the future's own body, before it escapes: the boxes are
+    /// retired by the time the record is resolved.
+    InTheBody,
+}
+
 /// Runs a GAC future that escapes its spawner, drops every handle of the
-/// boxes it read and wrote, then has a second top-level evaluate it. With
-/// `stale`, the box it read is overwritten first, so the evaluation must
-/// re-execute instead of adopting. Returns the evaluated value, the
-/// adoptions and re-executions counted, and the final retired count.
-fn escape_after_last_handles(kind: BackendKind, stale: bool) -> (i64, u64, u64, usize) {
+/// boxes it read and wrote (at `last`), then has a second top-level
+/// evaluate it. Returns the evaluated value, the adoptions and
+/// re-executions counted, and the final retired count.
+fn escape_with_last_handles(kind: BackendKind, last: LastHandles) -> (i64, u64, u64, usize) {
     Clock::virtual_time().enter(|| {
         let tm = tm_on(kind, Semantics::WO_GAC);
         let x = tm.new_vbox(21i64);
         let y = tm.new_vbox(0i64);
         let held = Arc::new(Mutex::new(Some((x.clone(), y.clone()))));
+        let own = (last != LastHandles::InTheBody).then_some((x, y));
         let slot = tm.new_vbox::<Option<TxFuture<i64>>>(None);
         let (h, s) = (held.clone(), slot.clone());
         tm.atomic_infallible(move |ctx| {
             let h = h.clone();
             let f = ctx.submit(move |c| {
                 c.work(500);
-                let boxes = h.lock().unwrap().clone();
+                let mut held = h.lock().unwrap();
+                let boxes = match last {
+                    LastHandles::InTheBody => held.take(),
+                    _ => held.clone(),
+                };
+                drop(held);
                 match boxes {
                     Some((x, y)) => {
                         let v = c.read(&x)?;
@@ -174,24 +193,25 @@ fn escape_after_last_handles(kind: BackendKind, stale: bool) -> (i64, u64, u64, 
         });
         // Let the future run to completion: it escapes.
         Clock::current().advance(1_000);
-        if stale {
-            tm.atomic_infallible(|ctx| ctx.write(&x, 50));
+        if let Some((x, y)) = own {
+            if last == LastHandles::AfterEscapeStale {
+                tm.atomic_infallible(|ctx| ctx.write(&x, 50));
+            }
+            // Every handle of `x` and `y` but the record's.
+            drop((x, y));
+            held.lock().unwrap().take();
+            assert_eq!(retired(&tm), 0, "{kind:?}: the record holds them");
         }
-        // The last handles of `x` and `y`: the escape record still
-        // borrows both.
-        drop((x, y));
-        held.lock().unwrap().take();
-        assert_eq!(retired(&tm), 2, "{kind:?}: the record pins them");
         let s = slot.clone();
         let v = tm.atomic_infallible(move |ctx| {
             let f = ctx.read(&s)?.expect("published");
             ctx.evaluate(&f)
         });
-        // The record's pin went with the evaluating top-level. A body is
-        // freed once the horizon has passed its retirement: a re-executing
-        // evaluation commits nothing, so the first commit after it may
-        // still run at that clock (and could itself have borrowed the
-        // body); the second runs past it.
+        // An adopter lets go of the record's boxes when it ends. A body is
+        // freed once the horizon has passed its retirement: a
+        // re-executing evaluation commits nothing, so the first commit
+        // after it may still run at that clock (and could itself have
+        // borrowed the body); the second runs past it.
         for _ in 0..2 {
             tm.atomic_infallible(|ctx| ctx.write(&slot, None));
         }
@@ -202,21 +222,86 @@ fn escape_after_last_handles(kind: BackendKind, stale: bool) -> (i64, u64, u64, 
     })
 }
 
-/// An escaped future whose boxes lost their last handles before it was
-/// evaluated is adopted (its borrows revalidated and committed under the
-/// spawner's pin) or, when its read went stale, re-executed.
+/// An escaped future whose boxes lost every other handle before it was
+/// evaluated is adopted (its record counts the boxes, so they are still
+/// there to revalidate and commit) or, when its read went stale,
+/// re-executed. One whose boxes had no handle left when it escaped
+/// cannot be revalidated: it re-executes too.
 #[test]
 fn an_escaped_future_outlives_the_handles_of_its_boxes() {
+    use LastHandles::*;
     for kind in BackendKind::ALL {
         assert_eq!(
-            escape_after_last_handles(kind, false),
+            escape_with_last_handles(kind, AfterEscape),
             (42, 1, 0, 0),
             "{kind:?}: adopted"
         );
         assert_eq!(
-            escape_after_last_handles(kind, true),
+            escape_with_last_handles(kind, AfterEscapeStale),
             (-1, 1, 1, 0),
-            "{kind:?}: re-executed"
+            "{kind:?}: stale, re-executed"
+        );
+        assert_eq!(
+            escape_with_last_handles(kind, InTheBody),
+            (-1, 1, 1, 0),
+            "{kind:?}: retired, re-executed"
+        );
+    }
+}
+
+/// An escaped future published through a box and never evaluated goes
+/// with that box, record and all: it holds back no retired body, and
+/// dropping the TM still frees what is retired then.
+#[test]
+fn an_unevaluated_escaped_future_holds_no_body_back() {
+    for kind in BackendKind::ALL {
+        let drops = Arc::new(AtomicUsize::new(0));
+        Clock::virtual_time().enter(|| {
+            let tm = tm_on(kind, Semantics::WO_GAC);
+            let x = tm.new_vbox(21i64);
+            let slot = tm.new_vbox::<Option<TxFuture<i64>>>(None);
+            let (x2, s) = (x.clone(), slot.clone());
+            tm.atomic_infallible(move |ctx| {
+                let x = x2.clone();
+                let f = ctx.submit(move |c| {
+                    c.work(500);
+                    c.read(&x)
+                })?;
+                ctx.write(&s, Some(f))
+            });
+            // Let the future run to completion: it escapes, and its
+            // record is resolved.
+            Clock::current().advance(1_000);
+            let f = slot.read_latest().expect("published");
+            assert_eq!(f.state(), FutState::Completed, "{kind:?}: escaped");
+            drop((f, x, slot));
+            // Boxes retired behind a snapshot, then freed by commits once
+            // it ends: each commit frees what was retired before it
+            // began, and a freed body may retire the boxes its values
+            // held (the slot's future holds `x`).
+            let other = tm.new_vbox(0i64);
+            let reader = tm.stm().acquire_snapshot();
+            for _ in 0..10 {
+                drop(tm.new_vbox(Counted(drops.clone())));
+            }
+            drop(reader);
+            for i in 0..3 {
+                tm.atomic_infallible(|ctx| ctx.write(&other, i));
+            }
+            assert_eq!(retired(&tm), 0, "{kind:?}");
+            assert_eq!(drops.load(Ordering::SeqCst), 10, "{kind:?}");
+            // One more body retired when the TM drops.
+            let reader = tm.stm().acquire_snapshot();
+            drop(tm.new_vbox(Counted(drops.clone())));
+            drop(reader);
+            assert_eq!(retired(&tm), 1, "{kind:?}");
+            tm.shutdown();
+            drop(tm);
+        });
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            11,
+            "{kind:?}: the TM freed it"
         );
     }
 }
