@@ -57,7 +57,7 @@ pub const LOCK_CRATES: [&str; 3] = ["backend", "mvstm", "tl2"];
 /// The runtime: the substrate contract, its two implementations, the
 /// futures layer and the checker. The misuse pass lets them call the raw
 /// substrate operations, hold snapshots and unwrap commits.
-pub const RUNTIME_CRATES: [&str; 5] = ["backend", "core", "mvstm", "tl2", "check"];
+pub const RUNTIME_CRATES: [&str; 5] = ["backend", "core", "mvstm", "tl2", "report"];
 
 /// One audit finding.
 #[derive(Debug, Clone, PartialEq, Eq)]

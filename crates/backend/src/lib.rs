@@ -13,13 +13,13 @@
 //!   (single-version, lock-striped, lazy-versioning) each implement on
 //!   their own box and STM types;
 //! * the one transaction path over it: typed boxes ([`TBox`]), the
-//!   stepwise transaction ([`BackendTxn`]) that `wtf-check`'s explorers
+//!   stepwise transaction ([`BackendTxn`]) that `wtf-report`'s explorers
 //!   drive one operation at a time, and the plain retry loop ([`atomic`])
 //!   — the paper's no-futures baseline. `wtf-core` layers transactional
 //!   futures on the same two traits.
 //!
 //! The contract every backend must honour, because the offline checker
-//! (`wtf-check`) re-derives commit/abort decisions from traces alone:
+//! (`wtf-report`) re-derives commit/abort decisions from traces alone:
 //!
 //! * commit versions are globally unique tickets, so `version -> writer`
 //!   is a bijection invertible from [`StmInstall`](wtf_trace::EventKind)
@@ -347,7 +347,7 @@ impl<T> std::fmt::Debug for TBox<T> {
 // ---------------------------------------------------------------------------
 
 /// An in-flight transaction on any substrate. Driven stepwise by
-/// `wtf-check`'s schedule explorers and wrapped by [`atomic`] for
+/// `wtf-report`'s schedule explorers and wrapped by [`atomic`] for
 /// retry-until-commit use.
 ///
 /// [`BackendTxn::read`] is fallible: on a single-version backend a read
@@ -445,7 +445,7 @@ impl<'s> BackendTxn<'s> {
 
     /// The commit-time serialization record: sorted `CommitRead`s followed
     /// by the `TxnCommit` marker, contiguous on the committing thread's
-    /// lane (the shape `wtf-check` inverts).
+    /// lane (the shape `wtf-report` inverts).
     fn record_commit(
         backend: &dyn StmBackend,
         read_set: &FxHashMap<BoxId, (BoxRef, u64)>,

@@ -11,6 +11,7 @@
 use std::sync::Arc;
 use wtf_bench::{emit_report, f3, table_header, table_row, FigReport};
 use wtf_core::{with_backend, BackendKind, FutureTm, Semantics, TxFuture};
+use wtf_report::Trace;
 use wtf_trace::{chrome, knobs, Json, Tracer};
 use wtf_vclock::Clock;
 
@@ -89,34 +90,26 @@ fn main() {
         ("WO (weakly ordered)", "wo", Semantics::WO_GAC, false),
     ] {
         let (completions, makespan, tracer) = run(sem, in_order);
-        // WTF_CHECK=1: re-derive a serialization witness for the run we
-        // just traced, independently of the TM's own bookkeeping.
-        if knobs::env().check() {
-            match wtf_check::HistoryChecker::from_tracer(&tracer).verify() {
-                Ok(rep) => eprintln!("wtf-check[{mode}]: {}", rep.summary()),
-                Err(e) => panic!("WTF_CHECK failed for fig3 {mode}: {e}"),
-            }
-        }
-        // WTF_PROFILE=1: causal critical-path profile of the run we just
-        // traced — under SO the report should finger the straggler future
-        // as the dominant culprit. The partition invariant (category
-        // totals == makespan) is enforced here, so CI smoke fails loudly
-        // if attribution ever leaks time.
-        if knobs::env().profile() && tracer.summary().enabled() {
-            match wtf_profile::Profile::from_tracer_with_makespan(&tracer, makespan) {
-                Ok(p) => {
-                    if let Err(e) = p.verify_partition() {
-                        panic!("WTF_PROFILE partition check failed for fig3 {mode}: {e}");
-                    }
-                    emit_report(&format!("fig3_profile_{mode}"), &p.report(10));
-                    let folded =
-                        wtf_bench::results_dir().join(format!("fig3_profile_{mode}.folded"));
-                    std::fs::write(&folded, p.folded_stacks())
-                        .unwrap_or_else(|e| panic!("write {}: {e}", folded.display()));
-                    eprintln!("wtf-profile[{mode}]: wrote {}", folded.display());
-                }
-                Err(e) => panic!("WTF_PROFILE failed for fig3 {mode}: {e}"),
-            }
+        // WTF_REPORT=1: verify the run we just traced independently of
+        // the TM's own bookkeeping, and profile its critical path — under
+        // SO the report should finger the straggler future as the
+        // dominant culprit. `analyze` gates on the partition invariant
+        // (category totals == makespan), so CI fails loudly if
+        // attribution ever leaks time.
+        if knobs::env().report() && tracer.summary().enabled() {
+            let trace = Trace {
+                makespan: Some(makespan),
+                ..Trace::from_tracer(&tracer)
+            };
+            let (check, profile) = trace
+                .analyze()
+                .unwrap_or_else(|e| panic!("WTF_REPORT failed for fig3 {mode}: {e}"));
+            eprintln!("wtf-report[{mode}]: {}", check.summary());
+            emit_report(&format!("fig3_profile_{mode}"), &profile.report(10));
+            let folded = wtf_bench::results_dir().join(format!("fig3_profile_{mode}.folded"));
+            std::fs::write(&folded, profile.folded_stacks())
+                .unwrap_or_else(|e| panic!("write {}: {e}", folded.display()));
+            eprintln!("wtf-report[{mode}]: wrote {}", folded.display());
         }
         let order: Vec<String> = completions
             .iter()
@@ -143,7 +136,7 @@ fn main() {
         // timeline of the straggler pipeline (only when tracing is on —
         // an empty trace would overwrite a useful baseline with noise).
         if tracer.summary().enabled() {
-            let trace = chrome::chrome_trace(&tracer.lanes());
+            let trace = chrome::chrome_trace(&tracer.lanes(), tracer.events_dropped());
             emit_report(&format!("fig3_trace_{mode}"), &trace);
         }
     }

@@ -377,7 +377,7 @@ mod tests {
                 ),
             ])
         };
-        // A baseline generated without WTF_PROFILE (null) against a fresh
+        // A baseline generated without WTF_REPORT (null) against a fresh
         // run with a full report block — and vice versa — never trips the
         // perf gate, exactly like `trace`.
         let block = Json::obj(vec![

@@ -387,8 +387,8 @@ impl FutureTm {
         // Replay restarts are bounded defensively; beyond the cap we fall
         // back to a full restart (fresh snapshot).
         const MAX_REPLAYS: u32 = 10_000;
-        let mut top: Option<Arc<TopLevel>> = None;
-        let mut replay: Option<Vec<Arc<crate::future::FutureCore>>> = None;
+        // `Some` when the next attempt replays this incarnation.
+        let mut replay: Option<Arc<TopLevel>> = None;
         // Retry lineage: the id of the incarnation a full restart abandoned,
         // linked to its successor via a `TopRetry` event so the profiler can
         // charge the abandoned attempt's work to the retry that won.
@@ -398,68 +398,41 @@ impl FutureTm {
         loop {
             guard += 1;
             assert!(guard < 200_000, "atomic outer retry spinning");
-            let (t, root) = match (&top, replay.take()) {
-                (Some(t), Some(q)) => {
+            let replayed = replay.is_some();
+            let (t, ctx) = match replay.take() {
+                Some(t) => {
                     // Internal (replay) restart on the same incarnation.
                     let (harvested, root) = t.restart_top_chain(&self.inner);
-                    let mut queue = q;
-                    let fresh: Vec<_> = harvested
-                        .into_iter()
-                        .filter(|f| !queue.iter().any(|g| Arc::ptr_eq(f, g)))
-                        .collect();
-                    queue.extend(fresh);
-                    let t = t.clone();
-                    let mut ctx = TxCtx::new(self.inner.clone(), t.clone(), root.clone());
-                    ctx.set_replay(queue);
-                    match self.run_attempt(&t, ctx, &mut body) {
-                        AttemptOutcome::Done(v) => return v,
-                        AttemptOutcome::Internal => {
-                            replays += 1;
-                            if replays < MAX_REPLAYS {
-                                replay = Some(Vec::new());
-                                continue;
-                            }
-                            self.inner.stats.top_internal_restarts();
-                            self.inner
-                                .tracer
-                                .record(EventKind::TopInternalRestart, t.id, 0);
-                            t.cancel(&self.inner);
-                            prev_top = Some(t.id);
-                            top = None;
-                            continue;
-                        }
-                        AttemptOutcome::Full => {
-                            t.cancel(&self.inner);
-                            prev_top = Some(t.id);
-                            top = None;
-                            continue;
-                        }
-                    }
+                    let mut ctx = TxCtx::new(self.inner.clone(), t.clone(), root);
+                    ctx.set_replay(harvested);
+                    (t, ctx)
                 }
-                _ => {
+                None => {
                     let t = TopLevel::begin(&self.inner);
                     if let Some(prev) = prev_top.take() {
                         self.inner.tracer.record(EventKind::TopRetry, t.id, prev);
                     }
-                    let root = t.root.clone();
-                    (t, root)
+                    let ctx = TxCtx::new(self.inner.clone(), t.clone(), t.root.clone());
+                    (t, ctx)
                 }
             };
-            let ctx = TxCtx::new(self.inner.clone(), t.clone(), root);
             match self.run_attempt(&t, ctx, &mut body) {
                 AttemptOutcome::Done(v) => return v,
                 AttemptOutcome::Internal => {
-                    top = Some(t);
-                    replay = Some(Vec::new());
-                    continue;
+                    replays += u32::from(replayed);
+                    if !replayed || replays < MAX_REPLAYS {
+                        replay = Some(t);
+                        continue;
+                    }
+                    self.inner.stats.top_internal_restarts();
+                    self.inner
+                        .tracer
+                        .record(EventKind::TopInternalRestart, t.id, 0);
                 }
-                AttemptOutcome::Full => {
-                    t.cancel(&self.inner);
-                    prev_top = Some(t.id);
-                    top = None;
-                    continue;
-                }
+                AttemptOutcome::Full => {}
             }
+            t.cancel(&self.inner);
+            prev_top = Some(t.id);
         }
     }
 

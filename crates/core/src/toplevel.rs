@@ -862,7 +862,7 @@ impl TopLevel {
         tm.stats.top_commits();
         // Serialization record: one `CommitRead` per gathered read,
         // contiguous on this lane immediately before the `TopCommit`, so
-        // offline checkers (`wtf-check`) can rebuild the committed
+        // offline checkers (`wtf-report`) can rebuild the committed
         // read-set from the trace alone.
         let mut rec = rec.unwrap_or_default();
         rec.sort_unstable();

@@ -12,8 +12,8 @@
 /// cycles.
 ///
 /// This is the single cycle finder shared by [`Polygraph::find_cycle`]
-/// (the doom explainer behind the DOT exporters) and `wtf-check`'s
-/// trace-driven history checker.
+/// (the doom explainer behind the DOT exporters and `wtf-report`'s
+/// trace-driven history checker) and `wtf-audit`'s lock-order check.
 pub fn find_cycle_in(nodes: usize, edges: &[(usize, usize)]) -> Option<Vec<(usize, usize)>> {
     let mut adj = vec![Vec::new(); nodes];
     for &(a, b) in edges {
@@ -161,7 +161,7 @@ impl Polygraph {
 
     /// Returns a concrete cycle among the **fixed** edges, as a closed
     /// edge list, or `None` if the fixed edges form a DAG. Delegates to
-    /// [`find_cycle_in`], the cycle finder shared with `wtf-check`.
+    /// [`find_cycle_in`], the cycle finder shared with `wtf-audit`.
     ///
     /// This is the doom explainer: when [`Polygraph::acyclic_witness`]
     /// returns `None` because the fixed edges alone are cyclic, this

@@ -238,7 +238,7 @@ impl Stm {
     }
 }
 
-/// Mutation hooks for `wtf-check`'s checker self-tests: deliberately
+/// Mutation hooks for `wtf-report`'s checker self-tests: deliberately
 /// break one protocol branch so a test can assert the offline checker
 /// catches the resulting bad history. Compiled only under the
 /// `test-hooks` feature and off by default even then; never enable the

@@ -131,7 +131,7 @@ impl StmBackend for Stm {
         }
         let stripes = inner.stripes.lock_mask(mask);
         // Mutation hook (`test-hooks` feature only): checker self-tests flip
-        // this to skip validation and assert `wtf-check` rejects the
+        // this to skip validation and assert `wtf-report` rejects the
         // resulting non-serializable history.
         #[cfg(feature = "test-hooks")]
         let validate = !crate::test_hooks::skip_validation();

@@ -28,7 +28,7 @@
 //! The trace contract is identical to mvstm's — `StmInstall` per written
 //! box, sorted `CommitRead`s + `TxnCommit`/`TopCommit` serialization
 //! records (emitted by the layers above), conflict charges on the exact
-//! box that failed — so `wtf-check`'s offline serializability checker and
+//! box that failed — so `wtf-report`'s offline serializability checker and
 //! the abort-attribution reports work on TL2 histories unchanged.
 //!
 //! ## Why reads can never fail *spuriously*

@@ -6,14 +6,28 @@
 //! the virtual clock that makes one work unit render as 1 µs, which is
 //! exactly the scale the figures reason in. All events share `pid` 1;
 //! `tid` is the recording lane's index, so Perfetto shows one row per
-//! worker/client thread.
+//! worker/client thread. A trace whose lanes dropped events carries one
+//! metadata record (`"ph":"M"`) named `events_dropped` with the count, so
+//! an offline reader sees the truncation too; a complete trace has none.
 
-use crate::event::{EventKind, TraceEvent};
+use crate::event::{EventKind, Lanes, TraceEvent};
 use crate::json::Json;
 
-/// Renders `(lane_index, events)` groups as a Chrome trace JSON array.
-pub fn chrome_trace(lanes: &[(usize, Vec<TraceEvent>)]) -> Json {
+/// Name of the metadata record that carries the drop count.
+const DROPPED: &str = "events_dropped";
+
+/// Renders `(lane_index, events)` groups as a Chrome trace JSON array,
+/// plus the drop-count record when `dropped > 0`.
+pub fn chrome_trace(lanes: &[(usize, Vec<TraceEvent>)], dropped: u64) -> Json {
     let mut out = Vec::new();
+    if dropped > 0 {
+        out.push(Json::obj(vec![
+            ("name", DROPPED.into()),
+            ("ph", "M".into()),
+            ("pid", 1u64.into()),
+            ("args", Json::obj(vec![("count", dropped.into())])),
+        ]));
+    }
     for (tid, events) in lanes {
         for ev in events {
             let (a_name, b_name) = ev.kind.arg_names();
@@ -40,26 +54,23 @@ pub fn chrome_trace(lanes: &[(usize, Vec<TraceEvent>)]) -> Json {
 }
 
 /// Parses a Chrome trace JSON array (as produced by [`chrome_trace`])
-/// back into `(lane_index, events)` groups, the inverse mapping used by
-/// `wtf-check` to re-verify exported traces offline.
+/// back into `(lane_index, events)` groups and the drop count, the
+/// inverse mapping `wtf-report` uses to analyze exported traces offline.
 ///
 /// Records whose `name` is not a known [`EventKind`] are skipped (a
 /// foreign trace may carry metadata records); records with a known name
 /// but missing/mistyped fields are errors — silently dropping those
 /// would let a truncated or corrupted trace pass vacuously.
-pub fn parse_chrome_trace(json: &Json) -> Result<Vec<(usize, Vec<TraceEvent>)>, String> {
+pub fn parse_chrome_trace(json: &Json) -> Result<(Lanes, u64), String> {
     let records = json
         .as_arr()
         .ok_or("chrome trace: top level is not an array")?;
-    let mut lanes: Vec<(usize, Vec<TraceEvent>)> = Vec::new();
+    let mut lanes: Lanes = Vec::new();
+    let mut dropped = 0;
     for (i, rec) in records.iter().enumerate() {
         let name = match rec.get("name").and_then(Json::as_str) {
             Some(n) => n,
             None => return Err(format!("chrome trace: record {i} has no name")),
-        };
-        let kind = match EventKind::from_name(name) {
-            Some(k) => k,
-            None => continue,
         };
         let field = |key: &str| -> Result<u64, String> {
             rec.get(key)
@@ -71,6 +82,14 @@ pub fn parse_chrome_trace(json: &Json) -> Result<Vec<(usize, Vec<TraceEvent>)>, 
                 .and_then(|a| a.get(key))
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("chrome trace: record {i} ({name}): bad arg {key:?}"))
+        };
+        if name == DROPPED {
+            dropped += arg("count")?;
+            continue;
+        }
+        let kind = match EventKind::from_name(name) {
+            Some(k) => k,
+            None => continue,
         };
         let ts = field("ts")?;
         let tid = field("tid")? as usize;
@@ -87,7 +106,7 @@ pub fn parse_chrome_trace(json: &Json) -> Result<Vec<(usize, Vec<TraceEvent>)>, 
         }
     }
     lanes.sort_by_key(|(t, _)| *t);
-    Ok(lanes)
+    Ok((lanes, dropped))
 }
 
 #[cfg(test)]
@@ -114,7 +133,7 @@ mod tests {
                 },
             ],
         )];
-        let j = chrome_trace(&lanes);
+        let j = chrome_trace(&lanes, 0);
         let arr = j.as_arr().unwrap();
         assert_eq!(arr.len(), 2);
         assert_eq!(arr[0].get("ph"), Some(&Json::Str("i".into())));
@@ -161,18 +180,42 @@ mod tests {
                 }],
             ),
         ];
-        let exported = chrome_trace(&lanes);
+        let exported = chrome_trace(&lanes, 0);
         let back = parse_chrome_trace(&exported).unwrap();
-        assert_eq!(back, lanes);
+        assert_eq!(back, (lanes.clone(), 0));
         // Unknown record names are skipped, not errors.
         let mut arr = exported.as_arr().unwrap().to_vec();
         arr.push(Json::obj(vec![
             ("name", "metadata".into()),
             ("ph", "M".into()),
         ]));
-        assert_eq!(parse_chrome_trace(&Json::Arr(arr)).unwrap(), lanes);
+        assert_eq!(
+            parse_chrome_trace(&Json::Arr(arr)).unwrap(),
+            (lanes.clone(), 0)
+        );
         // A known name with a missing field is an error.
         let bad = Json::Arr(vec![Json::obj(vec![("name", "top_commit".into())])]);
+        assert!(parse_chrome_trace(&bad).is_err());
+    }
+
+    #[test]
+    fn drop_count_round_trips_and_only_when_nonzero() {
+        let lanes = vec![(
+            0usize,
+            vec![TraceEvent {
+                ts: 1,
+                kind: EventKind::TopBegin,
+                a: 7,
+                b: 0,
+            }],
+        )];
+        let complete = chrome_trace(&lanes, 0);
+        assert!(!complete.to_string().contains(DROPPED));
+        let truncated = chrome_trace(&lanes, 5);
+        assert_eq!(truncated.as_arr().unwrap().len(), 2);
+        assert_eq!(parse_chrome_trace(&truncated).unwrap(), (lanes, 5));
+        // A drop record without its count is an error, not a silent 0.
+        let bad = Json::Arr(vec![Json::obj(vec![("name", DROPPED.into())])]);
         assert!(parse_chrome_trace(&bad).is_err());
     }
 }

@@ -187,7 +187,7 @@ impl EventKind {
         }
     }
 
-    /// Inverse of [`EventKind::name`], for trace importers (`wtf-check`
+    /// Inverse of [`EventKind::name`], for trace importers (`wtf-report`
     /// re-reads exported Chrome traces through this).
     pub fn from_name(name: &str) -> Option<EventKind> {
         ALL_KINDS.iter().copied().find(|k| k.name() == name)
@@ -241,6 +241,9 @@ impl EventKind {
         }
     }
 }
+
+/// Harvested lanes: `(lane_index, events)`, ordered by lane index.
+pub type Lanes = Vec<(usize, Vec<TraceEvent>)>;
 
 /// One recorded event. `Copy` and small: rings store these inline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

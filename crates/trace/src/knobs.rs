@@ -1,6 +1,6 @@
 //! The process environment, read in one place.
 //!
-//! Six `WTF_*` variables configure a run, and this module is the only
+//! Five `WTF_*` variables configure a run, and this module is the only
 //! code in the workspace that reads the environment (wtf-audit's
 //! `env-read` rule keeps it that way). Every value has one strict
 //! grammar, and unset or empty means the default:
@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | `WTF_BACKEND` | `BackendKind::parse` (`mvstm`, `tl2`) | `mvstm` |
 //! | `WTF_TRACE` | `0`/`off`, `1`/`lifecycle`, `2`/`full` | `0` |
-//! | `WTF_CHECK`, `WTF_PROFILE` | `0`, `1` | `0` |
+//! | `WTF_REPORT` | `0`, `1` | `0` |
 //! | `WTF_RESULTS_DIR` | a path | `results` |
 //! | `WTF_SNAPSHOT_DIR` | a path | `results/snapshots` |
 //!
@@ -23,13 +23,12 @@ use std::sync::OnceLock;
 
 const BACKEND: &str = "WTF_BACKEND";
 const TRACE: &str = "WTF_TRACE";
-const CHECK: &str = "WTF_CHECK";
-const PROFILE: &str = "WTF_PROFILE";
+const REPORT: &str = "WTF_REPORT";
 const RESULTS_DIR: &str = "WTF_RESULTS_DIR";
 const SNAPSHOT_DIR: &str = "WTF_SNAPSHOT_DIR";
 
 /// Every variable a run reads.
-const NAMES: [&str; 6] = [BACKEND, TRACE, CHECK, PROFILE, RESULTS_DIR, SNAPSHOT_DIR];
+const NAMES: [&str; 5] = [BACKEND, TRACE, REPORT, RESULTS_DIR, SNAPSHOT_DIR];
 
 /// The knobs as seen through `read` (name → raw value): the process
 /// environment via [`env`], a table in tests.
@@ -80,15 +79,6 @@ impl<R: Fn(&str) -> Option<String>> Knobs<R> {
         Some(parse(&v).unwrap_or_else(|| panic!("{name}={v:?}: expected {accepted}")))
     }
 
-    fn flag(&self, name: &str) -> bool {
-        let parse = |v: &str| match v {
-            "0" => Some(false),
-            "1" => Some(true),
-            _ => None,
-        };
-        self.parsed(name, parse, "0 or 1").unwrap_or(false)
-    }
-
     fn path(&self, name: &str) -> Option<PathBuf> {
         self.parsed(name, |v| Some(PathBuf::from(v)), "a path")
     }
@@ -104,14 +94,14 @@ impl<R: Fn(&str) -> Option<String>> Knobs<R> {
             .unwrap_or(TraceLevel::Off)
     }
 
-    /// `WTF_CHECK`: re-verify every traced run with the offline checker.
-    pub fn check(&self) -> bool {
-        self.flag(CHECK)
-    }
-
-    /// `WTF_PROFILE`: attach a causal critical-path profile to traced runs.
-    pub fn profile(&self) -> bool {
-        self.flag(PROFILE)
+    /// `WTF_REPORT`: verify and profile every traced run once it ends.
+    pub fn report(&self) -> bool {
+        let parse = |v: &str| match v {
+            "0" => Some(false),
+            "1" => Some(true),
+            _ => None,
+        };
+        self.parsed(REPORT, parse, "0 or 1").unwrap_or(false)
     }
 
     /// `WTF_RESULTS_DIR`: where the figure binaries write.
@@ -176,26 +166,17 @@ mod tests {
 
     #[test]
     fn flag_tables() {
-        for name in [CHECK, PROFILE] {
-            let read = |table: &[(&str, &str)]| {
-                let knobs = with(table);
-                if name == CHECK {
-                    knobs.check()
-                } else {
-                    knobs.profile()
-                }
-            };
-            assert!(!read(&[]), "{name} unset");
-            assert!(!read(&[(name, "")]), "{name} empty");
-            assert!(!read(&[(name, "0")]));
-            assert!(read(&[(name, "1")]));
-            // `false` used to turn both on: any value but "" and "0" did.
-            for bad in ["false", "true", "yes"] {
-                let msg = panic_message(|| {
-                    read(&[(name, bad)]);
-                });
-                assert_eq!(msg, format!("{name}={bad:?}: expected 0 or 1"));
-            }
+        let read = |table: &[(&str, &str)]| with(table).report();
+        assert!(!read(&[]), "unset");
+        assert!(!read(&[(REPORT, "")]), "empty");
+        assert!(!read(&[(REPORT, "0")]));
+        assert!(read(&[(REPORT, "1")]));
+        // `false` used to turn a flag on: any value but "" and "0" did.
+        for bad in ["false", "true", "yes"] {
+            let msg = panic_message(|| {
+                read(&[(REPORT, bad)]);
+            });
+            assert_eq!(msg, format!("WTF_REPORT={bad:?}: expected 0 or 1"));
         }
     }
 
@@ -246,6 +227,8 @@ mod tests {
             "WTF_METRICS_ADDR",
             "WTF_CM",
             "WTF_METRICS_FILE",
+            "WTF_CHECK",
+            "WTF_PROFILE",
         ] {
             assert!(unknown(names(&[retired])).is_some(), "{retired}");
         }

@@ -5,7 +5,7 @@
 //! evaluation, straggler futures holding up in-order commits. Coarse
 //! end-of-run counters cannot tell those stories, so this crate adds
 //! three instruments, all dependency-free and all gated behind a single
-//! relaxed atomic load per hook:
+//! load of the tracer's fixed level per hook:
 //!
 //! * **Event rings** ([`ring::Lane`]) — per-thread, lock-free,
 //!   append-only buffers of [`TraceEvent`]s timestamped with
@@ -42,7 +42,7 @@ pub mod knobs;
 pub mod ring;
 
 pub use attribution::ConflictMap;
-pub use event::{EventKind, TraceEvent};
+pub use event::{EventKind, Lanes, TraceEvent};
 pub use gauge::{GaugeRegistry, GaugeSeriesSnapshot};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use json::Json;
@@ -50,14 +50,12 @@ pub use ring::Lane;
 
 use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use wtf_vclock::Clock;
 
-/// How much the tracer records. Stored as a `u8` so hooks can gate on a
-/// single relaxed load.
+/// How much the tracer records, fixed when the tracer is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
 pub enum TraceLevel {
     /// Record nothing (the default).
     Off = 0,
@@ -82,14 +80,6 @@ impl TraceLevel {
     /// Level from the `WTF_TRACE` environment variable (unset → Off).
     pub fn from_env() -> TraceLevel {
         knobs::env().trace()
-    }
-
-    fn from_u8(v: u8) -> TraceLevel {
-        match v {
-            1 => TraceLevel::Lifecycle,
-            2 => TraceLevel::Full,
-            _ => TraceLevel::Off,
-        }
     }
 
     pub fn name(self) -> &'static str {
@@ -135,14 +125,11 @@ fn wall_ns() -> u64 {
 
 /// The per-run tracing facade. One `Tracer` is shared (via `Arc`) by the
 /// STM, the core TM, the task pool and the harness; every hook goes
-/// through it. A disabled tracer costs one relaxed atomic load per hook
-/// and allocates no lanes.
+/// through it. A disabled tracer costs one load of its fixed level per
+/// hook and allocates no lanes.
 pub struct Tracer {
     id: u64,
-    // ordering: relaxed-store / relaxed-load — the recording level is a
-    // configuration knob; hooks that race a level change may record or
-    // skip one event, which perturbs nothing.
-    level: AtomicU8,
+    level: TraceLevel,
     lane_capacity: usize,
     lanes: Mutex<Vec<Arc<Lane>>>,
     /// Latency histograms (public: recorded by the hooks, read by dumps).
@@ -173,7 +160,7 @@ impl Tracer {
     pub fn with_capacity(level: TraceLevel, lane_capacity: usize) -> Arc<Tracer> {
         Arc::new(Tracer {
             id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
-            level: AtomicU8::new(level as u8),
+            level,
             lane_capacity,
             lanes: Mutex::new(Vec::new()),
             metrics: Metrics::default(),
@@ -183,23 +170,19 @@ impl Tracer {
     }
 
     pub fn level(&self) -> TraceLevel {
-        TraceLevel::from_u8(self.level.load(Ordering::Relaxed))
-    }
-
-    pub fn set_level(&self, level: TraceLevel) {
-        self.level.store(level as u8, Ordering::Relaxed);
+        self.level
     }
 
     /// The single hot-path gate: is any recording enabled?
     #[inline]
     pub fn on(&self) -> bool {
-        self.level.load(Ordering::Relaxed) != 0
+        self.level != TraceLevel::Off
     }
 
     /// Is per-operation (`Full`) recording enabled?
     #[inline]
     pub fn full(&self) -> bool {
-        self.level.load(Ordering::Relaxed) >= 2
+        self.level == TraceLevel::Full
     }
 
     /// Current timestamp: the entered [`Clock`] if any (virtual units or
@@ -311,7 +294,7 @@ impl Tracer {
     /// Harvests all lanes as `(lane_index, events)`, ordered by index.
     /// Meant to run after recording threads have quiesced; a concurrent
     /// writer's tail events may be missed but never torn.
-    pub fn lanes(&self) -> Vec<(usize, Vec<TraceEvent>)> {
+    pub fn lanes(&self) -> Lanes {
         let lanes = self.lanes.lock();
         let mut out: Vec<(usize, Vec<TraceEvent>)> =
             lanes.iter().map(|l| (l.index(), l.events())).collect();
@@ -332,7 +315,7 @@ impl Tracer {
     /// The full event-ring export in Chrome trace-event JSON (open in
     /// Perfetto or `chrome://tracing`).
     pub fn chrome_trace_json(&self) -> String {
-        chrome::chrome_trace(&self.lanes()).to_string()
+        chrome::chrome_trace(&self.lanes(), self.events_dropped()).to_string()
     }
 
     /// Point-in-time metrics summary for the machine-readable dump.

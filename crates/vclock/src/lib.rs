@@ -10,11 +10,11 @@
 //! is virtualized through [`Event`]s, and shared hardware bottlenecks (the
 //! memory bus) are modeled with [`Resource`]s.
 //!
-//! The same API also runs in **real-time mode** ([`Clock::real`]), where
-//! `advance` burns calibrated CPU work, events are condition variables
-//! (polled briefly before a thread parks on them) and threads are plain OS
-//! threads — used by the unit/stress tests and the
-//! Criterion micro-benchmarks.
+//! The same API also runs in **real-time mode** ([`Clock::real_nospin`]),
+//! where `advance` charges nothing (the work itself takes the time),
+//! events are condition variables (polled briefly before a thread parks on
+//! them) and threads are plain OS threads — used by the unit/stress
+//! tests, the Criterion micro-benchmarks and the real-thread benchmark.
 //!
 //! Virtual executions are fully deterministic: scheduling ties are broken
 //! by thread spawn order, so a run is a pure function of the workload's RNG
@@ -43,11 +43,9 @@
 
 mod event;
 mod real;
-mod spin;
 mod virt;
 
 pub use event::Event;
-pub use spin::spin_work;
 
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -123,19 +121,11 @@ thread_local! {
 }
 
 impl Clock {
-    /// A real-time clock: `advance` burns calibrated CPU work, events are
-    /// condition variables, `now` is wall-clock nanoseconds.
-    pub fn real() -> Self {
-        Clock {
-            inner: Arc::new(ClockImpl::Real(RealClock::new())),
-        }
-    }
-
-    /// A real-time clock whose `advance` is a no-op (no spinning). Useful
-    /// in unit tests where costs are irrelevant.
+    /// A real-time clock: `advance` is a no-op, events are condition
+    /// variables, `now` is wall-clock nanoseconds.
     pub fn real_nospin() -> Self {
         Clock {
-            inner: Arc::new(ClockImpl::Real(RealClock::new_nospin())),
+            inner: Arc::new(ClockImpl::Real(RealClock::new())),
         }
     }
 
@@ -210,7 +200,7 @@ impl Clock {
             return;
         }
         match &*self.inner {
-            ClockImpl::Real(r) => r.advance(cost),
+            ClockImpl::Real(_) => {}
             ClockImpl::Virtual(v) => {
                 v.advance(Self::current_tid().expect("not a clock thread"), cost)
             }
@@ -227,13 +217,13 @@ impl Clock {
 
     /// Charges `cost` units through a shared resource: in virtual mode the
     /// cost is serialized globally across threads (modeling a saturated
-    /// bus); in real mode this is equivalent to [`Clock::advance`].
+    /// bus); in real mode it charges nothing, like [`Clock::advance`].
     pub fn acquire(&self, res: Resource, cost: u64) {
         if cost == 0 {
             return;
         }
         match &*self.inner {
-            ClockImpl::Real(r) => r.advance(cost),
+            ClockImpl::Real(_) => {}
             ClockImpl::Virtual(v) => {
                 v.acquire(Self::current_tid().expect("not a clock thread"), res, cost)
             }

@@ -1,4 +1,5 @@
-//! Real-time clock: OS threads, wall-clock time, calibrated spin work.
+//! Real-time clock: OS threads and wall-clock time; work costs nothing
+//! beyond the time it takes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -15,7 +16,6 @@ fn multi_cpu() -> bool {
 
 pub(crate) struct RealClock {
     origin: Instant,
-    spin: bool,
     /// Waiters poll before they park (see `event::real_poll_until`).
     pub(crate) multi_cpu: bool,
     // ordering: relaxed-rmw — monotonic thread-id source; ids only need
@@ -27,16 +27,6 @@ impl RealClock {
     pub(crate) fn new() -> Self {
         RealClock {
             origin: Instant::now(),
-            spin: true,
-            multi_cpu: multi_cpu(),
-            next_tid: AtomicUsize::new(0),
-        }
-    }
-
-    pub(crate) fn new_nospin() -> Self {
-        RealClock {
-            origin: Instant::now(),
-            spin: false,
             multi_cpu: multi_cpu(),
             next_tid: AtomicUsize::new(0),
         }
@@ -50,11 +40,5 @@ impl RealClock {
 
     pub(crate) fn now(&self) -> u64 {
         self.origin.elapsed().as_nanos() as u64
-    }
-
-    pub(crate) fn advance(&self, cost: u64) {
-        if self.spin {
-            crate::spin::spin_work(cost);
-        }
     }
 }

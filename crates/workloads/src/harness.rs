@@ -3,6 +3,7 @@
 use std::sync::Arc;
 use wtf_backend::StmStatsSnapshot;
 use wtf_core::{BackendKind, CostModel, FutureTm, Semantics, TmConfig, TmStatsSnapshot};
+use wtf_report::Trace;
 use wtf_trace::{knobs, Json, TraceLevel, TraceSummary, Tracer};
 use wtf_vclock::Clock;
 
@@ -22,8 +23,8 @@ pub struct RunResult {
     pub stm: StmStatsSnapshot,
     /// Tracing summary for the run (all-zero when tracing was off).
     pub trace: TraceSummary,
-    /// Causal critical-path profile (`wtf-profile` report block), present
-    /// when the run had [`RunSpec::profile`] set and tracing on.
+    /// Causal critical-path profile (the `wtf-profile/v1` block), present
+    /// when the run had [`RunSpec::report`] set and tracing on.
     pub profile: Option<Json>,
 }
 
@@ -78,7 +79,7 @@ impl RunResult {
             ("internal_abort_rate", Json::F64(self.internal_abort_rate())),
             ("tm", counters(self.tm.fields())),
             ("stm", counters(self.stm.fields().to_vec())),
-            // Surfaced at top level (not only inside `trace`) so `wtf-check`
+            // Surfaced at top level (not only inside `trace`) so `wtf-report`
             // can reject truncated-trace results without digging into the
             // summary shape.
             ("dropped_events", self.trace.events_dropped.into()),
@@ -108,11 +109,13 @@ pub struct RunSpec {
     /// `WTF_BACKEND` environment variable (default mvstm), so every figure
     /// binary honours `WTF_BACKEND=tl2` without per-workload plumbing.
     pub backend: BackendKind,
-    /// Causal profiling for this run. [`RunSpec::new`] seeds it from the
-    /// `WTF_PROFILE` environment variable. Profiling needs the full event
-    /// stream, so (like `WTF_CHECK`) it deepens the tracer rings and
-    /// requires `trace` ≠ [`TraceLevel::Off`] to observe anything.
-    pub profile: bool,
+    /// Post-run analysis: verify the traced history, profile its critical
+    /// path and check the partition ([`wtf_report::Trace::analyze`]); a
+    /// failure panics. [`RunSpec::new`] seeds it from the `WTF_REPORT`
+    /// environment variable. It needs the whole event stream, so it
+    /// deepens the tracer rings, and it does nothing while `trace` is
+    /// [`TraceLevel::Off`].
+    pub report: bool,
 }
 
 /// Scoped backend override for workload sweeps — re-exported from
@@ -131,7 +134,7 @@ impl RunSpec {
             units_per_client: 1,
             trace: TraceLevel::from_env(),
             backend: BackendKind::from_env(),
-            profile: knobs::env().profile(),
+            report: knobs::env().report(),
         }
     }
 
@@ -148,9 +151,10 @@ impl RunSpec {
         self
     }
 
-    /// Overrides causal profiling (tests want this independent of env).
-    pub fn with_profile(mut self, profile: bool) -> RunSpec {
-        self.profile = profile;
+    /// Overrides the post-run analysis (tests want this independent of
+    /// env).
+    pub fn with_report(mut self, report: bool) -> RunSpec {
+        self.report = report;
         self
     }
 }
@@ -166,13 +170,10 @@ pub fn run_virtual(spec: &RunSpec, client: ClientFn) -> RunResult {
 /// the summary embedded in the [`RunResult`].
 pub fn run_virtual_traced(spec: &RunSpec, client: ClientFn) -> (RunResult, Arc<Tracer>) {
     let clock = Clock::virtual_time();
-    // `WTF_CHECK=1`: every traced run is re-verified by the offline
-    // serializability checker after it finishes. Checking and causal
-    // profiling both need the full event stream, so lanes get a much
-    // deeper ring than the default.
-    let check = knobs::env().check() && spec.trace != TraceLevel::Off;
-    let profiling = spec.profile && spec.trace != TraceLevel::Off;
-    let tracer = if check || profiling {
+    // The post-run analysis needs the full event stream, so lanes get a
+    // much deeper ring than the default.
+    let report = spec.report && spec.trace != TraceLevel::Off;
+    let tracer = if report {
         Tracer::with_capacity(spec.trace, 1 << 18)
     } else {
         Tracer::new(spec.trace)
@@ -213,16 +214,17 @@ pub fn run_virtual_traced(spec: &RunSpec, client: ClientFn) -> (RunResult, Arc<T
         tm.shutdown();
         (tm_stats, stm_stats)
     });
-    let profile = if profiling {
-        // A truncated trace would silently misattribute the missing time,
-        // so (like WTF_CHECK) a dropped-events profile is a hard failure.
-        match wtf_profile::Profile::from_tracer_with_makespan(&tracer, clock.makespan()) {
-            Ok(p) => Some(p.report(10)),
-            Err(e) => panic!("WTF_PROFILE failed for this run: {e}"),
-        }
-    } else {
-        None
-    };
+    let profile = report.then(|| {
+        let trace = Trace {
+            makespan: Some(clock.makespan()),
+            ..Trace::from_tracer(&tracer)
+        };
+        let (check, profile) = trace
+            .analyze()
+            .unwrap_or_else(|e| panic!("WTF_REPORT failed for this run: {e}"));
+        eprintln!("wtf-report: {}", check.summary());
+        profile.report(10)
+    });
     let result = RunResult {
         makespan: clock.makespan(),
         completed: spec.units_per_client * spec.clients as u64,
@@ -232,12 +234,6 @@ pub fn run_virtual_traced(spec: &RunSpec, client: ClientFn) -> (RunResult, Arc<T
         trace: tracer.summary(),
         profile,
     };
-    if check {
-        match wtf_check::HistoryChecker::from_tracer(&tracer).verify() {
-            Ok(report) => eprintln!("wtf-check: {}", report.summary()),
-            Err(e) => panic!("WTF_CHECK failed for this run: {e}"),
-        }
-    }
     (result, tracer)
 }
 
@@ -424,7 +420,7 @@ mod tests {
             }
             .with_trace(TraceLevel::Lifecycle)
             .with_backend(kind)
-            .with_profile(true);
+            .with_report(true);
             let res = run_virtual(&spec, contended_future_client());
             let profile = res.profile.clone().unwrap_or_else(|| {
                 panic!("profile block missing under {}", kind.name());
@@ -474,7 +470,7 @@ mod tests {
             ..RunSpec::new(Semantics::WO_GAC, 1, 2)
         }
         .with_trace(TraceLevel::Lifecycle)
-        .with_profile(true);
+        .with_report(true);
         let res = run_virtual(&spec, contended_future_client());
         let doc = Json::parse(&res.to_json().to_string()).unwrap();
         assert_eq!(
@@ -484,7 +480,7 @@ mod tests {
             Some("wtf-profile/v1")
         );
 
-        let off = run_virtual(&spec.clone().with_profile(false), contended_future_client());
+        let off = run_virtual(&spec.clone().with_report(false), contended_future_client());
         let doc = Json::parse(&off.to_json().to_string()).unwrap();
         assert_eq!(doc.get("profile"), Some(&Json::Null));
     }

@@ -21,6 +21,9 @@
 //! * [`trace`] (`wtf-trace`) — observability: lock-free event tracing,
 //!   latency histograms, abort attribution, JSON/Perfetto exporters
 //!   (enable with `WTF_TRACE=1`);
+//! * [`report`] (`wtf-report`) — trace analysis: the offline
+//!   serializability checker, the critical-path profiler and the
+//!   schedule explorers;
 //! * [`workloads`] (`wtf-workloads`) — the paper's evaluation workloads.
 //!
 //! ## Quickstart
@@ -82,10 +85,10 @@ pub mod tl2 {
     pub use wtf_tl2::*;
 }
 
-/// Correctness tooling: serializability checker, schedule explorers
-/// (re-export of `wtf-check`).
-pub mod check {
-    pub use wtf_check::*;
+/// Trace analysis: serializability checker, critical-path profiler,
+/// schedule explorers (re-export of `wtf-report`).
+pub mod report {
+    pub use wtf_report::*;
 }
 
 /// The Future Serialization Graph formalism (re-export of `wtf-fsg`).

@@ -7,8 +7,8 @@
 
 use std::sync::Arc;
 use transactional_futures::backend::{atomic, StmBackend, StmError, TBox};
-use transactional_futures::check::HistoryChecker;
 use transactional_futures::clock::Clock;
+use transactional_futures::report::Trace;
 use transactional_futures::stm::Stm;
 use transactional_futures::tl2::Tl2Stm;
 use transactional_futures::trace::{TraceLevel, Tracer};
@@ -54,7 +54,7 @@ fn checked_run(
     });
     let summary = tracer.summary();
     assert_eq!(summary.events_dropped, 0, "{kind:?}: dropped trace events");
-    let report = HistoryChecker::from_tracer(&tracer)
+    let report = Trace::from_tracer(&tracer)
         .verify()
         .unwrap_or_else(|e| panic!("{kind:?}: checker rejected history: {e:?}"));
     assert!(report.events > 0, "{kind:?}: checker consumed no events");

@@ -8,8 +8,8 @@
 //! histories — on every backend.
 
 use std::sync::Arc;
-use transactional_futures::check::HistoryChecker;
 use transactional_futures::clock::Clock;
+use transactional_futures::report::Trace;
 use transactional_futures::stm::StmStatsSnapshot;
 use transactional_futures::trace::{TraceLevel, Tracer};
 use transactional_futures::{BackendKind, FutureTm, Semantics, TmStatsSnapshot, VBox};
@@ -86,7 +86,7 @@ fn run(kind: BackendKind, semantics: Semantics, inflate: bool) -> Outcome {
         out
     });
     assert_eq!(tracer.summary().events_dropped, 0, "dropped trace events");
-    let report = HistoryChecker::from_tracer(&tracer)
+    let report = Trace::from_tracer(&tracer)
         .verify()
         .unwrap_or_else(|e| panic!("{kind:?} inflate={inflate}: checker rejected: {e:?}"));
     assert!(report.events > 0, "checker consumed no events");
