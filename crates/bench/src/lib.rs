@@ -1,4 +1,4 @@
-//! # wtf-bench — figure regeneration and micro-benchmarks
+//! # wtf-bench — figure regeneration
 //!
 //! One binary per figure of the paper's evaluation (§5):
 //!
@@ -14,11 +14,8 @@
 //! All binaries run under the deterministic virtual clock, so their output
 //! is bit-reproducible. Parameters are scaled down from the paper's
 //! 56-core testbed sizes; the mapping is recorded in `EXPERIMENTS.md`.
-//! Criterion micro-benchmarks (`cargo bench`) measure real-time per-op
-//! costs of the substrate (versioned boxes, graph manipulation, future
-//! lifecycle, FSG solving).
-
-pub mod diff;
+//! Real-time per-operation costs are measured by `benchmark/`'s per-layer
+//! ledger, not here.
 
 use std::fmt::Display;
 use std::path::PathBuf;
@@ -46,12 +43,6 @@ pub fn f3(x: f64) -> String {
 /// The thread counts the paper sweeps in Figs. 7–9.
 pub const PAPER_THREADS: [usize; 5] = [4, 8, 14, 28, 56];
 
-/// Shared scaling note printed by every figure binary.
-pub fn print_scaling_note(figure: &str) {
-    println!("## {figure} — regenerated under the deterministic virtual clock");
-    println!("## (paper-scale parameters reduced; see EXPERIMENTS.md for the mapping)");
-}
-
 /// Where the figure binaries write their JSON artifacts: `WTF_RESULTS_DIR`
 /// if set (CI points this at a scratch directory), else `results/` under
 /// the current directory (the workspace root when run via `cargo run`).
@@ -62,7 +53,7 @@ pub fn results_dir() -> PathBuf {
 /// True when the binary was invoked with `--check-json`: after writing the
 /// report, re-read it and fail loudly unless it parses back to the same
 /// document (CI's exporter-regression guard).
-pub fn check_json_requested() -> bool {
+fn check_json_requested() -> bool {
     std::env::args().any(|a| a == "--check-json")
 }
 
@@ -107,13 +98,6 @@ pub struct FigReport {
 }
 
 impl FigReport {
-    pub fn new(figure: &'static str) -> FigReport {
-        FigReport {
-            figure,
-            rows: Vec::new(),
-        }
-    }
-
     /// The shared preamble of every figure binary: scaling note, table
     /// header, empty report. Keeps the six `fig*` mains down to their
     /// actual parameter sweeps.
@@ -123,9 +107,13 @@ impl FigReport {
         table_title: &str,
         columns: &[&str],
     ) -> FigReport {
-        print_scaling_note(note);
+        println!("## {note} — regenerated under the deterministic virtual clock");
+        println!("## (paper-scale parameters reduced; see EXPERIMENTS.md for the mapping)");
         table_header(table_title, columns);
-        FigReport::new(figure)
+        FigReport {
+            figure,
+            rows: Vec::new(),
+        }
     }
 
     /// Adds one row (an insertion-ordered object from `(key, value)` pairs).

@@ -502,8 +502,8 @@ impl FutureTm {
     }
 }
 
-/// Internal data structures re-exported for the repository's Criterion
-/// micro-benchmarks (`wtf-bench`): not a stable API.
+/// Internal data structures re-exported for `benchmark/`'s per-layer
+/// ledger and the litmus and allocation tests: not a stable API.
 #[doc(hidden)]
 pub mod internals {
     pub use crate::graph::{Graph, GraphInner, NodeStatus};

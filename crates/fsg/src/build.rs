@@ -78,15 +78,6 @@ impl Fsg {
             .map(|v| v.id)
     }
 
-    /// First `V_eval(future)` across all threads.
-    pub fn v_eval(&self, future: TxId) -> Option<VertexId> {
-        self.vertices
-            .iter()
-            .filter(|v| v.kind == VertexKind::Eval(future))
-            .min_by_key(|v| v.ops.first().copied().unwrap_or(usize::MAX))
-            .map(|v| v.id)
-    }
-
     /// GraphViz DOT rendering (fixed edges solid, bipaths dashed).
     pub fn to_dot(&self) -> String {
         use std::fmt::Write;

@@ -22,12 +22,11 @@
 //! A history is accepted iff the polygraph is *acyclic*: some choice of
 //! one edge per bipath yields a DAG ([`Fsg::acceptable`]).
 //!
-//! The crate is used three ways in this repository: (1) unit tests encode
+//! The crate is used two ways in this repository: (1) unit tests encode
 //! the paper's example executions (Figs. 1a–1d, 2, 4) and check the
 //! acceptance matrix the paper claims; (2) `wtf-core` can trace its real
 //! executions into [`History`] values, and integration tests assert that
-//! every history the runtime commits is FSG-acceptable (soundness); (3)
-//! the `fsg_ops` Criterion bench measures construction/solve costs.
+//! every history the runtime commits is FSG-acceptable (soundness).
 //!
 //! ## Conflict-direction convention
 //!

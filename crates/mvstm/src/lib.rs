@@ -42,8 +42,8 @@
 //! or through `wtf-core`, which layers transactional futures on the same
 //! trait, exactly as WTF-TM layers on JVSTM ("we abstract the mechanisms
 //! used to regulate concurrency among top-level transactions"). What is
-//! left public beside the trait is mvstm-only: the GC ablation knob and
-//! gauges on [`Stm`], and the [`raw`] diagnostics the tests use.
+//! left public beside the trait is mvstm-only: the gauges on [`Stm`] and
+//! the [`raw`] diagnostics the tests use.
 //!
 //! ## Example
 //!
@@ -79,7 +79,7 @@ pub mod raw;
 pub use wtf_backend::{StmStatsSnapshot, TBox as VBox};
 
 use stats::StmStats;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use stripe::StripeTable;
 use wtf_backend::{BackendTxn, Horizon};
@@ -104,12 +104,6 @@ pub(crate) struct StmInner {
     // ordering: relaxed-rmw — a pure id dispenser; uniqueness is all
     // that matters, nothing is published through it.
     pub(crate) next_box: AtomicU64,
-    /// When false, version chains grow without bound (ablation knob).
-    // ordering: relaxed-store / relaxed-load — a configuration flag read
-    // once per commit. relaxed-guard: skipping or running GC on a stale
-    // value is always safe (pruning is governed by the registry horizon,
-    // not this flag).
-    pub(crate) gc_enabled: AtomicBool,
     /// Total versions ever installed by commits (gauge bookkeeping; the
     /// live retained count is `versions_installed - versions_pruned`).
     // ordering: relaxed-rmw, relaxed-load — a gauge, not
@@ -161,7 +155,6 @@ impl Stm {
                 stripes: Arc::new(StripeTable::new()),
                 stats: StmStats::new(),
                 next_box: AtomicU64::new(0),
-                gc_enabled: AtomicBool::new(true),
                 versions_installed: AtomicU64::new(0),
                 tracer,
             }),
@@ -223,12 +216,6 @@ impl Stm {
     pub fn gc_horizon_lag(&self) -> u64 {
         let clock = self.inner.horizon.now();
         clock.saturating_sub(self.inner.horizon.min_active_excluding(u64::MAX, clock))
-    }
-
-    /// Enables/disables old-version garbage collection (ablation knob,
-    /// benchmarked in `wtf-bench`'s `vbox_ops`).
-    pub fn set_gc_enabled(&self, enabled: bool) {
-        self.inner.gc_enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// `BackendTxn::begin(self)` under the name `benchmark/` calls; kept

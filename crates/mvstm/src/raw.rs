@@ -164,7 +164,6 @@ impl StmBackend for Stm {
         // strictly in ticket order below) can never stall on an aborted
         // commit.
         let version = inner.next_version.fetch_add(1, Ordering::AcqRel) + 1;
-        let gc = inner.gc_enabled.load(Ordering::Relaxed);
         inner
             .versions_installed
             .fetch_add(writes.len() as u64, Ordering::Relaxed);
@@ -211,16 +210,14 @@ impl StmBackend for Stm {
         // box's stripe): the horizon is the oldest live snapshot other than
         // our own dying one.
         let mut pruned = 0usize;
-        if gc {
-            let min_active = inner.horizon.min_active_excluding(snapshot, version);
-            for &(body, _) in &writes {
-                let body = body_of(body);
-                let freed = body.prune(min_active);
-                if freed > 0 {
-                    tracer.record_full(EventKind::StmPrune, body.id.0, freed as u64);
-                }
-                pruned += freed;
+        let min_active = inner.horizon.min_active_excluding(snapshot, version);
+        for &(body, _) in &writes {
+            let body = body_of(body);
+            let freed = body.prune(min_active);
+            if freed > 0 {
+                tracer.record_full(EventKind::StmPrune, body.id.0, freed as u64);
             }
+            pruned += freed;
         }
         drop(stripes);
         // Then the retired box bodies, with no stripe held (a freed body

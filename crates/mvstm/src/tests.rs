@@ -160,17 +160,6 @@ fn gc_respects_active_snapshots() {
 }
 
 #[test]
-fn gc_can_be_disabled() {
-    let stm = Stm::new();
-    stm.set_gc_enabled(false);
-    let x = TBox::new_on(&stm, 0i64);
-    for i in 1..=10 {
-        atomic(&stm, |tx| tx.write(&x, i)).unwrap();
-    }
-    assert_eq!(chain_len(&x), 11);
-}
-
-#[test]
 fn explicit_abort_propagates() {
     let stm = Stm::new();
     let x = TBox::new_on(&stm, 0i64);

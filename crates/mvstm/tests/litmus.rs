@@ -69,7 +69,6 @@ fn mp_head_release_install_pairs_with_acquire_read() {
 #[test]
 fn sb_registry_slot_claim_vs_clock_republish() {
     let stm = Arc::new(Stm::new());
-    stm.set_gc_enabled(true);
     let counter = Arc::new(TBox::new_on(&*stm, 0u64));
 
     let writer = {
@@ -125,7 +124,6 @@ fn sb_registry_slot_claim_vs_clock_republish() {
 fn head_next_lent_payload_survives_concurrent_prune() {
     const LEN: usize = 16;
     let stm = Arc::new(Stm::new());
-    stm.set_gc_enabled(true);
     let payload = Arc::new(TBox::new_on(&*stm, vec![0u64; LEN]));
 
     let writer = {

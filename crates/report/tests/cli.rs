@@ -66,6 +66,24 @@ fn checked_in_fig3_traces_pass() {
     }
 }
 
+/// The checked-in traces are full-detail exports, so the offline verdict
+/// rebuilds each run's FSG (§3.4) instead of checking structure only. A
+/// regeneration at `WTF_TRACE=1` turns this red.
+#[test]
+fn checked_in_fig3_traces_carry_the_fsg() {
+    let (code, text) = run(&["--all", &checked_in("")]);
+    assert_eq!(code, 0, "{text}");
+    for mode in ["so", "wo"] {
+        let file = format!("fig3_trace_{mode}.json: ok: ");
+        let line = text.lines().find(|l| l.contains(&file));
+        let line = line.unwrap_or_else(|| panic!("no verdict on {file}: {text}"));
+        assert!(
+            line.contains(" 8 futures,") && line.ends_with("detail full"),
+            "{line}"
+        );
+    }
+}
+
 #[test]
 fn exported_write_skew_fails() {
     let ev = |kind, a, b| TraceEvent { ts: 0, kind, a, b };

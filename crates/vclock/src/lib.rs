@@ -14,7 +14,7 @@
 //! where `advance` charges nothing (the work itself takes the time),
 //! events are condition variables (polled briefly before a thread parks on
 //! them) and threads are plain OS threads — used by the unit/stress
-//! tests, the Criterion micro-benchmarks and the real-thread benchmark.
+//! tests and the real-thread benchmark.
 //!
 //! Virtual executions are fully deterministic: scheduling ties are broken
 //! by thread spawn order, so a run is a pure function of the workload's RNG
