@@ -28,7 +28,7 @@
 //!   (or its release) and computes a horizon `<= s <= stamp`: the body
 //!   stays;
 //! * the free-at-once check (`ActiveRegistry::is_idle`) likewise sees
-//!   the borrower's occupancy.
+//!   the borrower's slot.
 //!
 //! Unlike version GC, a drain does not discount the committer's own
 //! registration: an escaping future may still borrow under it.

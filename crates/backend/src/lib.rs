@@ -7,7 +7,10 @@
 //!
 //! * the vocabulary every backend shares — [`BoxId`], [`Value`] /
 //!   [`TxValue`], [`StmError`] / [`Aborted`] / [`TxResult`],
-//!   [`StmStatsSnapshot`], [`FxHashMap`] / [`FxHashSet`];
+//!   [`StmStatsSnapshot`], [`FxHashMap`] / [`FxHashSet`] — and the
+//!   per-thread pieces every layer uses: [`thread_index`], the
+//!   per-thread [`Counters`] it picks a block of, and [`MaskGuards`],
+//!   the held stripes of a commit;
 //! * the contract itself — [`StmBackend`] and [`BackendBox`] — which
 //!   `wtf-mvstm` (multi-versioned, JVSTM-style) and `wtf-tl2`
 //!   (single-version, lock-striped, lazy-versioning) each implement on
@@ -50,17 +53,21 @@
 
 mod cm;
 mod error;
+mod guards;
 mod hash;
 mod horizon;
 mod registry;
 mod stats;
+mod threads;
 mod value;
 
 pub use cm::{CmKind, CmStats, ImmediateCm};
 pub use error::{Aborted, StmError, TxResult};
+pub use guards::MaskGuards;
 pub use hash::{FxHashMap, FxHashSet};
 pub use horizon::{BackendSnapshot, BoxHandle, BoxRef, Horizon};
 pub use stats::StmStatsSnapshot;
+pub use threads::{thread_index, Counters};
 pub use value::{downcast_value, BoxId, TxValue, Value};
 
 use std::any::Any;
@@ -257,12 +264,18 @@ pub trait StmBackend: Send + Sync {
     /// returns the id of the box whose check failed — already charged to
     /// the tracer's conflict-hotspot report — and installs nothing.
     ///
+    /// `snapshot_ends` says that nothing reads under the caller's
+    /// registration after this commit, so version GC need not keep
+    /// versions for it; a top-level whose escaped future still runs
+    /// passes `false`.
+    ///
     /// Must emit one `StmInstall` event per written box at `Full` trace
     /// detail; `writes` must be non-empty (read-only commits never reach
     /// the backend).
     fn commit_attributed(
         &self,
         snapshot: u64,
+        snapshot_ends: bool,
         reads: &[&dyn BackendBox],
         writes: Vec<(&dyn BackendBox, Value)>,
     ) -> Result<u64, BoxId>;
@@ -437,7 +450,7 @@ impl<'s> BackendTxn<'s> {
             .map(|(b, v)| (body(b), v))
             .collect();
         let version = backend
-            .commit_attributed(snapshot, &reads, writes)
+            .commit_attributed(snapshot, true, &reads, writes)
             .map_err(|_| StmError::Conflict)?;
         Self::record_commit(backend, &self.read_set, version, snapshot);
         Ok(())

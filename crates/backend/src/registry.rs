@@ -5,14 +5,16 @@
 //! GC can prune version chains (mvstm) and free retired box bodies (both
 //! backends) down to the oldest live snapshot.
 //!
-//! The registry is a sharded slot array rather than a mutex-protected
-//! map: registration claims a per-shard atomic slot (threads cache their
-//! last shard so repeat registrations hit a warm, uncontended line),
-//! deregistration is a single store, and the GC horizon scan
-//! ([`ActiveRegistry::min_active_excluding`]) reads the slots lock-free,
-//! skipping whole shards whose occupancy counter is zero. A small
-//! mutex-protected overflow map catches the (never-in-practice) case of
-//! more than [`SLOT_COUNT`] simultaneous transactions.
+//! The registry is a dense slot array rather than a mutex-protected
+//! map. Registration claims the lowest free slot, after first trying the
+//! slot its thread claimed last, so a thread that registers over and over
+//! rewrites one warm line. A high-water mark `hwm` bounds the slots ever
+//! claimed, and the GC horizon scan
+//! ([`ActiveRegistry::min_active_excluding`]) reads `hwm` and the slots
+//! below it, lock-free: with two clients, three lines. Deregistration is
+//! a single store. A small mutex-protected overflow map catches the
+//! (never-in-practice) case of more than [`SLOT_COUNT`] simultaneous
+//! transactions.
 //!
 //! ## Why the lock-free registration/GC race is safe
 //!
@@ -21,36 +23,34 @@
 //! in the registration/GC protocol uses `SeqCst` (the pure diagnostics
 //! accessors at the bottom are relaxed — they decide nothing), so there
 //! is a single total order `S` over them.
-//! Consider a registrant R and a committer C publishing version `v`
-//! (a `SeqCst` store of the clock in `commit_attributed`):
+//! Consider a registrant R claiming slot `i` and a committer C publishing
+//! version `v` (a `SeqCst` store of the clock in `commit_attributed`):
 //!
-//! * R increments its shard's occupancy, claims a slot with some clock
-//!   reading, then **re-reads the clock and republishes its slot until
-//!   the value is stable** (a seqlock-style loop).
-//! * C first publishes `clock = v`, then scans occupancy counters and
-//!   slots.
+//! * R makes sure `hwm > i` (a load that sees it, or a `fetch_max`),
+//!   claims slot `i` with some clock reading, then **re-reads the clock
+//!   and republishes its slot until the value is stable** (a
+//!   seqlock-style loop).
+//! * C first publishes `clock = v`, then loads `hwm` and scans the slots
+//!   below it.
 //!
 //! If R's final clock read precedes C's publication in `S`, R's snapshot
-//! is `< v`; but then R's occupancy increment and slot store (which
-//! precede that read in program order, hence in `S`) also precede C's
-//! scan, so C sees the slot and keeps R's versions. If instead R's final
-//! clock read follows the publication, R re-reads `>= v` and republishes
-//! — its snapshot is at the new clock, which GC never prunes below.
-//! Either way the horizon never exceeds a live snapshot. Stale *low*
-//! values seen mid-loop only make GC more conservative, never less.
+//! is `< v`; but then R's `hwm` access and slot store (which precede that
+//! read in program order, hence in `S`) also precede C's scan, so C reads
+//! `hwm > i` (it only grows) and sees the slot, and keeps R's versions.
+//! If instead R's final clock read follows the publication, R re-reads
+//! `>= v` and republishes — its snapshot is at the new clock, which GC
+//! never prunes below. Either way the horizon never exceeds a live
+//! snapshot. Stale *low* values seen mid-loop only make GC more
+//! conservative, never less.
 
+use crate::threads;
 use parking_lot::Mutex;
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Number of shards in the slot array.
-pub(crate) const SHARDS: usize = 16;
-/// Slots per shard.
-pub(crate) const SLOTS_PER_SHARD: usize = 64;
-/// Total fast-path capacity; registrations beyond this spill to the
-/// overflow map.
-pub(crate) const SLOT_COUNT: usize = SHARDS * SLOTS_PER_SHARD;
+/// Fast-path capacity; registrations beyond this spill to the overflow
+/// map.
+pub(crate) const SLOT_COUNT: usize = 512;
 
 /// Slot value meaning "no registration here".
 const EMPTY: u64 = u64::MAX;
@@ -58,46 +58,39 @@ const EMPTY: u64 = u64::MAX;
 /// Token returned for registrations that landed in the overflow map.
 pub(crate) const OVERFLOW_TOKEN: usize = usize::MAX;
 
-/// One registration slot, padded to a cache line so concurrent
-/// register/deregister traffic on neighbouring slots does not false-share.
+/// One registration slot. Neighbouring slots belong to different threads,
+/// so each sits on lines of its own: 128 bytes, because the adjacent-line
+/// prefetcher pulls lines in pairs.
 // ordering(Slot, slot, slots): seqcst-cas claims a free slot (the
 // failure side is relaxed-cas — a busy slot is just skipped);
 // seqcst-store republishes the chased clock and releases the slot;
-// seqcst-load in the GC scan joins the single total order with the
-// clock publication (module docs). relaxed-load only in the
-// `active_snapshots` diagnostic probe. relaxed-guard: that probe's
-// EMPTY filter gates reporting, never reclamation.
-#[repr(align(64))]
+// seqcst-load in the GC scan and the idle check joins the single total
+// order with the clock publication (module docs). relaxed-load in the
+// claim scan's probe and the diagnostics. relaxed-guard: the probe only
+// skips a busy slot (the CAS decides), and the diagnostics filter gates
+// reporting, never reclamation.
+#[repr(align(128))]
 struct Slot(AtomicU64);
-
-/// Per-shard metadata, padded onto its own line.
-#[repr(align(64))]
-struct ShardMeta {
-    /// Upper bound on the number of claimed slots in this shard. Always
-    /// incremented *before* a slot is claimed and decremented *after* it
-    /// is released, so `occupancy == 0` proves the shard is empty at some
-    /// point during the scan and may be skipped.
-    // ordering: seqcst-rmw on claim/release and seqcst-load in the GC
-    // scan keep the increment-before-claim / decrement-after-release
-    // discipline inside the registry's single total order; relaxed-load
-    // only in the full-shard fast-path probe and the diagnostics
-    // accessors. relaxed-guard: those probes are capacity hints — a
-    // stale read sends registration to another shard or skews a gauge,
-    // never frees a version.
-    occupancy: AtomicUsize,
-}
 
 pub(crate) struct ActiveRegistry {
     slots: Box<[Slot]>,
-    shards: Box<[ShardMeta]>,
+    /// One past the highest slot ever claimed: no slot at or above it
+    /// has held a registration. Raised before a slot is claimed, never
+    /// lowered, so the scans stop there.
+    // ordering: seqcst-rmw (`fetch_max`) and seqcst-load on the claim
+    // path and in the GC scan and idle check keep the raise-before-claim
+    // discipline inside the registry's single total order (module docs);
+    // relaxed-load in the diagnostics accessors. relaxed-guard: there it
+    // bounds a gauge's loop, never reclamation.
+    hwm: AtomicUsize,
     /// Spill map: snapshot version -> registration count. Only touched
     /// when the slot array is full.
     // lock-order: registry-overflow — a leaf lock: taken with stripe
     // locks already held on the commit/GC path, never the other way.
     overflow: Mutex<BTreeMap<u64, usize>>,
     /// Upper bound on overflow registrations; lets the scan skip the
-    /// mutex entirely in the common case. Same increment-before /
-    /// decrement-after discipline as shard occupancy.
+    /// mutex entirely in the common case. Incremented before an overflow
+    /// registration, decremented after its release.
     // ordering: seqcst-rmw register/deregister and seqcst-load in the GC
     // scan (module docs); relaxed-load in the diagnostics accessors.
     // relaxed-guard: the diagnostic nonzero checks only gate extra
@@ -116,28 +109,13 @@ fn take_one(map: &mut BTreeMap<u64, usize>, version: u64) {
     }
 }
 
-thread_local! {
-    /// Last slot index this thread registered in: repeat registrations
-    /// re-claim the same (warm, thread-private in steady state) slot.
-    static SLOT_HINT: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// Round-robin seed so threads start probing different shards.
-// ordering: relaxed-rmw — a pure distribution hint; nothing is published
-// through it.
-static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
-
 impl ActiveRegistry {
     pub(crate) fn new() -> Self {
         ActiveRegistry {
             slots: (0..SLOT_COUNT)
                 .map(|_| Slot(AtomicU64::new(EMPTY)))
                 .collect(),
-            shards: (0..SHARDS)
-                .map(|_| ShardMeta {
-                    occupancy: AtomicUsize::new(0),
-                })
-                .collect(),
+            hwm: AtomicUsize::new(0),
             overflow: Mutex::new(BTreeMap::new()),
             overflow_count: AtomicUsize::new(0),
         }
@@ -147,58 +125,53 @@ impl ActiveRegistry {
     /// `(snapshot, slot_token)`. The token must be passed back to
     /// [`ActiveRegistry::deregister`].
     ///
-    /// See the module docs for why the slot-claim / clock-recheck loop
-    /// makes this safe against a concurrent committer's GC scan.
+    /// Tries the slot this thread claimed last, if it lies below `hwm`,
+    /// then the lowest free slot. See the module docs for why the
+    /// slot-claim / clock-recheck loop makes this safe against a
+    /// concurrent committer's GC scan.
     pub(crate) fn register_current(&self, clock: &AtomicU64) -> (u64, usize) {
-        let hint = SLOT_HINT.with(|h| h.get());
-        let start_shard = if hint != usize::MAX {
-            hint / SLOTS_PER_SHARD
-        } else {
-            NEXT_THREAD.fetch_add(1, Ordering::Relaxed) % SHARDS
-        };
-        for probe in 0..SHARDS {
-            let shard = (start_shard + probe) % SHARDS;
-            let meta = &self.shards[shard];
-            if meta.occupancy.load(Ordering::Relaxed) >= SLOTS_PER_SHARD {
+        let last = threads::last_slot();
+        if last < self.hwm.load(Ordering::SeqCst) {
+            if let Some(claimed) = self.claim(last, clock) {
+                return claimed;
+            }
+        }
+        for idx in 0..SLOT_COUNT {
+            if self.slots[idx].0.load(Ordering::Relaxed) != EMPTY {
                 continue;
             }
-            // Claim occupancy before touching any slot (see ShardMeta).
-            meta.occupancy.fetch_add(1, Ordering::SeqCst);
-            let base = shard * SLOTS_PER_SHARD;
-            let first = if hint != usize::MAX && hint / SLOTS_PER_SHARD == shard {
-                hint - base
-            } else {
-                0
-            };
-            for i in 0..SLOTS_PER_SHARD {
-                let idx = base + (first + i) % SLOTS_PER_SHARD;
-                let slot = &self.slots[idx].0;
-                let mut snapshot = clock.load(Ordering::SeqCst);
-                if slot
-                    .compare_exchange(EMPTY, snapshot, Ordering::SeqCst, Ordering::Relaxed)
-                    .is_err()
-                {
-                    continue;
-                }
-                // Republish until the clock is stable: any commit that
-                // published between our clock read and the slot store
-                // might have scanned before the store, so chase the
-                // clock up to a value the next scan must honour.
-                loop {
-                    let now = clock.load(Ordering::SeqCst);
-                    if now == snapshot {
-                        break;
-                    }
-                    slot.store(now, Ordering::SeqCst);
-                    snapshot = now;
-                }
-                SLOT_HINT.with(|h| h.set(idx));
-                return (snapshot, idx);
+            if let Some(claimed) = self.claim(idx, clock) {
+                return claimed;
             }
-            // Shard turned out full; give the occupancy back.
-            meta.occupancy.fetch_sub(1, Ordering::SeqCst);
         }
         self.register_overflow(clock)
+    }
+
+    /// Claims slot `idx` at the current clock, or `None` if it is taken.
+    fn claim(&self, idx: usize, clock: &AtomicU64) -> Option<(u64, usize)> {
+        // Raise the mark before the slot can hold a snapshot (module
+        // docs); a load that already sees it raised is as good.
+        if self.hwm.load(Ordering::SeqCst) <= idx {
+            self.hwm.fetch_max(idx + 1, Ordering::SeqCst);
+        }
+        let slot = &self.slots[idx].0;
+        let mut snapshot = clock.load(Ordering::SeqCst);
+        slot.compare_exchange(EMPTY, snapshot, Ordering::SeqCst, Ordering::Relaxed)
+            .ok()?;
+        // Republish until the clock is stable: any commit that published
+        // between our clock read and the slot store might have scanned
+        // before the store, so chase the clock up to a value the next
+        // scan must honour.
+        loop {
+            let now = clock.load(Ordering::SeqCst);
+            if now == snapshot {
+                break;
+            }
+            slot.store(now, Ordering::SeqCst);
+            snapshot = now;
+        }
+        threads::set_last_slot(idx);
+        Some((snapshot, idx))
     }
 
     /// Slow path: every slot busy. Registers in the mutex-protected map
@@ -232,10 +205,13 @@ impl ActiveRegistry {
             self.overflow_count.fetch_sub(1, Ordering::SeqCst);
         } else {
             self.slots[token].0.store(EMPTY, Ordering::SeqCst);
-            self.shards[token / SLOTS_PER_SHARD]
-                .occupancy
-                .fetch_sub(1, Ordering::SeqCst);
         }
+    }
+
+    /// The slots that may hold a registration (`SeqCst`: see the module
+    /// docs).
+    fn claimed(&self) -> &[Slot] {
+        &self.slots[..self.hwm.load(Ordering::SeqCst)]
     }
 
     /// Oldest snapshot still in use, or `fallback` (the just-published
@@ -243,30 +219,24 @@ impl ActiveRegistry {
     /// are unreachable and may be pruned.
     ///
     /// `excluding` discounts **one** registration at that version — the
-    /// committing transaction's own snapshot, which dies with the commit
-    /// and must not pin old versions on its own behalf. The scan is
-    /// lock-free over the slot array (empty shards are skipped via their
-    /// occupancy counters) and only takes the overflow mutex when the
+    /// committing transaction's own snapshot, when it dies with the
+    /// commit and must not pin old versions on its own behalf (pass
+    /// `u64::MAX` to discount none). The scan is lock-free over the
+    /// slots below `hwm` and only takes the overflow mutex when the
     /// overflow count is nonzero.
     pub(crate) fn min_active_excluding(&self, excluding: u64, fallback: u64) -> u64 {
         let mut min: Option<u64> = None;
         let mut excluded = false;
-        for shard in 0..SHARDS {
-            if self.shards[shard].occupancy.load(Ordering::SeqCst) == 0 {
+        for slot in self.claimed() {
+            let v = slot.0.load(Ordering::SeqCst);
+            if v == EMPTY {
                 continue;
             }
-            let base = shard * SLOTS_PER_SHARD;
-            for i in 0..SLOTS_PER_SHARD {
-                let v = self.slots[base + i].0.load(Ordering::SeqCst);
-                if v == EMPTY {
-                    continue;
-                }
-                if !excluded && v == excluding {
-                    excluded = true;
-                    continue;
-                }
-                min = Some(min.map_or(v, |m| m.min(v)));
+            if !excluded && v == excluding {
+                excluded = true;
+                continue;
             }
+            min = Some(min.map_or(v, |m| m.min(v)));
         }
         if self.overflow_count.load(Ordering::SeqCst) > 0 {
             let map = self.overflow.lock();
@@ -288,31 +258,26 @@ impl ActiveRegistry {
     /// Whether no registration is held: a box whose last handle goes now
     /// has no borrower left. Every registration that could have borrowed
     /// it happened before the caller's last-handle drop, so these loads
-    /// see its occupancy increment (or its release).
+    /// see its raise of `hwm` and its slot (or its release).
     pub(crate) fn is_idle(&self) -> bool {
-        self.shards
+        self.claimed()
             .iter()
-            .all(|s| s.occupancy.load(Ordering::SeqCst) == 0)
+            .all(|slot| slot.0.load(Ordering::SeqCst) == EMPTY)
             && self.overflow_count.load(Ordering::SeqCst) == 0
     }
 
-    /// Number of distinct active snapshot versions (diagnostics). Exact
-    /// only when no registrations are racing the call; relaxed loads
-    /// suffice because nothing is decided from the answer.
+    /// The registered snapshot versions below `hwm` (diagnostics:
+    /// relaxed loads, exact only when no registration races the call).
+    fn held(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slots[..self.hwm.load(Ordering::Relaxed)]
+            .iter()
+            .map(|slot| slot.0.load(Ordering::Relaxed))
+            .filter(|&v| v != EMPTY)
+    }
+
+    /// Number of distinct active snapshot versions (diagnostics).
     pub(crate) fn active_snapshots(&self) -> usize {
-        let mut versions: Vec<u64> = Vec::new();
-        for shard in 0..SHARDS {
-            if self.shards[shard].occupancy.load(Ordering::Relaxed) == 0 {
-                continue;
-            }
-            let base = shard * SLOTS_PER_SHARD;
-            for i in 0..SLOTS_PER_SHARD {
-                let v = self.slots[base + i].0.load(Ordering::Relaxed);
-                if v != EMPTY {
-                    versions.push(v);
-                }
-            }
-        }
+        let mut versions: Vec<u64> = self.held().collect();
         if self.overflow_count.load(Ordering::Relaxed) > 0 {
             versions.extend(self.overflow.lock().keys().copied());
         }
@@ -321,16 +286,17 @@ impl ActiveRegistry {
         versions.len()
     }
 
-    /// Total occupied registration slots (shards plus overflow), i.e.
-    /// how full the fixed-size registry is. Counter-based and O(shards),
-    /// unlike the slot scan in [`ActiveRegistry::active_snapshots`].
-    /// Relaxed: a gauge read, racy by construction.
+    /// Occupied registration slots plus overflow registrations, i.e. how
+    /// full the fixed-size registry is. A gauge read, racy by
+    /// construction.
     pub(crate) fn occupancy(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.occupancy.load(Ordering::Relaxed))
-            .sum::<usize>()
-            + self.overflow_count.load(Ordering::Relaxed)
+        self.held().count() + self.overflow_count.load(Ordering::Relaxed)
+    }
+
+    /// The high-water mark (tests).
+    #[cfg(test)]
+    fn hwm(&self) -> usize {
+        self.hwm.load(Ordering::Relaxed)
     }
 }
 
@@ -373,6 +339,8 @@ mod tests {
             tokens.push(reg.register_current(&clock));
         }
         assert!(tokens.iter().filter(|(_, t)| *t == OVERFLOW_TOKEN).count() == 5);
+        assert_eq!(reg.hwm(), SLOT_COUNT);
+        assert_eq!(reg.occupancy(), SLOT_COUNT + 5);
         assert_eq!(reg.min_active_excluding(u64::MAX, 99), 3);
         assert_eq!(reg.active_snapshots(), 1);
         for (snap, token) in tokens {
@@ -401,7 +369,7 @@ mod tests {
         assert!(reg.is_idle());
     }
 
-    /// Direct race on the sharded registry: while one snapshot stays
+    /// Direct race on the dense registry: while one snapshot stays
     /// pinned, the GC horizon returned to a concurrent committer must
     /// never exceed it, no matter how hard other threads churn
     /// register/deregister against a moving clock.
@@ -458,6 +426,62 @@ mod tests {
         assert_eq!(reg.min_active_excluding(u64::MAX, 12345), 12345);
         assert_eq!(reg.active_snapshots(), 0);
         assert_eq!(reg.occupancy(), 0);
+    }
+
+    /// Threads that hold a registration at once claim slots 0.., and the
+    /// mark rises exactly that far.
+    #[test]
+    fn hwm_equals_the_number_of_concurrently_registered_threads() {
+        use std::sync::{Arc, Barrier};
+        const THREADS: usize = 4;
+        let reg = Arc::new(ActiveRegistry::new());
+        let clock = Arc::new(AtomicU64::new(1));
+        let held = Arc::new(Barrier::new(THREADS + 1));
+        let release = Arc::new(Barrier::new(THREADS + 1));
+        let threads: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let (reg, clock) = (reg.clone(), clock.clone());
+                let (held, release) = (held.clone(), release.clone());
+                std::thread::spawn(move || {
+                    let (snap, token) = reg.register_current(&clock);
+                    held.wait();
+                    release.wait();
+                    reg.deregister(token, snap);
+                    token
+                })
+            })
+            .collect();
+        held.wait();
+        assert_eq!(reg.hwm(), THREADS);
+        assert_eq!(reg.occupancy(), THREADS);
+        release.wait();
+        let mut tokens: Vec<usize> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+        tokens.sort_unstable();
+        assert_eq!(tokens, (0..THREADS).collect::<Vec<_>>());
+        assert!(reg.is_idle());
+        assert_eq!(reg.hwm(), THREADS, "the mark never falls");
+    }
+
+    /// A thread that never registered here takes the lowest free slot,
+    /// which an exited thread left behind, and the mark stays put.
+    #[test]
+    fn a_slot_freed_by_an_exited_thread_is_reused_lowest_first() {
+        use std::sync::Arc;
+        let reg = Arc::new(ActiveRegistry::new());
+        let clock = Arc::new(AtomicU64::new(1));
+        let register = |reg: &Arc<ActiveRegistry>| {
+            let (reg, clock) = (reg.clone(), clock.clone());
+            std::thread::spawn(move || reg.register_current(&clock))
+                .join()
+                .unwrap()
+        };
+        let (s0, t0) = register(&reg);
+        let (_, t1) = register(&reg);
+        assert_eq!((t0, t1), (0, 1));
+        reg.deregister(t0, s0);
+        let (_, t2) = register(&reg);
+        assert_eq!(t2, 0, "the freed slot is the lowest free one");
+        assert_eq!(reg.hwm(), 2);
     }
 
     #[test]

@@ -98,14 +98,18 @@ const TOP_SHARDS: usize = 16;
 #[repr(align(64))]
 pub(crate) struct TopShard(Mutex<Vec<std::sync::Weak<TopLevel>>>);
 
-/// The calling thread's shard, handed out round-robin on first use.
-fn top_shard() -> usize {
-    // ordering: relaxed-rmw — any index is correct; publishes nothing.
-    static NEXT_SHARD: AtomicU64 = AtomicU64::new(0);
-    thread_local! {
-        static SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) as usize % TOP_SHARDS;
-    }
-    SHARD.with(|s| *s)
+/// The top-level and future id dispensers, on a line of their own:
+/// every begin writes it, and the read-mostly fields of [`TmInner`]
+/// must not move with it (128 bytes: the adjacent-line prefetcher pulls
+/// lines in pairs).
+#[repr(align(128))]
+struct Ids {
+    // ordering: relaxed-rmw — monotonic id source; ids only need
+    // uniqueness, nothing is published through the counter.
+    top_counter: AtomicU64,
+    // ordering: relaxed-rmw — monotonic id source; ids only need
+    // uniqueness, nothing is published through the counter.
+    future_counter: AtomicU64,
 }
 
 pub(crate) struct TmInner {
@@ -118,16 +122,12 @@ pub(crate) struct TmInner {
     /// Observability hooks; shared with the STM and the task pool so one
     /// summary covers all layers. Disabled by default.
     pub(crate) tracer: Arc<Tracer>,
-    // ordering: relaxed-rmw — monotonic id source; ids only need
-    // uniqueness, nothing is published through the counter.
-    top_counter: AtomicU64,
-    // ordering: relaxed-rmw — monotonic id source; ids only need
-    // uniqueness, nothing is published through the counter.
-    future_counter: AtomicU64,
+    /// Dense, global: the ids in a trace are the order of the begins.
+    ids: Ids,
     /// Weak handles to in-flight top-levels, one list per registering
-    /// thread (modulo the shard count), read only by the `tm_live_*`
-    /// gauges: `None` unless the tracer was on at build, so an untraced
-    /// begin registers nothing. Dead entries are pruned opportunistically
+    /// thread (its `wtf_backend::thread_index` modulo the shard count),
+    /// read only by the `tm_live_*` gauges: `None` unless the tracer was
+    /// on at build, so an untraced begin registers nothing. Dead entries are pruned opportunistically
     /// on registration.
     pub(crate) tops: Option<[TopShard; TOP_SHARDS]>,
     /// Consecutive cross-top conflict aborts since the last commit
@@ -155,11 +155,11 @@ impl TmInner {
     }
 
     pub(crate) fn next_top_id(&self) -> u64 {
-        self.top_counter.fetch_add(1, Ordering::Relaxed)
+        self.ids.top_counter.fetch_add(1, Ordering::Relaxed)
     }
 
     pub(crate) fn next_future_id(&self) -> u64 {
-        self.future_counter.fetch_add(1, Ordering::Relaxed)
+        self.ids.future_counter.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Tracks `top` while it is in flight, if anything reads the list.
@@ -167,7 +167,7 @@ impl TmInner {
     /// caller drops) costs nothing beyond its slot until the next prune.
     pub(crate) fn register_top(&self, top: &Arc<TopLevel>) {
         let Some(shards) = &self.tops else { return };
-        let mut tops = shards[top_shard()].0.lock();
+        let mut tops = shards[wtf_backend::thread_index() % TOP_SHARDS].0.lock();
         if tops.len() >= 32 && tops.len().is_multiple_of(32) {
             tops.retain(|w| w.strong_count() > 0);
         }
@@ -286,8 +286,10 @@ impl FutureTmBuilder {
                 stats: TmStats::default(),
                 mem_bus,
                 tracer,
-                top_counter: AtomicU64::new(0),
-                future_counter: AtomicU64::new(0),
+                ids: Ids {
+                    top_counter: AtomicU64::new(0),
+                    future_counter: AtomicU64::new(0),
+                },
                 tops: traced.then(Default::default),
                 conflict_abort_streak: AtomicU64::new(0),
                 dumps_remaining: AtomicU64::new(inspect::DUMP_LIMIT),

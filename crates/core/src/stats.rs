@@ -1,15 +1,20 @@
 //! Runtime counters: the metrics the paper's evaluation reports.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use wtf_backend::Counters;
 
 macro_rules! counters {
     ($($(#[$doc:meta])* $name:ident),+ $(,)?) => {
-        /// Internal atomic counters (relaxed: statistics, not synchronization).
+        /// The counters' positions in a [`TmStats`] block.
+        #[allow(non_camel_case_types)]
+        #[derive(Clone, Copy)]
+        enum Counter { $( $name, )+ }
+
+        const COUNTERS: usize = [$( Counter::$name, )+].len();
+
+        /// The runtime's counters, one block per thread, summed on read
+        /// (relaxed: statistics, not synchronization).
         #[derive(Default)]
-        pub struct TmStats {
-            // ordering: relaxed-rmw, relaxed-load — statistics counters.
-            $( $(#[$doc])* pub(crate) $name: AtomicU64, )+
-        }
+        pub struct TmStats(Counters<COUNTERS>);
 
         /// Point-in-time copy of [`TmStats`].
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -19,14 +24,15 @@ macro_rules! counters {
 
         impl TmStats {
             pub(crate) fn snapshot(&self) -> TmStatsSnapshot {
+                let sums = self.0.sum();
                 TmStatsSnapshot {
-                    $( $name: self.$name.load(Ordering::Relaxed), )+
+                    $( $name: sums[Counter::$name as usize], )+
                 }
             }
 
             $(
                 pub(crate) fn $name(&self) {
-                    self.$name.fetch_add(1, Ordering::Relaxed);
+                    self.0.add(Counter::$name as usize, 1);
                 }
             )+
         }
@@ -140,5 +146,35 @@ mod tests {
         let names: Vec<&str> = d.fields().iter().map(|(n, _)| *n).collect();
         assert!(names.contains(&"top_commits"));
         assert!(names.contains(&"segment_retries"));
+    }
+
+    /// Bumps from many threads land in their own blocks and sum exactly.
+    #[test]
+    fn counts_from_many_threads_sum_exactly() {
+        const THREADS: u64 = 6;
+        const K: u64 = 5_000;
+        let stats = std::sync::Arc::new(TmStats::default());
+        let before = stats.snapshot();
+        let workers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let stats = stats.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..K {
+                        stats.top_commits();
+                        stats.segment_retries();
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let d = stats.snapshot().delta_since(&before);
+        assert_eq!(d.top_commits, THREADS * K);
+        assert_eq!(d.segment_retries, THREADS * K);
+        assert_eq!(
+            d.fields().iter().map(|(_, v)| v).sum::<u64>(),
+            2 * THREADS * K
+        );
     }
 }

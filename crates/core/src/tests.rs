@@ -521,6 +521,45 @@ fn gac_commit_does_not_wait_and_future_is_adopted() {
     assert_eq!(stats.top_commits, 2);
 }
 
+/// A future still running when its top-level commits reads under the
+/// top-level's registration, so that commit's version GC must not
+/// discount it: here the continuation overwrites the very box the
+/// future reads next, and the version the future needs is the one the
+/// commit would prune. Version GC is mvstm's, so the test pins it.
+#[test]
+fn escaped_future_reads_what_its_spawners_commit_overwrote() {
+    use crate::{with_backend, BackendKind};
+    let vtm = |f| with_backend(BackendKind::Mvstm, || with_vtm(Semantics::WO_GAC, 2, f));
+    let ((state, adopted), stats, _) = vtm(|tm: &FutureTm| {
+        let x = tm.new_vbox(0i64);
+        let handle = tm.new_vbox::<Option<TxFuture<i64>>>(None);
+        tm.atomic(|ctx| {
+            let x2 = x.clone();
+            let f = ctx.submit(move |c| {
+                c.work(500);
+                c.read(&x2)
+            })?;
+            ctx.write(&x, 99)?;
+            ctx.write(&handle, Some(f))
+        })
+        .unwrap();
+        let f = tm
+            .atomic(|ctx| ctx.read(&handle))
+            .unwrap()
+            .expect("handle published");
+        while !f.is_done_executing() {
+            Clock::current().advance(100);
+        }
+        let state = f.state();
+        (state, tm.atomic(|ctx| ctx.evaluate(&f)))
+    });
+    assert_eq!(state, crate::FutState::Completed, "the body read x");
+    // The body read x = 0 under the spawner's snapshot; the adopter finds
+    // that read stale and re-executes against x = 99.
+    assert_eq!(adopted, Ok(99));
+    assert_eq!(stats.adopted_escaping, 1);
+}
+
 #[test]
 fn gac_adoption_revalidates_and_reexecutes_on_staleness() {
     let clock = Clock::virtual_time();

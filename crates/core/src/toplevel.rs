@@ -206,6 +206,13 @@ impl TopLevel {
         self.snapshot.version()
     }
 
+    /// Whether a future of this incarnation may still read under its
+    /// snapshot: one still running, which GAC lets outlive the commit.
+    fn has_unsettled_future(&self) -> bool {
+        self.inflated()
+            .is_some_and(|sub| sub.futures.lock().iter().any(|f| !f.state().is_settled()))
+    }
+
     /// Keeps an adopted escape record's boxes until this incarnation
     /// ends.
     pub(crate) fn keep(&self, boxes: Vec<BoxHandle>) {
@@ -823,10 +830,12 @@ impl TopLevel {
             let snapshot = self.snapshot_version();
             let committed = match n_writes {
                 0 => Ok(snapshot),
-                _ => ctx
-                    .tm
-                    .stm
-                    .commit_attributed(snapshot, &gather.boxes, writes),
+                _ => ctx.tm.stm.commit_attributed(
+                    snapshot,
+                    !self.has_unsettled_future(),
+                    &gather.boxes,
+                    writes,
+                ),
             };
             (committed, n_writes, winners, gather.rec)
         };

@@ -22,7 +22,7 @@
 //!   that every read is still current, installs, and publishes. Commits
 //!   with disjoint stripe footprints run fully in parallel; there is no
 //!   global commit mutex.
-//! * **Version GC** driven by a sharded, lock-free active-transaction
+//! * **Version GC** driven by a dense, lock-free active-transaction
 //!   registry (JVSTM's `ActiveTransactionsRecord`, in `wtf-backend`'s
 //!   [`Horizon`](wtf_backend::Horizon)): version chains are pruned down
 //!   to the oldest snapshot still in use, and the bodies of dropped boxes
@@ -79,7 +79,7 @@ pub mod raw;
 pub use wtf_backend::{StmStatsSnapshot, TBox as VBox};
 
 use stats::StmStats;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use stripe::StripeTable;
 use wtf_backend::{BackendTxn, Horizon};
@@ -90,13 +90,10 @@ pub(crate) struct StmInner {
     /// order, by `commit_attributed`), the snapshot registry and the
     /// retired box bodies.
     pub(crate) horizon: Arc<Horizon>,
-    /// Version ticket dispenser: `fetch_add` here is the single global
-    /// atomic on the commit path. A ticket may be ahead of `clock` while
-    /// its commit is still installing.
-    // ordering: acqrel-rmw — the ticket fetch_add orders each reserved
-    // ticket after the validation that justified it and before the
-    // installs published under it.
-    pub(crate) next_version: AtomicU64,
+    /// Version ticket dispenser, on a line of its own: every update
+    /// commit writes it, and the read-mostly pointers beside it must
+    /// not move with it.
+    pub(crate) ticket: Ticket,
     /// Striped commit locks; shared with every `BoxBody` for safe chain
     /// walks (see `stripe`).
     pub(crate) stripes: Arc<StripeTable>,
@@ -104,15 +101,23 @@ pub(crate) struct StmInner {
     // ordering: relaxed-rmw — a pure id dispenser; uniqueness is all
     // that matters, nothing is published through it.
     pub(crate) next_box: AtomicU64,
-    /// Total versions ever installed by commits (gauge bookkeeping; the
-    /// live retained count is `versions_installed - versions_pruned`).
-    // ordering: relaxed-rmw, relaxed-load — a gauge, not
-    // synchronization.
-    pub(crate) versions_installed: AtomicU64,
     /// Observability hooks (`wtf-trace`). Always present — a disabled
     /// tracer costs one relaxed load per hook — so the hot paths carry
     /// no `Option` branch.
     pub(crate) tracer: Arc<Tracer>,
+}
+
+/// The version ticket dispenser on a cache line of its own (128 bytes:
+/// the adjacent-line prefetcher pulls lines in pairs).
+#[repr(align(128))]
+pub(crate) struct Ticket {
+    /// `fetch_add` here is the single global atomic RMW on the commit
+    /// path. A ticket may be ahead of the clock while its commit is
+    /// still installing.
+    // ordering: acqrel-rmw — the ticket fetch_add orders each reserved
+    // ticket after the validation that justified it and before the
+    // installs published under it.
+    pub(crate) next_version: AtomicU64,
 }
 
 impl Drop for StmInner {
@@ -151,11 +156,12 @@ impl Stm {
         let stm = Stm {
             inner: Arc::new(StmInner {
                 horizon: Horizon::new(),
-                next_version: AtomicU64::new(0),
+                ticket: Ticket {
+                    next_version: AtomicU64::new(0),
+                },
                 stripes: Arc::new(StripeTable::new()),
-                stats: StmStats::new(),
+                stats: StmStats::default(),
                 next_box: AtomicU64::new(0),
-                versions_installed: AtomicU64::new(0),
                 tracer,
             }),
         };
@@ -176,11 +182,7 @@ impl Stm {
         });
         let w = Arc::downgrade(&self.inner);
         gauges.register("stm_retained_versions", move || {
-            w.upgrade().map_or(0, |s| {
-                s.versions_installed
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(s.stats.versions_pruned.load(Ordering::Relaxed))
-            })
+            w.upgrade().map_or(0, |s| s.stats.retained_versions())
         });
         let w = Arc::downgrade(&self.inner);
         gauges.register("stm_gc_horizon_lag", move || {
@@ -204,10 +206,7 @@ impl Stm {
     /// minus pruned; saturating because prunes can free initial versions
     /// that predate the counter).
     pub fn retained_versions(&self) -> u64 {
-        self.inner
-            .versions_installed
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.inner.stats.versions_pruned.load(Ordering::Relaxed))
+        self.inner.stats.retained_versions()
     }
 
     /// How far the oldest active snapshot trails the version clock (0

@@ -17,11 +17,16 @@
 //!    under the stripes; then, with the stripes released, free the
 //!    retired box bodies that horizon has passed.
 //!
+//! Beside the stripes of its footprint, a disjoint commit writes three
+//! shared words: the ticket, the clock and its own registry slot (at
+//! its next begin). Its counters go to its thread's own block.
+//!
 //! Because tickets are reserved only *after* all stripes are held and
 //! validation has passed, a committer spinning in step 4 waits only on
 //! earlier ticket holders, each of which already holds every lock it
 //! needs — so publication always makes progress, in ticket order.
 
+use crate::stats::Counter;
 use crate::stripe::StripeTable;
 use crate::vbox::BoxBody;
 use crate::Stm;
@@ -61,7 +66,7 @@ impl StmBackend for Stm {
     }
 
     fn note_abort(&self) {
-        self.inner.stats.aborts.fetch_add(1, Ordering::Relaxed);
+        self.inner.stats.add(Counter::Aborts, 1);
     }
 
     fn note_read_only_commit(&self) {
@@ -69,8 +74,8 @@ impl StmBackend for Stm {
         // consistent snapshot and commits with no validation at all, so
         // it never reaches `commit_attributed`.
         let stats = &self.inner.stats;
-        stats.commits.fetch_add(1, Ordering::Relaxed);
-        stats.read_only_commits.fetch_add(1, Ordering::Relaxed);
+        stats.add(Counter::Commits, 1);
+        stats.add(Counter::ReadOnlyCommits, 1);
     }
 
     /// The initial version is stamped 0, not the current clock: no commit
@@ -115,6 +120,7 @@ impl StmBackend for Stm {
     fn commit_attributed(
         &self,
         snapshot: u64,
+        snapshot_ends: bool,
         reads: &[&dyn BackendBox],
         writes: Vec<(&dyn BackendBox, Value)>,
     ) -> Result<u64, BoxId> {
@@ -163,10 +169,10 @@ impl StmBackend for Stm {
         // every reserved ticket is certain to publish, so the clock (advanced
         // strictly in ticket order below) can never stall on an aborted
         // commit.
-        let version = inner.next_version.fetch_add(1, Ordering::AcqRel) + 1;
+        let version = inner.ticket.next_version.fetch_add(1, Ordering::AcqRel) + 1;
         inner
-            .versions_installed
-            .fetch_add(writes.len() as u64, Ordering::Relaxed);
+            .stats
+            .add(Counter::VersionsInstalled, writes.len() as u64);
         // The borrows stay in `writes` for the GC pass below, so each
         // value is shared into its chain rather than moved.
         for &(body, ref value) in &writes {
@@ -193,7 +199,7 @@ impl StmBackend for Stm {
         // and the horizon scan below (see `registry` module docs).
         inner.horizon.publish(version);
         if spins > 0 {
-            inner.stats.publish_waits.fetch_add(1, Ordering::Relaxed);
+            inner.stats.add(Counter::PublishWaits, 1);
         }
         if tracer.on() {
             // The histogram replaces the single-integer `publish_waits` as
@@ -208,9 +214,11 @@ impl StmBackend for Stm {
         }
         // GC after publication, still under our stripes (prune requires the
         // box's stripe): the horizon is the oldest live snapshot other than
-        // our own dying one.
+        // our own, if it dies with this commit — an escaped future that
+        // still runs reads under it.
         let mut pruned = 0usize;
-        let min_active = inner.horizon.min_active_excluding(snapshot, version);
+        let own = if snapshot_ends { snapshot } else { u64::MAX };
+        let min_active = inner.horizon.min_active_excluding(own, version);
         for &(body, _) in &writes {
             let body = body_of(body);
             let freed = body.prune(min_active);
@@ -225,11 +233,8 @@ impl StmBackend for Stm {
         // above: an escaping future may still borrow under it (see
         // `wtf-backend`'s horizon module docs).
         inner.horizon.drain();
-        inner.stats.commits.fetch_add(1, Ordering::Relaxed);
-        inner
-            .stats
-            .versions_pruned
-            .fetch_add(pruned as u64, Ordering::Relaxed);
+        inner.stats.add(Counter::Commits, 1);
+        inner.stats.add(Counter::VersionsPruned, pruned as u64);
         if tracer.on() {
             let dur = tracer.span_end(EventKind::StmCommitSpan, commit_start, version);
             tracer.metrics.commit_latency.record(dur);

@@ -1,42 +1,49 @@
-//! STM-level counters.
+//! STM-level counters, one block per thread, summed on read (see
+//! `wtf_backend::Counters`): a commit bumps lines no other client writes.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use wtf_backend::StmStatsSnapshot;
+use wtf_backend::{Counters, StmStatsSnapshot};
 
-/// Internal atomic counters. Relaxed ordering throughout: these are
-/// statistics, not synchronization.
-pub(crate) struct StmStats {
-    // ordering: relaxed-rmw, relaxed-load — a statistics counter.
-    pub(crate) commits: AtomicU64,
-    // ordering: relaxed-rmw, relaxed-load — a statistics counter.
-    pub(crate) read_only_commits: AtomicU64,
-    // ordering: relaxed-rmw, relaxed-load — a statistics counter.
-    pub(crate) aborts: AtomicU64,
-    // ordering: relaxed-rmw, relaxed-load — a statistics counter.
-    pub(crate) versions_pruned: AtomicU64,
-    // ordering: relaxed-rmw, relaxed-load — a statistics counter.
-    pub(crate) publish_waits: AtomicU64,
+/// The STM's counters. Relaxed statistics, not synchronization.
+#[derive(Clone, Copy)]
+pub(crate) enum Counter {
+    Commits,
+    ReadOnlyCommits,
+    Aborts,
+    VersionsPruned,
+    PublishWaits,
+    /// Versions ever installed by commits (gauge bookkeeping; the live
+    /// retained count is installed minus pruned).
+    VersionsInstalled,
 }
 
+const COUNTERS: usize = Counter::VersionsInstalled as usize + 1;
+
+#[derive(Default)]
+pub(crate) struct StmStats(Counters<COUNTERS>);
+
 impl StmStats {
-    pub(crate) fn new() -> Self {
-        StmStats {
-            commits: AtomicU64::new(0),
-            read_only_commits: AtomicU64::new(0),
-            aborts: AtomicU64::new(0),
-            versions_pruned: AtomicU64::new(0),
-            publish_waits: AtomicU64::new(0),
-        }
+    pub(crate) fn add(&self, counter: Counter, n: u64) {
+        self.0.add(counter as usize, n);
     }
 
     pub(crate) fn snapshot(&self) -> StmStatsSnapshot {
+        let sums = self.0.sum();
         StmStatsSnapshot {
-            commits: self.commits.load(Ordering::Relaxed),
-            read_only_commits: self.read_only_commits.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
-            versions_pruned: self.versions_pruned.load(Ordering::Relaxed),
-            publish_waits: self.publish_waits.load(Ordering::Relaxed),
+            commits: sums[Counter::Commits as usize],
+            read_only_commits: sums[Counter::ReadOnlyCommits as usize],
+            aborts: sums[Counter::Aborts as usize],
+            versions_pruned: sums[Counter::VersionsPruned as usize],
+            publish_waits: sums[Counter::PublishWaits as usize],
         }
+    }
+
+    /// Committed versions still retained in version chains (installed
+    /// minus pruned; saturating because prunes can free initial versions
+    /// that predate the counter).
+    pub(crate) fn retained_versions(&self) -> u64 {
+        self.0
+            .get(Counter::VersionsInstalled as usize)
+            .saturating_sub(self.0.get(Counter::VersionsPruned as usize))
     }
 }
 
@@ -46,16 +53,26 @@ mod tests {
 
     #[test]
     fn delta() {
-        let stats = StmStats::new();
-        stats.commits.fetch_add(5, Ordering::Relaxed);
-        stats.aborts.fetch_add(2, Ordering::Relaxed);
+        let stats = StmStats::default();
+        stats.add(Counter::Commits, 5);
+        stats.add(Counter::Aborts, 2);
         let before = stats.snapshot();
-        stats.commits.fetch_add(3, Ordering::Relaxed);
-        stats.publish_waits.fetch_add(1, Ordering::Relaxed);
+        stats.add(Counter::Commits, 3);
+        stats.add(Counter::PublishWaits, 1);
         let d = stats.snapshot().delta_since(&before);
         assert_eq!(d.commits, 3);
         assert_eq!(d.aborts, 0);
         assert_eq!(d.publish_waits, 1);
         assert_eq!(d.abort_rate(), 0.0);
+    }
+
+    #[test]
+    fn retained_is_installed_minus_pruned() {
+        let stats = StmStats::default();
+        stats.add(Counter::VersionsInstalled, 7);
+        stats.add(Counter::VersionsPruned, 3);
+        assert_eq!(stats.retained_versions(), 4);
+        stats.add(Counter::VersionsPruned, 9);
+        assert_eq!(stats.retained_versions(), 0);
     }
 }

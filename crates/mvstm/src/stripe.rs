@@ -11,7 +11,7 @@
 //! (see `raw`).
 
 use parking_lot::{Mutex, MutexGuard};
-use wtf_backend::BoxId;
+use wtf_backend::{BoxId, MaskGuards};
 
 /// Number of commit-lock stripes. Must stay ≤ 64 so a stripe set fits in
 /// a `u64` bitmask.
@@ -30,12 +30,6 @@ struct Stripe {
 /// and all of its boxes.
 pub struct StripeTable {
     stripes: Vec<Stripe>,
-}
-
-/// RAII set of held stripe locks, released together on drop.
-pub struct StripeGuards<'a> {
-    #[allow(dead_code)]
-    guards: Vec<MutexGuard<'a, ()>>,
 }
 
 impl StripeTable {
@@ -68,15 +62,16 @@ impl StripeTable {
     /// The global ordering is what keeps concurrent committers with
     /// overlapping stripe sets deadlock-free: all lock sequences are
     /// sorted, so there can be no cycle in the waits-for graph.
-    pub(crate) fn lock_mask(&self, mask: u64) -> StripeGuards<'_> {
-        let mut guards = Vec::with_capacity(mask.count_ones() as usize);
+    /// The guards are kept inline, so this allocates nothing.
+    pub(crate) fn lock_mask(&self, mask: u64) -> MaskGuards<'_> {
+        let mut guards = MaskGuards::default();
         let mut rest = mask;
         while rest != 0 {
             let idx = rest.trailing_zeros() as usize;
-            guards.push(self.stripes[idx].lock.lock());
+            guards.hold(idx, self.stripes[idx].lock.lock());
             rest &= rest - 1;
         }
-        StripeGuards { guards }
+        guards
     }
 
     /// Acquires a single stripe by index (testing/diagnostics; see

@@ -91,6 +91,7 @@ fn conflicting_writers_abort_and_retry() {
     let err = stm
         .commit_attributed(
             snap1.version(),
+            true,
             &[x.body()],
             vec![(y.body(), Arc::new(1i64) as Value)],
         )
@@ -110,6 +111,7 @@ fn blind_write_commits_without_validation_failure() {
     // transaction is logically instantaneous at commit time.
     stm.commit_attributed(
         snap1.version(),
+        true,
         &[],
         vec![(x.body(), Arc::new(10i64) as Value)],
     )
@@ -319,6 +321,7 @@ fn tracer_attributes_conflicts_and_measures_commits() {
     let err = stm
         .commit_attributed(
             snap1.version(),
+            true,
             &[x.body()],
             vec![(y.body(), Arc::new(1i64) as Value)],
         )

@@ -113,6 +113,62 @@ fn sb_registry_slot_claim_vs_clock_republish() {
     }
 }
 
+/// SB shape over `hwm` + `Slot` + `clock`: on a fresh STM, registrants
+/// on fresh threads claim slots at and above the registry's high-water
+/// mark — raising it with `fetch_max` before their slot CAS — while a
+/// writer publishes and prunes the chain behind the oldest registered
+/// snapshot. Were the mark raised after the claim, or read stale by the
+/// writer's GC scan, the scan would skip a just-claimed slot and prune
+/// the version that snapshot reads: a panic in `read_at`, a torn double
+/// read, or (under Miri) a read of a freed node.
+#[test]
+fn sb_hwm_fresh_thread_claim_vs_prune() {
+    use std::sync::Barrier;
+    const REGISTRANTS: usize = 3;
+    const LEN: usize = 4;
+    let (rounds, commits) = if cfg!(miri) { (3, 12) } else { (300, 200) };
+    for _ in 0..rounds {
+        let stm = Arc::new(Stm::new());
+        let payload = Arc::new(TBox::new_on(&*stm, vec![0u64; LEN]));
+        let start = Arc::new(Barrier::new(REGISTRANTS + 1));
+        let writer = {
+            let (stm, payload, start) = (stm.clone(), payload.clone(), start.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                for i in 1..=commits {
+                    atomic(&*stm, |tx| tx.write(&payload, vec![i; LEN])).unwrap();
+                }
+            })
+        };
+        let registrants: Vec<_> = (0..REGISTRANTS)
+            .map(|_| {
+                let (stm, payload, start) = (stm.clone(), payload.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut last = 0;
+                    while last < commits {
+                        let (a, b) = atomic(&*stm, |tx| {
+                            let a = tx.read(&payload)?;
+                            std::thread::yield_now();
+                            let b = tx.read(&payload)?;
+                            Ok((a, b))
+                        })
+                        .unwrap();
+                        assert_eq!(a, b, "double-read within one snapshot is stable");
+                        assert!(a.iter().all(|&v| v == a[0]), "one commit's payload");
+                        assert!(a[0] >= last, "snapshots never travel backwards");
+                        last = a[0];
+                    }
+                })
+            })
+            .collect();
+        writer.join().unwrap();
+        for r in registrants {
+            r.join().unwrap();
+        }
+    }
+}
+
 /// Lending over `head` + `next`: a reader borrows a heap payload in
 /// place — `read_at` hands its closure the version node's value, no
 /// reference count taken — and checks it, yielding in the middle, while a

@@ -45,13 +45,13 @@
 //! decided against fully committed state, never against a lock bit that a
 //! colliding box's commit happened to set.
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use wtf_backend::{
-    BackendBox, BackendKind, BackendSnapshot, BoxHandle, BoxId, Horizon, StmBackend, StmError,
-    StmStatsSnapshot, Value,
+    BackendBox, BackendKind, BackendSnapshot, BoxHandle, BoxId, Counters, Horizon, MaskGuards,
+    StmBackend, StmError, StmStatsSnapshot, Value,
 };
 use wtf_trace::{EventKind, Tracer};
 
@@ -134,12 +134,13 @@ impl StripeTable {
     }
 
     /// Locks every stripe in `mask`, in ascending index order
-    /// (deadlock-free; mirrors mvstm's `StripeTable::lock_mask`).
-    fn lock_mask(&self, mut mask: u64) -> Vec<MutexGuard<'_, ()>> {
-        let mut guards = Vec::with_capacity(mask.count_ones() as usize);
+    /// (deadlock-free; mirrors mvstm's `StripeTable::lock_mask`). The
+    /// guards are kept inline, so this allocates nothing.
+    fn lock_mask(&self, mut mask: u64) -> MaskGuards<'_> {
+        let mut guards = MaskGuards::default();
         while mask != 0 {
             let i = mask.trailing_zeros() as usize;
-            guards.push(self.stripes[i].lock.lock());
+            guards.hold(i, self.stripes[i].lock.lock());
             mask &= mask - 1;
         }
         guards
@@ -222,14 +223,15 @@ struct Tl2Inner {
     stripes: Arc<StripeTable>,
     // ordering: relaxed-rmw — a pure id dispenser.
     next_box: AtomicU64,
-    // ordering: relaxed-rmw, relaxed-load — a statistics counter.
-    commits: AtomicU64,
-    // ordering: relaxed-rmw, relaxed-load — a statistics counter.
-    read_only_commits: AtomicU64,
-    // ordering: relaxed-rmw, relaxed-load — a statistics counter.
-    aborts: AtomicU64,
+    /// Commits, read-only commits and aborts (the `COMMITS`,
+    /// `READ_ONLY_COMMITS` and `ABORTS` counters), one block per thread.
+    counters: Counters<3>,
     tracer: Arc<Tracer>,
 }
+
+const COMMITS: usize = 0;
+const READ_ONLY_COMMITS: usize = 1;
+const ABORTS: usize = 2;
 
 /// The TL2 STM instance. Cheap to clone; usually consumed as an
 /// `Arc<dyn StmBackend>` through `wtf-core`'s backend selection.
@@ -258,9 +260,7 @@ impl Tl2Stm {
                 horizon: Horizon::new(),
                 stripes: Arc::new(StripeTable::new()),
                 next_box: AtomicU64::new(0),
-                commits: AtomicU64::new(0),
-                read_only_commits: AtomicU64::new(0),
-                aborts: AtomicU64::new(0),
+                counters: Counters::default(),
                 tracer,
             }),
         };
@@ -309,10 +309,11 @@ impl StmBackend for Tl2Stm {
     }
 
     fn stats(&self) -> StmStatsSnapshot {
+        let [commits, read_only_commits, aborts] = self.inner.counters.sum();
         StmStatsSnapshot {
-            commits: self.inner.commits.load(Ordering::Relaxed),
-            read_only_commits: self.inner.read_only_commits.load(Ordering::Relaxed),
-            aborts: self.inner.aborts.load(Ordering::Relaxed),
+            commits,
+            read_only_commits,
+            aborts,
             // Single version, no chains to prune; the clock bump is
             // wait-free, so publication never stalls either.
             versions_pruned: 0,
@@ -321,12 +322,12 @@ impl StmBackend for Tl2Stm {
     }
 
     fn note_abort(&self) {
-        self.inner.aborts.fetch_add(1, Ordering::Relaxed);
+        self.inner.counters.add(ABORTS, 1);
     }
 
     fn note_read_only_commit(&self) {
-        self.inner.commits.fetch_add(1, Ordering::Relaxed);
-        self.inner.read_only_commits.fetch_add(1, Ordering::Relaxed);
+        self.inner.counters.add(COMMITS, 1);
+        self.inner.counters.add(READ_ONLY_COMMITS, 1);
     }
 
     fn new_box(&self, value: Value) -> BoxHandle {
@@ -356,9 +357,12 @@ impl StmBackend for Tl2Stm {
         self.inner.horizon.register()
     }
 
+    /// `snapshot_ends` changes nothing here: TL2 keeps no old version
+    /// for any snapshot.
     fn commit_attributed(
         &self,
         snapshot: u64,
+        _snapshot_ends: bool,
         reads: &[&dyn BackendBox],
         writes: Vec<(&dyn BackendBox, Value)>,
     ) -> Result<u64, BoxId> {
@@ -435,7 +439,7 @@ impl StmBackend for Tl2Stm {
         // Free the retired bodies every registered snapshot (ours
         // included) has passed — a lock-free check when there are none.
         inner.horizon.drain();
-        inner.commits.fetch_add(1, Ordering::Relaxed);
+        inner.counters.add(COMMITS, 1);
         if tracer.on() {
             let dur = tracer.span_end(EventKind::StmCommitSpan, commit_start, version);
             tracer.metrics.commit_latency.record(dur);

@@ -245,6 +245,7 @@ fn trace_emission_matches_mvstm_contract() {
     .unwrap();
     let res = stm.commit_attributed(
         snap.version(),
+        true,
         &[x.body()],
         vec![(y.body(), Arc::new(9i64) as Value)],
     );
