@@ -7,15 +7,20 @@
 //! "when a submit or evaluate operation is executed by T, we implicitly
 //! commit the current sub-transaction and begin a new sub-transaction").
 
-use crate::future::{EscapeRecord, FutState, FutureCore, TxFuture};
+use crate::future::{
+    run_body_attempt, run_future_body, unpanicked, Done, EscapeRecord, FutState, FutureCore,
+    Lifecycle, Move, Phase, TxFuture,
+};
 use crate::graph::{NodeId, NodeStatus};
 use crate::node::{NodeKind, ReadOrigin, SubTxNode, WriteMap};
-use crate::toplevel::{run_future_body, TopLevel};
+use crate::toplevel::TopLevel;
 use crate::TmInner;
 use std::collections::hash_map::Entry;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use wtf_backend::{BackendBox, BoxId, FxHashMap, StmError, TBox as VBox, TxResult, TxValue, Value};
+use wtf_backend::{
+    BackendBox, BoxHandle, BoxId, FxHashMap, StmError, TBox as VBox, TxResult, TxValue, Value,
+};
 use wtf_trace::EventKind;
 
 /// Execution context of one sub-transaction thread.
@@ -120,7 +125,9 @@ impl TxCtx {
     /// in which case the whole top-level incarnation is doomed: we cancel
     /// it (so the retry begins on a fresh snapshot under a fresh top id)
     /// and record the justified cross-top abort, exactly as a commit-time
-    /// validation failure would.
+    /// validation failure would. A sealed (committed) top-level is never
+    /// cancelled: the reader is one of its escaped futures, and only that
+    /// attempt fails.
     fn global_read<T: TxValue>(&self, body: &dyn BackendBox) -> TxResult<(u64, T)> {
         let mut lent = None;
         match body.read_at(self.top.snapshot_version(), &mut |v| {
@@ -129,13 +136,14 @@ impl TxCtx {
             Ok(ver) => Ok((ver, lent.expect("read_at lends the value on Ok"))),
             Err(_) => {
                 let id = body.id();
-                self.tm.stats.top_aborts();
                 self.tm.tracer.charge_conflict(id.0);
-                self.tm
-                    .tracer
-                    .record(EventKind::TopConflictAbort, self.top.id, id.0);
-                crate::inspect::on_conflict_abort(&self.tm, &self.top);
-                self.top.cancel(&self.tm);
+                if !self.top.is_sealed() {
+                    self.tm.stats.top_aborts();
+                    self.tm
+                        .tracer
+                        .record(EventKind::TopConflictAbort, self.top.id, id.0);
+                    self.top.cancel(&self.tm);
+                }
                 Err(StmError::Conflict)
             }
         }
@@ -300,10 +308,14 @@ impl TxCtx {
         if self.owner.is_none() && !self.adopting && self.replay_idx < self.replay.len() {
             let candidate = self.replay[self.replay_idx].clone();
             self.replay_idx += 1;
-            if candidate.state() == FutState::Serialized {
+            let serialized = candidate.read(|l| match &l.phase {
+                Phase::Serialized(done) => Some(done.final_node),
+                _ => None,
+            });
+            if let Some(final_node) = serialized {
                 let cur = self.node.id;
                 self.freeze();
-                let cont = self.top.relink_reused_future(&candidate, cur);
+                let cont = self.top.relink_reused_future(&candidate, final_node, cur);
                 self.bind(cont);
                 return Ok(candidate);
             }
@@ -377,14 +389,12 @@ impl TxCtx {
             // wait blocks on the whole set, so the join edge is
             // unattributed (b = u64::MAX); the profiler resolves the
             // producer from whichever completion ends the span.
-            let top = self.top.clone();
-            let cores: Vec<_> = futures.iter().map(|f| f.core.clone()).collect();
+            let top = &self.top;
             let wait_start = self.tm.tracer.span_start();
-            let change = &self.top.inflate(&self.tm).change;
-            self.tm.clock.wait_until(change, move || {
+            self.tm.clock.wait_until(&top.inflate(&self.tm).change, || {
                 top.is_cancelled()
                     || top.is_doomed()
-                    || cores.iter().any(|c| c.state().is_settled())
+                    || futures.iter().any(|f| f.core.state().is_settled())
             });
             self.tm
                 .tracer
@@ -405,13 +415,8 @@ impl TxCtx {
         }
         // Fast path: already serialized (at submission, or by an earlier
         // evaluation) — idempotent result.
-        match core.state() {
-            FutState::Serialized | FutState::Adopted => {
-                return Ok(core.result_value().expect("serialized future has result"));
-            }
-            FutState::Failed => return Err(StmError::UserAbort),
-            FutState::Cancelled => return Err(StmError::Conflict),
-            _ => {}
+        if let Some(out) = core.read(|l| l.phase.outcome()) {
+            return out;
         }
         // Open the evaluation segment: iCommit the current node, begin
         // V_eval. Its dependence on the future is added upon serialization
@@ -420,84 +425,58 @@ impl TxCtx {
         self.freeze();
         let eval_arc = self.top.open_segment(&self.tm, cur, NodeKind::Eval);
         self.bind(eval_arc);
-        // Wait for the body to settle. The wait is a join edge of the
-        // causal DAG: the span's `b` names the future we blocked on so the
-        // profiler can jump lanes along it.
-        let top = self.top.clone();
-        let core2 = core.clone();
-        let wait_start = self.tm.tracer.span_start();
-        self.tm.clock.wait_until(&core.event, move || {
-            core2.state().is_settled() || top.is_cancelled()
-        });
-        self.tm
-            .tracer
-            .span_end(EventKind::EvalWaitSpan, wait_start, core.id);
-        self.check_doom()?;
         loop {
-            match core.state() {
-                FutState::Serialized | FutState::Adopted => {
+            // Wait for the body to settle (or for the claimer to give up).
+            // The wait is a join edge of the causal DAG: the span's `b`
+            // names the future we blocked on so the profiler can jump
+            // lanes along it.
+            let wait_start = self.tm.tracer.span_start();
+            self.tm.clock.wait_until(&core.event, || {
+                core.state().is_settled() || self.top.is_cancelled()
+            });
+            self.tm
+                .tracer
+                .span_end(EventKind::EvalWaitSpan, wait_start, core.id);
+            self.check_doom()?;
+            if let Some(out) = core.read(|l| l.phase.outcome()) {
+                if out.is_ok() {
                     // Serialized at submission while we were waiting.
                     self.view_valid = false;
-                    return Ok(core.result_value().expect("result"));
                 }
-                FutState::Failed => return Err(StmError::UserAbort),
-                FutState::Cancelled => return Err(StmError::Conflict),
-                FutState::Completed => {
-                    // Claim the serialization so a concurrent same-top
-                    // evaluator cannot also position the future (two
-                    // serialization points would cycle G).
-                    {
-                        let mut st = core.state.lock();
-                        if *st != FutState::Completed {
-                            continue; // another evaluator won; re-examine
-                        }
-                        *st = FutState::Adopting;
-                    }
-                    match self.top.serialize_at_evaluation(core, cur, self.node.id) {
-                        Ok(value) => {
-                            self.tm.stats.serialized_at_evaluation();
-                            self.tm.tracer.record(
-                                EventKind::FutureSerializedEvaluation,
-                                core.id,
-                                self.top.id,
-                            );
-                            self.view_valid = false;
-                            return Ok(value);
-                        }
-                        Err(()) => {
-                            // Backward validation failed: re-execute the
-                            // future inline at the evaluation point.
-                            self.tm.stats.internal_aborts();
-                            self.tm.stats.reexecutions();
-                            self.tm.tracer.record(
-                                EventKind::FutureReexecuted,
-                                core.id,
-                                self.top.id,
-                            );
-                            let out = self.reexecute_inline(core, cur);
-                            if out.is_err() && core.state() == FutState::Adopting {
-                                // Release the claim so another evaluator
-                                // (or a replay) can settle the future.
-                                core.set_state(FutState::Completed);
-                                self.tm.clock.notify_all(&core.event);
-                            }
-                            return out;
-                        }
-                    }
-                }
-                FutState::Running | FutState::Adopting => {
-                    let core2 = core.clone();
-                    let top = self.top.clone();
-                    let wait_start = self.tm.tracer.span_start();
-                    self.tm.clock.wait_until(&core.event, move || {
-                        core2.state().is_settled() || top.is_cancelled()
-                    });
-                    self.tm
-                        .tracer
-                        .span_end(EventKind::EvalWaitSpan, wait_start, core.id);
-                    self.check_doom()?;
-                }
+                return out;
             }
+            // Claim the serialization so a concurrent same-top evaluator
+            // cannot also position the future (two serialization points
+            // would cycle G).
+            let Some(Phase::Completed(done, escape)) = core.transition(&self.tm.clock, Move::Claim)
+            else {
+                continue; // claimed by another evaluator
+            };
+            if self
+                .top
+                .serialize_at_evaluation(&self.tm, core, done.final_node, cur, self.node.id)
+            {
+                self.tm.stats.serialized_at_evaluation();
+                self.tm
+                    .tracer
+                    .record(EventKind::FutureSerializedEvaluation, core.id, self.top.id);
+                self.view_valid = false;
+                return Ok(done.value);
+            }
+            // Backward validation failed: re-execute the future inline at
+            // the evaluation point.
+            self.tm.stats.internal_aborts();
+            self.tm.stats.reexecutions();
+            self.tm
+                .tracer
+                .record(EventKind::FutureReexecuted, core.id, self.top.id);
+            let out = self.reexecute_inline(core, cur);
+            if let Err(StmError::Conflict) = out {
+                // Release the claim so another evaluator (or a replay) can
+                // settle the future.
+                core.transition(&self.tm.clock, Move::Release(escape));
+            }
+            return out;
         }
     }
 
@@ -512,29 +491,14 @@ impl TxCtx {
             assert!(guard < 100_000, "reexecute_inline spinning");
             self.check_doom()?;
             // Inline attempts continue the future's retry lineage on the
-            // evaluator's lane; the attempt index restarts per incarnation
-            // site (the profiler keys waste on begin/abort pairs, not on
-            // globally unique indices).
+            // evaluator's lane.
             let attempt = (guard - 1) as u64;
-            self.tm
-                .tracer
-                .record(EventKind::FutureAttemptBegin, core.id, attempt);
             let fnode_arc = self.top.reincarnate_future_at(core, eval_pred);
-            let mut fctx = TxCtx::new(self.tm.clone(), self.top.clone(), fnode_arc);
-            fctx.set_owner(core.clone());
-            match (core.body)(&mut fctx) {
-                Ok(value) => {
-                    let final_node = fctx.node.id;
-                    fctx.freeze();
-                    self.tm
-                        .tracer
-                        .record(EventKind::FutureCompleted, core.id, attempt);
-                    self.top.finish_inline_serialization(
-                        core,
-                        final_node,
-                        self.node.id,
-                        value.clone(),
-                    );
+            match run_body_attempt(&self.tm, &self.top, core, fnode_arc, attempt) {
+                Ok(done) => {
+                    let value = done.value.clone();
+                    self.top
+                        .finish_inline_serialization(&self.tm, core, done, self.node.id);
                     self.tm.stats.serialized_at_evaluation();
                     self.tm.tracer.record(
                         EventKind::FutureSerializedEvaluation,
@@ -545,18 +509,13 @@ impl TxCtx {
                     return Ok(value);
                 }
                 Err(StmError::Conflict) => {
-                    self.tm.stats.internal_aborts();
-                    self.tm
-                        .tracer
-                        .record(EventKind::FutureAttemptAbort, core.id, attempt);
                     if self.top.is_cancelled() || self.top.is_doomed() {
                         return Err(StmError::Conflict);
                     }
                     continue;
                 }
                 Err(StmError::UserAbort) => {
-                    core.set_state(FutState::Failed);
-                    self.tm.clock.notify_all(&core.event);
+                    core.transition(&self.tm.clock, Move::Fail);
                     return Err(StmError::UserAbort);
                 }
             }
@@ -565,128 +524,114 @@ impl TxCtx {
 
     /// Cross-top-level evaluation of an escaping future (§4.2).
     fn evaluate_escaping(&mut self, core: &Arc<FutureCore>) -> TxResult<Value> {
+        let snapshot = self.top.snapshot_version();
+        let settled = |l: &Lifecycle| match (&l.phase, l.spawn_commit_version) {
+            // The future's effects committed with its spawning top-level;
+            // we may only observe them if our snapshot is at least as
+            // recent.
+            (Phase::Serialized(_), Some(version)) if version > snapshot => {
+                Some(Err(StmError::Conflict))
+            }
+            (Phase::Serialized(_), None) => None,
+            (phase, _) => phase.outcome(),
+        };
         loop {
             // Wait until the future and its spawning top-level have settled
-            // enough to decide.
-            let core2 = core.clone();
-            self.tm.clock.wait_until(&core.event, move || {
-                let st = core2.state();
-                match st {
-                    FutState::Running | FutState::Adopting => false,
-                    // Completed: decidable once the spawner committed and
-                    // resolved the escape record.
-                    FutState::Completed => core2.escape.lock().is_some(),
-                    FutState::Serialized => core2.spawn_commit_version.lock().is_some(),
-                    FutState::Adopted | FutState::Failed | FutState::Cancelled => true,
-                }
+            // enough to decide: a completed future once the spawner
+            // committed and resolved the escape record.
+            self.tm.clock.wait_until(&core.event, || {
+                core.read(|l| {
+                    settled(l).is_some() || matches!(l.phase, Phase::Completed(_, Some(_)))
+                })
             });
             self.check_doom()?;
-            match core.state() {
-                FutState::Failed => return Err(StmError::UserAbort),
-                FutState::Cancelled => return Err(StmError::Conflict),
-                FutState::Adopted => {
-                    return Ok(core.result_value().expect("adopted future has result"))
-                }
-                FutState::Serialized => {
-                    // The future's effects committed with its spawning
-                    // top-level; we may only observe them if our snapshot
-                    // is at least as recent.
-                    let version = core
-                        .spawn_commit_version
-                        .lock()
-                        .expect("serialized escaping future has commit version");
-                    if version > self.top.snapshot_version() {
-                        return Err(StmError::Conflict);
-                    }
-                    return Ok(core.result_value().expect("result"));
-                }
-                FutState::Completed => {
-                    // Try to claim the adoption.
-                    {
-                        let mut st = core.state.lock();
-                        if *st != FutState::Completed {
-                            continue; // someone else won; re-examine
-                        }
-                        *st = FutState::Adopting;
-                    }
-                    return self.adopt_escaping(core);
-                }
-                FutState::Running | FutState::Adopting => continue,
+            if let Some(out) = core.read(settled) {
+                return out;
+            }
+            // Try to claim the adoption; if someone else won, re-examine.
+            if let Some(Phase::Completed(done, Some(record))) =
+                core.transition(&self.tm.clock, Move::ClaimEscape)
+            {
+                return self.adopt_escaping(core, done, record);
             }
         }
     }
 
     /// Validates an escaped future's read-set against this transaction's
     /// view and either adopts its effects or re-executes it inline.
-    fn adopt_escaping(&mut self, core: &Arc<FutureCore>) -> TxResult<Value> {
-        let record = core.escape.lock().take().expect("escape record present");
-        let spawn_version = core
-            .spawn_commit_version
-            .lock()
-            .expect("escaped future has spawner commit version");
-        let valid = !record.poisoned
-            && spawn_version <= self.top.snapshot_version()
-            && self.validate_escape_reads(&record);
-        if valid {
-            // Adopt: the future's reads and writes become ours; its result
-            // is externalized through us. Our logs borrow the record's
-            // boxes, whose handles our top-level keeps from now on.
-            let mut kept = Vec::with_capacity(record.reads.len() + record.writes.len());
-            for (body, version) in record.reads {
-                let id = body.body().id();
-                self.node
-                    .record_read(id, body.borrow(), ReadOrigin::Global(version));
-                kept.push(body);
-            }
-            for (body, value) in record.writes {
-                self.writes.insert(body.body().id(), (body.borrow(), value));
-                kept.push(body);
-            }
-            self.top.keep(kept);
-            let value = core.result_value().expect("completed future has result");
-            core.set_state(FutState::Adopted);
-            self.tm.stats.adopted_escaping();
-            self.tm
-                .tracer
-                .record(EventKind::FutureAdopted, core.id, self.top.id);
-            self.tm.clock.notify_all(&core.event);
-            Ok(value)
-        } else {
-            // The state the future observed is stale here: re-execute its
-            // body inline within this transaction. The result of this
-            // (first successful) serialization becomes the fixed result.
-            self.tm.stats.internal_aborts();
-            self.tm.stats.reexecutions();
-            self.tm
-                .tracer
-                .record(EventKind::FutureReexecuted, core.id, self.top.id);
-            let was_adopting = std::mem::replace(&mut self.adopting, true);
-            let run = (core.body)(self);
-            self.adopting = was_adopting;
-            match run {
-                Ok(value) => {
-                    *core.result.lock() = Some(value.clone());
-                    core.set_state(FutState::Adopted);
-                    self.tm.stats.adopted_escaping();
-                    self.tm
-                        .tracer
-                        .record(EventKind::FutureAdopted, core.id, self.top.id);
-                    self.tm.clock.notify_all(&core.event);
-                    Ok(value)
+    fn adopt_escaping(
+        &mut self,
+        core: &Arc<FutureCore>,
+        done: Done,
+        record: EscapeRecord,
+    ) -> TxResult<Value> {
+        match record {
+            EscapeRecord::Revalidate {
+                version,
+                reads,
+                writes,
+            } if version <= self.top.snapshot_version() && self.validate_escape_reads(&reads) => {
+                // Adopt: the future's reads and writes become ours; its
+                // result is externalized through us. Our logs borrow the
+                // record's boxes, whose handles our top-level keeps from
+                // now on.
+                let mut kept = Vec::with_capacity(reads.len() + writes.len());
+                for (body, version) in reads {
+                    let id = body.body().id();
+                    self.node
+                        .record_read(id, body.borrow(), ReadOrigin::Global(version));
+                    kept.push(body);
                 }
-                Err(e) => {
-                    // Restore the claim so another evaluator can retry.
-                    *core.escape.lock() = Some(record);
-                    core.set_state(FutState::Completed);
-                    self.tm.clock.notify_all(&core.event);
-                    Err(e)
+                for (body, value) in writes {
+                    self.writes.insert(body.body().id(), (body.borrow(), value));
+                    kept.push(body);
+                }
+                self.top.keep(kept);
+                core.transition(&self.tm.clock, Move::Adopt(None));
+                self.tm.stats.adopted_escaping();
+                self.tm
+                    .tracer
+                    .record(EventKind::FutureAdopted, core.id, self.top.id);
+                Ok(done.value)
+            }
+            record => {
+                // The state the future observed is stale here: re-execute
+                // its body inline within this transaction. The result of
+                // this (first successful) serialization becomes the fixed
+                // result.
+                self.tm.stats.internal_aborts();
+                self.tm.stats.reexecutions();
+                self.tm
+                    .tracer
+                    .record(EventKind::FutureReexecuted, core.id, self.top.id);
+                let was_adopting = std::mem::replace(&mut self.adopting, true);
+                let run = unpanicked(|| (core.body)(self));
+                self.adopting = was_adopting;
+                match run {
+                    Ok(value) => {
+                        core.transition(&self.tm.clock, Move::Adopt(Some(value.clone())));
+                        self.tm.stats.adopted_escaping();
+                        self.tm
+                            .tracer
+                            .record(EventKind::FutureAdopted, core.id, self.top.id);
+                        Ok(value)
+                    }
+                    Err(StmError::UserAbort) => {
+                        core.transition(&self.tm.clock, Move::Fail);
+                        Err(StmError::UserAbort)
+                    }
+                    Err(StmError::Conflict) => {
+                        // Restore the claim so another evaluator can retry.
+                        core.transition(&self.tm.clock, Move::Release(Some(record)));
+                        Err(StmError::Conflict)
+                    }
                 }
             }
         }
     }
 
-    fn validate_escape_reads(&mut self, record: &EscapeRecord) -> bool {
-        for (body, version) in &record.reads {
+    fn validate_escape_reads(&mut self, reads: &[(BoxHandle, u64)]) -> bool {
+        for (body, version) in reads {
             let id = body.body().id();
             // Any local shadow of the box invalidates the observation.
             if self.writes.contains_key(&id) {
@@ -730,27 +675,9 @@ impl TxCtx {
             let node_id = self.node.id;
             let nodes_before = self.top.node_count();
             match f(self) {
-                Ok(v) => {
-                    // A doom may have landed between the segment's last
-                    // operation and here; a doomed segment must not seal.
-                    if self.node.is_doomed() || self.top.is_doomed() || self.top.is_cancelled() {
-                        let local = !self.top.is_doomed()
-                            && !self.top.is_cancelled()
-                            && self.node.id == node_id
-                            && self.top.node_count() == nodes_before;
-                        if local {
-                            self.tm.stats.segment_retries();
-                            self.tm.tracer.record(
-                                EventKind::SegmentRetried,
-                                node_id as u64,
-                                self.top.id,
-                            );
-                            let fresh = self.top.reset_node(node_id, NodeKind::Continuation);
-                            self.bind(fresh);
-                            continue;
-                        }
-                        return Err(StmError::Conflict);
-                    }
+                // A doom may have landed between the segment's last
+                // operation and here; a doomed segment must not seal.
+                Ok(v) if self.check_doom().is_ok() => {
                     // Seal the segment so later dooms cannot target the
                     // closure we no longer hold.
                     let sealed_from = self.node.id;
@@ -761,24 +688,23 @@ impl TxCtx {
                     self.bind(next);
                     return Ok(v);
                 }
-                Err(StmError::Conflict) => {
+                Ok(_) | Err(StmError::Conflict) => {
+                    // Only the segment retries when the doom is its own and
+                    // it neither moved on nor spawned anything.
                     let local = !self.top.is_doomed()
                         && !self.top.is_cancelled()
                         && self.node.id == node_id
                         && self.top.node_count() == nodes_before
                         && self.node.is_doomed();
-                    if local {
-                        self.tm.stats.segment_retries();
-                        self.tm.tracer.record(
-                            EventKind::SegmentRetried,
-                            node_id as u64,
-                            self.top.id,
-                        );
-                        let fresh = self.top.reset_node(node_id, NodeKind::Continuation);
-                        self.bind(fresh);
-                        continue;
+                    if !local {
+                        return Err(StmError::Conflict);
                     }
-                    return Err(StmError::Conflict);
+                    self.tm.stats.segment_retries();
+                    self.tm
+                        .tracer
+                        .record(EventKind::SegmentRetried, node_id as u64, self.top.id);
+                    let fresh = self.top.reset_node(node_id, NodeKind::Continuation);
+                    self.bind(fresh);
                 }
                 Err(StmError::UserAbort) => return Err(StmError::UserAbort),
             }

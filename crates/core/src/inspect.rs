@@ -3,19 +3,7 @@
 //! The graph is the paper's core runtime artifact: every doom, cascade
 //! and serialization decision is a structural fact about it. This module
 //! renders a live [`TopLevel`]'s graph as Graphviz DOT (for eyes) and as
-//! JSON (for tools), and auto-dumps snapshots at the two moments the
-//! structure explains a failure:
-//!
-//! * **doom** — an uncontained sub-transaction doom cascades to a
-//!   whole-top-level restart; and
-//! * **abort-storm** — a run of consecutive cross-top conflict aborts
-//!   with no intervening commit (livelock smell).
-//!
-//! Auto-dumps fire only at `WTF_TRACE>=2` (`Tracer::full`), write to
-//! the TM's snapshot directory (`WTF_SNAPSHOT_DIR`, default
-//! `results/snapshots`, resolved when the TM is built), and are
-//! rate-limited by a per-TM budget of [`DUMP_LIMIT`] so a pathological
-//! run cannot fill the disk.
+//! JSON (for tools).
 //!
 //! DOT encoding: node fill encodes [`NodeStatus`], a red outline marks
 //! doomed nodes, and `rank` (longest path from the root — the iCommit
@@ -24,17 +12,8 @@
 use crate::graph::{GraphInner, NodeStatus};
 use crate::node::SubTxNode;
 use crate::toplevel::TopLevel;
-use crate::TmInner;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use wtf_trace::Json;
-
-/// Consecutive cross-top conflict aborts (without a commit) that count
-/// as an abort storm.
-pub const ABORT_STORM: u64 = 20;
-
-/// Automatic-dump budget per TM.
-pub const DUMP_LIMIT: u64 = 8;
 
 fn status_name(s: NodeStatus) -> &'static str {
     match s {
@@ -179,46 +158,4 @@ fn graph_dot_impl(
     }
     out.push_str("}\n");
     out
-}
-
-/// Claims one unit of the TM's dump budget. Returns false once spent.
-fn claim_dump(tm: &TmInner) -> bool {
-    tm.dumps_remaining
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-        .is_ok()
-}
-
-/// Dumps `top`'s graph as `{reason}_top{id}.dot` + `.json` in the
-/// snapshot dir. Rate-limited by the TM's dump budget; IO errors are
-/// reported to stderr but never propagate into the transaction path.
-pub(crate) fn auto_dump(tm: &TmInner, top: &TopLevel, reason: &str) {
-    if !claim_dump(tm) {
-        return;
-    }
-    let dir = &tm.snapshot_dir;
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("[wtf-inspect] cannot create {}: {e}", dir.display());
-        return;
-    }
-    let dot_path = dir.join(format!("{reason}_top{}.dot", top.id));
-    let json_path = dir.join(format!("{reason}_top{}.json", top.id));
-    if let Err(e) = std::fs::write(&dot_path, top.graph_dot()) {
-        eprintln!("[wtf-inspect] cannot write {}: {e}", dot_path.display());
-    }
-    if let Err(e) = std::fs::write(&json_path, top.graph_json().to_string()) {
-        eprintln!("[wtf-inspect] cannot write {}: {e}", json_path.display());
-    }
-}
-
-/// Cross-top conflict-abort hook: bumps the storm streak and dumps the
-/// aborting top's graph when the streak reaches the threshold. Only
-/// active at `WTF_TRACE>=2` (one relaxed load otherwise).
-pub(crate) fn on_conflict_abort(tm: &TmInner, top: &TopLevel) {
-    if !tm.tracer.full() {
-        return;
-    }
-    let streak = tm.conflict_abort_streak.fetch_add(1, Ordering::Relaxed) + 1;
-    if streak == ABORT_STORM {
-        auto_dump(tm, top, "abort_storm");
-    }
 }

@@ -72,11 +72,10 @@ pub use wtf_backend::{
 pub use wtf_mvstm::Stm;
 
 use parking_lot::Mutex;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wtf_taskpool::TaskPool;
-use wtf_trace::{knobs, EventKind, Tracer};
+use wtf_trace::{EventKind, Tracer};
 use wtf_vclock::{Clock, Resource};
 
 /// Instantiates the STM substrate for `kind`, reporting into `tracer` —
@@ -130,19 +129,6 @@ pub(crate) struct TmInner {
     /// on at build, so an untraced begin registers nothing. Dead entries are pruned opportunistically
     /// on registration.
     pub(crate) tops: Option<[TopShard; TOP_SHARDS]>,
-    /// Consecutive cross-top conflict aborts since the last commit
-    /// (abort-storm detection; see `inspect`).
-    // ordering: relaxed-rmw bumps the streak, relaxed-store resets it —
-    // a diagnostics heuristic; an off-by-one streak at worst delays or
-    // duplicates one auto-dump. relaxed-guard: the threshold comparison
-    // only rate-limits diagnostics output.
-    pub(crate) conflict_abort_streak: AtomicU64,
-    /// Remaining automatic graph dumps (rate limit; see `inspect`).
-    // ordering: relaxed-rmw — the budget is claimed with a single-word
-    // `fetch_update`; no data is published through it.
-    pub(crate) dumps_remaining: AtomicU64,
-    /// Where graph dumps go (`WTF_SNAPSHOT_DIR`, resolved once at build).
-    pub(crate) snapshot_dir: PathBuf,
 }
 
 impl TmInner {
@@ -291,9 +277,6 @@ impl FutureTmBuilder {
                     future_counter: AtomicU64::new(0),
                 },
                 tops: traced.then(Default::default),
-                conflict_abort_streak: AtomicU64::new(0),
-                dumps_remaining: AtomicU64::new(inspect::DUMP_LIMIT),
-                snapshot_dir: knobs::env().snapshot_dir(),
             }),
         };
         if traced {
@@ -447,37 +430,26 @@ impl FutureTm {
         use crate::toplevel::CommitFail;
         match body(&mut ctx) {
             Ok(value) => match top.commit(&mut ctx) {
-                Ok(()) => AttemptOutcome::Done(Ok(value)),
-                Err(CommitFail::Internal) => {
-                    if top.is_cancelled() {
-                        AttemptOutcome::Full
-                    } else {
-                        self.inner.stats.top_internal_restarts();
-                        self.inner
-                            .tracer
-                            .record(EventKind::TopInternalRestart, top.id, 0);
-                        AttemptOutcome::Internal
-                    }
-                }
-                Err(CommitFail::CrossTop) => AttemptOutcome::Full,
+                Ok(()) => return AttemptOutcome::Done(Ok(value)),
+                Err(CommitFail::CrossTop) => return AttemptOutcome::Full,
+                Err(CommitFail::Internal) => {}
             },
-            Err(StmError::Conflict) => {
-                if top.is_cancelled() {
-                    AttemptOutcome::Full
-                } else {
-                    self.inner.stats.top_internal_restarts();
-                    self.inner
-                        .tracer
-                        .record(EventKind::TopInternalRestart, top.id, 0);
-                    AttemptOutcome::Internal
-                }
-            }
+            Err(StmError::Conflict) => {}
             Err(StmError::UserAbort) => {
                 self.inner.tracer.record(EventKind::TopUserAbort, top.id, 0);
                 top.cancel(&self.inner);
-                AttemptOutcome::Done(Err(Aborted))
+                return AttemptOutcome::Done(Err(Aborted));
             }
         }
+        // An internal doom: a cancelled incarnation restarts in full.
+        if top.is_cancelled() {
+            return AttemptOutcome::Full;
+        }
+        self.inner.stats.top_internal_restarts();
+        self.inner
+            .tracer
+            .record(EventKind::TopInternalRestart, top.id, 0);
+        AttemptOutcome::Internal
     }
 
     /// Like [`FutureTm::atomic`] but panics on explicit abort.

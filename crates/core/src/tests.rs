@@ -525,39 +525,43 @@ fn gac_commit_does_not_wait_and_future_is_adopted() {
 /// top-level's registration, so that commit's version GC must not
 /// discount it: here the continuation overwrites the very box the
 /// future reads next, and the version the future needs is the one the
-/// commit would prune. Version GC is mvstm's, so the test pins it.
+/// commit would prune. TL2 keeps one version, so there the read fails:
+/// the committed spawner is not cancelled for it, and the future escapes
+/// as one its adopter re-executes.
 #[test]
 fn escaped_future_reads_what_its_spawners_commit_overwrote() {
     use crate::{with_backend, BackendKind};
-    let vtm = |f| with_backend(BackendKind::Mvstm, || with_vtm(Semantics::WO_GAC, 2, f));
-    let ((state, adopted), stats, _) = vtm(|tm: &FutureTm| {
-        let x = tm.new_vbox(0i64);
-        let handle = tm.new_vbox::<Option<TxFuture<i64>>>(None);
-        tm.atomic(|ctx| {
-            let x2 = x.clone();
-            let f = ctx.submit(move |c| {
-                c.work(500);
-                c.read(&x2)
-            })?;
-            ctx.write(&x, 99)?;
-            ctx.write(&handle, Some(f))
-        })
-        .unwrap();
-        let f = tm
-            .atomic(|ctx| ctx.read(&handle))
-            .unwrap()
-            .expect("handle published");
-        while !f.is_done_executing() {
-            Clock::current().advance(100);
-        }
-        let state = f.state();
-        (state, tm.atomic(|ctx| ctx.evaluate(&f)))
-    });
-    assert_eq!(state, crate::FutState::Completed, "the body read x");
-    // The body read x = 0 under the spawner's snapshot; the adopter finds
-    // that read stale and re-executes against x = 99.
-    assert_eq!(adopted, Ok(99));
-    assert_eq!(stats.adopted_escaping, 1);
+    for kind in BackendKind::ALL {
+        let vtm = |f| with_backend(kind, || with_vtm(Semantics::WO_GAC, 2, f));
+        let ((state, adopted), stats, _) = vtm(|tm: &FutureTm| {
+            let x = tm.new_vbox(0i64);
+            let handle = tm.new_vbox::<Option<TxFuture<i64>>>(None);
+            tm.atomic(|ctx| {
+                let x2 = x.clone();
+                let f = ctx.submit(move |c| {
+                    c.work(500);
+                    c.read(&x2)
+                })?;
+                ctx.write(&x, 99)?;
+                ctx.write(&handle, Some(f))
+            })
+            .unwrap();
+            let f = tm
+                .atomic(|ctx| ctx.read(&handle))
+                .unwrap()
+                .expect("handle published");
+            while !f.is_done_executing() {
+                Clock::current().advance(100);
+            }
+            let state = f.state();
+            (state, tm.atomic(|ctx| ctx.evaluate(&f)))
+        });
+        assert_eq!(state, crate::FutState::Completed, "{kind:?}: the body ran");
+        // The body read x = 0 under the spawner's snapshot (mvstm), or
+        // failed to (TL2); the adopter re-executes against x = 99.
+        assert_eq!(adopted, Ok(99), "{kind:?}");
+        assert_eq!(stats.adopted_escaping, 1, "{kind:?}");
+    }
 }
 
 #[test]
@@ -866,33 +870,6 @@ fn graph_exporters_render_live_top() {
     // iCommit order: root (rank 0) before its children.
     let order = parsed.get("icommit_order").unwrap().as_arr().unwrap();
     assert_eq!(order[0], wtf_trace::Json::U64(0));
-}
-
-/// `auto_dump` writes `{reason}_top{id}.dot` + `.json` into the snapshot
-/// dir and respects the per-TM dump budget.
-#[test]
-fn auto_dump_writes_snapshots_and_respects_budget() {
-    use std::sync::atomic::Ordering;
-    let dir = std::env::temp_dir().join(format!("wtf_inspect_dump_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut tm = FutureTm::new(Semantics::WO_GAC);
-    // The TM is not shared yet (tracer off: no gauge holds a `Weak`), so
-    // the snapshot directory it resolved at build can be repointed here.
-    Arc::get_mut(&mut tm.inner)
-        .expect("unshared TM")
-        .snapshot_dir = dir.clone();
-    let top = crate::TopLevel::begin(&tm.inner);
-    crate::inspect::auto_dump(&tm.inner, &top, "doom");
-    let dot = std::fs::read_to_string(dir.join("doom_top0.dot")).unwrap();
-    assert!(dot.contains("digraph top0"));
-    assert!(std::fs::metadata(dir.join("doom_top0.json")).is_ok());
-    // Exhaust the budget: no further files appear.
-    tm.inner.dumps_remaining.store(0, Ordering::Relaxed);
-    crate::inspect::auto_dump(&tm.inner, &top, "storm");
-    assert!(std::fs::metadata(dir.join("storm_top0.dot")).is_err());
-    drop(top);
-    tm.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Live TM gauges (in-flight tops, nodes) report through the tracer.
@@ -1315,13 +1292,15 @@ fn escaping_future_adopted_by_flat_top_level() {
     }
 }
 
-/// ROADMAP item 4: a future body that panics settles `Failed`. Its
-/// evaluator is woken with an error (on the parent of this test it parks
-/// for good), the worker that ran it takes the next future, and nothing of
-/// the transaction stays alive.
+/// A future body that panics settles `Failed`, wherever it runs: on a
+/// worker, re-executed by its evaluator, or re-executed by its adopter.
+/// Its evaluator is woken with an error (the transaction aborts), the
+/// worker that ran it takes the next future, and nothing of the
+/// transactions stays alive.
 #[test]
 fn panicking_future_body_fails_the_future_and_keeps_the_worker() {
     use crate::{Aborted, BackendKind};
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
     use std::time::{Duration, Instant};
     use wtf_trace::{TraceLevel, Tracer};
     for kind in [BackendKind::Mvstm, BackendKind::Tl2] {
@@ -1340,6 +1319,61 @@ fn panicking_future_body_fails_the_future_and_keeps_the_worker() {
                 ctx.evaluate(&f)
             });
             assert_eq!(out, Err(Aborted), "{kind:?}");
+            // Re-executed at evaluation: the continuation reads what the
+            // body writes (no serialization at submission) and writes what
+            // it reads (none at evaluation), so the evaluator re-runs the
+            // body, which then sees x = 99. A gate holds the body's first
+            // run back until the continuation is done; once open it stays
+            // open.
+            let (x, y) = (tm.new_vbox(0u64), tm.new_vbox(0u64));
+            let reads_x = |gate: &Arc<AtomicBool>| {
+                let (x, gate) = (x.clone(), gate.clone());
+                move |c: &mut crate::TxCtx| {
+                    while !gate.load(SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    if c.read(&x)? == 99 {
+                        panic!("re-executed future body blew up");
+                    }
+                    Ok(0u64)
+                }
+            };
+            let gate = Arc::new(AtomicBool::new(false));
+            let out = tm.atomic(|ctx| {
+                let (body, y2) = (reads_x(&gate), y.clone());
+                let f = ctx.submit(move |c| {
+                    let v = body(c)?;
+                    c.write(&y2, 1)?;
+                    Ok(v)
+                })?;
+                ctx.read(&y)?;
+                ctx.write(&x, 99)?;
+                gate.store(true, SeqCst);
+                ctx.evaluate(&f)
+            });
+            assert_eq!(out, Err(Aborted), "{kind:?}: re-executed at evaluation");
+            assert_eq!(tm.stats().reexecutions, 1, "{kind:?}");
+            // Re-executed by an adopter: the future escapes its committed
+            // spawner (its gate opens after that commit), x changes, and
+            // the adopter re-runs the body.
+            let gate = Arc::new(AtomicBool::new(false));
+            let handle = tm.new_vbox::<Option<crate::TxFuture<u64>>>(None);
+            tm.atomic(|ctx| {
+                let f = ctx.submit(reads_x(&gate))?;
+                ctx.write(&handle, Some(f))
+            })
+            .unwrap();
+            gate.store(true, SeqCst);
+            let f = tm.atomic(|ctx| ctx.read(&handle)).unwrap().unwrap();
+            while !f.is_done_executing() {
+                std::thread::yield_now();
+            }
+            assert_eq!(f.state(), crate::FutState::Completed, "{kind:?}: escaped");
+            tm.atomic(|ctx| ctx.write(&x, 99)).unwrap();
+            let out = tm.atomic(|ctx| ctx.evaluate(&f));
+            assert_eq!(out, Err(Aborted), "{kind:?}: re-executed by its adopter");
+            assert_eq!(f.state(), crate::FutState::Failed, "{kind:?}");
+            assert_eq!(tm.stats().reexecutions, 2, "{kind:?}");
             // The pool's only worker survived.
             let next = tm.atomic(|ctx| {
                 let f = ctx.submit(|_| Ok(7u64))?;
@@ -1359,6 +1393,128 @@ fn panicking_future_body_fails_the_future_and_keeps_the_worker() {
             tm.shutdown();
         });
     }
+}
+
+/// A future's lifecycle, driven through `FutureCore::transition` alone:
+/// from each phase (itself reached through the method), which move is
+/// accepted and where it leads. Every call, accepted or not, wakes a
+/// waiter parked on the future's event exactly once.
+#[test]
+fn lifecycle_transition_table() {
+    use crate::future::{Done, EscapeRecord, FutureCore, Move, Phase};
+    use crate::FutState::{self, *};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+    fn done(v: u64) -> Done {
+        Done {
+            final_node: 1,
+            value: Arc::new(v),
+        }
+    }
+    fn completed() -> Move {
+        Move::Finish(Phase::Completed(done(1), None))
+    }
+    fn escaped() -> Move {
+        Move::Finish(Phase::Completed(done(1), Some(EscapeRecord::Reexecute)))
+    }
+    let moves: [fn() -> Move; 8] = [
+        || Move::Finish(Phase::Serialized(done(2))),
+        || Move::Claim,
+        || Move::ClaimEscape,
+        || Move::Release(None),
+        || Move::Serialize(Some(done(2))),
+        || Move::Adopt(Some(Arc::new(2u64))),
+        || Move::Fail,
+        || Move::Cancel,
+    ];
+    const NO: Option<FutState> = None;
+    let (se, ad, co) = (Some(Serialized), Some(Adopting), Some(Completed));
+    let (ao, fa, ca) = (Some(Adopted), Some(Failed), Some(Cancelled));
+    // A path from `Running` to the row's phase, and the state each move
+    // leads to. Columns: finish, claim, claim escape, release, serialize,
+    // adopt, fail, cancel. `NO`: refused, the phase stays as it is.
+    type Row = (fn() -> Vec<Move>, [Option<FutState>; 8]);
+    #[rustfmt::skip]
+    let rows: [Row; 8] = [
+        (Vec::new,                                      [se, NO, NO, NO, NO, NO, fa, ca]),
+        (|| vec![completed()],                          [se, ad, NO, NO, NO, NO, fa, ca]),
+        (|| vec![escaped()],                            [se, ad, ad, NO, NO, NO, fa, ca]),
+        (|| vec![completed(), Move::Claim],             [se, NO, NO, co, se, ao, fa, ca]),
+        // A fixed result is never replaced (§3.2 idempotent evaluation);
+        // the serializing incarnation can still be abandoned.
+        (|| vec![Move::Finish(Phase::Serialized(done(1)))], [NO, NO, NO, NO, NO, NO, NO, ca]),
+        // An adopted future's effects belong to its adopter.
+        (|| vec![escaped(), Move::ClaimEscape, Move::Adopt(None)], [NO; 8]),
+        (|| vec![Move::Fail],                           [se, NO, NO, NO, NO, NO, fa, ca]),
+        // A finishing attempt never resurrects a cancelled incarnation.
+        (|| vec![Move::Cancel],                         [NO, NO, NO, NO, NO, NO, fa, ca]),
+    ];
+    let value = |core: &FutureCore| {
+        core.read(|l| l.phase.outcome())
+            .and_then(Result::ok)
+            .map(|v| *v.downcast_ref::<u64>().unwrap())
+    };
+    let clock = Clock::virtual_time();
+    clock.enter(|| {
+        let clock = Clock::current();
+        let event = clock.new_event();
+        let (wakes, stop) = (
+            Arc::new(AtomicUsize::new(0)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let waiter = {
+            let (clock, event, wakes, stop) =
+                (clock.clone(), event.clone(), wakes.clone(), stop.clone());
+            Clock::current().spawn("waiter", move || {
+                clock.wait_until(&event, || {
+                    wakes.fetch_add(1, SeqCst);
+                    stop.load(SeqCst)
+                })
+            })
+        };
+        clock.advance(1); // the waiter parks
+        assert_eq!(wakes.load(SeqCst), 1);
+        let body: crate::future::BodyFn = Arc::new(|_| Ok(Arc::new(0u64)));
+        let mut calls = 0;
+        let mut step = |core: &FutureCore, mv: Move| {
+            let left = core.transition(&clock, mv);
+            clock.advance(1); // let the waiter look once more
+            calls += 1;
+            assert_eq!(wakes.load(SeqCst), 1 + calls, "one wake per call");
+            left
+        };
+        for (row, (path, expected)) in rows.into_iter().enumerate() {
+            for (col, (mv, want)) in moves.iter().zip(expected).enumerate() {
+                let core = FutureCore::new(0, 0, 1, 2, body.clone(), event.clone());
+                for mv in path() {
+                    assert!(step(&core, mv).is_some(), "row {row}: path refused");
+                }
+                let (from, fixed) = (core.state(), value(&core));
+                let left = step(&core, mv());
+                let cell = format!("row {row} ({from:?}), column {col}");
+                assert_eq!(left.map(|p| p.state()), want.map(|_| from), "{cell}");
+                assert_eq!(core.state(), want.unwrap_or(from), "{cell}");
+                if let Some(v) = fixed {
+                    assert!(
+                        value(&core) == Some(v) || core.state() == Cancelled,
+                        "{cell}: the fixed result changed"
+                    );
+                }
+            }
+        }
+        // The spawner's commit sets the version and attaches a record to a
+        // completed future that has none; no phase is left.
+        let core = FutureCore::new(0, 0, 1, 2, body.clone(), event.clone());
+        step(&core, completed());
+        assert!(step(&core, Move::Commit(7, Some(EscapeRecord::Reexecute))).is_none());
+        let attached = core.read(|l| {
+            let record = matches!(l.phase, Phase::Completed(_, Some(_)));
+            (l.phase.state(), record, l.spawn_commit_version)
+        });
+        assert_eq!(attached, (Completed, true, Some(7)));
+        stop.store(true, SeqCst);
+        clock.notify_all(&event);
+        waiter.join();
+    });
 }
 
 /// The two substrates hash boxes onto commit-lock stripes the same way,

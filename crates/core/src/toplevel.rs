@@ -2,7 +2,7 @@
 //! (forward/backward validation), settlement policies and final commit.
 
 use crate::ctx::TxCtx;
-use crate::future::{BodyFn, EscapeRecord, FutState, FutureCore};
+use crate::future::{BodyFn, Done, EscapeRecord, FutState, FutureCore, Move, Phase};
 use crate::graph::{Graph, GraphInner, NodeId, NodeSet, NodeStatus};
 use crate::node::{NodeKind, ReadOrigin, SubTxNode};
 use crate::{AtomicitySemantics, OrderingSemantics, TmInner};
@@ -303,23 +303,17 @@ impl TopLevel {
         body: BodyFn,
         parent: Option<&Arc<FutureCore>>,
     ) -> Arc<FutureCore> {
-        let core = Arc::new(FutureCore {
-            id: tm.next_future_id(),
-            top_id: self.id,
-            node: fnode,
-            cont_node: cnode,
-            final_node: Mutex::new(None),
-            state: Mutex::new(FutState::Running),
-            result: Mutex::new(None),
-            event: tm.clock.new_event(),
+        let core = Arc::new(FutureCore::new(
+            tm.next_future_id(),
+            self.id,
+            fnode,
+            cnode,
             body,
-            spawn_commit_version: Mutex::new(None),
-            escape: Mutex::new(None),
-            children: Mutex::new(Vec::new()),
-        });
+            tm.clock.new_event(),
+        ));
         self.sub().futures.lock().push(core.clone());
         if let Some(p) = parent {
-            p.children.lock().push(core.clone());
+            p.add_child(core.clone());
         }
         core
     }
@@ -375,18 +369,15 @@ impl TopLevel {
         &self,
         tm: &Arc<TmInner>,
         core: &Arc<FutureCore>,
-        final_node: NodeId,
-        value: Value,
+        done: Done,
     ) -> FutureCommitOutcome {
         if core.state() == FutState::Cancelled {
             // The future was cancelled (replay restart or top abort) while
             // its body was finishing: discard the incarnation's effects.
-            tm.clock.notify_all(&core.event);
             self.notify_change(tm);
             return FutureCommitOutcome::Escaped;
         }
-        *core.final_node.lock() = Some(final_node);
-        *core.result.lock() = Some(value);
+        let final_node = done.final_node;
         let sub = self.sub();
         let nodes = sub.nodes.read();
         let strong = self.strong;
@@ -420,21 +411,15 @@ impl TopLevel {
                     g.status(n) != NodeStatus::Aborted && nodes[n].reads_intersect(&write_ids)
                 })
                 .collect();
-            if conflicters.is_empty() {
+            if conflicters.is_empty() || strong {
                 g.add_edge(final_node, core.cont_node);
                 for m in members.iter() {
                     g.set_status(m, NodeStatus::ICommitted);
                 }
-                FutureCommitOutcome::SerializedAtSubmission
-            } else if strong {
                 // SO: the future wins its submission point; conflicting
                 // readers are doomed. An already-iCommitted (or branched)
                 // reader cannot be rolled back alone: cascade to a
                 // whole-top-level restart.
-                g.add_edge(final_node, core.cont_node);
-                for m in members.iter() {
-                    g.set_status(m, NodeStatus::ICommitted);
-                }
                 for &n in &conflicters {
                     nodes[n].doom();
                     tm.stats.internal_aborts();
@@ -463,57 +448,41 @@ impl TopLevel {
             }
         });
         drop(nodes);
-        if tm.tracer.full() && self.is_doomed() {
-            // An uncontained doom cascades to a whole-top restart: dump
-            // the graph that forced it while the evidence is still live.
-            crate::inspect::auto_dump(tm, self, "doom");
-        }
-        // A replay restart may have cancelled us concurrently; never
-        // resurrect a cancelled incarnation.
-        let transition = |next: FutState| {
-            let mut st = core.state.lock();
-            if *st != FutState::Cancelled {
-                *st = next;
-                true
-            } else {
-                false
-            }
-        };
-        match &outcome {
-            FutureCommitOutcome::SerializedAtSubmission => {
-                if transition(FutState::Serialized) {
-                    tm.stats.serialized_at_submission();
-                    tm.tracer
-                        .record(EventKind::FutureSerializedSubmission, core.id, self.id);
-                }
-            }
-            FutureCommitOutcome::Pending => {
-                transition(FutState::Completed);
-            }
+        let next = match outcome {
+            FutureCommitOutcome::SerializedAtSubmission => Phase::Serialized(done),
+            FutureCommitOutcome::Pending => Phase::Completed(done, None),
+            // The spawner already committed: resolve the escape record
+            // immediately from the recorded commit info.
             FutureCommitOutcome::Escaped => {
-                // The spawner already committed: resolve the escape record
-                // immediately from the recorded commit info.
-                self.resolve_escape(core);
-                transition(FutState::Completed);
+                Phase::Completed(done, self.resolve_escape(core.node, final_node))
             }
-            FutureCommitOutcome::Doomed => {}
+            FutureCommitOutcome::Doomed => Phase::Running(Some(final_node)),
+        };
+        // A replay restart may have cancelled us concurrently: `Finish`
+        // leaves a cancelled incarnation as it is.
+        let settled = core.transition(&tm.clock, Move::Finish(next)).is_some();
+        if settled && matches!(outcome, FutureCommitOutcome::SerializedAtSubmission) {
+            tm.stats.serialized_at_submission();
+            tm.tracer
+                .record(EventKind::FutureSerializedSubmission, core.id, self.id);
         }
-        tm.clock.notify_all(&core.event);
         self.notify_change(tm);
         outcome
     }
 
-    /// Serialization upon evaluation (§4.1 backward validation). Returns
-    /// the result value, or `Err(())` if the future must re-execute.
+    /// Serialization upon evaluation (§4.1 backward validation) of a
+    /// future the caller claimed, whose attempt ended on `final_node`.
+    /// False if the future must re-execute.
     pub(crate) fn serialize_at_evaluation(
         &self,
+        tm: &TmInner,
         core: &Arc<FutureCore>,
+        final_node: NodeId,
         eval_pred: NodeId,
         eval_node: NodeId,
-    ) -> Result<Value, ()> {
+    ) -> bool {
         let sub = self.sub();
         let nodes = sub.nodes.read();
-        let final_node = core.final_node.lock().expect("completed future");
         let ok = self.update_graph(|g| {
             let members = Self::subtree_members(g, core.node, final_node);
             if members.iter().any(|m| nodes[m].is_doomed()) {
@@ -552,11 +521,9 @@ impl TopLevel {
         });
         drop(nodes);
         if ok {
-            core.set_state(FutState::Serialized);
-            Ok(core.result_value().expect("result"))
-        } else {
-            Err(())
+            core.transition(&tm.clock, Move::Serialize(None));
         }
+        ok
     }
 
     /// Re-incarnates a future's node as a direct successor of the
@@ -581,61 +548,59 @@ impl TopLevel {
     /// evaluation point.
     pub(crate) fn finish_inline_serialization(
         &self,
+        tm: &TmInner,
         core: &Arc<FutureCore>,
-        final_node: NodeId,
+        done: Done,
         eval_node: NodeId,
-        value: Value,
     ) {
         self.update_graph(|g| {
-            g.add_edge(final_node, eval_node);
-            for m in Self::subtree_members(g, core.node, final_node).iter() {
+            g.add_edge(done.final_node, eval_node);
+            for m in Self::subtree_members(g, core.node, done.final_node).iter() {
                 g.set_status(m, NodeStatus::ICommitted);
             }
         });
-        *core.final_node.lock() = Some(final_node);
-        *core.result.lock() = Some(value);
-        core.set_state(FutState::Serialized);
+        core.transition(&tm.clock, Move::Serialize(Some(done)));
     }
 
     /// Recursively cancels futures spawned by an aborted body incarnation.
     pub(crate) fn cancel_children(&self, tm: &Arc<TmInner>, core: &Arc<FutureCore>) {
+        let mut descendants = Vec::new();
+        Self::drain_descendants(core, &mut descendants);
         let mut cancelled = Vec::new();
-        Self::drain_descendants(core, &mut cancelled);
-        for child in &cancelled {
-            child.set_state(FutState::Cancelled);
-            tm.tracer
-                .record(EventKind::FutureCancelled, child.id, self.id);
+        for child in &descendants {
+            if let Some(left) = child.transition(&tm.clock, Move::Cancel) {
+                tm.tracer
+                    .record(EventKind::FutureCancelled, child.id, self.id);
+                cancelled.push((child.node, left.final_node()));
+            }
         }
-        self.abort_nodes_of(tm, &cancelled);
+        self.abort_nodes_of(&cancelled);
     }
 
     /// Detaches every future spawned (transitively) under `core`,
     /// children before their parent.
     fn drain_descendants(core: &FutureCore, out: &mut Vec<Arc<FutureCore>>) {
-        let children: Vec<Arc<FutureCore>> = core.children.lock().drain(..).collect();
-        for child in children {
+        for child in core.take_children() {
             Self::drain_descendants(&child, out);
             out.push(child);
         }
     }
 
-    /// Marks the nodes of cancelled futures Aborted in one graph update,
-    /// so readers' views go stale once per sweep, and wakes their waiters.
-    fn abort_nodes_of(&self, tm: &TmInner, cancelled: &[Arc<FutureCore>]) {
+    /// Marks the nodes of cancelled futures (each its own node and the
+    /// last node an attempt of it ended on) Aborted in one graph update,
+    /// so readers' views go stale once per sweep.
+    fn abort_nodes_of(&self, cancelled: &[(NodeId, Option<NodeId>)]) {
         if cancelled.is_empty() {
             return;
         }
         self.update_graph(|g| {
-            for fut in cancelled {
-                g.set_status(fut.node, NodeStatus::Aborted);
-                if let Some(f) = *fut.final_node.lock() {
+            for &(node, final_node) in cancelled {
+                g.set_status(node, NodeStatus::Aborted);
+                if let Some(f) = final_node {
                     g.set_status(f, NodeStatus::Aborted);
                 }
             }
         });
-        for fut in cancelled {
-            tm.clock.notify_all(&fut.event);
-        }
     }
 
     /// Abandons this incarnation (retry or explicit abort).
@@ -644,15 +609,11 @@ impl TopLevel {
         let Some(sub) = self.inflated() else { return };
         let futures: Vec<Arc<FutureCore>> = sub.futures.lock().clone();
         for fut in futures {
-            let st = fut.state();
-            if st != FutState::Adopted {
-                fut.set_state(FutState::Cancelled);
-                if st != FutState::Cancelled {
-                    tm.tracer
-                        .record(EventKind::FutureCancelled, fut.id, self.id);
-                }
+            let left = fut.transition(&tm.clock, Move::Cancel);
+            if !matches!(left, None | Some(Phase::Cancelled)) {
+                tm.tracer
+                    .record(EventKind::FutureCancelled, fut.id, self.id);
             }
-            tm.clock.notify_all(&fut.event);
         }
         tm.clock.notify_all(&sub.change);
     }
@@ -678,15 +639,15 @@ impl TopLevel {
         // Cancel not-yet-serialized top submissions: they are respawned at
         // their submission index. (Serialized ones are reused; their
         // nested pending children stay alive and valid.)
-        let cancelled: Vec<Arc<FutureCore>> = replay
+        let cancelled: Vec<(NodeId, Option<NodeId>)> = replay
             .iter()
             .filter(|fut| fut.state() != FutState::Serialized)
-            .cloned()
+            .filter_map(|fut| {
+                let left = fut.transition(&tm.clock, Move::Cancel)?;
+                Some((fut.node, left.final_node()))
+            })
             .collect();
-        for fut in &cancelled {
-            fut.set_state(FutState::Cancelled);
-        }
-        self.abort_nodes_of(tm, &cancelled);
+        self.abort_nodes_of(&cancelled);
         self.doomed.store(false, Ordering::Release);
         // Fresh chain root (a second rank-0 node; the old chain becomes
         // garbage no path reaches).
@@ -698,14 +659,15 @@ impl TopLevel {
         (replay, node)
     }
 
-    /// Reuses an already-serialized future during a replay restart: links
-    /// its effects after `cur` and returns the new continuation node.
+    /// Reuses an already-serialized future, whose attempt ended on
+    /// `final_node`, during a replay restart: links its effects after
+    /// `cur` and returns the new continuation node.
     pub(crate) fn relink_reused_future(
         &self,
         core: &Arc<FutureCore>,
+        final_node: NodeId,
         cur: NodeId,
     ) -> Arc<SubTxNode> {
-        let final_node = core.final_node.lock().expect("serialized future");
         let sub = self.sub();
         let mut nodes = sub.nodes.write();
         let c = self.update_graph(|g| {
@@ -848,7 +810,6 @@ impl TopLevel {
                 // event stream additionally ties the abort to this top.
                 tm.tracer
                     .record(EventKind::TopConflictAbort, self.id, conflict_box.0);
-                crate::inspect::on_conflict_abort(tm, self);
                 return Err(CommitFail::CrossTop);
             }
         };
@@ -861,11 +822,12 @@ impl TopLevel {
             *sub.committed.lock() = Some(CommitInfo { version, winners });
             let futures: Vec<Arc<FutureCore>> = sub.futures.lock().clone();
             for fut in &futures {
-                *fut.spawn_commit_version.lock() = Some(version);
-                if fut.state() == FutState::Completed && fut.escape.lock().is_none() {
-                    self.resolve_escape(fut);
-                }
-                tm.clock.notify_all(&fut.event);
+                let unresolved = fut.read(|l| match &l.phase {
+                    Phase::Completed(done, None) => Some(done.final_node),
+                    _ => None,
+                });
+                let record = unresolved.and_then(|n| self.resolve_escape(fut.node, n));
+                fut.transition(&tm.clock, Move::Commit(version, record));
             }
         }
         tm.stats.top_commits();
@@ -879,9 +841,6 @@ impl TopLevel {
             tm.tracer.record_full(EventKind::CommitRead, id, v);
         }
         tm.tracer.record(EventKind::TopCommit, self.id, version);
-        if tm.tracer.full() {
-            tm.conflict_abort_streak.store(0, Ordering::Relaxed);
-        }
         Ok(())
     }
 
@@ -889,35 +848,28 @@ impl TopLevel {
     /// futures spawned by T have committed."
     fn settle_wait_all(&self, tm: &Arc<TmInner>) {
         let Some(sub) = self.inflated() else { return };
+        let all_settled = |futures: &[Arc<FutureCore>]| {
+            futures.iter().all(|f| {
+                matches!(
+                    f.state(),
+                    FutState::Serialized | FutState::Failed | FutState::Cancelled
+                )
+            })
+        };
         let mut guard = 0u32;
         loop {
             guard += 1;
             assert!(guard < 1_000_000, "settle_wait_all spinning");
             let futures: Vec<Arc<FutureCore>> = sub.futures.lock().clone();
-            let before = futures.len();
-            let all_settled = futures.iter().all(|f| {
-                matches!(
-                    f.state(),
-                    FutState::Serialized | FutState::Failed | FutState::Cancelled
-                )
-            });
-            if all_settled && sub.futures.lock().len() == before {
+            if all_settled(&futures) && sub.futures.lock().len() == futures.len() {
                 return;
             }
             if self.is_cancelled() || self.is_doomed() {
                 return;
             }
-            let me = self;
             let wait_start = tm.tracer.span_start();
             tm.clock.wait_until(&sub.change, || {
-                me.is_cancelled()
-                    || me.is_doomed()
-                    || sub.futures.lock().iter().all(|f| {
-                        matches!(
-                            f.state(),
-                            FutState::Serialized | FutState::Failed | FutState::Cancelled
-                        )
-                    })
+                self.is_cancelled() || self.is_doomed() || all_settled(&sub.futures.lock())
             });
             tm.tracer
                 .span_end(EventKind::EvalWaitSpan, wait_start, u64::MAX);
@@ -963,13 +915,11 @@ impl TopLevel {
                     Err(StmError::Conflict) => return Err(StmError::Conflict),
                 },
                 None => {
-                    let me = self.clone();
                     let wait_start = ctx.tm.tracer.span_start();
-                    ctx.tm.clock.wait_until(&sub.change, move || {
-                        me.is_cancelled()
-                            || me.is_doomed()
-                            || me
-                                .sub()
+                    ctx.tm.clock.wait_until(&sub.change, || {
+                        self.is_cancelled()
+                            || self.is_doomed()
+                            || sub
                                 .futures
                                 .lock()
                                 .iter()
@@ -983,21 +933,17 @@ impl TopLevel {
         }
     }
 
-    /// Resolves an escaped future's external read-set against the
-    /// spawner's committed state (§4.2 GAC).
-    fn resolve_escape(&self, core: &Arc<FutureCore>) {
+    /// Resolves the external read-set of an escaped future (node `fnode`,
+    /// attempt ended on `final_node`) against the spawner's committed
+    /// state (§4.2 GAC). `None` while the spawner has not committed.
+    fn resolve_escape(&self, fnode: NodeId, final_node: NodeId) -> Option<EscapeRecord> {
         let sub = self.sub();
         let committed = sub.committed.lock();
-        let info = match committed.as_ref() {
-            Some(i) => i,
-            None => return, // spawner never committed; stays unresolved
-        };
-        let final_node = core.final_node.lock().expect("completed future");
+        let info = committed.as_ref()?;
         let nodes = sub.nodes.read();
         let (_, g) = sub.graph.snapshot();
-        let members = Self::subtree_members(&g, core.node, final_node);
+        let members = Self::subtree_members(&g, fnode, final_node);
         let ordered = g.by_rank(&members);
-        let mut poisoned = false;
         // External read-set: every box read by a member whose value came
         // from outside the subtree, once — by its first such entry; an
         // adopter that revalidates it against a later one's box state
@@ -1011,10 +957,10 @@ impl TopLevel {
                     ReadOrigin::Ancestor(a) if members.contains(a) => continue,
                     // An observed ancestor value is revalidatable only if
                     // it is exactly what the spawner committed for the
-                    // box: any entry that is not poisons the record.
+                    // box: any entry that is not makes the adopter
+                    // re-execute.
                     ReadOrigin::Ancestor(a) if info.winners.get(&entry.id) != Some(&a) => {
-                        poisoned = true;
-                        continue;
+                        return Some(EscapeRecord::Reexecute);
                     }
                     ReadOrigin::Ancestor(_) => info.version,
                 };
@@ -1038,140 +984,13 @@ impl TopLevel {
             .into_iter()
             .map(|(_, b, v)| Some((count(b)?, v)))
             .collect();
-        *core.escape.lock() = Some(match (reads, writes) {
-            (Some(reads), Some(writes)) => EscapeRecord {
+        Some(match (reads, writes) {
+            (Some(reads), Some(writes)) => EscapeRecord::Revalidate {
+                version: info.version,
                 reads,
                 writes,
-                poisoned,
             },
-            _ => EscapeRecord {
-                reads: Vec::new(),
-                writes: Vec::new(),
-                poisoned: true,
-            },
-        });
+            _ => EscapeRecord::Reexecute,
+        })
     }
-}
-
-/// Worker-side execution of a future's body, with internal retry.
-/// `submit_ts` is the submission-point timestamp (0 when tracing is off)
-/// used to measure the queue-to-start delay.
-pub(crate) fn run_future_body(
-    tm: Arc<TmInner>,
-    top: Arc<TopLevel>,
-    core: Arc<FutureCore>,
-    submit_ts: u64,
-) {
-    if tm.tracer.on() {
-        let delay = tm.tracer.now().saturating_sub(submit_ts);
-        tm.tracer.metrics.queue_delay.record(delay);
-        tm.tracer.record(EventKind::FutureStart, core.id, delay);
-    }
-    let mut guard = 0u32;
-    loop {
-        guard += 1;
-        assert!(guard < 100_000, "run_future_body retry spinning");
-        if top.is_cancelled() {
-            core.set_state(FutState::Cancelled);
-            tm.clock.notify_all(&core.event);
-            top.notify_change(&tm);
-            return;
-        }
-        // Retry lineage: every incarnation of the body is one attempt;
-        // begin/abort pairs let the profiler charge the aborted ones to
-        // wasted speculative work and tie them to the attempt that won.
-        let attempt = (guard - 1) as u64;
-        tm.tracer
-            .record(EventKind::FutureAttemptBegin, core.id, attempt);
-        let node_arc = top.node_arc(core.node);
-        let mut ctx = TxCtx::new(tm.clone(), top.clone(), node_arc);
-        ctx.set_owner(core.clone());
-        // A body that panics settles as one that aborted: its evaluator is
-        // woken with an error and this worker lives on. (The panic hook
-        // has already printed the message.)
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (core.body)(&mut ctx)))
-            .unwrap_or(Err(StmError::UserAbort));
-        match run {
-            Ok(value) => {
-                let final_node = ctx.node.id;
-                ctx.freeze();
-                tm.tracer
-                    .record(EventKind::FutureCompleted, core.id, attempt);
-                if top.strong {
-                    // JTF serializes futures at their submission points *in
-                    // spawn order*: a future's commit waits for every
-                    // earlier-submitted future of the same top-level. This
-                    // is the source of the paper's straggler effect (Fig. 3).
-                    wait_for_earlier_futures(&tm, &top, &core);
-                }
-                match top.complete_future(&tm, &core, final_node, value) {
-                    FutureCommitOutcome::Doomed => {
-                        tm.stats.internal_aborts();
-                        tm.tracer
-                            .record(EventKind::FutureAttemptAbort, core.id, attempt);
-                        top.cancel_children(&tm, &core);
-                        if top.is_cancelled() || core.state() == FutState::Cancelled {
-                            core.set_state(FutState::Cancelled);
-                            tm.clock.notify_all(&core.event);
-                            top.notify_change(&tm);
-                            return;
-                        }
-                        top.reset_node(core.node, NodeKind::Future);
-                        continue;
-                    }
-                    _ => return,
-                }
-            }
-            Err(StmError::Conflict) => {
-                tm.stats.internal_aborts();
-                tm.tracer
-                    .record(EventKind::FutureAttemptAbort, core.id, attempt);
-                top.cancel_children(&tm, &core);
-                if top.is_cancelled() || core.state() == FutState::Cancelled {
-                    core.set_state(FutState::Cancelled);
-                    tm.clock.notify_all(&core.event);
-                    top.notify_change(&tm);
-                    return;
-                }
-                top.reset_node(core.node, NodeKind::Future);
-                continue;
-            }
-            Err(StmError::UserAbort) => {
-                tm.tracer
-                    .record(EventKind::FutureAttemptAbort, core.id, attempt);
-                core.set_state(FutState::Failed);
-                tm.clock.notify_all(&core.event);
-                top.notify_change(&tm);
-                return;
-            }
-        }
-    }
-}
-
-/// SO in-spawn-order commit: block until every future registered before
-/// `core` under `top` has settled (or the top-level was abandoned).
-fn wait_for_earlier_futures(tm: &Arc<TmInner>, top: &Arc<TopLevel>, core: &Arc<FutureCore>) {
-    let top2 = top.clone();
-    let core2 = core.clone();
-    // In-spawn-order blocking is a join edge on whichever earlier future
-    // settles last; the producer is resolved offline from the span's end
-    // timestamp (b = u64::MAX marks it unattributed at record time).
-    let wait_start = tm.tracer.span_start();
-    tm.clock.wait_until(&top.sub().change, move || {
-        if top2.is_cancelled() || core2.state() == FutState::Cancelled {
-            return true;
-        }
-        let futures = top2.sub().futures.lock();
-        for f in futures.iter() {
-            if Arc::ptr_eq(f, &core2) {
-                return true;
-            }
-            if matches!(f.state(), FutState::Running | FutState::Adopting) {
-                return false;
-            }
-        }
-        true
-    });
-    tm.tracer
-        .span_end(EventKind::EvalWaitSpan, wait_start, u64::MAX);
 }

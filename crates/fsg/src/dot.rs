@@ -8,10 +8,6 @@
 //! makes the history acceptable; when it is doomed, a concrete cycle
 //! through the fixed edges ([`Polygraph::find_cycle`]) is drawn red
 //! instead, showing *why* no choice can help.
-//!
-//! `wtf-core`'s inspect machinery dumps these next to the runtime graph
-//! snapshots, so an abort-storm investigation can see both the dynamic
-//! dependency graph and the formal FSG verdict for the same execution.
 
 use crate::build::Fsg;
 use crate::graph::Polygraph;
@@ -84,8 +80,7 @@ impl Polygraph {
 
 impl Fsg {
     /// Verdict-annotated DOT: paper-style vertex labels plus the acyclic
-    /// witness (or, for doomed graphs, a fixed-edge cycle) in red. This
-    /// is what gets dumped next to runtime graph snapshots.
+    /// witness (or, for doomed graphs, a fixed-edge cycle) in red.
     pub fn to_dot_with_verdict(&self) -> String {
         let witness = self.polygraph.acyclic_witness();
         self.polygraph

@@ -1,6 +1,6 @@
 //! The process environment, read in one place.
 //!
-//! Five `WTF_*` variables configure a run, and this module is the only
+//! Four `WTF_*` variables configure a run, and this module is the only
 //! code in the workspace that reads the environment (wtf-audit's
 //! `env-read` rule keeps it that way). Every value has one strict
 //! grammar, and unset or empty means the default:
@@ -11,7 +11,6 @@
 //! | `WTF_TRACE` | `0`/`off`, `1`/`lifecycle`, `2`/`full` | `0` |
 //! | `WTF_REPORT` | `0`, `1` | `0` |
 //! | `WTF_RESULTS_DIR` | a path | `results` |
-//! | `WTF_SNAPSHOT_DIR` | a path | `results/snapshots` |
 //!
 //! A malformed value panics, naming the variable and what it accepts.
 //! So does any other `WTF_*` name in the environment, at the first read:
@@ -25,10 +24,9 @@ const BACKEND: &str = "WTF_BACKEND";
 const TRACE: &str = "WTF_TRACE";
 const REPORT: &str = "WTF_REPORT";
 const RESULTS_DIR: &str = "WTF_RESULTS_DIR";
-const SNAPSHOT_DIR: &str = "WTF_SNAPSHOT_DIR";
 
 /// Every variable a run reads.
-const NAMES: [&str; 5] = [BACKEND, TRACE, REPORT, RESULTS_DIR, SNAPSHOT_DIR];
+const NAMES: [&str; 4] = [BACKEND, TRACE, REPORT, RESULTS_DIR];
 
 /// The knobs as seen through `read` (name → raw value): the process
 /// environment via [`env`], a table in tests.
@@ -109,12 +107,6 @@ impl<R: Fn(&str) -> Option<String>> Knobs<R> {
         self.path(RESULTS_DIR)
             .unwrap_or_else(|| PathBuf::from("results"))
     }
-
-    /// `WTF_SNAPSHOT_DIR`: graph dumps.
-    pub fn snapshot_dir(&self) -> PathBuf {
-        self.path(SNAPSHOT_DIR)
-            .unwrap_or_else(|| PathBuf::from("results/snapshots"))
-    }
 }
 
 #[cfg(test)]
@@ -184,13 +176,10 @@ mod tests {
     fn path_tables() {
         let empty = with(&[]);
         assert_eq!(empty.results_dir(), PathBuf::from("results"));
-        assert_eq!(empty.snapshot_dir(), PathBuf::from("results/snapshots"));
-        let blank = with(&[(RESULTS_DIR, ""), (SNAPSHOT_DIR, "")]);
+        let blank = with(&[(RESULTS_DIR, "")]);
         assert_eq!(blank.results_dir(), PathBuf::from("results"));
-        assert_eq!(blank.snapshot_dir(), PathBuf::from("results/snapshots"));
-        let set = with(&[(RESULTS_DIR, "/r"), (SNAPSHOT_DIR, "/s")]);
+        let set = with(&[(RESULTS_DIR, "/r")]);
         assert_eq!(set.results_dir(), PathBuf::from("/r"));
-        assert_eq!(set.snapshot_dir(), PathBuf::from("/s"));
     }
 
     #[test]
@@ -229,6 +218,7 @@ mod tests {
             "WTF_METRICS_FILE",
             "WTF_CHECK",
             "WTF_PROFILE",
+            "WTF_SNAPSHOT_DIR",
         ] {
             assert!(unknown(names(&[retired])).is_some(), "{retired}");
         }

@@ -9,6 +9,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use transactional_futures::clock::Clock;
+use transactional_futures::report::Trace;
+use transactional_futures::trace::{TraceLevel, Tracer};
 use transactional_futures::{
     BackendKind, FutState, FutureTm, Semantics, TxCtx, TxFuture, TxResult, VBox,
 };
@@ -303,6 +305,60 @@ fn an_unevaluated_escaped_future_holds_no_body_back() {
             11,
             "{kind:?}: the TM freed it"
         );
+    }
+}
+
+/// An escaped future reads the very box its spawner's commit overwrote:
+/// mvstm still holds the version the future's snapshot needs, TL2 does
+/// not and the read fails. Either way the spawner stays committed, the
+/// future escapes, its adopter re-executes it against the new value, and
+/// the Full-detail trace of the run verifies.
+#[test]
+fn an_escaped_future_reads_what_its_spawners_commit_overwrote() {
+    for kind in BackendKind::ALL {
+        let tracer = Tracer::new(TraceLevel::Full);
+        let t2 = tracer.clone();
+        let (v, stats) = Clock::virtual_time().enter(move || {
+            let tm = FutureTm::builder()
+                .semantics(Semantics::WO_GAC)
+                .backend_kind(kind)
+                .workers(2)
+                .tracer(t2)
+                .build();
+            let x = tm.new_vbox(0i64);
+            let slot = tm.new_vbox::<Option<TxFuture<i64>>>(None);
+            tm.atomic_infallible(|ctx| {
+                let x2 = x.clone();
+                let f = ctx.submit(move |c| {
+                    c.work(500);
+                    c.read(&x2)
+                })?;
+                ctx.write(&x, 99)?;
+                ctx.write(&slot, Some(f))
+            });
+            Clock::current().advance(1_000);
+            let f = slot.read_latest().expect("published");
+            assert_eq!(f.state(), FutState::Completed, "{kind:?}: escaped");
+            let v = tm.atomic(|ctx| ctx.evaluate(&f));
+            let stats = tm.stats();
+            tm.shutdown();
+            (v, stats)
+        });
+        assert_eq!(v, Ok(99), "{kind:?}");
+        assert_eq!(
+            (
+                stats.top_commits,
+                stats.adopted_escaping,
+                stats.reexecutions
+            ),
+            (2, 1, 1),
+            "{kind:?}"
+        );
+        assert_eq!(tracer.summary().events_dropped, 0, "{kind:?}");
+        let report = Trace::from_tracer(&tracer)
+            .verify()
+            .unwrap_or_else(|e| panic!("{kind:?}: checker rejected: {e:?}"));
+        assert_eq!(report.committed_tops, 2, "{kind:?}");
     }
 }
 
