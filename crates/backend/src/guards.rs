@@ -1,26 +1,24 @@
-//! A set of held lock stripes that needs no heap: both backends lock the
-//! stripes of a commit's footprint in one ascending mask walk and keep
-//! the guards here, indexed by stripe, until the set drops.
+//! A set of held lock stripes that needs no heap: the commit frame locks
+//! the stripes of a commit's footprint in one ascending mask walk and
+//! keeps the guards here, indexed by stripe, until the set drops.
 
+use crate::STRIPES;
 use parking_lot::MutexGuard;
 use std::mem::MaybeUninit;
-
-/// Most stripes a set can hold: a stripe mask is a `u64`.
-pub const MAX_STRIPES: usize = 64;
 
 /// The guards of the stripes in `held`, released in ascending index
 /// order on drop.
 pub struct MaskGuards<'a> {
     /// Bit `i` set: `guards[i]` is initialised.
     held: u64,
-    guards: [MaybeUninit<MutexGuard<'a, ()>>; MAX_STRIPES],
+    guards: [MaybeUninit<MutexGuard<'a, ()>>; STRIPES],
 }
 
 impl Default for MaskGuards<'_> {
     fn default() -> Self {
         MaskGuards {
             held: 0,
-            guards: [const { MaybeUninit::uninit() }; MAX_STRIPES],
+            guards: [const { MaybeUninit::uninit() }; STRIPES],
         }
     }
 }
@@ -55,7 +53,7 @@ mod tests {
 
     #[test]
     fn held_stripes_release_on_drop() {
-        let locks: Vec<Mutex<()>> = (0..MAX_STRIPES).map(|_| Mutex::new(())).collect();
+        let locks: Vec<Mutex<()>> = (0..STRIPES).map(|_| Mutex::new(())).collect();
         {
             let mut set = MaskGuards::default();
             set.hold(3, locks[3].lock());

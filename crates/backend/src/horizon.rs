@@ -155,6 +155,14 @@ impl Horizon {
         self.registry.min_active_excluding(excluding, fallback)
     }
 
+    /// How far the oldest registered snapshot trails the clock (0 when
+    /// none is registered): the GC horizon lag that bounds how much
+    /// garbage mvstm's version chains must retain.
+    pub fn lag(&self) -> u64 {
+        let clock = self.now();
+        clock.saturating_sub(self.min_active_excluding(u64::MAX, clock))
+    }
+
     /// Number of distinct registered snapshot versions (diagnostics).
     pub fn active_snapshots(&self) -> usize {
         self.registry.active_snapshots()

@@ -11,10 +11,14 @@
 //!   per-thread pieces every layer uses: [`thread_index`], the
 //!   per-thread [`Counters`] it picks a block of, and [`MaskGuards`],
 //!   the held stripes of a commit;
-//! * the contract itself — [`StmBackend`] and [`BackendBox`] — which
-//!   `wtf-mvstm` (multi-versioned, JVSTM-style) and `wtf-tl2`
-//!   (single-version, lock-striped, lazy-versioning) each implement on
-//!   their own box and STM types;
+//! * the contract itself — [`StmBackend`] and [`BackendBox`] — and its
+//!   one implementation, [`Backend`]: the commit frame (module `frame`)
+//!   and the state every instance holds ([`Shared`]: horizon,
+//!   [`StripeTable`], box ids, [`StmCounters`], tracer). `wtf-mvstm`
+//!   (multi-versioned, JVSTM-style) and `wtf-tl2` (single-version,
+//!   lock-striped, lazy-versioning) each supply only a [`Protocol`]:
+//!   their box type, the version a read is checked against at commit,
+//!   and their install step;
 //! * the one transaction path over it: typed boxes ([`TBox`]), the
 //!   stepwise transaction ([`BackendTxn`]) that `wtf-report`'s explorers
 //!   drive one operation at a time, and the plain retry loop ([`atomic`])
@@ -43,7 +47,9 @@
 //!   initial value is what the checker calls the initial state;
 //! * the same serialization records (`CommitRead` / `TxnCommit` /
 //!   `StmInstall`) are emitted by every backend, so the checker and abort
-//!   attribution work unchanged.
+//!   attribution work unchanged — by construction: the frame and
+//!   [`BackendTxn`] emit all but `StmInstall`, and each install step
+//!   emits that one per written box.
 //!
 //! The multi-version/single-version split shows up in exactly one place:
 //! [`BackendBox::read_at`] is infallible on `mvstm` (old versions are
@@ -53,6 +59,7 @@
 
 mod cm;
 mod error;
+mod frame;
 mod guards;
 mod hash;
 mod horizon;
@@ -63,13 +70,17 @@ mod value;
 
 pub use cm::{CmKind, CmStats, ImmediateCm};
 pub use error::{Aborted, StmError, TxResult};
+#[cfg(feature = "test-hooks")]
+pub use frame::test_hooks;
+pub use frame::{stripe_index, Backend, Protocol, Shared, StripeTable, STRIPES};
 pub use guards::MaskGuards;
 pub use hash::{FxHashMap, FxHashSet};
 pub use horizon::{BackendSnapshot, BoxHandle, BoxRef, Horizon};
-pub use stats::StmStatsSnapshot;
+pub use stats::{Counter, StmCounters, StmStatsSnapshot};
 pub use threads::{thread_index, Counters};
 pub use value::{downcast_value, BoxId, TxValue, Value};
 
+use parking_lot::MutexGuard;
 use std::any::Any;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -209,9 +220,9 @@ pub trait BackendBox: Send + Sync {
 }
 
 /// The abstract STM substrate: box creation, snapshot acquisition, the
-/// attributed validate-and-publish commit, stats and trace hooks. Stats
-/// mutation goes through `note_*` hooks because each backend owns its
-/// counters privately.
+/// attributed validate-and-publish commit, stats and trace hooks, all
+/// implemented once by [`Backend`]. Stats mutation goes through `note_*`
+/// hooks so callers above need not name the backend's counters.
 pub trait StmBackend: Send + Sync {
     /// Which substrate this is (selection, labels, reports).
     fn kind(&self) -> BackendKind;
@@ -255,6 +266,11 @@ pub trait StmBackend: Send + Sync {
     /// Begins a snapshot at the current clock, registered with the
     /// backend's [`Horizon`].
     fn acquire_snapshot(&self) -> BackendSnapshot;
+
+    /// Holds commit-lock stripe `index` (see [`stripe_index`]) until the
+    /// guard drops: a diagnostic for tests that prove commits on *other*
+    /// stripes proceed (there is no global commit mutex to get stuck on).
+    fn hold_stripe(&self, index: usize) -> MutexGuard<'_, ()>;
 
     /// Validates `reads` against `snapshot` and publishes `writes` at a
     /// freshly reserved version (returned). Both lists are borrowed: the

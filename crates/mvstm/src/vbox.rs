@@ -6,15 +6,17 @@
 //! new version is a single pointer swing (O(1), vs the old
 //! `Vec::insert(0, ..)` which shifted the whole history); pruning
 //! detaches and frees the dead tail. The mutating operations are
-//! serialized per box by the owning [`Stm`]'s stripe locks (see
-//! `crate::stripe`), which is also what makes `chain_len` need a stripe.
+//! serialized per box by the owning [`Stm`](crate::Stm)'s stripe locks
+//! (`wtf-backend`'s [`StripeTable`], held by the shared commit frame
+//! around mvstm's install step), which is also what makes `chain_len`
+//! need a stripe.
 //!
 //! ## Memory reclamation
 //!
 //! `prune` frees detached nodes immediately — no epochs, no hazard
 //! pointers. That is sound because of the registry invariant: the GC
 //! horizon `min_active` computed at commit time never exceeds any live
-//! registered snapshot (see `crate::registry`). A reader walking on
+//! registered snapshot (see `wtf-backend`'s registry module). A reader walking on
 //! behalf of snapshot `s >= min_active` only dereferences nodes at or
 //! above the newest node with `version <= s`, all of which sit at or
 //! above the keep node (newest `version <= min_active`); `prune` frees
@@ -41,12 +43,11 @@
 //! make. Freeing a body drops its whole chain (`Drop`); no snapshot that
 //! could reach it is left by then.
 
-use crate::stripe::StripeTable;
 use std::any::Any;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
-use wtf_backend::{BackendBox, BoxId, StmError, Value};
+use wtf_backend::{stripe_index, BackendBox, BoxId, StmError, StripeTable, Value};
 
 /// One committed version of a box's value: a node in the immutable
 /// newest-first chain.
@@ -66,7 +67,7 @@ pub(crate) struct VersionNode {
 /// A versioned box: the untyped body every `TBox` handle to it shares,
 /// handed out by [`Stm`](crate::Stm)'s `new_box` as the `dyn BackendBox`
 /// itself.
-pub(crate) struct BoxBody {
+pub struct BoxBody {
     pub(crate) id: BoxId,
     /// Newest version; never null (boxes are born with one version).
     // ordering: release-store in `install` publishes the new node and
@@ -195,7 +196,7 @@ impl BoxBody {
     /// Number of retained versions (diagnostics / GC tests). Takes the
     /// box's stripe lock so the walk cannot race a committer's prune.
     pub(crate) fn chain_len(&self) -> usize {
-        let _stripe = self.stripes.lock_mask(StripeTable::mask_of(self.id));
+        let _stripe = self.stripes.lock_one(stripe_index(self.id));
         let mut len = 0;
         let mut node = self.head.load(Ordering::Acquire);
         while !node.is_null() {

@@ -212,7 +212,7 @@ fn lifecycle_trace_checks_structure_only() {
 fn live_mvstm_trace_verifies() {
     use wtf_backend::{atomic, TBox};
     let tracer = Tracer::with_capacity(TraceLevel::Full, 1 << 14);
-    let stm = wtf_mvstm::Stm::with_tracer(tracer.clone());
+    let stm = wtf_core::Stm::with_tracer(tracer.clone());
     let boxes: Vec<TBox<u64>> = (0..4).map(|_| TBox::new_on(&stm, 0u64)).collect();
     let threads: Vec<_> = (0..4)
         .map(|t| {
@@ -294,7 +294,7 @@ fn live_core_trace_verifies() {
 fn chrome_export_round_trip_verifies() {
     use wtf_backend::{atomic, TBox};
     let tracer = Tracer::with_capacity(TraceLevel::Full, 1 << 12);
-    let stm = wtf_mvstm::Stm::with_tracer(tracer.clone());
+    let stm = wtf_core::Stm::with_tracer(tracer.clone());
     let b = TBox::new_on(&stm, 0u64);
     for _ in 0..10 {
         atomic(&stm, |tx| {

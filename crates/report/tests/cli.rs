@@ -127,7 +127,7 @@ fn exported_write_skew_fails() {
 fn truncated_export_fails() {
     let run_txns = |capacity: usize, n: usize| {
         let tracer = Tracer::with_capacity(TraceLevel::Full, capacity);
-        let stm = wtf_mvstm::Stm::with_tracer(tracer.clone());
+        let stm = wtf_core::Stm::with_tracer(tracer.clone());
         let b = TBox::new_on(&stm, 0u64);
         let setup = tracer.events_recorded() as usize;
         for _ in 0..n {

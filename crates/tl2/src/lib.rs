@@ -1,6 +1,6 @@
 //! # wtf-tl2 — a single-version, lock-striped TL2 backend
 //!
-//! The second [`StmBackend`] substrate: where `wtf-mvstm` keeps a version
+//! The second [`StmBackend`](wtf_backend::StmBackend) substrate: where `wtf-mvstm` keeps a version
 //! *chain* per box (reads never fail, read-only transactions never
 //! validate, GC prunes), TL2 keeps exactly **one** version per box and
 //! pays for it at read time — a box overwritten since the reader's
@@ -10,7 +10,7 @@
 //! commit-time locking; see SNIPPETS.md snippet 3 for the versioned-lock
 //! word exemplar):
 //!
-//! * a **global version clock** ([`Tl2Stm`]`::clock`), bumped once per
+//! * a **global version clock** (the shared horizon's), bumped once per
 //!   update commit;
 //! * **per-stripe versioned lock words** ([`lockword`]): the high bit is
 //!   the write lock, the low 63 bits are the version of the newest commit
@@ -19,17 +19,23 @@
 //!   validation source, which is what keeps stripe-hash collisions from
 //!   causing false aborts;
 //! * **read-set validation at commit** against the boxes' own slot
-//!   versions, under the stripes covering reads ∪ writes (mask-ordered,
-//!   deadlock-free, exactly mvstm's locking discipline);
+//!   versions;
 //! * **write-back under the striped locks**: slots are rewritten at the
 //!   freshly reserved version while every written stripe is held, so a
 //!   snapshot never observes a half-installed commit (opacity).
 //!
-//! The trace contract is identical to mvstm's — `StmInstall` per written
-//! box, sorted `CommitRead`s + `TxnCommit`/`TopCommit` serialization
-//! records (emitted by the layers above), conflict charges on the exact
-//! box that failed — so `wtf-report`'s offline serializability checker and
-//! the abort-attribution reports work on TL2 histories unchanged.
+//! Everything but the box, its slot-version check and the install step
+//! is `wtf-backend`'s commit frame, shared with mvstm: [`Tl2Stm`] is its
+//! [`Backend`] over the [`Tl2`] protocol. The stripes, their locking, the
+//! validation loop and its records, the counters and the horizon are
+//! one implementation, so the trace contract is mvstm's by construction
+//! — `StmInstall` per written box, sorted `CommitRead`s +
+//! `TxnCommit`/`TopCommit` serialization records (emitted by the layers
+//! above), conflict charges on the exact box that failed — and
+//! `wtf-report`'s offline serializability checker and the
+//! abort-attribution reports work on TL2 histories unchanged. The lock
+//! words stay here: they are TL2's reader protocol, kept beside each
+//! shared stripe lock.
 //!
 //! ## Why reads can never fail *spuriously*
 //!
@@ -48,12 +54,12 @@
 use parking_lot::Mutex;
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use wtf_backend::{
-    BackendBox, BackendKind, BackendSnapshot, BoxHandle, BoxId, Counters, Horizon, MaskGuards,
-    StmBackend, StmError, StmStatsSnapshot, Value,
+    stripe_index, Backend, BackendBox, BackendKind, BoxId, Protocol, Shared, StmError, StripeTable,
+    Value, STRIPES,
 };
-use wtf_trace::{EventKind, Tracer};
+use wtf_trace::EventKind;
 
 pub mod lockword {
     //! The per-stripe versioned lock word: version in the low 63 bits,
@@ -63,88 +69,22 @@ pub mod lockword {
     /// `2^63` commits at one per nanosecond is ~292 years).
     pub const LOCK_BIT: u64 = 1 << 63;
 
-    /// Packs a version and a lock flag into one word.
-    pub fn pack(version: u64, locked: bool) -> u64 {
-        debug_assert_eq!(
-            version & LOCK_BIT,
-            0,
-            "version overflowed into the lock bit"
-        );
-        if locked {
-            version | LOCK_BIT
-        } else {
-            version
-        }
-    }
-
-    /// Splits a word back into `(version, locked)`.
-    pub fn unpack(word: u64) -> (u64, bool) {
-        (word & !LOCK_BIT, word & LOCK_BIT != 0)
-    }
-
-    /// The version part of a word.
-    pub fn version_of(word: u64) -> u64 {
-        word & !LOCK_BIT
-    }
-
     /// Whether the write lock is held.
     pub fn is_locked(word: u64) -> bool {
         word & LOCK_BIT != 0
     }
 }
 
-/// Number of lock stripes (matches mvstm's commit-lock striping).
-pub const STRIPES: usize = 64;
-
-/// Maps a box id to its stripe — the same Fibonacci multiplicative hash
-/// mvstm uses, so the two backends' contention profiles are comparable.
-pub fn stripe_index(id: BoxId) -> usize {
-    (id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize
-}
-
-/// One lock stripe: the commit mutex (held by committers for their whole
-/// validate/write-back window, and by slow-path readers to wait one out)
-/// plus the versioned lock word for the readers' fast path.
-struct Stripe {
-    // lock-order: tl2-stripe — multi-acquisition only through
-    // `lock_mask`'s ascending bitmask walk; taken before `tl2-slot`.
-    lock: Mutex<()>,
+/// The versioned lock word beside each shared stripe lock, for the
+/// readers' fast path.
+#[derive(Default)]
+pub struct LockWord {
     // ordering: the committer's acqrel-rmw fetch_or sets the lock bit
     // before write-back and the release-store publishes the new version
     // after it; both pair with the fast-path reader's acquire-load
     // bracket around its slot read. relaxed-load only in the
     // `tl2_locked_stripes` gauge probe.
     word: AtomicU64,
-}
-
-struct StripeTable {
-    stripes: Vec<Stripe>,
-}
-
-impl StripeTable {
-    fn new() -> StripeTable {
-        StripeTable {
-            stripes: (0..STRIPES)
-                .map(|_| Stripe {
-                    lock: Mutex::new(()),
-                    word: AtomicU64::new(0),
-                })
-                .collect(),
-        }
-    }
-
-    /// Locks every stripe in `mask`, in ascending index order
-    /// (deadlock-free; mirrors mvstm's `StripeTable::lock_mask`). The
-    /// guards are kept inline, so this allocates nothing.
-    fn lock_mask(&self, mut mask: u64) -> MaskGuards<'_> {
-        let mut guards = MaskGuards::default();
-        while mask != 0 {
-            let i = mask.trailing_zeros() as usize;
-            guards.hold(i, self.stripes[i].lock.lock());
-            mask &= mask - 1;
-        }
-        guards
-    }
 }
 
 /// The single version slot of a box: `(version, value)`, rewritten in
@@ -157,7 +97,7 @@ struct Slot {
 /// A TL2 transactional box.
 pub struct Tl2Box {
     id: BoxId,
-    stripes: Arc<StripeTable>,
+    stripes: Arc<StripeTable<LockWord>>,
     // lock-order: tl2-slot — leaf lock; acquired with the box's stripe
     // mutex held (commit validation/write-back, slow-path reads) or with
     // nothing held (fast-path reads), never the other way round.
@@ -165,10 +105,6 @@ pub struct Tl2Box {
 }
 
 impl Tl2Box {
-    fn stripe(&self) -> &Stripe {
-        &self.stripes.stripes[stripe_index(self.id)]
-    }
-
     /// Decides a read at `snapshot` against a locked slot: lends the value
     /// to `f` if the slot's version is visible, else a justified conflict.
     fn lend(slot: &Slot, snapshot: u64, f: &mut dyn FnMut(&Value)) -> Result<u64, StmError> {
@@ -187,13 +123,14 @@ impl BackendBox for Tl2Box {
     }
 
     fn read_at(&self, snapshot: u64, f: &mut dyn FnMut(&Value)) -> Result<u64, StmError> {
-        let stripe = self.stripe();
+        let stripe = stripe_index(self.id);
+        let lock = self.stripes.word(stripe);
         // Fast path: no commit in flight on this stripe across the slot
         // read (word unchanged and unlocked on both sides).
-        let w1 = stripe.word.load(Ordering::Acquire);
+        let w1 = lock.word.load(Ordering::Acquire);
         if !lockword::is_locked(w1) {
             let slot = self.slot.lock();
-            if stripe.word.load(Ordering::Acquire) == w1 {
+            if lock.word.load(Ordering::Acquire) == w1 {
                 return Tl2Box::lend(&slot, snapshot, f);
             }
         }
@@ -201,7 +138,7 @@ impl BackendBox for Tl2Box {
         // stripe mutex for their whole write-back), then decide against
         // the stable slot. `Err` here is always justified: the slot's
         // version is the version of a fully recorded install.
-        let _guard = stripe.lock.lock();
+        let _guard = self.stripes.lock_one(stripe);
         Tl2Box::lend(&self.slot.lock(), snapshot, f)
     }
 
@@ -214,244 +151,88 @@ impl BackendBox for Tl2Box {
     }
 }
 
-struct Tl2Inner {
-    /// The global version clock (committed state has versions
-    /// `0..=clock`, every one of them fully written back: write stripes
-    /// stay locked until the write-back completes), the snapshot registry
-    /// and the retired box bodies.
-    horizon: Arc<Horizon>,
-    stripes: Arc<StripeTable>,
-    // ordering: relaxed-rmw — a pure id dispenser.
-    next_box: AtomicU64,
-    /// Commits, read-only commits and aborts (the `COMMITS`,
-    /// `READ_ONLY_COMMITS` and `ABORTS` counters), one block per thread.
-    counters: Counters<3>,
-    tracer: Arc<Tracer>,
-}
-
-const COMMITS: usize = 0;
-const READ_ONLY_COMMITS: usize = 1;
-const ABORTS: usize = 2;
-
 /// The TL2 STM instance. Cheap to clone; usually consumed as an
 /// `Arc<dyn StmBackend>` through `wtf-core`'s backend selection.
-#[derive(Clone)]
-pub struct Tl2Stm {
-    inner: Arc<Tl2Inner>,
-}
+pub type Tl2Stm = Backend<Tl2>;
 
-impl Default for Tl2Stm {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The single-version protocol: it adds no state to the shared frame
+/// beyond the lock word beside each stripe.
+#[derive(Default)]
+pub struct Tl2;
 
-impl Tl2Stm {
-    pub fn new() -> Tl2Stm {
-        Tl2Stm::with_tracer(Tracer::disabled())
-    }
+impl Protocol for Tl2 {
+    const KIND: BackendKind = BackendKind::Tl2;
+    type Word = LockWord;
+    type Box = Tl2Box;
 
-    /// A TL2 instance reporting into `tracer` — same hook points as
-    /// mvstm: commit/validation latency histograms, per-install events,
-    /// per-box conflict charges, and a clock gauge.
-    pub fn with_tracer(tracer: Arc<Tracer>) -> Tl2Stm {
-        let stm = Tl2Stm {
-            inner: Arc::new(Tl2Inner {
-                horizon: Horizon::new(),
-                stripes: Arc::new(StripeTable::new()),
-                next_box: AtomicU64::new(0),
-                counters: Counters::default(),
-                tracer,
-            }),
-        };
-        if stm.inner.tracer.on() {
-            // Weak: the tracer is owned by the inner, so an Arc capture
-            // would cycle and leak.
-            let w: Weak<Tl2Inner> = Arc::downgrade(&stm.inner);
-            stm.inner.tracer.gauges.register("stm_clock", move || {
-                w.upgrade().map_or(0, |s| s.horizon.now())
-            });
-            let w: Weak<Tl2Inner> = Arc::downgrade(&stm.inner);
-            stm.inner
-                .tracer
-                .gauges
-                .register("tl2_locked_stripes", move || {
-                    w.upgrade().map_or(0, |s| {
-                        s.stripes
-                            .stripes
-                            .iter()
-                            .filter(|st| lockword::is_locked(st.word.load(Ordering::Relaxed)))
-                            .count() as u64
-                    })
-                });
-        }
-        stm
-    }
-}
-
-fn tl2_box(b: &dyn BackendBox) -> &Tl2Box {
-    b.as_any()
-        .downcast_ref::<Tl2Box>()
-        .expect("box from a different backend passed to Tl2Stm")
-}
-
-impl StmBackend for Tl2Stm {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Tl2
-    }
-
-    fn tracer(&self) -> &Arc<Tracer> {
-        &self.inner.tracer
-    }
-
-    fn clock(&self) -> u64 {
-        self.inner.horizon.now()
-    }
-
-    fn stats(&self) -> StmStatsSnapshot {
-        let [commits, read_only_commits, aborts] = self.inner.counters.sum();
-        StmStatsSnapshot {
-            commits,
-            read_only_commits,
-            aborts,
-            // Single version, no chains to prune; the clock bump is
-            // wait-free, so publication never stalls either.
-            versions_pruned: 0,
-            publish_waits: 0,
-        }
-    }
-
-    fn note_abort(&self) {
-        self.inner.counters.add(ABORTS, 1);
-    }
-
-    fn note_read_only_commit(&self) {
-        self.inner.counters.add(COMMITS, 1);
-        self.inner.counters.add(READ_ONLY_COMMITS, 1);
-    }
-
-    fn new_box(&self, value: Value) -> BoxHandle {
-        let id = BoxId(self.inner.next_box.fetch_add(1, Ordering::Relaxed));
-        // Stamp version 0, like mvstm: no commit wrote the initial value,
-        // so every snapshot reads it — also one taken before the box was
-        // created, which would otherwise take an abort no install
-        // justifies.
-        let body = Tl2Box {
+    /// Stamps version 0, like mvstm: no commit wrote the initial value,
+    /// so every snapshot reads it — also one taken before the box was
+    /// created, which would otherwise take an abort no install justifies.
+    fn new_box(stripes: &Arc<StripeTable<LockWord>>, id: BoxId, value: Value) -> Tl2Box {
+        Tl2Box {
             id,
-            stripes: self.inner.stripes.clone(),
+            stripes: stripes.clone(),
             slot: Mutex::new(Slot { version: 0, value }),
-        };
-        BoxHandle::new(&self.inner.horizon, body)
+        }
     }
 
-    fn horizon(&self) -> &Arc<Horizon> {
-        &self.inner.horizon
+    /// The box's own slot version — not the stripe word, whose version
+    /// is the max over hash-colliding neighbours and would abort
+    /// transactions that did nothing wrong.
+    fn version(b: &Tl2Box) -> u64 {
+        b.slot.lock().version
     }
 
-    fn acquire_snapshot(&self) -> BackendSnapshot {
-        // TL2 retains no old versions (reads pay instead — see
-        // `read_at`), so the registration pins no version: it keeps the
-        // bodies this snapshot's transaction borrows, which a dropped box
-        // retires until no registered snapshot can hold them. The slot
-        // travels inline: nothing is allocated.
-        self.inner.horizon.register()
-    }
-
-    /// `snapshot_ends` changes nothing here: TL2 keeps no old version
-    /// for any snapshot.
-    fn commit_attributed(
-        &self,
-        snapshot: u64,
+    /// Sets the write-lock bits (readers' fast-path fence), reserves the
+    /// version — certain to publish, validation already passed — and
+    /// writes back, then releases the lock words at the new version.
+    /// TL2 keeps no old version for any snapshot, so neither the snapshot
+    /// nor its end matters here.
+    fn install(
+        shared: &Shared<Self>,
+        _snapshot: u64,
         _snapshot_ends: bool,
-        reads: &[&dyn BackendBox],
+        write_mask: u64,
         writes: Vec<(&dyn BackendBox, Value)>,
-    ) -> Result<u64, BoxId> {
-        debug_assert!(!writes.is_empty(), "read-only commits skip the backend");
-        let inner = &*self.inner;
-        let tracer = &inner.tracer;
-        let commit_start = tracer.span_start();
-        let mut read_write_mask = 0u64;
-        let mut write_mask = 0u64;
-        for body in reads {
-            read_write_mask |= 1 << stripe_index(body.id());
+    ) -> u64 {
+        let written = || (0..STRIPES).filter(move |i| write_mask & (1 << i) != 0);
+        for i in written() {
+            shared
+                .stripes
+                .word(i)
+                .word
+                .fetch_or(lockword::LOCK_BIT, Ordering::AcqRel);
         }
-        for (body, _) in &writes {
-            write_mask |= 1 << stripe_index(body.id());
-        }
-        read_write_mask |= write_mask;
-        // Stripe mutexes over reads ∪ writes, ascending (deadlock-free).
-        // Held until the write-back completes: validation is stable (no
-        // concurrent install into a read box) and no snapshot can observe
-        // a half-written commit.
-        let guards = inner.stripes.lock_mask(read_write_mask);
-        // Validate every read against its box's own slot version — not
-        // the stripe word, whose version is the max over hash-colliding
-        // neighbours and would abort transactions that did nothing wrong.
-        for &body in reads {
-            let b = tl2_box(body);
-            if b.slot.lock().version > snapshot {
-                // Mirror of mvstm's validation-failure record: identical
-                // `TxnAttemptAbort` payloads keep retry-lineage profiles
-                // comparable across backends.
-                tracer.charge_conflict(b.id.0);
-                tracer.record(EventKind::TxnAttemptAbort, b.id.0, snapshot);
-                return Err(b.id);
-            }
-        }
-        let validated = tracer.span_end(
-            EventKind::StmValidationSpan,
-            commit_start,
-            reads.len() as u64,
-        );
-        if tracer.on() {
-            tracer.metrics.validation_latency.record(validated);
-        }
-        // Set the write-lock bits (readers' fast-path fence), reserve the
-        // version — certain to publish, validation already passed — and
-        // write back.
-        for i in 0..STRIPES {
-            if write_mask & (1 << i) != 0 {
-                inner.stripes.stripes[i]
-                    .word
-                    .fetch_or(lockword::LOCK_BIT, Ordering::AcqRel);
-            }
-        }
-        let version = inner.horizon.advance();
+        let version = shared.horizon.advance();
         for (body, value) in writes {
-            let b = tl2_box(body);
+            let b = Self::body(body);
             {
                 let mut slot = b.slot.lock();
                 slot.version = version;
                 slot.value = value;
             }
-            tracer.record_full(EventKind::StmInstall, b.id.0, version);
+            shared
+                .tracer
+                .record_full(EventKind::StmInstall, b.id.0, version);
         }
         // Release the lock words at the new version (lock bit cleared by
         // the plain store — versions never reach the high bit).
-        for i in 0..STRIPES {
-            if write_mask & (1 << i) != 0 {
-                inner.stripes.stripes[i]
-                    .word
-                    .store(version, Ordering::Release);
-            }
+        for i in written() {
+            shared
+                .stripes
+                .word(i)
+                .word
+                .store(version, Ordering::Release);
         }
-        drop(guards);
-        // Free the retired bodies every registered snapshot (ours
-        // included) has passed — a lock-free check when there are none.
-        inner.horizon.drain();
-        inner.counters.add(COMMITS, 1);
-        if tracer.on() {
-            let dur = tracer.span_end(EventKind::StmCommitSpan, commit_start, version);
-            tracer.metrics.commit_latency.record(dur);
-        }
-        Ok(version)
+        version
     }
-}
 
-impl Drop for Tl2Inner {
-    /// Frees the retired bodies no registration holds any more.
-    fn drop(&mut self) {
-        self.horizon.close();
+    fn register_gauges(shared: &Arc<Shared<Self>>) {
+        shared.register_gauge("tl2_locked_stripes", |s| {
+            (0..STRIPES)
+                .filter(|&i| lockword::is_locked(s.stripes.word(i).word.load(Ordering::Relaxed)))
+                .count() as u64
+        });
     }
 }
 

@@ -1,11 +1,10 @@
 //! Unit + property tests for the TL2 backend: the versioned-lock word,
-//! the stripe hash (kept bit-for-bit compatible with mvstm's), collision
-//! behaviour, and the `StmBackend` contract driven through
-//! `wtf-backend`'s generic transaction layer.
+//! stripe-collision behaviour, and the `StmBackend` contract driven
+//! through `wtf-backend`'s generic transaction layer.
 
 use super::*;
-use wtf_backend::{atomic, BackendTxn, TBox};
-use wtf_trace::TraceLevel;
+use wtf_backend::{atomic, BackendTxn, StmBackend, TBox};
+use wtf_trace::{TraceLevel, Tracer};
 
 fn new_backend() -> Tl2Stm {
     Tl2Stm::new()
@@ -212,47 +211,6 @@ fn concurrent_hot_counter_loses_no_increments() {
     assert_eq!(stm.clock(), (THREADS * INCRS) as u64);
 }
 
-/// The trace contract mirrors mvstm: one `StmInstall` per written box,
-/// commit/validation latency samples per update commit, conflict charges
-/// on the exact failing box.
-#[test]
-fn trace_emission_matches_mvstm_contract() {
-    let tracer = Tracer::with_capacity(TraceLevel::Full, 1 << 12);
-    let stm = Tl2Stm::with_tracer(tracer.clone());
-    let x = TBox::new_on(&stm, 0i64);
-    let y = TBox::new_on(&stm, 0i64);
-    atomic(&stm, |tx| {
-        tx.write(&x, 1)?;
-        tx.write(&y, 1)
-    })
-    .unwrap();
-    let installs = tracer
-        .lanes()
-        .into_iter()
-        .flat_map(|(_, events)| events)
-        .filter(|e| e.kind == EventKind::StmInstall)
-        .count();
-    assert_eq!(installs, 2, "one StmInstall per written box");
-    let summary = tracer.summary();
-    assert_eq!(summary.commit_latency.count, 1);
-    assert_eq!(summary.validation_latency.count, 1);
-    // A justified conflict charges the failing box.
-    let snap = stm.acquire_snapshot();
-    atomic(&stm, |tx| {
-        let v = tx.read(&x)?;
-        tx.write(&x, v + 1)
-    })
-    .unwrap();
-    let res = stm.commit_attributed(
-        snap.version(),
-        true,
-        &[x.body()],
-        vec![(y.body(), Arc::new(9i64) as Value)],
-    );
-    assert_eq!(res, Err(x.id()));
-    assert_eq!(tracer.summary().conflict_total, 1);
-}
-
 #[test]
 fn gauges_register_under_tracer() {
     let tracer = Tracer::with_capacity(TraceLevel::Full, 1 << 10);
@@ -273,21 +231,16 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Satellite: encode/decode roundtrip of the versioned-lock word —
-        /// version ↔ lock-bit packing is lossless for every version that
-        /// fits below the lock bit.
+        /// The lock word as the runtime uses it: setting `LOCK_BIT` on a
+        /// version word locks it, and clearing it (a committer's release
+        /// store of the plain version) restores the unlocked version.
         #[test]
-        fn lockword_roundtrip(case in (0u64..u64::MAX, 0u64..2)) {
-            let (bits, locked_sel) = case;
+        fn lockword_roundtrip(bits in 0u64..u64::MAX) {
             let version = bits & !lockword::LOCK_BIT;
-            let locked = locked_sel == 1;
-            let word = lockword::pack(version, locked);
-            prop_assert_eq!(lockword::unpack(word), (version, locked));
-            prop_assert_eq!(lockword::version_of(word), version);
-            prop_assert_eq!(lockword::is_locked(word), locked);
-            // Locking never disturbs the version; unlocking restores the word.
-            prop_assert_eq!(lockword::version_of(word | lockword::LOCK_BIT), version);
-            prop_assert_eq!(lockword::pack(version, false), version);
+            prop_assert!(!lockword::is_locked(version));
+            let locked = version | lockword::LOCK_BIT;
+            prop_assert!(lockword::is_locked(locked));
+            prop_assert_eq!(locked & !lockword::LOCK_BIT, version);
         }
 
         /// Satellite: the global clock advances monotonically — by exactly
@@ -317,11 +270,9 @@ mod proptests {
         }
 
         /// Satellite: stripe-hash collision oracle, mirroring mvstm's
-        /// chain-oracle proptest — TL2's stripe hash must stay in range
-        /// and colliding neighbours must never invalidate each other.
-        /// (That it agrees with mvstm's stripe assignment on every id is
-        /// checked where both crates are in reach:
-        /// `wtf-core`'s `backends_agree_on_stripe_assignment`.)
+        /// chain-oracle proptest — the shared stripe hash must stay in
+        /// range and colliding neighbours must never invalidate each
+        /// other.
         #[test]
         fn stripe_hash_collisions_stay_private(ids in proptest::collection::vec(0u64..1_000_000, 1..50)) {
             for &raw_id in &ids {

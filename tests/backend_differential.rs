@@ -6,12 +6,14 @@
 //! with zero dropped trace events.
 
 use std::sync::Arc;
-use transactional_futures::backend::{atomic, StmBackend, StmError, TBox};
+use std::time::Duration;
+use transactional_futures::backend::{atomic, stripe_index, StmBackend, StmError, TBox, Value};
 use transactional_futures::clock::Clock;
 use transactional_futures::report::Trace;
 use transactional_futures::stm::Stm;
 use transactional_futures::tl2::Tl2Stm;
-use transactional_futures::trace::{TraceLevel, Tracer};
+use transactional_futures::tm::make_backend;
+use transactional_futures::trace::{EventKind, TraceLevel, Tracer};
 use transactional_futures::{BackendKind, FutureTm, Semantics, VBox};
 
 /// Tiny deterministic PRNG (xorshift64*), seeded per client.
@@ -306,5 +308,100 @@ fn read_at_lends_the_stored_value_once() {
             (Err(StmError::Conflict), 0, 0, None) if kind == BackendKind::Tl2 => {}
             other => panic!("{kind:?}: read at the old snapshot gave {other:?}"),
         }
+    }
+}
+
+/// The commit path has no global mutex, on any backend: holding one
+/// stripe hostage stalls only commits whose footprint includes it, while
+/// commits on disjoint stripes sail through.
+#[test]
+fn disjoint_commits_proceed_while_stripe_is_held() {
+    for kind in BackendKind::ALL {
+        let stm = &*make_backend(kind, Tracer::disabled());
+        let a = &TBox::new_on(stm, 0i64);
+        let mut b = TBox::new_on(stm, 0i64);
+        while stripe_index(b.id()) == stripe_index(a.id()) {
+            b = TBox::new_on(stm, 0i64);
+        }
+        let hostage = stm.hold_stripe(stripe_index(a.id()));
+        std::thread::scope(|s| {
+            // A commit touching only b's stripe completes while a's is
+            // hostage (with a global commit mutex this join would hang).
+            s.spawn(|| atomic(stm, |tx| tx.write(&b, 1)).unwrap())
+                .join()
+                .unwrap();
+            assert_eq!(b.read_latest(), 1, "{kind}");
+            // A commit touching a's stripe blocks until the hostage goes.
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            s.spawn(move || {
+                atomic(stm, |tx| tx.write(a, 1)).unwrap();
+                done_tx.send(()).unwrap();
+            });
+            assert!(
+                done_rx.recv_timeout(Duration::from_millis(150)).is_err(),
+                "{kind}: commit on the held stripe should be blocked"
+            );
+            drop(hostage);
+            done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("{kind}: commit should complete once released"));
+        });
+        assert_eq!(a.read_latest(), 1, "{kind}");
+    }
+}
+
+/// The commit records, on every backend: one `StmInstall` per written
+/// box, one commit and one validation latency sample per update commit,
+/// and a failed validation charged to the box that failed, with its
+/// `TxnAttemptAbort` carrying that box and the snapshot.
+#[test]
+fn commits_emit_the_same_records_on_every_backend() {
+    for kind in BackendKind::ALL {
+        let tracer = Tracer::with_capacity(TraceLevel::Full, 1 << 12);
+        let stm = make_backend(kind, tracer.clone());
+        let x = TBox::new_on(&*stm, 0i64);
+        let y = TBox::new_on(&*stm, 0i64);
+        atomic(&*stm, |tx| {
+            tx.write(&x, 1)?;
+            tx.write(&y, 1)
+        })
+        .unwrap();
+        let events = |kind: EventKind| -> Vec<(u64, u64)> {
+            let lanes = tracer.lanes().into_iter().flat_map(|(_, events)| events);
+            lanes
+                .filter(|e| e.kind == kind)
+                .map(|e| (e.a, e.b))
+                .collect()
+        };
+        assert_eq!(
+            events(EventKind::StmInstall).len(),
+            2,
+            "{kind}: one StmInstall per written box"
+        );
+        let summary = tracer.summary();
+        assert_eq!(summary.commit_latency.count, 1, "{kind}");
+        assert_eq!(summary.validation_latency.count, 1, "{kind}");
+        // A justified conflict charges the failing box.
+        let snap = stm.acquire_snapshot();
+        atomic(&*stm, |tx| {
+            let v = tx.read(&x)?;
+            tx.write(&x, v + 1)
+        })
+        .unwrap();
+        let res = stm.commit_attributed(
+            snap.version(),
+            true,
+            &[x.body()],
+            vec![(y.body(), Arc::new(9i64) as Value)],
+        );
+        assert_eq!(res, Err(x.id()), "{kind}");
+        let summary = tracer.summary();
+        assert_eq!(summary.conflict_total, 1, "{kind}");
+        assert_eq!(summary.hotspots, vec![(x.id().0, 1)], "{kind}");
+        assert_eq!(
+            events(EventKind::TxnAttemptAbort),
+            vec![(x.id().0, snap.version())],
+            "{kind}"
+        );
     }
 }
