@@ -322,6 +322,12 @@ fn analyze_crate(krate: &str, files: &[&SourceFile], report: &mut LockReport) {
                         });
                     }
                 }
+                // `drop(guard)` of a guard held here releases it (the
+                // eviction above retires it from the next event on); it is
+                // no call into the crate's `Drop` impls. Any other
+                // `drop(x)` still resolves to them: conservative.
+                Ev::Call { off, .. }
+                    if drops_held_guard(&f.masked, off, held.iter().map(|h| &h.binding)) => {}
                 Ev::Call { off, callees } => {
                     let stmt = scan::statement_span(&f.masked, off);
                     let binding = classify_binding(f, stmt, off, &depths);
@@ -673,6 +679,22 @@ fn collect_acquisitions(
     out
 }
 
+/// Whether the call at `off` is `drop(x)` of a `let`-bound guard in
+/// `held`.
+fn drops_held_guard<'a>(
+    masked: &str,
+    off: usize,
+    mut held: impl Iterator<Item = &'a Binding>,
+) -> bool {
+    if !masked[off..].starts_with("drop(") {
+        return false;
+    }
+    let Some((args, _)) = scan::call_args(masked, off + "drop".len()) else {
+        return false;
+    };
+    held.any(|b| matches!(b, Binding::Let { ident, .. } if ident == args.trim()))
+}
+
 fn collect_calls(
     f: &SourceFile,
     d: &FnDef,
@@ -812,5 +834,46 @@ mod tests {
             .edges
             .iter()
             .any(|e| e.from == "x/stripe" && e.to == "x/registry"));
+    }
+
+    /// Two lock classes and a `Drop` impl that takes the second: the
+    /// shape of the commit frame's stripes and the horizon's retire list.
+    const DROP_FIXTURE: &str = "struct Stripes {\n    // lock-order: stripe\n    lock: Mutex<()>,\n}\n\
+                                struct Horizon {\n    // lock-order: retired\n    retired: Mutex<()>,\n}\n\
+                                impl Stripes {\n    fn lock_mask(&self) -> MaskGuard<'_> {\n        \
+                                MaskGuard(self.lock.lock())\n    }\n}\n\
+                                impl Horizon {\n    fn drain(&self) {\n        \
+                                let r = self.retired.lock();\n    }\n}\n\
+                                impl Drop for Horizon {\n    fn drop(&mut self) {\n        \
+                                self.drain();\n    }\n}\n";
+
+    fn drop_fixture_edges(commit: &str) -> Vec<LockEdge> {
+        let src = format!("{DROP_FIXTURE}impl Frame {{\n{commit}}}\n");
+        let r = analyze(&[&file("crates/x/src/frame.rs", "x", &src)]);
+        assert!(r.findings.is_empty(), "{:?}", r.findings);
+        r.edges
+    }
+
+    #[test]
+    fn dropping_a_held_guard_releases_it() {
+        let edges = drop_fixture_edges(
+            "    fn commit(&self) {\n        let stripes = self.stripes.lock_mask();\n        \
+             drop(stripes);\n        self.horizon.drain();\n    }\n",
+        );
+        assert!(edges.is_empty(), "{edges:?}");
+    }
+
+    #[test]
+    fn dropping_a_non_guard_under_a_lock_still_reaches_drop_impls() {
+        let edges = drop_fixture_edges(
+            "    fn commit(&self, handle: Handle) {\n        \
+             let stripes = self.stripes.lock_mask();\n        drop(handle);\n    }\n",
+        );
+        assert!(
+            edges
+                .iter()
+                .any(|e| e.from == "x/stripe" && e.to == "x/retired"),
+            "{edges:?}"
+        );
     }
 }

@@ -321,7 +321,7 @@ impl<T> Clone for TBox<T> {
 impl<T: TxValue> TBox<T> {
     /// Creates a box initialized to `value` on `backend`.
     pub fn new_on(backend: &dyn StmBackend, value: T) -> TBox<T> {
-        TBox::from_body(backend.new_box(Arc::new(value)))
+        TBox::from_body(backend.new_box(Value::new(value)))
     }
 
     /// [`TBox::new_on`] under the name `benchmark/` calls through the
@@ -433,7 +433,7 @@ impl<'s> BackendTxn<'s> {
     /// Transactional write: buffered privately until commit.
     pub fn write<T: TxValue>(&mut self, tbox: &TBox<T>, value: T) -> TxResult<()> {
         self.write_set
-            .insert(tbox.id(), (tbox.borrow(), Arc::new(value)));
+            .insert(tbox.id(), (tbox.borrow(), Value::new(value)));
         Ok(())
     }
 

@@ -19,7 +19,8 @@ use std::collections::hash_map::Entry;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use wtf_backend::{
-    BackendBox, BoxHandle, BoxId, FxHashMap, StmError, TBox as VBox, TxResult, TxValue, Value,
+    downcast_value, BackendBox, BoxHandle, BoxId, FxHashMap, StmError, TBox as VBox, TxResult,
+    TxValue, Value,
 };
 use wtf_trace::EventKind;
 
@@ -131,7 +132,7 @@ impl TxCtx {
     fn global_read<T: TxValue>(&self, body: &dyn BackendBox) -> TxResult<(u64, T)> {
         let mut lent = None;
         match body.read_at(self.top.snapshot_version(), &mut |v| {
-            lent = Some(downcast(v))
+            lent = Some(downcast_value(v))
         }) {
             Ok(ver) => Ok((ver, lent.expect("read_at lends the value on Ok"))),
             Err(_) => {
@@ -219,7 +220,7 @@ impl TxCtx {
         self.check_doom()?;
         let id = vbox.id();
         if let Some((_, v)) = self.writes.get(&id) {
-            return Ok(downcast(v));
+            return Ok(downcast_value(v));
         }
         // Flat (no sub-transaction yet, and only this thread can create
         // one): no ancestor can hold a write and no sibling can serialize,
@@ -239,7 +240,7 @@ impl TxCtx {
             self.refresh_view();
             let stamp = self.view_stamp;
             let (origin, value) = match self.view.get(&id) {
-                Some((writer, v)) => (ReadOrigin::Ancestor(*writer), downcast(v)),
+                Some((writer, v)) => (ReadOrigin::Ancestor(*writer), downcast_value(v)),
                 None => {
                     let (ver, value) = self.global_read(body)?;
                     (ReadOrigin::Global(ver), value)
@@ -271,7 +272,7 @@ impl TxCtx {
         self.charge(costs.write_cpu, 0);
         self.check_doom()?;
         self.writes
-            .insert(vbox.id(), (vbox.borrow(), Arc::new(value)));
+            .insert(vbox.id(), (vbox.borrow(), Value::new(value)));
         Ok(())
     }
 
@@ -293,7 +294,7 @@ impl TxCtx {
         self.charge(costs.submit_cost, 0);
         self.check_doom()?;
         let erased: crate::future::BodyFn =
-            Arc::new(move |ctx: &mut TxCtx| body(ctx).map(|v| Arc::new(v) as Value));
+            Arc::new(move |ctx: &mut TxCtx| body(ctx).map(Value::new));
         let core = self.submit_erased(erased)?;
         Ok(TxFuture {
             core,
@@ -357,7 +358,7 @@ impl TxCtx {
         self.charge(costs.evaluate_cost, 0);
         self.check_doom()?;
         let v = self.evaluate_core(&future.core, false)?;
-        Ok(downcast(&v))
+        Ok(downcast_value(&v))
     }
 
     /// Non-blocking variant (§3.2): returns `None` while the future's body
@@ -715,10 +716,4 @@ impl TxCtx {
     pub fn snapshot_version(&self) -> u64 {
         self.top.snapshot_version()
     }
-}
-
-fn downcast<T: TxValue>(v: &Value) -> T {
-    v.downcast_ref::<T>()
-        .expect("transactional value type invariant violated")
-        .clone()
 }

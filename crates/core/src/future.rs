@@ -396,7 +396,7 @@ pub(crate) fn run_future_body(
             top.node_arc(core.node).doom();
             let done = Done {
                 final_node: core.node,
-                value: Arc::new(()),
+                value: Value::new(()),
             };
             let escaped = Phase::Completed(done, Some(EscapeRecord::Reexecute));
             return settle(Move::Finish(escaped));

@@ -323,7 +323,7 @@ impl FutureTm {
 
     /// Creates a transactional box on this TM's STM.
     pub fn new_vbox<T: TxValue>(&self, value: T) -> VBox<T> {
-        VBox::from_body(self.inner.stm.new_box(Arc::new(value)))
+        VBox::from_body(self.inner.stm.new_box(wtf_backend::Value::new(value)))
     }
 
     /// The underlying STM substrate.

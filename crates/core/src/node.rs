@@ -147,7 +147,7 @@ mod tests {
 
     fn one_write(b: &TBox<i64>, v: i64) -> WriteMap {
         let mut writes = WriteMap::default();
-        writes.insert(b.id(), (b.borrow(), Arc::new(v)));
+        writes.insert(b.id(), (b.borrow(), Value::new(v)));
         writes
     }
 
@@ -202,7 +202,7 @@ mod tests {
         // they leave its handle count where it was, dropped or not.
         let mut writes = WriteMap::default();
         for i in 0..100 {
-            writes.insert(a.id(), (a.borrow(), Arc::new(i)));
+            writes.insert(a.id(), (a.borrow(), Value::new(i)));
         }
         node.freeze(writes);
         assert_eq!(a.handles(), 1, "N reads and writes count no handle");

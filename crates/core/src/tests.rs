@@ -1404,10 +1404,11 @@ fn lifecycle_transition_table() {
     use crate::future::{Done, EscapeRecord, FutureCore, Move, Phase};
     use crate::FutState::{self, *};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+    use wtf_backend::Value;
     fn done(v: u64) -> Done {
         Done {
             final_node: 1,
-            value: Arc::new(v),
+            value: Value::new(v),
         }
     }
     fn completed() -> Move {
@@ -1422,7 +1423,7 @@ fn lifecycle_transition_table() {
         || Move::ClaimEscape,
         || Move::Release(None),
         || Move::Serialize(Some(done(2))),
-        || Move::Adopt(Some(Arc::new(2u64))),
+        || Move::Adopt(Some(Value::new(2u64))),
         || Move::Fail,
         || Move::Cancel,
     ];
@@ -1473,7 +1474,7 @@ fn lifecycle_transition_table() {
         };
         clock.advance(1); // the waiter parks
         assert_eq!(wakes.load(SeqCst), 1);
-        let body: crate::future::BodyFn = Arc::new(|_| Ok(Arc::new(0u64)));
+        let body: crate::future::BodyFn = Arc::new(|_| Ok(Value::new(0u64)));
         let mut calls = 0;
         let mut step = |core: &FutureCore, mv: Move| {
             let left = core.transition(&clock, mv);

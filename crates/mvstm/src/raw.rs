@@ -56,7 +56,7 @@ impl Protocol for Mvstm {
         snapshot: u64,
         snapshot_ends: bool,
         _write_mask: u64,
-        writes: Vec<(&dyn BackendBox, Value)>,
+        mut writes: Vec<(&dyn BackendBox, Value)>,
     ) -> u64 {
         let (tracer, counters, horizon) = (&shared.tracer, &shared.counters, &shared.horizon);
         // Reserve the version ticket only now, after validation under locks:
@@ -66,10 +66,11 @@ impl Protocol for Mvstm {
         let version = shared.protocol.next_version.fetch_add(1, Ordering::AcqRel) + 1;
         counters.add(Counter::VersionsInstalled, writes.len() as u64);
         // The borrows stay in `writes` for the GC pass below, so each
-        // value is shared into its chain rather than moved.
-        for &(body, ref value) in &writes {
-            let body = Self::body(body);
-            body.install(version, Arc::clone(value));
+        // value is moved into its chain and `()` (inline: no allocation,
+        // no drop) left in its place.
+        for (body, value) in &mut writes {
+            let body = Self::body(*body);
+            body.install(version, std::mem::replace(value, Value::new(())));
             tracer.record_full(EventKind::StmInstall, body.id.0, version);
         }
         // Publish in ticket order: wait until every earlier ticket is fully

@@ -93,7 +93,7 @@ fn conflicting_writers_abort_and_retry() {
             snap1.version(),
             true,
             &[x.body()],
-            vec![(y.body(), Arc::new(1i64) as Value)],
+            vec![(y.body(), Value::new(1i64))],
         )
         .unwrap_err();
     assert_eq!(err, x.id());
@@ -113,7 +113,7 @@ fn blind_write_commits_without_validation_failure() {
         snap1.version(),
         true,
         &[],
-        vec![(x.body(), Arc::new(10i64) as Value)],
+        vec![(x.body(), Value::new(10i64))],
     )
     .unwrap();
     assert_eq!(x.read_latest(), 10);
@@ -323,7 +323,7 @@ fn tracer_attributes_conflicts_and_measures_commits() {
             snap1.version(),
             true,
             &[x.body()],
-            vec![(y.body(), Arc::new(1i64) as Value)],
+            vec![(y.body(), Value::new(1i64))],
         )
         .unwrap_err();
     assert_eq!(err, x.id());
@@ -590,7 +590,7 @@ mod chain_proptests {
         fn chain_matches_oracle(ops in proptest::collection::vec((0u8..3, 1u64..4, 0u64..64), 1..80)) {
             let stripes = Arc::new(StripeTable::default());
             let id = BoxId(0);
-            let body = BoxBody::new(id, stripes.clone(), Arc::new(0u64) as Value);
+            let body = BoxBody::new(id, stripes.clone(), Value::new(0u64));
             // Oracle chain, newest first: (version, value).
             let mut oracle: Vec<(u64, u64)> = vec![(0, 0)];
             let mut last_version = 0u64;
@@ -602,7 +602,7 @@ mod chain_proptests {
                         next_value += 1;
                         {
                             let _stripe = stripes.lock_one(stripe_index(id));
-                            body.install(last_version, Arc::new(next_value) as Value);
+                            body.install(last_version, Value::new(next_value));
                         }
                         oracle.insert(0, (last_version, next_value));
                     }

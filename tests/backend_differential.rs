@@ -5,6 +5,7 @@
 //! (b) produce histories the offline serializability checker accepts,
 //! with zero dropped trace events.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use transactional_futures::backend::{atomic, stripe_index, StmBackend, StmError, TBox, Value};
@@ -275,39 +276,83 @@ fn box_created_after_a_commit_passes_the_checker() {
     assert_eq!(state, vec![11, 10]);
 }
 
-/// The lending read's contract, on every backend: `read_at` hands its
-/// closure the stored `Value` itself (no clone: a value nobody else holds
-/// has a strong count of 1 inside the closure), calls it exactly once on
-/// `Ok`, and never on `Err`.
+/// A box value whose clones are counted; `PAD` bytes beside the count
+/// pick the `Value` arm (7: 16 bytes, stored inline; 8: 17, behind an
+/// `Arc`).
+struct Lent<const PAD: usize> {
+    n: u8,
+    clones: Arc<AtomicUsize>,
+    _pad: [u8; PAD],
+}
+
+impl<const PAD: usize> Lent<PAD> {
+    fn new(n: u8, clones: &Arc<AtomicUsize>) -> Self {
+        Lent {
+            n,
+            clones: clones.clone(),
+            _pad: [0; PAD],
+        }
+    }
+}
+
+impl<const PAD: usize> Clone for Lent<PAD> {
+    fn clone(&self) -> Self {
+        self.clones.fetch_add(1, Ordering::SeqCst);
+        Lent::new(self.n, &self.clones)
+    }
+}
+
+/// The lending read's contract, on every backend and on both arms of
+/// `Value`: `read_at` hands its closure the stored value itself (no
+/// clone: the value's own clone count does not move across the read),
+/// calls it exactly once on `Ok`, and never on `Err`.
 #[test]
 fn read_at_lends_the_stored_value_once() {
-    let backends: [Arc<dyn StmBackend>; 2] = [Arc::new(Stm::new()), Arc::new(Tl2Stm::new())];
-    for stm in backends {
-        let kind = stm.kind();
-        let x = TBox::new_on(&*stm, 5u64);
-        // `(calls, strong count seen, value seen)` for one read.
-        let read = |snapshot: u64| {
-            let (mut calls, mut strong, mut seen) = (0, 0, None);
-            let res = x.body().read_at(snapshot, &mut |v| {
-                calls += 1;
-                strong = Arc::strong_count(v);
-                seen = v.downcast_ref::<u64>().copied();
-            });
-            (res, calls, strong, seen)
-        };
-        let old = stm.acquire_snapshot();
-        assert_eq!(read(old.version()), (Ok(0), 1, 1, Some(5)), "{kind:?}");
-        atomic(&*stm, |tx| tx.write(&x, 6)).unwrap();
-        let fresh = stm.acquire_snapshot();
-        let v = fresh.version();
-        assert_eq!(read(v), (Ok(v), 1, 1, Some(6)), "{kind:?}: the new value");
-        match read(old.version()) {
-            // mvstm keeps the version the old snapshot reads.
-            (Ok(0), 1, 1, Some(5)) if kind == BackendKind::Mvstm => {}
-            // TL2 has nothing left to lend at the old snapshot.
-            (Err(StmError::Conflict), 0, 0, None) if kind == BackendKind::Tl2 => {}
-            other => panic!("{kind:?}: read at the old snapshot gave {other:?}"),
-        }
+    assert_eq!(std::mem::size_of::<Lent<7>>(), 16, "inline arm");
+    assert!(std::mem::size_of::<Lent<8>>() > 16, "Arc arm");
+    for kind in BackendKind::ALL {
+        lends_once::<7>(kind);
+        lends_once::<8>(kind);
+    }
+}
+
+fn lends_once<const PAD: usize>(kind: BackendKind) {
+    let stm: Arc<dyn StmBackend> = match kind {
+        BackendKind::Mvstm => Arc::new(Stm::new()),
+        BackendKind::Tl2 => Arc::new(Tl2Stm::new()),
+    };
+    let clones = Arc::new(AtomicUsize::new(0));
+    let x = TBox::new_on(&*stm, Lent::<PAD>::new(5, &clones));
+    // `(result, calls, clones made, value seen)` for one read.
+    let read = |snapshot: u64| {
+        let (mut calls, mut seen) = (0, None);
+        let before = clones.load(Ordering::SeqCst);
+        let res = x.body().read_at(snapshot, &mut |v| {
+            calls += 1;
+            seen = v.downcast_ref::<Lent<PAD>>().map(|l| l.n);
+        });
+        (res, calls, clones.load(Ordering::SeqCst) - before, seen)
+    };
+    let old = stm.acquire_snapshot();
+    assert_eq!(
+        read(old.version()),
+        (Ok(0), 1, 0, Some(5)),
+        "{kind:?}/{PAD}"
+    );
+    atomic(&*stm, |tx| tx.write(&x, Lent::new(6, &clones))).unwrap();
+    let fresh = stm.acquire_snapshot();
+    let v = fresh.version();
+    assert_eq!(
+        read(v),
+        (Ok(v), 1, 0, Some(6)),
+        "{kind:?}/{PAD}: the new value"
+    );
+    match read(old.version()) {
+        // mvstm keeps the version the old snapshot reads.
+        (Ok(0), 1, 0, Some(5)) if kind == BackendKind::Mvstm => {}
+        // TL2 has nothing left to lend at the old snapshot.
+        (Err(StmError::Conflict), 0, 0, None) if kind == BackendKind::Tl2 => {}
+        other => panic!("{kind:?}/{PAD}: read at the old snapshot gave {other:?}"),
     }
 }
 
@@ -392,7 +437,7 @@ fn commits_emit_the_same_records_on_every_backend() {
             snap.version(),
             true,
             &[x.body()],
-            vec![(y.body(), Arc::new(9i64) as Value)],
+            vec![(y.body(), Value::new(9i64))],
         );
         assert_eq!(res, Err(x.id()), "{kind}");
         let summary = tracer.summary();
